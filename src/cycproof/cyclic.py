@@ -123,22 +123,7 @@ def check_cyclic(graph: ProofGraph) -> TraceCertificate:
     for u, v, rel, _ in tg.edges:
         edge_lookup[(u, v)] = rel
 
-    companions = sorted(set(graph.backlinks.values()))
-    segments = []  # (from_companion, to_companion, relation, node path)
-    for bud in sorted(graph.backlinks):
-        companion = graph.backlinks[bud]
-        lineage = [bud] + list(graph.ancestors(bud))  # bud upward to root
-        for start in companions:
-            if start not in lineage:
-                continue
-            nodes = list(reversed(lineage[: lineage.index(start) + 1]))  # start..bud
-            rel = edge_lookup[(nodes[0], nodes[1])] if len(nodes) > 1 else None
-            for i in range(1, len(nodes) - 1):
-                rel = compose(rel, edge_lookup[(nodes[i], nodes[i + 1])])
-            jump = edge_lookup[(bud, companion)]
-            rel = jump if rel is None else compose(rel, jump)
-            segments.append((start, companion, rel, nodes + [companion]))
-
+    companions, segments = companion_segments(graph.backlinks, graph.ancestors, edge_lookup)
     failure = closure_reject(segments, companions)
     if failure is not None:
         node, rel, path = failure
@@ -154,6 +139,33 @@ def check_cyclic(graph: ProofGraph) -> TraceCertificate:
         for bud, companion in sorted(graph.backlinks.items())
     ]
     return TraceCertificate(accepted=True, witnesses=witnesses)
+
+
+def companion_segments(backlinks: dict, ancestors, edge_lookup: dict):
+    """The companions of a tree with back-links, and the segments between them.
+
+    ``backlinks`` maps each bud to its companion, ``ancestors(node)`` walks
+    from a node's parent up to the root, and ``edge_lookup`` maps each tree
+    edge and back-link ``(u, v)`` to its relation.  A segment descends the
+    tree from a companion to a bud below it and jumps back to that bud's
+    companion; it is returned as (from, to, composed relation, node path).
+    """
+    companions = sorted(set(backlinks.values()))
+    segments = []
+    for bud in sorted(backlinks):
+        companion = backlinks[bud]
+        lineage = [bud] + list(ancestors(bud))  # bud upward to root
+        for start in companions:
+            if start not in lineage:
+                continue
+            nodes = list(reversed(lineage[: lineage.index(start) + 1]))  # start..bud
+            rel = edge_lookup[(nodes[0], nodes[1])] if len(nodes) > 1 else None
+            for i in range(1, len(nodes) - 1):
+                rel = compose(rel, edge_lookup[(nodes[i], nodes[i + 1])])
+            jump = edge_lookup[(bud, companion)]
+            rel = jump if rel is None else compose(rel, jump)
+            segments.append((start, companion, rel, nodes + [companion]))
+    return companions, segments
 
 
 def closure_reject(segments, companions):

@@ -244,10 +244,6 @@ def free_vars(f) -> frozenset:
     return terms.free_vars(f)
 
 
-def sequent_free_vars(nu: Sequent) -> frozenset:
-    return free_vars(nu)
-
-
 def substitute_body(b: Body, bindings, scope) -> Body:
     if isinstance(b, BBase):
         return BBase(terms.substitute(b.fml, bindings, scope))

@@ -16,7 +16,9 @@ derivations keep the node numbering of the source material.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from functools import partial, partialmethod
 
 from . import parser, sep as sepmod
 from .formulas import (
@@ -40,6 +42,8 @@ from .formulas import (
 )
 from .oracle import check_obligation, is_accepting
 from .terms import (
+    FALSE,
+    TRUE,
     AndF,
     BaseFormula,
     Config,
@@ -183,10 +187,66 @@ def _interpret(label, fml):
             value = sepmod.sep_app(label, fml)
         else:
             value = sepmod.sep_app(label, sepmod.SBase(fml))
-        from .terms import FALSE, TRUE
-
         return TRUE if value else FALSE
     raise SideConditionFailed(f"no interpretation for label {label!r}")
+
+
+# --- rule shapes: the formula each rule applies to ----------------------------
+
+def _labeled(*bodies):
+    return lambda f: isinstance(f, DLabeled) and isinstance(f.body, bodies)
+
+
+def _is_terminal_modality(f) -> bool:
+    # box_eps covers the diamond form as well: the only path from the
+    # terminal program is the empty one, so both modalities collapse
+    return (
+        isinstance(f, DLabeled)
+        and isinstance(f.body, (BBox, BDia))
+        and isinstance(f.body.prog, Epsilon)
+    )
+
+
+def _is_heap_star(f) -> bool:
+    return (
+        isinstance(f, DLabeled)
+        and isinstance(f.label, sepmod.SepState)
+        and isinstance(f.body, BBase)
+        and isinstance(f.body.fml, sepmod.Star)
+    )
+
+
+def _splits(split):
+    return lambda f: split(f) is not None
+
+
+MATCHERS = {
+    "box": _labeled(BBox),
+    "diamond": _labeled(BDia),
+    "int": _labeled(BBase),
+    "box_eps": _is_terminal_modality,
+    "sigma_not": _labeled(BNot),
+    "sigma_and": _labeled(BAnd),
+    "not_l": _splits(split_not),
+    "not_r": _splits(split_not),
+    "and_l": _splits(split_and),
+    "and_r": _splits(split_and),
+    "imp_r": _splits(split_imp),
+    "or_l": _splits(split_or),
+    "le": lambda f: isinstance(f, DBase),
+    "sigma_star": _is_heap_star,
+    "sigma_frm": _is_heap_star,
+}
+
+# the label rewrites: one premise replacing the matched labeled formula
+LABEL_REWRITES = {
+    "int": lambda f: DBase(_interpret(f.label, f.body.fml)),
+    "box_eps": lambda f: DLabeled(f.label, f.body.body),
+    "sigma_not": lambda f: DNot(DLabeled(f.label, f.body.body)),
+    "sigma_and": lambda f: DAnd(
+        DLabeled(f.label, f.body.left), DLabeled(f.label, f.body.right)
+    ),
+}
 
 
 def _identity_pairs(indices) -> tuple:
@@ -289,23 +349,28 @@ class ProofGraph:
     def apply_rule(self, node_id: int, rule: str, **args) -> list:
         # the catalog is closed: only listed rules and registered lifts apply
         if rule in CATALOG:
-            return getattr(self, f"_rule_{rule}")(node_id, **args)
-        handler = self.extra_rules.get(rule)
-        if handler is None:
+            handler = getattr(self, f"_rule_{rule}")
+        elif rule in self.extra_rules:
+            handler = partial(self.extra_rules[rule], self)
+        else:
             raise KernelError(f"unknown rule {rule!r}")
-        return handler(self, node_id, **args)
+        try:
+            return handler(node_id, **args)
+        except TypeError:
+            # arguments the rule does not take are a usage error; a TypeError
+            # raised inside a rule that accepted its arguments propagates
+            try:
+                inspect.signature(handler).bind(node_id, **args)
+            except TypeError as exc:
+                raise KernelError(f"rule {rule}: {exc}") from None
+            raise
 
     # -- primitive rules --------------------------------------------------------
 
-    def _rule_box(self, node_id: int, occ: int | None = None,
-                  annotations: LoopAnnotations | None = None) -> list:
+    def _rule_box(self, node_id: int, occ: int | None = None) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-
-        def is_box(f):
-            return isinstance(f, DLabeled) and isinstance(f.body, BBox)
-
-        occ = self._occurrence(nu.right, occ, is_box, "a boxed formula")
+        occ = self._occurrence(nu.right, occ, MATCHERS["box"], "a boxed formula")
         target: DLabeled = nu.right[occ]
         if isinstance(target.body.prog, Epsilon):
             raise SideConditionFailed("the box rule requires a non-terminal program")
@@ -349,11 +414,7 @@ class ProofGraph:
     ) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-
-        def is_dia(f):
-            return isinstance(f, DLabeled) and isinstance(f.body, BDia)
-
-        occ = self._occurrence(nu.right, occ, is_dia, "a diamond formula")
+        occ = self._occurrence(nu.right, occ, MATCHERS["diamond"], "a diamond formula")
         target: DLabeled = nu.right[occ]
         if isinstance(target.body.prog, Epsilon):
             raise SideConditionFailed("the diamond rule requires a non-terminal program")
@@ -436,13 +497,15 @@ class ProofGraph:
         )
         return self._attach(node_id, instance)
 
-    def _labeled_rewrite(self, node_id: int, rule: str, occ, side: str,
-                         matcher, builder) -> list:
+    def _labeled_rewrite(self, node_id: int, occ: int | None = None,
+                         side: str = "right", *, rule: str) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
+        if side not in ("left", "right"):
+            raise SideConditionFailed(f"side must be left or right, not {side!r}")
         formulas = nu.right if side == "right" else nu.left
-        occ = self._occurrence(formulas, occ, matcher, rule)
-        replacement = builder(formulas[occ])
+        occ = self._occurrence(formulas, occ, MATCHERS[rule], rule)
+        replacement = LABEL_REWRITES[rule](formulas[occ])
         new_side = formulas[:occ] + (replacement,) + formulas[occ + 1:]
         if side == "right":
             premise = Sequent(nu.left, new_side)
@@ -458,49 +521,10 @@ class ProofGraph:
         )
         return self._attach(node_id, instance)
 
-    def _rule_int(self, node_id: int, occ: int | None = None, side: str = "right") -> list:
-        def matcher(f):
-            return isinstance(f, DLabeled) and isinstance(f.body, BBase)
-
-        def builder(f):
-            return DBase(_interpret(f.label, f.body.fml))
-
-        return self._labeled_rewrite(node_id, "int", occ, side, matcher, builder)
-
-    def _rule_box_eps(self, node_id: int, occ: int | None = None, side: str = "right") -> list:
-        # covers the diamond form as well: the only path from the terminal
-        # program is the empty one, so both modalities collapse to the body
-        def matcher(f):
-            return (
-                isinstance(f, DLabeled)
-                and isinstance(f.body, (BBox, BDia))
-                and isinstance(f.body.prog, Epsilon)
-            )
-
-        def builder(f):
-            return DLabeled(f.label, f.body.body)
-
-        return self._labeled_rewrite(node_id, "box_eps", occ, side, matcher, builder)
-
-    def _rule_sigma_not(self, node_id: int, occ: int | None = None, side: str = "right") -> list:
-        def matcher(f):
-            return isinstance(f, DLabeled) and isinstance(f.body, BNot)
-
-        def builder(f):
-            return DNot(DLabeled(f.label, f.body.body))
-
-        return self._labeled_rewrite(node_id, "sigma_not", occ, side, matcher, builder)
-
-    def _rule_sigma_and(self, node_id: int, occ: int | None = None, side: str = "right") -> list:
-        def matcher(f):
-            return isinstance(f, DLabeled) and isinstance(f.body, BAnd)
-
-        def builder(f):
-            return DAnd(
-                DLabeled(f.label, f.body.left), DLabeled(f.label, f.body.right)
-            )
-
-        return self._labeled_rewrite(node_id, "sigma_and", occ, side, matcher, builder)
+    _rule_int = partialmethod(_labeled_rewrite, rule="int")
+    _rule_box_eps = partialmethod(_labeled_rewrite, rule="box_eps")
+    _rule_sigma_not = partialmethod(_labeled_rewrite, rule="sigma_not")
+    _rule_sigma_and = partialmethod(_labeled_rewrite, rule="sigma_and")
 
     def _rule_sub(self, node_id: int, bindings: dict, premise: Sequent) -> list:
         node = self._require_open(node_id)
@@ -601,8 +625,7 @@ class ProofGraph:
     def _rule_not_l(self, node_id: int, occ: int | None = None) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-        occ = self._occurrence(nu.left, occ, lambda f: split_not(f) is not None,
-                               "a negation on the left")
+        occ = self._occurrence(nu.left, occ, MATCHERS["not_l"], "a negation on the left")
         inner = split_not(nu.left[occ])
         premise = Sequent(
             nu.left[:occ] + nu.left[occ + 1:], nu.right + (inner,)
@@ -615,8 +638,7 @@ class ProofGraph:
     def _rule_not_r(self, node_id: int, occ: int | None = None) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-        occ = self._occurrence(nu.right, occ, lambda f: split_not(f) is not None,
-                               "a negation on the right")
+        occ = self._occurrence(nu.right, occ, MATCHERS["not_r"], "a negation on the right")
         inner = split_not(nu.right[occ])
         premise = Sequent(
             nu.left + (inner,), nu.right[:occ] + nu.right[occ + 1:]
@@ -634,8 +656,7 @@ class ProofGraph:
     def _rule_and_l(self, node_id: int, occ: int | None = None) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-        occ = self._occurrence(nu.left, occ, lambda f: split_and(f) is not None,
-                               "a conjunction on the left")
+        occ = self._occurrence(nu.left, occ, MATCHERS["and_l"], "a conjunction on the left")
         a, b = split_and(nu.left[occ])
         premise = Sequent(nu.left[:occ] + (a, b) + nu.left[occ + 1:], nu.right)
         instance = RuleInstance(
@@ -646,8 +667,7 @@ class ProofGraph:
     def _rule_and_r(self, node_id: int, occ: int | None = None) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-        occ = self._occurrence(nu.right, occ, lambda f: split_and(f) is not None,
-                               "a conjunction on the right")
+        occ = self._occurrence(nu.right, occ, MATCHERS["and_r"], "a conjunction on the right")
         a, b = split_and(nu.right[occ])
         premises = []
         pairs = []
@@ -669,8 +689,7 @@ class ProofGraph:
     def _rule_imp_r(self, node_id: int, occ: int | None = None) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-        occ = self._occurrence(nu.right, occ, lambda f: split_imp(f) is not None,
-                               "an implication on the right")
+        occ = self._occurrence(nu.right, occ, MATCHERS["imp_r"], "an implication on the right")
         a, b = split_imp(nu.right[occ])
         premise = Sequent(
             nu.left + (a,), nu.right[:occ] + (b,) + nu.right[occ + 1:]
@@ -685,8 +704,7 @@ class ProofGraph:
     def _rule_or_l(self, node_id: int, occ: int | None = None) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-        occ = self._occurrence(nu.left, occ, lambda f: split_or(f) is not None,
-                               "a disjunction on the left")
+        occ = self._occurrence(nu.left, occ, MATCHERS["or_l"], "a disjunction on the left")
         a, b = split_or(nu.left[occ])
         premises = []
         for part in (a, b):
@@ -703,8 +721,7 @@ class ProofGraph:
     def _rule_le(self, node_id: int, target: BaseFormula, occ: int | None = None) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-        occ = self._occurrence(nu.left, occ, lambda f: isinstance(f, DBase),
-                               "a base formula on the left")
+        occ = self._occurrence(nu.left, occ, MATCHERS["le"], "a base formula on the left")
         phi = nu.left[occ]
         ob = check_obligation(self.oracle, [phi.fml], [target], node=node_id)
         if not is_accepting(ob.verdict):
@@ -726,16 +743,7 @@ class ProofGraph:
                          occ: int | None = None) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-
-        def matcher(f):
-            return (
-                isinstance(f, DLabeled)
-                and isinstance(f.label, sepmod.SepState)
-                and isinstance(f.body, BBase)
-                and isinstance(f.body.fml, sepmod.Star)
-            )
-
-        occ = self._occurrence(nu.right, occ, matcher, "a separating conjunction")
+        occ = self._occurrence(nu.right, occ, MATCHERS["sigma_star"], "a separating conjunction")
         f: DLabeled = nu.right[occ]
         state: sepmod.SepState = f.label
         star: sepmod.Star = f.body.fml
@@ -751,8 +759,6 @@ class ProofGraph:
         if merged != state.heap_map() or len(merged) != len(h1) + len(h2):
             raise SideConditionFailed("h1 and h2 must split the heap exactly")
         ok = sepmod.disjoint(h1, h2)
-        from .terms import FALSE, TRUE
-
         disjoint_fml = DBase(TRUE if ok else FALSE)
         premises = (
             Sequent(nu.left, nu.right[:occ] + (disjoint_fml,) + nu.right[occ + 1:]),
@@ -784,16 +790,7 @@ class ProofGraph:
     def _rule_sigma_frm(self, node_id: int, occ: int | None = None) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-
-        def matcher(f):
-            return (
-                isinstance(f, DLabeled)
-                and isinstance(f.label, sepmod.SepState)
-                and isinstance(f.body, BBase)
-                and isinstance(f.body.fml, sepmod.Star)
-            )
-
-        occ = self._occurrence(nu.right, occ, matcher, "a separating conjunction")
+        occ = self._occurrence(nu.right, occ, MATCHERS["sigma_frm"], "a separating conjunction")
         f: DLabeled = nu.right[occ]
         state: sepmod.SepState = f.label
         star: sepmod.Star = f.body.fml

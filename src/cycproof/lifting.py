@@ -272,8 +272,8 @@ class LiftedRule:
 
 def lift_rule(rule: LiftedRule, registry: dict, samples: int = 50) -> dict:
     """Register the labeled version of ``rule`` in a kernel rule registry."""
-    def handler(graph: ProofGraph, node_id: int, **args):
-        return _apply_lifted(graph, node_id, rule, samples, **args)
+    def handler(graph: ProofGraph, node_id: int):
+        return _apply_lifted(graph, node_id, rule, samples)
 
     registry[rule.name] = handler
     return registry

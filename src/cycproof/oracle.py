@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import parser
-from .formulas import Sequent, base_formulas
 from .terms import (
     AndF,
     BaseFormula,
@@ -254,10 +253,3 @@ class SmtOracle:
 def check_obligation(oracle, gamma, delta, node=None) -> Obligation:
     result = oracle.valid_sequent(gamma, delta)
     return Obligation(tuple(gamma), tuple(delta), oracle.mode, result, node)
-
-
-def sequent_obligation(oracle, nu: Sequent, node=None) -> Obligation:
-    """Oracle call for an all-base sequent (the Ter side condition)."""
-    if not nu.is_base_only():
-        raise TermError("oracle sequents must contain base formulas only")
-    return check_obligation(oracle, base_formulas(nu.left), base_formulas(nu.right), node)

@@ -85,14 +85,18 @@ def _split_lines(text: str) -> list:
     return out
 
 
+def _int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ScriptError(f"{what} expects an integer, got {token!r}") from None
+
+
 def _take_at(rest: str):
     """Strip a leading ``at N`` clause; returns (node_or_None, remainder)."""
     parts = rest.split()
     if len(parts) >= 2 and parts[0] == "at":
-        try:
-            node = int(parts[1])
-        except ValueError as exc:
-            raise ScriptError(f"bad node id {parts[1]!r}") from exc
+        node = _int(parts[1], "at")
         return node, rest.split(None, 2)[2] if len(parts) > 2 else ""
     return None, rest
 
@@ -215,20 +219,14 @@ class Replayer:
         if remainder.startswith("with"):
             remainder = remainder[4:].strip()
         if not remainder:
-            if rule == "diamond":
-                return {}
             return {}
         if rule in ("wk_l", "wk_r"):
-            try:
-                return {"occs": [int(tok) for tok in remainder.split()]}
-            except ValueError as exc:
-                raise ScriptError(f"wk expects occurrence indices, got {remainder!r}") from exc
+            return {"occs": [_int(tok, rule) for tok in remainder.split()]}
         if rule == "le":
             tokens = remainder.split()
             args: dict = {}
             if tokens[0] == "occ":
-                args["occ"] = int(tokens[1])
-                remainder = " ".join(tokens[2:])
+                args["occ"] = _int(tokens[1] if len(tokens) > 1 else "", "occ")
                 tokens = tokens[2:]
             if tokens and tokens[0] == "target":
                 args["target"] = parser.parse_fml(" ".join(tokens[1:]))
@@ -240,9 +238,9 @@ class Replayer:
             args = {}
             for key, value in zip(tokens[::2], tokens[1::2]):
                 if key == "left":
-                    args["left_occ"] = int(value)
+                    args["left_occ"] = _int(value, key)
                 elif key == "right":
-                    args["right_occ"] = int(value)
+                    args["right_occ"] = _int(value, key)
             return args
         if rule == "sigma_star":
             tokens = remainder.split()
@@ -255,28 +253,20 @@ class Replayer:
                 elif tok == "h2":
                     bucket = h2
                 elif bucket is not None:
-                    bucket.append(int(tok))
+                    bucket.append(_int(tok, "sigma_star"))
                 else:
                     raise ScriptError(f"sigma_star: unexpected token {tok!r}")
             return {"h1_addrs": h1, "h2_addrs": h2}
         args = {}
-        tokens = remainder.split()
-        i = 0
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok == "occ":
-                args["occ"] = int(tokens[i + 1])
-                i += 2
+        tokens = iter(remainder.split())
+        for tok in tokens:
+            if tok in ("occ", "choice"):
+                args[tok] = _int(next(tokens, ""), tok)
             elif tok == "side":
-                args["side"] = tokens[i + 1]
-                i += 2
-            elif tok == "choice":
-                args["choice"] = int(tokens[i + 1])
-                i += 2
+                args["side"] = next(tokens, "")
             elif tok == "progress":
                 args["progress"] = True
                 args["annotations"] = self.annotations
-                i += 1
             else:
                 raise ScriptError(f"unexpected argument {tok!r} for rule {rule}")
         return args
@@ -309,7 +299,7 @@ class Replayer:
             tokens = tokens[1:]
         if len(tokens) != 1:
             raise ScriptError("backlink needs a companion node id")
-        companion = int(tokens[0])
+        companion = _int(tokens[0], "backlink")
         node = self._target_node(node)
         self.graph.link_bud(node, companion)
 
@@ -317,12 +307,12 @@ class Replayer:
         tokens = rest.split()
         if len(tokens) < 2 or tokens[0] != "while":
             raise ScriptError("annotate syntax: annotate while <index> invariant <fml> factor <expr>")
-        index = int(tokens[1])
-        remainder = rest.split(None, 2)[2]
-        if "invariant" not in remainder or "factor" not in remainder:
-            raise ScriptError("annotate needs both invariant and factor")
-        _, after_inv = remainder.split("invariant", 1)
-        inv_txt, factor_txt = after_inv.rsplit("factor", 1)
+        index = _int(tokens[1], "annotate while")
+        remainder = rest.split(None, 2)[2] if len(tokens) > 2 else ""
+        _, _, after_inv = remainder.partition("invariant")
+        inv_txt, found, factor_txt = after_inv.rpartition("factor")
+        if not found:
+            raise ScriptError("annotate needs an invariant followed by a factor")
         invariant = parser.parse_fml(inv_txt)
         factor = parser.parse_expr(factor_txt)
         whiles = self._whiles_in_goal()
@@ -359,11 +349,16 @@ class Replayer:
                 witness = (fwd, fwd)
         premises = []
         conclusion = None
-        for raw in template_path.read_text().splitlines():
+        try:
+            template = template_path.read_text()
+        except OSError as exc:
+            raise ScriptError(f"cannot read template {tokens[2]!r}: {exc.strerror}") from None
+        for raw in template.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            kind, body = line.split(None, 1)
+            kind, *body = line.split(None, 1)
+            body = body[0] if body else ""
             if kind == "premise":
                 premises.append(parser.parse_template_sequent(body))
             elif kind == "conclusion":
@@ -391,8 +386,12 @@ class Replayer:
                 handler = getattr(self, f"cmd_{head}", None)
                 if handler is None:
                     raise ScriptError(f"unknown command {head!r}", line_no)
+                if self.graph is None and head not in ("goal", "lift", "qed"):
+                    raise ScriptError(f"{head} before goal", line_no)
                 try:
                     handler(rest.strip())
+                except ScriptError as exc:
+                    raise ScriptError(str(exc), line_no) from None
                 except (
                     KernelError,
                     ObligationFailed,

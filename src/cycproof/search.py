@@ -13,18 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import lifting, parser
-from .formulas import BAnd, BBase, BBox, BDia, BNot, DBase, DLabeled, Sequent
-from .kernel import (
-    KernelError,
-    ProofGraph,
-    split_and,
-    split_imp,
-    split_not,
-    split_or,
-)
+from . import cyclic, lifting, parser
+from .formulas import DBase, Sequent, formulas_equal, sequents_equal
+from .kernel import LABEL_REWRITES, MATCHERS, ProofGraph
 from .oracle import BoundedValid
-from .terms import Epsilon
 from .whilelang import CaseSplitNeeded, ObligationFailed
 
 
@@ -46,33 +38,21 @@ class SearchResult:
         return self.verdict in ("Proved", "ProvedBounded")
 
 
-# rewrites applied without consuming depth, in fixed priority order
+# rewrites applied without consuming depth, in fixed priority order: each
+# (side, rules) group scans its side's occurrences in order and applies the
+# first of its rules whose shape matches
 _NORMALIZERS = (
-    ("box_eps", "right"),
-    ("box_eps", "left"),
-    ("int", "right"),
-    ("int", "left"),
-    ("sigma_not", "right"),
-    ("sigma_not", "left"),
-    ("sigma_and", "right"),
-    ("sigma_and", "left"),
+    ("right", ("box_eps",)),
+    ("left", ("box_eps",)),
+    ("right", ("int",)),
+    ("left", ("int",)),
+    ("right", ("sigma_not",)),
+    ("left", ("sigma_not",)),
+    ("right", ("sigma_and",)),
+    ("left", ("sigma_and",)),
+    ("right", ("imp_r", "and_r", "not_r")),
+    ("left", ("or_l", "and_l", "not_l")),
 )
-
-
-def _matches(rule: str, f) -> bool:
-    if rule == "box_eps":
-        return (
-            isinstance(f, DLabeled)
-            and isinstance(f.body, BBox)
-            and isinstance(f.body.prog, Epsilon)
-        )
-    if rule == "int":
-        return isinstance(f, DLabeled) and isinstance(f.body, BBase)
-    if rule == "sigma_not":
-        return isinstance(f, DLabeled) and isinstance(f.body, BNot)
-    if rule == "sigma_and":
-        return isinstance(f, DLabeled) and isinstance(f.body, BAnd)
-    raise KernelError(rule)
 
 
 def search(goal: Sequent, oracle, depth: int, path_bound: int = 10_000) -> SearchResult:
@@ -97,8 +77,6 @@ def search(goal: Sequent, oracle, depth: int, path_bound: int = 10_000) -> Searc
             )
 
     lines.append("qed")
-    from . import cyclic
-
     certificate = cyclic.check_cyclic(graph)
     if not certificate.accepted:
         return SearchResult(graph, "\n".join(lines), "Rejected", certificate.report())
@@ -111,14 +89,21 @@ def _inherit(budget, node_id, children, cost=0):
         budget[child] = budget[node_id] - cost
 
 
+def _apply(graph: ProofGraph, node_id: int, rule: str, lines: list, **args) -> list:
+    """Apply ``rule`` and record the script line that replays it."""
+    children = graph.apply_rule(node_id, rule, **args)
+    words = " ".join(f"{key} {value}" for key, value in args.items())
+    lines.append(f"apply {rule} at {node_id}" + (f" with {words}" if words else ""))
+    return children
+
+
 def _close_or_step(graph: ProofGraph, node_id: int, budget: dict, lines: list) -> None:
     nu = graph.node(node_id).sequent
 
     # 1. closure: ter on base-only sequents
     if nu.is_base_only():
         try:
-            graph.apply_rule(node_id, "ter")
-            lines.append(f"apply ter at {node_id}")
+            _apply(graph, node_id, "ter", lines)
             return
         except ObligationFailed:
             pass
@@ -126,16 +111,12 @@ def _close_or_step(graph: ProofGraph, node_id: int, budget: dict, lines: list) -
     # 2. closure: axiom
     for i, f in enumerate(nu.left):
         for j, g in enumerate(nu.right):
-            from .formulas import formulas_equal
-
             if formulas_equal(f, g):
                 graph.apply_rule(node_id, "ax", left_occ=i, right_occ=j)
                 lines.append(f"apply ax at {node_id} with left {i} right {j}")
                 return
 
     # 3. closure: backlink to an identical ancestor
-    from .formulas import sequents_equal
-
     for ancestor in graph.ancestors(node_id):
         if sequents_equal(nu, graph.node(ancestor).sequent):
             graph.link_bud(node_id, ancestor)
@@ -143,65 +124,27 @@ def _close_or_step(graph: ProofGraph, node_id: int, budget: dict, lines: list) -
             return
 
     # 4. label and propositional normalization (free)
-    for rule, side in _NORMALIZERS:
-        formulas = nu.right if side == "right" else nu.left
-        for occ, f in enumerate(formulas):
-            if _matches(rule, f):
-                children = graph.apply_rule(node_id, rule, occ=occ, side=side)
-                lines.append(f"apply {rule} at {node_id} with occ {occ} side {side}")
-                _inherit(budget, node_id, children)
+    for side, rules in _NORMALIZERS:
+        for occ, f in enumerate(getattr(nu, side)):
+            rule = next((r for r in rules if MATCHERS[r](f)), None)
+            if rule is not None:
+                args = {"occ": occ, "side": side} if rule in LABEL_REWRITES else {"occ": occ}
+                _inherit(budget, node_id, _apply(graph, node_id, rule, lines, **args))
                 return
-    for occ, f in enumerate(nu.right):
-        if split_imp(f) is not None:
-            children = graph.apply_rule(node_id, "imp_r", occ=occ)
-            lines.append(f"apply imp_r at {node_id} with occ {occ}")
-            _inherit(budget, node_id, children)
-            return
-        if split_and(f) is not None and not isinstance(f, DLabeled):
-            children = graph.apply_rule(node_id, "and_r", occ=occ)
-            lines.append(f"apply and_r at {node_id} with occ {occ}")
-            _inherit(budget, node_id, children)
-            return
-        if split_not(f) is not None and not isinstance(f, DLabeled):
-            children = graph.apply_rule(node_id, "not_r", occ=occ)
-            lines.append(f"apply not_r at {node_id} with occ {occ}")
-            _inherit(budget, node_id, children)
-            return
-    for occ, f in enumerate(nu.left):
-        if isinstance(f, DLabeled):
-            continue
-        if split_or(f) is not None:
-            children = graph.apply_rule(node_id, "or_l", occ=occ)
-            lines.append(f"apply or_l at {node_id} with occ {occ}")
-            _inherit(budget, node_id, children)
-            return
-        if split_and(f) is not None:
-            children = graph.apply_rule(node_id, "and_l", occ=occ)
-            lines.append(f"apply and_l at {node_id} with occ {occ}")
-            _inherit(budget, node_id, children)
-            return
-        if split_not(f) is not None:
-            children = graph.apply_rule(node_id, "not_l", occ=occ)
-            lines.append(f"apply not_l at {node_id} with occ {occ}")
-            _inherit(budget, node_id, children)
-            return
 
-    # 5. symbolic execution (consumes depth)
+    # 5. symbolic execution (consumes depth); terminal programs were
+    # rewritten by box_eps above
     if budget.get(node_id, 0) <= 0:
         raise DepthExhausted(node_id)
     for occ, f in enumerate(nu.right):
-        if isinstance(f, DLabeled) and isinstance(f.body, (BBox, BDia)):
-            if isinstance(f.body.prog, Epsilon):
-                continue
-            rule = "box" if isinstance(f.body, BBox) else "diamond"
-            try:
-                children = graph.apply_rule(node_id, rule, occ=occ)
-                lines.append(f"apply {rule} at {node_id} with occ {occ}")
-                _inherit(budget, node_id, children, cost=1)
-                return
-            except CaseSplitNeeded as exc:
-                children = graph.apply_rule(node_id, "cut", fml=DBase(exc.guard), split=False)
-                lines.append(f"cut at {node_id} {parser.fml_src(exc.guard)}")
-                _inherit(budget, node_id, children, cost=1)
-                return
+        rule = next((r for r in ("box", "diamond") if MATCHERS[r](f)), None)
+        if rule is None:
+            continue
+        try:
+            children = _apply(graph, node_id, rule, lines, occ=occ)
+        except CaseSplitNeeded as exc:
+            children = graph.apply_rule(node_id, "cut", fml=DBase(exc.guard), split=False)
+            lines.append(f"cut at {node_id} {parser.fml_src(exc.guard)}")
+        _inherit(budget, node_id, children, cost=1)
+        return
     raise DepthExhausted(node_id)

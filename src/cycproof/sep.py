@@ -58,9 +58,6 @@ class SepState:
     def heap_map(self) -> dict:
         return dict(self.heap)
 
-    def value_of(self, e: Expr) -> int:
-        return evaluate(self.store_map(), e)
-
     def with_store(self, name: str, value: int) -> "SepState":
         s = self.store_map()
         s[name] = value

@@ -19,7 +19,7 @@ substitution that would smuggle a free variable under such a binder raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 
 class TermError(Exception):
@@ -69,10 +69,6 @@ def add(a: Expr, b: Expr) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     return BinOp("-", a, b)
-
-
-def mul(a: Expr, b: Expr) -> Expr:
-    return BinOp("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -195,16 +191,6 @@ SKIP = Skip()
 EPSILON = Epsilon()
 
 
-def seq_all(programs: Iterable[Program]) -> Program:
-    progs = list(programs)
-    if not progs:
-        raise TermError("empty sequence")
-    out = progs[-1]
-    for p in reversed(progs[:-1]):
-        out = Seq(p, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Configurations
 # ---------------------------------------------------------------------------
@@ -231,10 +217,6 @@ class Config:
     @staticmethod
     def store(*entries) -> "Config":
         return Config(tuple(entries), stack=False)
-
-    @staticmethod
-    def stack_of(*entries) -> "Config":
-        return Config(tuple(entries), stack=True)
 
     def domain(self) -> frozenset:
         return frozenset(x for x, _ in self.entries)
@@ -465,10 +447,6 @@ def apply_stack_config(sigma: Config, phi: Term) -> Term:
     for x, e in sigma.entries:  # later entries overwrite: rightmost is top
         bindings[x] = e
     return substitute(phi, bindings, frozenset(bindings))
-
-
-def interpret(sigma, phi: Term) -> Term:
-    return apply_stack_config(sigma, phi) if sigma.stack else apply_config(sigma, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,12 @@ class CyclicTerminationProver:
         self.edges.append((parent.id, child.id, progress))
         return child
 
+    def _ancestors(self, node_id: int):
+        walk = self.node(node_id).parent
+        while walk is not None:
+            yield walk
+            walk = self.node(walk).parent
+
     def open_nodes(self) -> list:
         return [n.id for n in self.nodes if not n.children and not n.closed]
 
@@ -631,10 +637,7 @@ class CyclicTerminationProver:
     def backlink(self, node_id: int, companion_id: int):
         n = self._open(node_id)
         companion = self.node(companion_id)
-        walk = n.parent
-        while walk is not None and walk != companion_id:
-            walk = self.node(walk).parent
-        if walk is None:
+        if companion_id not in set(self._ancestors(node_id)):
             raise TermError(f"node {companion_id} is not an ancestor of {node_id}")
         if companion.key() != n.key():
             raise TermError("bud and companion differ")
@@ -645,15 +648,22 @@ class CyclicTerminationProver:
     # -- acceptance ----------------------------------------------------------
 
     def check(self) -> TerminationJudgment:
+        """Accept when every cycle crosses a strict factor decrease.
+
+        This is the trace closure over one occurrence, the judgment, whose
+        edges progress exactly where the factor strictly decreases.
+        """
+        from . import cyclic  # cyclic imports kernel, which imports this module
+
         if self.open_nodes():
             raise TermError(f"open nodes remain: {self.open_nodes()}")
-        stay = {}
-        for u, v, progress in self.edges:
-            if not progress:
-                stay.setdefault(u, []).append(v)
-        cycle = _find_cycle(stay)
-        if cycle is not None:
-            raise NoProgressOnCycle(cycle)
+        edge_lookup = {(u, v): frozenset({(0, 0, progress)}) for u, v, progress in self.edges}
+        companions, segments = cyclic.companion_segments(
+            self.backlinks, self._ancestors, edge_lookup
+        )
+        failure = cyclic.closure_reject(segments, companions)
+        if failure is not None:
+            raise NoProgressOnCycle(failure[2])
         root = self.nodes[0]
         return TerminationJudgment(
             root.gamma,
@@ -663,38 +673,6 @@ class CyclicTerminationProver:
             ("cyclic", tuple(self.backlinks.items())),
             self.obligations,
         )
-
-
-def _find_cycle(adj: dict):
-    """A cycle in a directed graph, or None; iterative DFS with colors."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {u: WHITE for u in adj}
-    for vs in adj.values():
-        for v in vs:
-            color.setdefault(v, WHITE)
-    for start in sorted(color):
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(adj.get(start, ())))]
-        path = [start]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    return path[path.index(nxt):] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(adj.get(nxt, ()))))
-                    path.append(nxt)
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    return None
 
 
 def derive_termination_cyclic(gamma, state: State, factor: Expr, delta, oracle, script):

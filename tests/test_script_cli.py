@@ -96,6 +96,29 @@ qed
     assert report.succeeded, report.message
 
 
+_BOX_GOAL = "goal . => {x -> 0} : [x := x + 1] x == 1"
+_LOOP_GOAL = "goal . => {n -> 1} : <while n > 0 do n := n - 1 end> (n == 0)"
+
+
+@pytest.mark.parametrize("text", [
+    f"{_BOX_GOAL}\nbacklink at 2 to x",
+    f"{_LOOP_GOAL}\napply diamond at 1 with occ x",
+    f"{_LOOP_GOAL}\napply diamond at 1 with occ",
+    f"{_LOOP_GOAL}\nannotate while x invariant n >= 0 factor n",
+    f"{_LOOP_GOAL}\nannotate while 1 factor n invariant n >= 0",
+    f"{_BOX_GOAL}\napply box at 1 with progress",
+    f"{_BOX_GOAL}\napply ter at 1 with occ 0",
+    f"{_BOX_GOAL}\napply le at 1 with occ",
+    "goal {x -> 0} : x == 0 => 0 <= 0\napply int at 1 with side middle",
+    f"{_BOX_GOAL}\nlift p from missing.rule class standard",
+    "# no goal yet\napply ter at 1",
+])
+def test_malformed_script_line_is_stuck_at_its_line(text):
+    _, report = _replay(text + "\nqed\n")
+    assert report.verdict == "Stuck"
+    assert report.message.endswith("(script line 2)"), report.message
+
+
 # ---------------------------------------------------------------------------
 # Search
 # ---------------------------------------------------------------------------
@@ -107,6 +130,15 @@ def test_search_two_assignments(oracle):
     # the emitted script replays to the same verdict
     _, report = _replay(result.script)
     assert report.verdict == result.verdict
+
+
+def test_search_closes_terminal_diamonds(oracle):
+    goal = parse_sequent(". => {x -> 0} : <x := x + 1> x == 1")
+    result = search(goal, oracle, depth=3)
+    assert result.verdict == "ProvedBounded", result.message
+    _, report = _replay(result.script)
+    assert report.verdict == result.verdict
+    assert report.dump == result.graph.dump()
 
 
 def test_search_trivial_base_goal(oracle):

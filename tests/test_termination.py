@@ -129,7 +129,7 @@ def test_skip_loop_has_no_progress(oracle):
             [], state, parse_expr("0"), [], oracle,
             [("step", 1), ("backlink", 2, 1)],
         )
-    assert err.value.cycle
+    assert err.value.cycle == [1, 2, 1]
 
 
 def test_single_assignment_accepted_via_base(oracle):
