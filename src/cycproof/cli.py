@@ -112,7 +112,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cycproof",
         description="cyclic sequent proofs over symbolically executed programs",
@@ -136,9 +136,16 @@ def main(argv=None) -> int:
     p_eval.add_argument("--config", required=True, help="initial configuration, e.g. '{n -> 3}'")
     p_eval.add_argument("--bound", type=int, default=10_000)
     p_eval.set_defaults(func=cmd_eval)
+    return ap
 
+
+# built once: parsing reads the parser without changing it
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     return args.func(args)

@@ -13,6 +13,7 @@ multiset identity over canonical keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import canon, terms
 from .terms import BaseFormula, Config, Program, TermError
@@ -105,6 +106,12 @@ class Sequent:
     def is_base_only(self) -> bool:
         return all(isinstance(f, DBase) for f in self.left + self.right)
 
+    @cached_property
+    def key(self) -> tuple:
+        """``sequent_key(self)``, computed on first use and kept with the
+        sequent (the sequent is immutable, so the key never goes stale)."""
+        return sequent_key(self)
+
 
 # ---------------------------------------------------------------------------
 # Canonical keys
@@ -173,7 +180,7 @@ def formulas_equal(a: DlpFormula, b: DlpFormula) -> bool:
 
 def sequents_equal(a: Sequent, b: Sequent) -> bool:
     """Multiset identity, insensitive to order and bound-variable names."""
-    return sequent_key(a) == sequent_key(b)
+    return a.key == b.key
 
 
 def sequent_diff(a: Sequent, b: Sequent):

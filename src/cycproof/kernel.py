@@ -92,6 +92,9 @@ PRIMITIVE_RULES = frozenset(
 DERIVED_RULES = frozenset({"imp_r", "or_l", "le"})
 DOMAIN_RULES = frozenset({"sigma_star", "sigma_frm"})
 CATALOG = PRIMITIVE_RULES | DERIVED_RULES | DOMAIN_RULES
+# rule -> name of its handler method, built once: a name formatted per call
+# would be a new string each time, and CPython's method cache keeps those
+_RULE_METHODS = {rule: f"_rule_{rule}" for rule in CATALOG}
 
 
 @dataclass(frozen=True)
@@ -349,7 +352,7 @@ class ProofGraph:
     def apply_rule(self, node_id: int, rule: str, **args) -> list:
         # the catalog is closed: only listed rules and registered lifts apply
         if rule in CATALOG:
-            handler = getattr(self, f"_rule_{rule}")
+            handler = getattr(self, _RULE_METHODS[rule])
         elif rule in self.extra_rules:
             handler = partial(self.extra_rules[rule], self)
         else:

@@ -3,17 +3,20 @@
 The bounded oracle decides ``/\\ Gamma -> \\/ Delta`` by exhaustive search over
 a finite box per free variable.  It never answers ``Valid``: a pass is only
 ``BoundedValid``, and certificates carry that mode so a bounded run is never
-mistaken for validity over the integers.  The external oracle emits an
-SMT-LIB2 problem (logic QF_NIA) to a solver subprocess and maps
+mistaken for validity over the integers.  Each obligation is compiled once
+into a Python loop nest over the box (see ``_compile_scan``) that evaluates
+what ``terms.eval_bool`` would, in the same order.  The external oracle
+emits an SMT-LIB2 problem (logic QF_NIA) to a solver subprocess and maps
 unsat/sat/unknown to Valid/Invalid/Unknown.
 """
 
 from __future__ import annotations
 
+import ast
+import re
 import subprocess
 import threading
 from dataclasses import dataclass
-from itertools import product
 
 from . import parser
 from .terms import (
@@ -27,8 +30,8 @@ from .terms import (
     NotF,
     TermError,
     Var,
-    eval_bool,
     free_vars,
+    truncated_div,
 )
 
 
@@ -111,41 +114,146 @@ class BoundedOracle:
         total = width ** len(names)
         if total > self.max_points:
             return Unknown(f"{total} grid points exceed the bounded-search cap")
-        span = range(self.lo, self.hi + 1)
+        scan = _compile_scan(names, gamma, delta)
+        qlo, qhi = self.quantifier_range
         try:
-            for values in product(span, repeat=len(names)):
-                rho = dict(zip(names, values))
-                if all(eval_bool(rho, g, self.quantifier_range).value for g in gamma):
-                    if not any(eval_bool(rho, d, self.quantifier_range).value for d in delta):
-                        return Invalid(tuple(sorted(rho.items())))
+            values = scan(range(self.lo, self.hi + 1), range(qlo, qhi + 1))
         except DivisionByZero as exc:
             return Unknown(f"evaluation error: {exc}")
+        if values is not None:
+            return Invalid(tuple(zip(names, values)))
         return BoundedValid()
+
+
+# ---------------------------------------------------------------------------
+# The bounded scan, compiled
+# ---------------------------------------------------------------------------
+#
+# ``_compile_scan`` turns one obligation into
+#
+#     def _scan(_span, _qspan):
+#         for _v0 in _span:
+#             for _v1 in _span:
+#                 if <Gamma joined by and> and not (<Delta joined by or>):
+#                     return (_v0, _v1)
+#
+# with the i-th free variable (in sorted-name order) as ``_v<i>`` and the
+# variable of a quantifier nested d deep as ``_b<d>``, so the loops visit the
+# grid in the lexicographic order of the sorted names.  Python's ``and``,
+# ``or`` and ``not`` short-circuit exactly where ``eval_bool`` does, and its
+# operands are evaluated left to right as ``evaluate`` does, so the first
+# counterexample and the first unmasked division by zero are the ones the
+# scalar evaluator meets.  Only generated names and the literals' integer
+# values reach the compiler: no text of the user's is parsed, and a variable
+# named ``and`` or ``all`` cannot collide with Python.  The tree is built with
+# positions already set, because ``ast.fix_missing_locations`` recurses once
+# per level and deep terms would exhaust the stack there first.
+
+_AT = {"lineno": 1, "col_offset": 0}  # end positions are optional
+_ARITH = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
+
+
+def _name(identifier: str, ctx=ast.Load) -> ast.Name:
+    return ast.Name(identifier, ctx(), **_AT)
+
+
+def _expr_ast(e, scope: dict) -> ast.expr:
+    if isinstance(e, Lit):
+        return ast.Constant(e.value, **_AT)
+    if isinstance(e, Var):
+        return _name(scope[e.name])
+    if isinstance(e, BinOp):
+        left = _expr_ast(e.left, scope)
+        right = _expr_ast(e.right, scope)
+        if e.op == "/":
+            return ast.Call(_name("_tdiv"), [left, right], [], **_AT)
+        return ast.BinOp(left, _ARITH[e.op](), right, **_AT)
+    raise TermError(f"evaluate: not an expression: {e!r}")
+
+
+def _fml_ast(phi, scope: dict, depth: int) -> ast.expr:
+    if isinstance(phi, Le):
+        left = _expr_ast(phi.left, scope)
+        return ast.Compare(left, [ast.LtE()], [_expr_ast(phi.right, scope)], **_AT)
+    if isinstance(phi, NotF):
+        return ast.UnaryOp(ast.Not(), _fml_ast(phi.body, scope, depth), **_AT)
+    if isinstance(phi, AndF):
+        left = _fml_ast(phi.left, scope, depth)
+        return ast.BoolOp(ast.And(), [left, _fml_ast(phi.right, scope, depth)], **_AT)
+    if isinstance(phi, Forall):
+        bound = f"_b{depth}"
+        body = _fml_ast(phi.body, {**scope, phi.var: bound}, depth + 1)
+        loop = ast.comprehension(_name(bound, ast.Store), _name("_qspan"), [], 0)
+        return ast.Call(_name("all"), [ast.GeneratorExp(body, [loop], **_AT)], [], **_AT)
+    raise TermError(f"eval_bool: not a base formula: {phi!r}")
+
+
+def _join(op, values: list, empty: bool) -> ast.expr:
+    if not values:
+        return ast.Constant(empty, **_AT)
+    if len(values) == 1:
+        return values[0]
+    return ast.BoolOp(op, values, **_AT)
+
+
+def _compile_scan(names: list, gamma: tuple, delta: tuple):
+    """``scan(span, qspan)``: the first grid point (one value per name of
+    ``names``, the sequent's free variables in sorted order, each over
+    ``span``) at which every member of ``gamma`` holds and none of ``delta``
+    does, or ``None``; bounded quantifiers range over ``qspan``."""
+    scope = {x: f"_v{i}" for i, x in enumerate(names)}
+    holds = _join(ast.And(), [_fml_ast(f, scope, 0) for f in gamma], True)
+    fails = _join(ast.Or(), [_fml_ast(f, scope, 0) for f in delta], False)
+    test = ast.BoolOp(ast.And(), [holds, ast.UnaryOp(ast.Not(), fails, **_AT)], **_AT)
+    point = ast.Tuple([_name(v) for v in scope.values()], ast.Load(), **_AT)
+    body = [ast.If(test, [ast.Return(point, **_AT)], [], **_AT)]
+    for i in reversed(range(len(names))):
+        body = [ast.For(_name(f"_v{i}", ast.Store), _name("_span"), body, [], **_AT)]
+    params = ast.arguments([], [ast.arg("_span", **_AT), ast.arg("_qspan", **_AT)],
+                           None, [], [], None, [])
+    scan = ast.FunctionDef("_scan", params, body, [], None, **_AT)
+    namespace = {"_tdiv": truncated_div}
+    exec(compile(ast.Module([scan], []), "<bounded-oracle>", "exec"), namespace)
+    # popped, so the function and its globals do not form a cycle
+    return namespace.pop("_scan")
 
 
 # ---------------------------------------------------------------------------
 # SMT-LIB2 emission and the external solver
 # ---------------------------------------------------------------------------
+#
+# Every variable is written as the quoted symbol ``|x|``, so names that are
+# SMT-LIB keywords or operators (``and``, ``div``) or that carry primes
+# (``x'``) stay plain constants.  ``|tdiv|`` and ``tdiv`` are one SMT symbol,
+# so quoting alone would not keep a variable ``tdiv`` apart from the division
+# helper: the helper's name has a ``-``, which no cycproof identifier has.
 
+_TDIV = "cycproof-tdiv"
 _TDIV_DEF = (
-    "(define-fun tdiv ((a Int) (b Int)) Int "
+    f"(define-fun {_TDIV} ((a Int) (b Int)) Int "
     "(ite (>= b 0) "
     "(ite (>= a 0) (div a b) (- (div (- a) b))) "
     "(ite (>= a 0) (- (div a (- b))) (div (- a) (- b)))))"
 )
 
 
+def _smt_symbol(name: str) -> str:
+    if "|" in name or "\\" in name:
+        raise TermError(f"variable {name!r} has no SMT-LIB quoted form")
+    return f"|{name}|"
+
+
 def _smt_expr(e, divisors: list) -> str:
     if isinstance(e, Lit):
         return str(e.value) if e.value >= 0 else f"(- {-e.value})"
     if isinstance(e, Var):
-        return e.name
+        return _smt_symbol(e.name)
     if isinstance(e, BinOp):
         a = _smt_expr(e.left, divisors)
         b = _smt_expr(e.right, divisors)
         if e.op == "/":
             divisors.append(b)
-            return f"(tdiv {a} {b})"
+            return f"({_TDIV} {a} {b})"
         return f"({e.op} {a} {b})"
     raise TermError(f"not an expression: {e!r}")
 
@@ -163,7 +271,10 @@ def _smt_fml(phi: BaseFormula, divisors: list) -> str:
 
 
 def emit_smtlib(gamma, delta) -> str:
-    """A QF_NIA problem whose unsatisfiability means the sequent is valid."""
+    """A QF_NIA problem whose unsatisfiability means the sequent is valid.
+
+    It ends at ``(check-sat)``: SMT-LIB allows ``(get-model)`` only after a
+    ``sat`` or ``unknown`` answer, so the model is asked for separately."""
     gamma = tuple(gamma)
     delta = tuple(delta)
     names = sorted(set().union(*(free_vars(f) for f in gamma + delta)) if gamma + delta else set())
@@ -173,42 +284,39 @@ def emit_smtlib(gamma, delta) -> str:
     left = f"(and {lhs})" if len(gamma) > 1 else (lhs or "true")
     right = f"(or {rhs})" if len(delta) > 1 else (rhs or "false")
     lines = ["(set-logic QF_NIA)", _TDIV_DEF]
-    lines += [f"(declare-const {x} Int)" for x in names]
+    lines += [f"(declare-const {_smt_symbol(x)} Int)" for x in names]
     lines += [f"(assert (not (= {d} 0)))" for d in divisors]
     lines.append(f"(assert (not (=> {left} {right})))")
     lines.append("(check-sat)")
-    lines.append("(get-model)")
     return "\n".join(lines) + "\n"
 
 
-_MODEL_RE = None
+_MODEL_RE = re.compile(
+    r"\(define-fun\s+(?:\|([^|\\]*)\||([^\s()|]+))\s*\(\)\s*Int\s*"
+    r"(\(-\s*\d+\)|-?\d+)\s*\)"
+)
 
 
 def _parse_model(text: str) -> tuple:
-    import re
-
-    global _MODEL_RE
-    if _MODEL_RE is None:
-        _MODEL_RE = re.compile(
-            r"\(define-fun\s+([A-Za-z_][A-Za-z0-9_']*)\s*\(\)\s*Int\s*"
-            r"(\(-\s*\d+\)|-?\d+)\s*\)"
-        )
+    """``((name, value), ...)`` sorted, from a model's integer constants,
+    whose names may be quoted (``|x'|``) or plain."""
     out = []
-    for name, raw in _MODEL_RE.findall(text):
+    for quoted, plain, raw in _MODEL_RE.findall(text):
         raw = raw.strip()
         if raw.startswith("("):
             value = -int(raw.strip("() -").strip())
         else:
             value = int(raw)
-        out.append((name, value))
+        out.append((quoted or plain, value))
     return tuple(sorted(out))
 
 
 class SmtOracle:
     """Subprocess-backed oracle speaking SMT-LIB2 on stdin/stdout.
 
-    Calls are serialized through one lock so interleaved runs keep
-    deterministic logs.
+    A ``sat`` answer is followed by a second run of the same problem with
+    ``(get-model)`` appended, whose model becomes the witness.  Calls are
+    serialized through one lock so interleaved runs keep deterministic logs.
     """
 
     mode = "smt"
@@ -225,6 +333,18 @@ class SmtOracle:
             problem = emit_smtlib(gamma, delta)
         except TermError as exc:
             return Unknown(str(exc))
+        verdict, detail = self._ask(problem)
+        if verdict == "unsat":
+            return Valid()
+        if verdict != "sat":
+            return Unknown(detail)
+        verdict, detail = self._ask(problem + "(get-model)\n")
+        return Invalid(_parse_model(detail) if verdict == "sat" else ())
+
+    def _ask(self, problem: str) -> tuple:
+        """``("sat" | "unsat", output)``, or ``(None, reason)`` when the
+        solver did not start, timed out, exited nonzero, answered
+        ``unknown`` or printed no verdict."""
         try:
             with self._lock:
                 proc = subprocess.run(
@@ -235,19 +355,17 @@ class SmtOracle:
                     timeout=self.timeout,
                 )
         except (OSError, subprocess.TimeoutExpired) as exc:
-            return Unknown(f"solver launch failed: {exc}")
+            return None, f"solver launch failed: {exc}"
         text = proc.stdout.decode(errors="replace")
-        verdict = None
+        if proc.returncode != 0:
+            return None, f"solver exited with status {proc.returncode}: {text[:200]!r}"
         for line in text.splitlines():
             line = line.strip()
-            if line in ("sat", "unsat", "unknown"):
-                verdict = line
-                break
-        if verdict == "unsat":
-            return Valid()
-        if verdict == "sat":
-            return Invalid(_parse_model(text))
-        return Unknown(f"unrecognized solver output: {text[:200]!r}")
+            if line in ("sat", "unsat"):
+                return line, text
+            if line == "unknown":
+                return None, "solver answered unknown"
+        return None, f"unrecognized solver output: {text[:200]!r}"
 
 
 def check_obligation(oracle, gamma, delta, node=None) -> Obligation:

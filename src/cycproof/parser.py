@@ -97,6 +97,14 @@ KEYWORDS = {
     "skip", "true", "false", "cons", "dispose", "eps",
 }
 
+# The parsers, and the term functions after them, recurse once or more per
+# bracket level, so deeper input would exhaust Python's stack (about 200
+# levels of parentheses around a formula did).  Past this depth the input is
+# a parse error instead.
+MAX_NESTING = 160
+_OPENING = ("(", "[", "{")
+_CLOSING = (")", "]", "}")
+
 
 class _Tokens:
     metavars = False  # template mode: ?name body and @name program holes
@@ -105,6 +113,7 @@ class _Tokens:
         self.toks: list = []
         line, col = 1, 1
         pos = 0
+        depth = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if not m:
@@ -114,6 +123,13 @@ class _Tokens:
                 kind = m.lastgroup
                 if kind == "ident" and chunk in KEYWORDS:
                     kind = "kw"
+                elif chunk in _OPENING:
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise ParseError(
+                            f"brackets nested deeper than {MAX_NESTING}", line, col)
+                elif chunk in _CLOSING:
+                    depth -= 1
                 self.toks.append((kind, chunk, line, col))
             for ch in chunk:
                 if ch == "\n":

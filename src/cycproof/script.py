@@ -383,13 +383,13 @@ class Replayer:
         try:
             for line_no, line in _split_lines(text):
                 head, _, rest = line.partition(" ")
-                handler = getattr(self, f"cmd_{head}", None)
+                handler = _COMMANDS.get(head)
                 if handler is None:
                     raise ScriptError(f"unknown command {head!r}", line_no)
                 if self.graph is None and head not in ("goal", "lift", "qed"):
                     raise ScriptError(f"{head} before goal", line_no)
                 try:
-                    handler(rest.strip())
+                    handler(self, rest.strip())
                 except ScriptError as exc:
                     raise ScriptError(str(exc), line_no) from None
                 except (
@@ -441,6 +441,12 @@ class Replayer:
             report.obligations = self.graph.obligations()
             report.dump = self.graph.dump()
         report.elapsed = time.monotonic() - started
+
+
+# command word -> handler, built once so that dispatching a line makes no
+# attribute name (CPython's method cache would keep each one it saw)
+_COMMANDS = {name[len("cmd_"):]: fn for name, fn in vars(Replayer).items()
+             if name.startswith("cmd_")}
 
 
 def replay(text: str, oracle, path_bound: int = 10_000, base_dir=None):

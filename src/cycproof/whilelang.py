@@ -80,6 +80,10 @@ class MissingAnnotation(Exception):
     pass
 
 
+class UnknownNode(TermError):
+    """A node id outside ``1..len(nodes)`` of a termination prover."""
+
+
 class NoProgressOnCycle(Exception):
     def __init__(self, cycle):
         super().__init__(f"cycle without strict factor decrease: {list(cycle)}")
@@ -495,6 +499,8 @@ class CyclicTerminationProver:
     # -- bookkeeping --------------------------------------------------------
 
     def node(self, node_id: int) -> TermNode:
+        if not (isinstance(node_id, int) and 1 <= node_id <= len(self.nodes)):
+            raise UnknownNode(f"no node {node_id!r}")
         return self.nodes[node_id - 1]
 
     def _new_node(self, parent: TermNode, gamma, state, factor, delta, progress=False) -> TermNode:

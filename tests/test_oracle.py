@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-import os
 import random
-import stat
 import sys
+from itertools import product
 from pathlib import Path
 
+from conftest import random_expr, random_fml
 from cycproof.oracle import (
     BoundedOracle,
     BoundedValid,
@@ -16,7 +16,18 @@ from cycproof.oracle import (
     emit_smtlib,
 )
 from cycproof.parser import parse_fml
-from cycproof.terms import eval_bool
+from cycproof.terms import (
+    AndF,
+    BinOp,
+    DivisionByZero,
+    Forall,
+    Le,
+    Lit,
+    NotF,
+    Var,
+    eval_bool,
+    free_vars,
+)
 
 
 def test_case_split_lemma_is_bounded_valid(oracle):
@@ -49,7 +60,6 @@ def test_bounded_mode_never_claims_validity(oracle):
 def test_bounded_agrees_with_truth_table():
     oracle = BoundedOracle(-3, 3)
     rng = random.Random(9)
-    from conftest import random_fml
 
     for _ in range(60):
         gamma = [random_fml(rng, ["x", "y"], 1)]
@@ -96,7 +106,7 @@ def test_emission_shape():
         [parse_fml("x / 2 >= 0")], [parse_fml("x >= 0")]
     )
     assert text.splitlines()[0] == "(set-logic QF_NIA)"
-    assert "(declare-const x Int)" in text
+    assert "(declare-const |x| Int)" in text
     assert "tdiv" in text
     assert "(assert (not (= 2 0)))" in text  # divisor guard
     assert "(check-sat)" in text
@@ -145,14 +155,144 @@ def test_missing_solver_is_unknown():
 
 
 def test_fake_solver_checks_problem_is_wellformed(tmp_path):
-    # the subprocess sees a parsable problem: it must contain one assert
-    # and end with (get-model)
+    # the subprocess sees a parsable problem: one (check-sat), and no
+    # (get-model), which SMT-LIB forbids after an unsat answer
     cmd = _fake_solver(
         tmp_path,
         "import sys\n"
         "text = sys.stdin.read()\n"
-        "ok = text.count('(check-sat)') == 1 and text.rstrip().endswith('(get-model)')\n"
+        "ok = text.count('(check-sat)') == 1 and text.rstrip().endswith('(check-sat)')\n"
         "print('unsat' if ok else 'error')\n",
     )
     out = SmtOracle(cmd).valid_sequent([parse_fml("x >= 1")], [parse_fml("x >= 0")])
     assert isinstance(out, Valid)
+
+
+def test_model_is_requested_only_after_sat(tmp_path):
+    # the fake logs each problem it is given and answers sat to both runs
+    log = tmp_path / "problems.log"
+    cmd = _fake_solver(
+        tmp_path,
+        "import sys\n"
+        "text = sys.stdin.read()\n"
+        f"open({str(log)!r}, 'a').write(text + '=====\\n')\n"
+        "print('sat')\n"
+        "if '(get-model)' in text:\n"
+        "    print('(model (define-fun |x| () Int 4))')\n",
+    )
+    out = SmtOracle(cmd).valid_sequent([], [parse_fml("x <= 3")])
+    assert out == Invalid((("x", 4),))
+    first, second, _ = log.read_text().split("=====\n")
+    assert "(get-model)" not in first
+    assert second == first + "(get-model)\n"
+
+
+def test_smt_identifiers_are_quoted_and_the_helper_cannot_clash():
+    text = emit_smtlib([], [parse_fml("tdiv + and <= div / x'")])
+    declared = [line.split()[1] for line in text.splitlines()
+                if line.startswith(("(declare-const", "(define-fun"))]
+    # |s| and s are one SMT symbol, so compare the names unquoted
+    bare = [name.strip("|") for name in declared]
+    assert len(set(bare)) == len(bare) == 5, declared
+    assert {"|tdiv|", "|and|", "|div|", "|x'|"} <= set(declared)
+    assert "(assert (not (= |x'| 0)))" in text
+
+
+def test_quoted_model_names_are_read(tmp_path):
+    cmd = _fake_solver(
+        tmp_path,
+        "import sys; sys.stdin.read()\n"
+        "print('sat')\n"
+        "print(\"(model (define-fun |x'| () Int (- 2)) (define-fun |and| () Int 5)\")\n"
+        "print('  (define-fun y () Int 0))')\n",
+    )
+    out = SmtOracle(cmd).valid_sequent([], [parse_fml("x' + and + y <= 0")])
+    assert out.witness_map() == {"x'": -2, "and": 5, "y": 0}
+
+
+def test_nonzero_solver_exit_is_unknown(tmp_path):
+    for answer in ("unsat", "sat"):
+        cmd = _fake_solver(
+            tmp_path, f"import sys; sys.stdin.read(); print({answer!r}); sys.exit(3)\n"
+        )
+        out = SmtOracle(cmd).valid_sequent([], [parse_fml("x <= x")])
+        assert isinstance(out, Unknown) and "status 3" in out.reason, out
+
+
+def test_hanging_solver_times_out_as_unknown(tmp_path):
+    cmd = _fake_solver(tmp_path, "import sys, time; sys.stdin.read(); time.sleep(30)\n")
+    out = SmtOracle(cmd, timeout=0.5).valid_sequent([], [parse_fml("x <= x")])
+    assert isinstance(out, Unknown) and "timed out" in out.reason
+
+
+# ---------------------------------------------------------------------------
+# The compiled bounded scan against eval_bool, point by point
+# ---------------------------------------------------------------------------
+
+def _scalar_bounded(oracle, gamma, delta):
+    """The bounded oracle's answer by definition: ``eval_bool`` at every grid
+    point, the sorted free variables varied in lexicographic order."""
+    gamma, delta = tuple(gamma), tuple(delta)
+    names = sorted(set().union(*(free_vars(f) for f in gamma + delta)))
+    rng = oracle.quantifier_range
+    try:
+        for values in product(range(oracle.lo, oracle.hi + 1), repeat=len(names)):
+            rho = dict(zip(names, values))
+            if all(eval_bool(rho, g, rng).value for g in gamma) and not any(
+                eval_bool(rho, d, rng).value for d in delta
+            ):
+                return Invalid(tuple(sorted(rho.items())))
+    except DivisionByZero as exc:
+        return Unknown(f"evaluation error: {exc}")
+    return BoundedValid()
+
+
+def _risky_division(rng, names):
+    # a divisor that is zero somewhere on the grid, behind a random guard
+    quotient = BinOp("/", random_expr(rng, names, 2), random_expr(rng, names, 1))
+    atom = Le(quotient, random_expr(rng, names, 1))
+    return AndF(random_fml(rng, names, 1), atom) if rng.random() < 0.5 else atom
+
+
+def _differential_cases():
+    rng = random.Random(20261018)
+
+    def side(names):
+        return [_risky_division(rng, names) if rng.random() < 0.25
+                else random_fml(rng, names, 2) for _ in range(rng.randrange(3))]
+
+    for _ in range(250):
+        names = rng.choice([["x"], ["x", "y"], ["x", "y", "z"]])
+        yield side(names), side(names)
+    # every name the compiled scan generates, and Python's own words
+    odd = ["and", "all", "range", "_tdiv", "_v0", "_v1", "_b0", "_span", "_qspan", "_scan"]
+    for _ in range(60):
+        names = rng.sample(odd, 2)
+        yield [random_fml(rng, names, 2)], [random_fml(rng, names, 2), _risky_division(rng, names)]
+    yield [], []
+    yield [], [parse_fml("x * x >= 1")]
+    yield [parse_fml("x >= 2")], []
+    yield [parse_fml("all <= and")], [parse_fml("forall _v0 . _v0 <= all || and <= _v0")]
+    yield [parse_fml("range >= 0")], [parse_fml("forall range . _b0 / range <= _b0 || range == 0")]
+    # a term 600 levels deep, beyond what the parser accepts
+    deep = Var("x")
+    for i in range(600):
+        deep = BinOp("+" if i % 2 else "-", deep, Lit(1))
+    yield [], [Le(deep, Lit(1))]
+    yield [], [Le(deep, Lit(-2))]
+    negated = Le(Var("x"), Lit(0))
+    for _ in range(600):
+        negated = NotF(negated)
+    yield [negated], [Forall("y", Le(Var("y"), BinOp("/", Var("x"), Var("x"))))]
+
+
+def test_compiled_scan_matches_eval_bool():
+    oracle = BoundedOracle(-3, 3, quantifier_range=(-2, 2))
+    seen = set()
+    for gamma, delta in _differential_cases():
+        expected = _scalar_bounded(oracle, gamma, delta)
+        out = oracle.valid_sequent(gamma, delta)
+        # same class, same witness, same Unknown reason
+        assert out == expected, (gamma, delta)
+        seen.add(type(out))
+    assert seen == {BoundedValid, Invalid, Unknown}

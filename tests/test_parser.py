@@ -156,3 +156,20 @@ def test_every_replayed_sequent_roundtrips(oracle, table4_text):
     for node in replayer.graph.nodes.values():
         src = sequent_src(node.sequent)
         assert parse_sequent(src) == node.sequent, src
+
+
+def test_bracket_nesting_has_a_fixed_cap():
+    # the deepest context: each level is a parenthesised labeled formula,
+    # which the parser first tries as a base formula and then as a dlp
+    from cycproof.parser import MAX_NESTING
+
+    def goal(depth: int) -> str:
+        return ". => " + "(" * depth + "{x -> 0} : [x := 1] x >= 0" + ")" * depth
+
+    # the innermost ``{...}`` and ``[...]`` are one more level each
+    assert parse_sequent(goal(MAX_NESTING - 1)).right
+    with pytest.raises(ParseError) as err:
+        parse_sequent(goal(MAX_NESTING))
+    assert f"nested deeper than {MAX_NESTING}" in str(err.value)
+    with pytest.raises(ParseError):
+        parse_expr("(" * 300 + "x" + ")" * 300)

@@ -223,3 +223,28 @@ def test_cli_search_and_eval(tmp_path):
 def test_cli_bad_oracle_spec_is_usage_error():
     run = _cli("check", str(FIXTURES / "table4.dlp"), "--oracle", "magic")
     assert run.returncode == 2
+
+
+def _deep_box_script(depth: int) -> str:
+    nested = "(" * depth + "x" + " + 1)" * depth  # an expression ``depth`` deep
+    return (f"goal . => {{x -> 0}} : [x := {nested}] x >= 0\n"
+            "apply box at 1\napply box_eps at 2\napply int at 3\napply ter at 4\nqed\n")
+
+
+def test_cli_deep_nesting_checks_or_is_refused_without_traceback(tmp_path):
+    # 150 levels: parsed, stepped, discharged and dumped as usual
+    ok = tmp_path / "ok.dlp"
+    ok.write_text(_deep_box_script(150))
+    run = _cli("check", str(ok))
+    assert run.returncode == 0 and "ProvedBounded" in run.stdout, run.stderr
+    # 300 levels overflowed the parser's stack; now a parse error
+    deep = tmp_path / "deep.dlp"
+    deep.write_text(_deep_box_script(300))
+    run = _cli("check", str(deep))
+    assert run.returncode == 1 and "Traceback" not in run.stderr
+    assert "nested deeper than" in run.stdout and "(script line 1)" in run.stdout
+    goal = tmp_path / "deep-goal.txt"
+    goal.write_text(_deep_box_script(300).split("\n", 1)[0][len("goal "):])
+    run = _cli("search", str(goal), "--depth", "4")
+    assert run.returncode == 2 and "Traceback" not in run.stderr
+    assert "nested deeper than" in run.stderr

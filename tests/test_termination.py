@@ -6,11 +6,13 @@ from conftest import wp_cyclic_goal, wp_cyclic_script
 from cycproof.parser import parse_config, parse_expr, parse_fml, parse_prog
 from cycproof.terms import TermError
 from cycproof.whilelang import (
+    CyclicTerminationProver,
     LoopAnnotations,
     MissingAnnotation,
     NoProgressOnCycle,
     ObligationFailed,
     State,
+    UnknownNode,
     derive_termination_cyclic,
     derive_termination_structural,
     is_subexpression,
@@ -171,3 +173,16 @@ def test_factor_may_not_grow(oracle):
             [("step", 1, parse_expr("x0 + 1"))],
         )
     assert "grow" in str(err.value)
+
+
+def test_node_ids_outside_the_prover_are_refused(oracle):
+    state = State(parse_prog("while 1 <= 1 do skip end"), parse_config("{n -> 0}"))
+    prover = CyclicTerminationProver([], state, parse_expr("0"), [], oracle)
+    prover.step(1)
+    assert prover.node(2).id == 2
+    for bad in (0, -1, 3, "1"):  # 0 and -1 used to address the last nodes
+        with pytest.raises(UnknownNode):
+            prover.node(bad)
+        with pytest.raises(UnknownNode):
+            prover.step(bad)
+    assert len(prover.nodes) == 2
