@@ -141,76 +141,125 @@ def _try_exact_div(p: dict, c: int) -> dict | None:
     return {m: coeff / c for m, coeff in p.items()}
 
 
+# Each term node keeps its canonical form once computed, under an attribute
+# name that is not a dataclass field, so ``==``, ``hash`` and ``repr`` ignore
+# it.  A node's keys live as long as the node: nothing is kept at module
+# level.  The cached polynomial dicts are shared and never mutated (``_add``,
+# ``_neg``, ``_mul`` and ``_try_exact_div`` build new dicts).  Each function
+# looks its slot up itself rather than through a wrapper, so a level of the
+# term still costs one stack frame.
+
+_POLY = "_canon_poly"  # canon_expr on an Expr
+_KEY = "_canon_key"  # expr_key, formula_key (depth 0), program_key, config_key
+
+
+def _keep(term, slot: str, value):
+    """``value``, stored on ``term`` under ``slot``."""
+    object.__setattr__(term, slot, value)  # the term classes are frozen
+    return value
+
+
 def canon_expr(e: Expr) -> dict:
-    if isinstance(e, Lit):
-        return {(): Fraction(e.value)} if e.value else {}
-    if isinstance(e, Var):
-        return {((("v", e.name), 1),): Fraction(1)}
+    poly = getattr(e, _POLY, None)
+    if poly is not None:
+        return poly
     if isinstance(e, BinOp):
-        left = canon_expr(e.left)
-        right = canon_expr(e.right)
-        if e.op == "+":
-            return _add(left, right)
-        if e.op == "-":
-            return _add(left, _neg(right))
-        if e.op == "*":
-            return _mul(left, right)
-        cl = _constant_of(left)
-        cr = _constant_of(right)
-        if cr is not None and cr != 0 and cr.denominator == 1:
-            if cl is not None and cl.denominator == 1:
-                return canon_expr(Lit(truncated_div(cl.numerator, cr.numerator)))
-            exact = _try_exact_div(left, cr.numerator)
-            if exact is not None:
-                return exact
-        atom = ("div", poly_key(left), poly_key(right))
-        return {((atom, 1),): Fraction(1)}
-    raise TermError(f"canon_expr: not an expression: {e!r}")
+        poly = _binop_poly(e.op, canon_expr(e.left), canon_expr(e.right))
+    elif isinstance(e, Lit):
+        poly = _constant_poly(e.value)
+    elif isinstance(e, Var):
+        poly = {((("v", e.name), 1),): Fraction(1)}
+    else:
+        raise TermError(f"canon_expr: not an expression: {e!r}")
+    return _keep(e, _POLY, poly)
+
+
+def _constant_poly(value: int) -> dict:
+    return {(): Fraction(value)} if value else {}
+
+
+def _binop_poly(op: str, left: dict, right: dict) -> dict:
+    if op == "+":
+        return _add(left, right)
+    if op == "-":
+        return _add(left, _neg(right))
+    if op == "*":
+        return _mul(left, right)
+    cl = _constant_of(left)
+    cr = _constant_of(right)
+    if cr is not None and cr != 0 and cr.denominator == 1:
+        if cl is not None and cl.denominator == 1:
+            return _constant_poly(truncated_div(cl.numerator, cr.numerator))
+        exact = _try_exact_div(left, cr.numerator)
+        if exact is not None:
+            return exact
+    atom = ("div", poly_key(left), poly_key(right))
+    return {((atom, 1),): Fraction(1)}
 
 
 def expr_key(e: Expr) -> tuple:
-    return poly_key(canon_expr(e))
+    key = getattr(e, _KEY, None)
+    if key is not None:
+        return key
+    return _keep(e, _KEY, poly_key(canon_expr(e)))
 
 
 def formula_key(phi: BaseFormula, depth: int = 0) -> tuple:
+    # a key under a quantifier names its bound variables by depth, so only
+    # depth-0 keys are a property of the node alone
+    if depth == 0:
+        key = getattr(phi, _KEY, None)
+        if key is not None:
+            return key
     if isinstance(phi, Le):
         diff = _add(canon_expr(phi.right), _neg(canon_expr(phi.left)))
-        return ("le", poly_key(diff))
-    if isinstance(phi, NotF):
-        return ("not", formula_key(phi.body, depth))
-    if isinstance(phi, AndF):
-        return ("and", formula_key(phi.left, depth), formula_key(phi.right, depth))
-    if isinstance(phi, Forall):
+        key = ("le", poly_key(diff))
+    elif isinstance(phi, NotF):
+        key = ("not", formula_key(phi.body, depth))
+    elif isinstance(phi, AndF):
+        key = ("and", formula_key(phi.left, depth), formula_key(phi.right, depth))
+    elif isinstance(phi, Forall):
         marker = f"__bound{depth}"
         body = substitute(phi.body, {phi.var: Var(marker)}, frozenset((phi.var,)))
-        return ("forall", formula_key(body, depth + 1))
-    raise TermError(f"formula_key: not a base formula: {phi!r}")
+        key = ("forall", formula_key(body, depth + 1))
+    else:
+        raise TermError(f"formula_key: not a base formula: {phi!r}")
+    return _keep(phi, _KEY, key) if depth == 0 else key
 
 
 def program_key(p: Program) -> tuple:
-    if isinstance(p, Assign):
-        return ("assign", p.target, expr_key(p.expr))
-    if isinstance(p, Seq):
-        return ("seq", program_key(p.first), program_key(p.second))
-    if isinstance(p, If):
-        return ("if", formula_key(p.guard), program_key(p.then), program_key(p.orelse))
-    if isinstance(p, While):
-        return ("while", formula_key(p.guard), program_key(p.body))
-    if isinstance(p, Skip):
-        return ("skip",)
-    if isinstance(p, Epsilon):
-        return ("epsilon",)
-    key = getattr(p, "canon_key", None)
+    key = getattr(p, _KEY, None)
     if key is not None:
-        return key()
-    raise TermError(f"program_key: not a program: {p!r}")
+        return key
+    if isinstance(p, Assign):
+        key = ("assign", p.target, expr_key(p.expr))
+    elif isinstance(p, Seq):
+        key = ("seq", program_key(p.first), program_key(p.second))
+    elif isinstance(p, If):
+        key = ("if", formula_key(p.guard), program_key(p.then), program_key(p.orelse))
+    elif isinstance(p, While):
+        key = ("while", formula_key(p.guard), program_key(p.body))
+    elif isinstance(p, Skip):
+        key = ("skip",)
+    elif isinstance(p, Epsilon):
+        key = ("epsilon",)
+    elif hasattr(p, "canon_key"):
+        key = p.canon_key()
+    else:
+        raise TermError(f"program_key: not a program: {p!r}")
+    return _keep(p, _KEY, key)
 
 
 def config_key(sigma: Config) -> tuple:
+    key = getattr(sigma, _KEY, None)
+    if key is not None:
+        return key
     entries = tuple((x, expr_key(e)) for x, e in sigma.entries)
     if sigma.stack:
-        return ("stack", entries)
-    return ("store", tuple(sorted(entries, key=repr)))
+        key = ("stack", entries)
+    else:
+        key = ("store", tuple(sorted(entries, key=repr)))
+    return _keep(sigma, _KEY, key)
 
 
 def term_key(t) -> tuple:

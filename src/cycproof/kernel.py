@@ -49,6 +49,7 @@ from .terms import (
     Config,
     Epsilon,
     NotF,
+    Seq,
     apply_config,
     apply_stack_config,
 )
@@ -239,6 +240,9 @@ MATCHERS = {
     "le": lambda f: isinstance(f, DBase),
     "sigma_star": _is_heap_star,
     "sigma_frm": _is_heap_star,
+    # the lifts that lifting.default_registry pre-registers
+    "sigma_seq": lambda f: _labeled(BBox)(f) and isinstance(f.body.prog, Seq),
+    "sigma_gen": _labeled(BBox),  # the one formula on each side
 }
 
 # the label rewrites: one premise replacing the matched labeled formula
@@ -400,7 +404,7 @@ class ProofGraph:
             "box",
             nu,
             tuple(premises),
-            {"occ": occ, "transitions": [t.describe() for t in transitions]},
+            {"occ": occ},
             tuple(pairs),
             obligations,
             consumed=(occ,) if not transitions else (),
@@ -897,9 +901,7 @@ class ProofGraph:
             seq = parser.sequent_src(node.sequent)
             if node.rule_instance is not None:
                 args = node.rule_instance.args
-                arg_txt = " ".join(
-                    f"{k} {args[k]}" for k in sorted(args) if k != "transitions"
-                )
+                arg_txt = " ".join(f"{k} {args[k]}" for k in sorted(args))
                 rule = f"(rule {node.rule_instance.rule}" + (f" {arg_txt})" if arg_txt else ")")
             elif node.backlink is not None:
                 rule = "(rule backlink)"

@@ -31,7 +31,7 @@ from .formulas import (
     formula_key,
     free_vars,
 )
-from .kernel import ProofGraph, RuleInstance, SideConditionFailed, TracePair
+from .kernel import MATCHERS, ProofGraph, RuleInstance, SideConditionFailed, TracePair
 from .semantics import Verdict, models
 from .terms import (
     TRUE as _TRUE,
@@ -280,10 +280,7 @@ def lift_rule(rule: LiftedRule, registry: dict, samples: int = 50) -> dict:
 
 
 def _apply_lifted(graph: ProofGraph, node_id: int, rule: LiftedRule, samples: int):
-    node = graph.node(node_id)
-    if not graph.is_open(node_id):
-        raise SideConditionFailed(f"node {node_id} is not open")
-    nu = node.sequent
+    nu = graph._require_open(node_id).sequent
     cleft, cright = rule.conclusion
     if len(nu.left) != len(cleft) or len(nu.right) != len(cright):
         raise SideConditionFailed(f"{rule.name}: sequent shape differs from the template")
@@ -356,19 +353,8 @@ def _evaluable_instances(rule: LiftedRule, bindings: dict) -> list:
 
 def _sigma_seq_handler(graph: ProofGraph, node_id: int, occ: int | None = None):
     """Box over sequencing: proves sigma:[a;b]phi from sigma:[a][b]phi."""
-    node = graph.node(node_id)
-    if not graph.is_open(node_id):
-        raise SideConditionFailed(f"node {node_id} is not open")
-    nu = node.sequent
-
-    def matcher(f):
-        return (
-            isinstance(f, DLabeled)
-            and isinstance(f.body, BBox)
-            and isinstance(f.body.prog, Seq)
-        )
-
-    occ = graph._occurrence(nu.right, occ, matcher, "a boxed sequence")
+    nu = graph._require_open(node_id).sequent
+    occ = graph._occurrence(nu.right, occ, MATCHERS["sigma_seq"], "a boxed sequence")
     target: DLabeled = nu.right[occ]
     seq: Seq = target.body.prog
     rewritten = DLabeled(target.label, BBox(seq.first, BBox(seq.second, target.body.body)))
@@ -385,19 +371,11 @@ def _sigma_seq_handler(graph: ProofGraph, node_id: int, occ: int | None = None):
 
 def _sigma_gen_handler(graph: ProofGraph, node_id: int):
     """Modality generation: sigma:[a]phi => sigma:[a]psi from sigma:phi => sigma:psi."""
-    node = graph.node(node_id)
-    if not graph.is_open(node_id):
-        raise SideConditionFailed(f"node {node_id} is not open")
-    nu = node.sequent
+    nu = graph._require_open(node_id).sequent
     if len(nu.left) != 1 or len(nu.right) != 1:
         raise SideConditionFailed("sigma_gen applies to one-formula sides")
     lhs, rhs = nu.left[0], nu.right[0]
-    if not (
-        isinstance(lhs, DLabeled)
-        and isinstance(rhs, DLabeled)
-        and isinstance(lhs.body, BBox)
-        and isinstance(rhs.body, BBox)
-    ):
+    if not (MATCHERS["sigma_gen"](lhs) and MATCHERS["sigma_gen"](rhs)):
         raise SideConditionFailed("sigma_gen expects boxed formulas on both sides")
     from . import canon
 

@@ -3,9 +3,10 @@
 The bounded oracle decides ``/\\ Gamma -> \\/ Delta`` by exhaustive search over
 a finite box per free variable.  It never answers ``Valid``: a pass is only
 ``BoundedValid``, and certificates carry that mode so a bounded run is never
-mistaken for validity over the integers.  Each obligation is compiled once
-into a Python loop nest over the box (see ``_compile_scan``) that evaluates
-what ``terms.eval_bool`` would, in the same order.  The external oracle
+mistaken for validity over the integers.  Each obligation with free
+variables is compiled once into a Python loop nest over the box (see
+``_compile_scan``) that evaluates what ``terms.eval_bool`` would, in the same
+order; a closed one is evaluated with ``eval_bool`` directly.  The external oracle
 emits an SMT-LIB2 problem (logic QF_NIA) to a solver subprocess and maps
 unsat/sat/unknown to Valid/Invalid/Unknown.
 """
@@ -30,6 +31,7 @@ from .terms import (
     NotF,
     TermError,
     Var,
+    eval_bool,
     free_vars,
     truncated_div,
 )
@@ -114,10 +116,17 @@ class BoundedOracle:
         total = width ** len(names)
         if total > self.max_points:
             return Unknown(f"{total} grid points exceed the bounded-search cap")
-        scan = _compile_scan(names, gamma, delta)
         qlo, qhi = self.quantifier_range
         try:
-            values = scan(range(self.lo, self.hi + 1), range(qlo, qhi + 1))
+            if names:
+                scan = _compile_scan(names, gamma, delta)
+                values = scan(range(self.lo, self.hi + 1), range(qlo, qhi + 1))
+            else:
+                # a closed sequent is one grid point: evaluated in the scan's
+                # order without building and compiling a scan for it
+                fails = all(eval_bool({}, f, (qlo, qhi)).value for f in gamma) and not any(
+                    eval_bool({}, f, (qlo, qhi)).value for f in delta)
+                values = () if fails else None
         except DivisionByZero as exc:
             return Unknown(f"evaluation error: {exc}")
         if values is not None:

@@ -98,12 +98,19 @@ KEYWORDS = {
 }
 
 # The parsers, and the term functions after them, recurse once or more per
-# bracket level, so deeper input would exhaust Python's stack (about 200
-# levels of parentheses around a formula did).  Past this depth the input is
-# a parse error instead.
+# bracket level and per prefix operator, so deeper input would exhaust
+# Python's stack (about 200 levels of parentheses around a formula did, and
+# 1200 ``!`` in a row).  A token's nesting counts the open brackets and the
+# prefix operators (``!`` and unary ``-``) that lead up to it; past
+# MAX_NESTING the input is a parse error instead.  A sequence ``p1 ; p2 ; ...``
+# nests one level per ``;`` in the term functions too, so an input may join
+# at most MAX_SEQUENCE statements (1000 did not fit, 200 do).
 MAX_NESTING = 160
+MAX_SEQUENCE = 500
 _OPENING = ("(", "[", "{")
 _CLOSING = (")", "]", "}")
+# a "-" after one of these is binary; anywhere else it is a prefix operator
+_VALUE_END = ("int", "ident")
 
 
 class _Tokens:
@@ -113,7 +120,12 @@ class _Tokens:
         self.toks: list = []
         line, col = 1, 1
         pos = 0
-        depth = 0
+        depth = 0  # open brackets
+        prefix = 0  # prefix operators since the last operand, less one for
+        # each opening bracket straight after one: "!(" nests one level, as
+        # "(" does, so printed negations reparse
+        after_prefix = False
+        joins = 0  # ";" tokens
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if not m:
@@ -121,15 +133,28 @@ class _Tokens:
             chunk = m.group(0)
             if m.lastgroup != "ws":
                 kind = m.lastgroup
+                is_prefix = chunk == "!" or chunk == "-" and not self._after_value()
                 if kind == "ident" and chunk in KEYWORDS:
                     kind = "kw"
                 elif chunk in _OPENING:
                     depth += 1
-                    if depth > MAX_NESTING:
-                        raise ParseError(
-                            f"brackets nested deeper than {MAX_NESTING}", line, col)
+                    prefix -= after_prefix
                 elif chunk in _CLOSING:
                     depth -= 1
+                elif chunk == ";":
+                    joins += 1
+                    if joins >= MAX_SEQUENCE:
+                        raise ParseError(
+                            f"more than {MAX_SEQUENCE} statements in sequence", line, col)
+                if is_prefix:
+                    prefix += 1
+                elif chunk not in _OPENING:
+                    prefix = 0
+                after_prefix = is_prefix
+                if depth + prefix > MAX_NESTING:
+                    raise ParseError(
+                        f"brackets and prefix operators nested deeper than {MAX_NESTING}",
+                        line, col)
                 self.toks.append((kind, chunk, line, col))
             for ch in chunk:
                 if ch == "\n":
@@ -140,6 +165,12 @@ class _Tokens:
             pos = m.end()
         self.pos = 0
         self._end = (line, col)
+
+    def _after_value(self) -> bool:
+        if not self.toks:
+            return False
+        kind, chunk = self.toks[-1][:2]
+        return kind in _VALUE_END or chunk in _CLOSING
 
     def peek(self):
         if self.pos < len(self.toks):
@@ -300,9 +331,13 @@ def _fml_atom(ts: _Tokens) -> BaseFormula:
 # ---------------------------------------------------------------------------
 
 def _prog(ts: _Tokens) -> Program:
-    node = _prog_atom(ts)
-    if ts.accept(";"):
-        return Seq(node, _prog(ts))
+    # ``;`` associates to the right; built in a loop, not one call per ``;``
+    parts = [_prog_atom(ts)]
+    while ts.accept(";"):
+        parts.append(_prog_atom(ts))
+    node = parts.pop()
+    while parts:
+        node = Seq(parts.pop(), node)
     return node
 
 

@@ -270,6 +270,19 @@ def _differential_cases():
         names = rng.sample(odd, 2)
         yield [random_fml(rng, names, 2)], [random_fml(rng, names, 2), _risky_division(rng, names)]
     yield [], []
+    # closed obligations, one grid point: a division by zero that a false
+    # conjunct masks, one it does not, Gamma evaluated before Delta, and a
+    # bounded quantifier
+    yield [parse_fml("1 <= 0 && 1 / 0 <= 0")], []
+    yield [parse_fml("0 <= 0 && 1 / 0 <= 0")], []
+    yield [], [parse_fml("1 <= 0"), parse_fml("1 / (2 - 2) <= 0")]
+    yield [], [parse_fml("0 <= 0"), parse_fml("1 / (2 - 2) <= 0")]
+    yield [parse_fml("1 <= 0")], [parse_fml("1 / 0 <= 0")]
+    yield [parse_fml("1 / 0 <= 0")], [parse_fml("0 <= 0")]
+    yield [parse_fml("2 * 3 == 6")], [parse_fml("7 / 2 == 4")]
+    yield [], [parse_fml("forall q . q * q >= 0")]
+    yield [], [parse_fml("forall q . q <= 1")]
+    yield [parse_fml("forall q . 4 / q <= 4 || q == 0")], [parse_fml("forall q . 4 / q <= 4")]
     yield [], [parse_fml("x * x >= 1")]
     yield [parse_fml("x >= 2")], []
     yield [parse_fml("all <= and")], [parse_fml("forall _v0 . _v0 <= all || and <= _v0")]

@@ -173,3 +173,33 @@ def test_bracket_nesting_has_a_fixed_cap():
     assert f"nested deeper than {MAX_NESTING}" in str(err.value)
     with pytest.raises(ParseError):
         parse_expr("(" * 300 + "x" + ")" * 300)
+
+
+def test_prefix_operators_count_toward_the_nesting_cap():
+    from cycproof.parser import MAX_NESTING
+
+    assert parse_fml("!" * MAX_NESTING + "x <= 0")
+    # "!(" nests one level, as "(" does, so printed negations reparse
+    deep = "!(" * 100 + "x <= 0" + ")" * 100
+    assert fml_src(parse_fml(deep)) == deep
+    for text in ("!" * 1200 + "x <= 0",
+                 "!!(" * (MAX_NESTING // 2 + 1) + "x <= 0" + ")" * (MAX_NESTING // 2 + 1),
+                 "x <= " + "-" * 1200 + "1"):
+        with pytest.raises(ParseError) as err:
+            parse_fml(text)
+        assert f"nested deeper than {MAX_NESTING}" in str(err.value)
+    # a binary minus is no prefix: long chains of it stay flat
+    assert parse_expr(" - ".join(["x"] * 400)).op == "-"
+
+
+def test_sequences_have_a_fixed_cap():
+    from cycproof.parser import MAX_SEQUENCE
+
+    def chain(n: int) -> str:
+        return " ; ".join(["x := x + 1"] * n)
+
+    prog = parse_prog(chain(MAX_SEQUENCE))
+    assert prog_src(prog) == chain(MAX_SEQUENCE)
+    with pytest.raises(ParseError) as err:
+        parse_prog(chain(MAX_SEQUENCE + 1))
+    assert f"more than {MAX_SEQUENCE} statements" in str(err.value)

@@ -248,3 +248,24 @@ def test_cli_deep_nesting_checks_or_is_refused_without_traceback(tmp_path):
     run = _cli("search", str(goal), "--depth", "4")
     assert run.returncode == 2 and "Traceback" not in run.stderr
     assert "nested deeper than" in run.stderr
+
+
+def test_cli_long_prefix_and_sequence_chains_end_without_traceback(tmp_path):
+    def search_goal(name: str, text: str, depth: int):
+        path = tmp_path / name
+        path.write_text(text)
+        return _cli("search", str(path), "--depth", str(depth))
+
+    def chain(n: int) -> str:
+        return ". => {x -> 0} : [" + " ; ".join(["x := x + 1"] * n) + f"] x == {n}"
+
+    # 200 statements: searched and proved as before
+    run = search_goal("seq200.txt", chain(200), 205)
+    assert run.returncode == 0 and "ProvedBounded" in run.stdout, run.stderr
+    # 1000 statements, or 1200 "!", overflowed the stack; now a usage error
+    for name, text in (("seq1000.txt", chain(1000)),
+                       ("not1200.txt", ". => " + "!" * 1200 + "(x <= 0)")):
+        run = search_goal(name, text, 3)
+        assert run.returncode == 2 and "Traceback" not in run.stderr
+        assert len(run.stderr.splitlines()) == 1, run.stderr
+        assert run.stderr.startswith("cannot load goal:"), run.stderr
