@@ -3,10 +3,13 @@
 The bounded oracle decides ``/\\ Gamma -> \\/ Delta`` by exhaustive search over
 a finite box per free variable.  It never answers ``Valid``: a pass is only
 ``BoundedValid``, and certificates carry that mode so a bounded run is never
-mistaken for validity over the integers.  Each obligation with free
-variables is compiled once into a Python loop nest over the box (see
-``_compile_scan``) that evaluates what ``terms.eval_bool`` would, in the same
-order; a closed one is evaluated with ``eval_bool`` directly.  The external oracle
+mistaken for validity over the integers.  A total obligation (every divisor
+a nonzero literal) is read as its literals: an axiom (one literal on both
+sides), a closed literal false on the left or true on the right, or a closed
+sequent is decided without a scan, and the rest is compiled from its
+distinct non-closed literals.  Any other obligation is compiled as it stands
+into a Python loop nest over the box (see ``_compile_scan``) that evaluates
+what ``terms.eval_bool`` would, in the same order.  The external oracle
 emits an SMT-LIB2 problem (logic QF_NIA) to a solver subprocess and maps
 unsat/sat/unknown to Valid/Invalid/Unknown.
 """
@@ -111,27 +114,111 @@ class BoundedOracle:
     def valid_sequent(self, gamma, delta):
         gamma = tuple(gamma)
         delta = tuple(delta)
-        names = sorted(set().union(*(free_vars(f) for f in gamma + delta)) if gamma + delta else set())
+        literals = _total_literals(gamma, delta)
+        if literals is None:
+            names = sorted(set().union(*(free_vars(f) for f in gamma + delta)))
+        else:
+            names, left, right = literals
         width = self.hi - self.lo + 1
         total = width ** len(names)
         if total > self.max_points:
             return Unknown(f"{total} grid points exceed the bounded-search cap")
         qlo, qhi = self.quantifier_range
+        if literals is not None:
+            # no evaluation can raise, so only the literals matter, in any order
+            if not left.keys().isdisjoint(right):
+                return BoundedValid()  # the axiom: one literal on both sides
+            kept = ([], [])
+            for side, found in enumerate((left, right)):
+                for phi, closed in found.values():
+                    if not closed:
+                        kept[side].append(phi)
+                    elif eval_bool({}, phi, (qlo, qhi)).value == side:
+                        return BoundedValid()  # false on the left, true on the right
+            if not names:
+                return Invalid(())
+            gamma, delta = kept
         try:
-            if names:
-                scan = _compile_scan(names, gamma, delta)
-                values = scan(range(self.lo, self.hi + 1), range(qlo, qhi + 1))
-            else:
-                # a closed sequent is one grid point: evaluated in the scan's
-                # order without building and compiling a scan for it
-                fails = all(eval_bool({}, f, (qlo, qhi)).value for f in gamma) and not any(
-                    eval_bool({}, f, (qlo, qhi)).value for f in delta)
-                values = () if fails else None
+            scan = _compile_scan(names, gamma, delta)
+            values = scan(range(self.lo, self.hi + 1), range(qlo, qhi + 1))
         except DivisionByZero as exc:
             return Unknown(f"evaluation error: {exc}")
         if values is not None:
             return Invalid(tuple(zip(names, values)))
         return BoundedValid()
+
+
+# ---------------------------------------------------------------------------
+# Literals of a total sequent
+# ---------------------------------------------------------------------------
+#
+# A sequent is total when each of its divisions has a nonzero literal divisor:
+# evaluating it cannot raise, so the order in which the scan evaluates its
+# formulas cannot change the answer, and the sequent may be read as the
+# literals it is built from.  ``!`` moves a formula to the other side and
+# ``&&`` on the left splits into its conjuncts; ``&&`` on the right, ``<=`` and
+# ``forall`` are literals.  A literal is identified by its structure, written
+# out as a flat tuple (each node's class, then its operator, name or value, in
+# preorder), so comparing and hashing two deep literals needs no recursion.
+
+
+def _literal(phi):
+    """``(key, free)`` for the literal ``phi``, ``free`` the set of its free
+    variables, or ``None`` when it has a division by something other than a
+    nonzero literal, or a node that is not a base-formula or expression
+    node."""
+    key = []
+    free = set()
+    todo = [(phi, ())]
+    while todo:
+        t, bound = todo.pop()
+        cls = type(t)
+        key.append(cls)
+        if cls is BinOp:
+            if t.op == "/" and (type(t.right) is not Lit or t.right.value == 0):
+                return None
+            key.append(t.op)
+            todo += ((t.right, bound), (t.left, bound))
+        elif cls is Var:
+            key.append(t.name)
+            if t.name not in bound:
+                free.add(t.name)
+        elif cls is Lit:
+            key.append(t.value)
+        elif cls is Le or cls is AndF:
+            todo += ((t.right, bound), (t.left, bound))
+        elif cls is NotF:
+            todo.append((t.body, bound))
+        elif cls is Forall:
+            key.append(t.var)
+            todo.append((t.body, bound + (t.var,)))
+        else:
+            return None
+    return tuple(key), free
+
+
+def _total_literals(gamma: tuple, delta: tuple):
+    """``(names, left, right)`` for the sequent ``gamma => delta``: its free
+    variables sorted, and the literals of each side as a dict from a
+    literal's key to ``(literal, closed)``, in order of first occurrence;
+    ``None`` when the sequent is not total."""
+    names = set()
+    sides = ({}, {})
+    todo = [(f, 1) for f in reversed(delta)] + [(f, 0) for f in reversed(gamma)]
+    while todo:
+        phi, side = todo.pop()
+        if type(phi) is NotF:
+            todo.append((phi.body, 1 - side))
+        elif type(phi) is AndF and side == 0:
+            todo += ((phi.right, 0), (phi.left, 0))
+        else:
+            found = _literal(phi)
+            if found is None:
+                return None
+            key, free = found
+            names |= free
+            sides[side].setdefault(key, (phi, not free))
+    return sorted(names), *sides
 
 
 # ---------------------------------------------------------------------------

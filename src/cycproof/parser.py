@@ -104,10 +104,19 @@ KEYWORDS = {
 # prefix operators (``!`` and unary ``-``) that lead up to it; past
 # MAX_NESTING the input is a parse error instead.  A sequence ``p1 ; p2 ; ...``
 # nests one level per ``;`` in the term functions too, so an input may join
-# at most MAX_SEQUENCE statements (1000 did not fit, 200 do).
+# at most MAX_SEQUENCE statements (1000 did not fit, 200 do).  The parser
+# builds a chain ``a + b + ...`` or ``a && b && ...`` in a loop, but the term
+# nests one level per operator, and three per ``||`` or ``->`` (each stands
+# for a ``!``, a ``&&`` and a ``!``), so an input's binary operators may build
+# at most MAX_CHAIN levels (1200 ``+`` did not fit; a configuration's ``->``
+# maps a variable and builds none).  Input at each cap must still parse and
+# print 100 frames below a test runner's own: the formula parser spends five
+# frames per ``!(`` level, and 160 levels fit with about 45 frames to spare.
 MAX_NESTING = 160
 MAX_SEQUENCE = 500
+MAX_CHAIN = 500
 _OPENING = ("(", "[", "{")
+_LEVELS = {"+": 1, "-": 1, "*": 1, "/": 1, "&&": 1, "||": 3, "->": 3}
 _CLOSING = (")", "]", "}")
 # a "-" after one of these is binary; anywhere else it is a prefix operator
 _VALUE_END = ("int", "ident")
@@ -126,6 +135,8 @@ class _Tokens:
         # "(" does, so printed negations reparse
         after_prefix = False
         joins = 0  # ";" tokens
+        chained = 0  # levels built by binary operators
+        braces = 0  # open "{": inside a configuration "->" maps a variable
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if not m:
@@ -138,14 +149,21 @@ class _Tokens:
                     kind = "kw"
                 elif chunk in _OPENING:
                     depth += 1
+                    braces += chunk == "{"
                     prefix -= after_prefix
                 elif chunk in _CLOSING:
                     depth -= 1
+                    braces -= chunk == "}"
                 elif chunk == ";":
                     joins += 1
                     if joins >= MAX_SEQUENCE:
                         raise ParseError(
                             f"more than {MAX_SEQUENCE} statements in sequence", line, col)
+                elif chunk in _LEVELS and not is_prefix and not (chunk == "->" and braces):
+                    chained += _LEVELS[chunk]
+                    if chained > MAX_CHAIN:
+                        raise ParseError(
+                            f"binary operators nested deeper than {MAX_CHAIN}", line, col)
                 if is_prefix:
                     prefix += 1
                 elif chunk not in _OPENING:
@@ -165,6 +183,7 @@ class _Tokens:
             pos = m.end()
         self.pos = 0
         self._end = (line, col)
+        self.failed: dict = {}  # (rule, position) -> the ParseError it raised there
 
     def _after_value(self) -> bool:
         if not self.toks:
@@ -206,6 +225,28 @@ class _Tokens:
 # Expressions
 # ---------------------------------------------------------------------------
 
+def _remembers_failure(rule):
+    """``rule``, which at a token position where it already failed fails
+    again at once, with the same error.  A parenthesis is tried first as a
+    relation or base formula and then as a bracketed formula, and a relation
+    first reads an expression; without this every level would parse the
+    levels inside it again, cubic in the nesting."""
+
+    def attempt(ts: _Tokens):
+        start = ts.pos
+        failure = ts.failed.get((rule, start))
+        if failure is not None:
+            raise failure.with_traceback(None)
+        try:
+            return rule(ts)
+        except ParseError as exc:
+            ts.failed[(rule, start)] = exc
+            raise
+
+    return attempt
+
+
+@_remembers_failure
 def _expr(ts: _Tokens) -> Expr:
     node = _expr_mul(ts)
     while ts.peek()[1] in ("+", "-"):
@@ -247,6 +288,7 @@ def _expr_atom(ts: _Tokens) -> Expr:
 _RELATIONS = ("<=", "<", "==", "!=", ">=", ">")
 
 
+@_remembers_failure
 def _relation(ts: _Tokens) -> BaseFormula:
     left = _expr(ts)
     op = ts.peek()[1]
@@ -271,17 +313,16 @@ def _relation(ts: _Tokens) -> BaseFormula:
 # Base formulas
 # ---------------------------------------------------------------------------
 
+# Each bracket level costs one call of every function on the way from
+# ``_fml`` back to ``_fml_atom``, so ``||`` is read in ``_fml`` and a run of
+# ``!`` in one loop: fewer frames per level leave more stack for MAX_NESTING.
+
 def _fml(ts: _Tokens) -> BaseFormula:
-    node = _fml_or(ts)
-    if ts.accept("->"):
-        return imp_f(node, _fml(ts))
-    return node
-
-
-def _fml_or(ts: _Tokens) -> BaseFormula:
     node = _fml_and(ts)
     while ts.accept("||"):
         node = or_f(node, _fml_and(ts))
+    if ts.accept("->"):
+        return imp_f(node, _fml(ts))
     return node
 
 
@@ -293,11 +334,16 @@ def _fml_and(ts: _Tokens) -> BaseFormula:
 
 
 def _fml_unary(ts: _Tokens) -> BaseFormula:
-    if ts.accept("!"):
-        return NotF(_fml_unary(ts))
-    return _fml_atom(ts)
+    negations = 0
+    while ts.accept("!"):
+        negations += 1
+    node = _fml_atom(ts)
+    for _ in range(negations):
+        node = NotF(node)
+    return node
 
 
+@_remembers_failure
 def _fml_atom(ts: _Tokens) -> BaseFormula:
     kind, chunk, _, _ = ts.peek()
     if chunk == "forall":
@@ -526,18 +572,13 @@ def _d_and(a: DlpFormula, b: DlpFormula) -> DlpFormula:
 
 
 def _dlp(ts: _Tokens) -> DlpFormula:
-    node = _dlp_or(ts)
-    if ts.accept("->"):
-        rest = _dlp(ts)
-        return _d_not(_d_and(node, _d_not(rest)))
-    return node
-
-
-def _dlp_or(ts: _Tokens) -> DlpFormula:
     node = _dlp_and(ts)
     while ts.accept("||"):
         right = _dlp_and(ts)
         node = _d_not(_d_and(_d_not(node), _d_not(right)))
+    if ts.accept("->"):
+        rest = _dlp(ts)
+        return _d_not(_d_and(node, _d_not(rest)))
     return node
 
 
@@ -549,9 +590,13 @@ def _dlp_and(ts: _Tokens) -> DlpFormula:
 
 
 def _dlp_unary(ts: _Tokens) -> DlpFormula:
-    if ts.accept("!"):
-        return _d_not(_dlp_unary(ts))
-    return _dlp_atom(ts)
+    negations = 0
+    while ts.accept("!"):
+        negations += 1
+    node = _dlp_atom(ts)
+    for _ in range(negations):
+        node = _d_not(node)
+    return node
 
 
 def _dlp_atom(ts: _Tokens) -> DlpFormula:

@@ -6,6 +6,7 @@ from itertools import product
 from pathlib import Path
 
 from conftest import random_expr, random_fml
+from cycproof import oracle as oracle_module
 from cycproof.oracle import (
     BoundedOracle,
     BoundedValid,
@@ -15,7 +16,7 @@ from cycproof.oracle import (
     Valid,
     emit_smtlib,
 )
-from cycproof.parser import parse_fml
+from cycproof.parser import fml_src, parse_fml
 from cycproof.terms import (
     AndF,
     BinOp,
@@ -95,6 +96,42 @@ def test_grid_cap_returns_unknown():
     oracle = BoundedOracle(-50, 50, max_points=100)
     out = oracle.valid_sequent([], [parse_fml("x + y + z <= 200")])
     assert isinstance(out, Unknown)
+    # the cap comes before the literals are read, even for an axiom
+    axiom = parse_fml("w + x + y + z <= 0")
+    out = BoundedOracle(-50, 50).valid_sequent([axiom], [axiom])
+    assert isinstance(out, Unknown) and "exceed" in out.reason
+
+
+def test_total_sequents_are_decided_from_their_literals(monkeypatch):
+    compiled = []
+    real = oracle_module._compile_scan
+
+    def spy(names, gamma, delta):
+        compiled.append((names, tuple(map(fml_src, gamma)), tuple(map(fml_src, delta))))
+        return real(names, gamma, delta)
+
+    monkeypatch.setattr(oracle_module, "_compile_scan", spy)
+    oracle = BoundedOracle(-3, 3)
+
+    def ask(left, right):
+        compiled.clear()
+        return oracle.valid_sequent([parse_fml(f) for f in left], [parse_fml(f) for f in right])
+
+    # axioms, constant literals and closed sequents: no scan
+    assert ask(["x <= y"], ["!(y < x)"]) == BoundedValid() and not compiled
+    assert ask(["x <= y && 1 <= 0"], ["y <= x"]) == BoundedValid() and not compiled
+    assert ask(["x <= y"], ["!(1 <= 0)"]) == BoundedValid() and not compiled
+    assert ask(["2 * 3 == 6"], ["7 / 2 == 4"]) == Invalid(()) and not compiled
+    # what is left is scanned from its distinct free literals
+    assert ask(["x <= y", "0 <= 1 && x <= y"], ["y <= x", "1 <= 0", "!(x <= y)"]) == Invalid(
+        (("x", -3), ("y", -2)))
+    assert compiled == [(["x", "y"], ("x <= y",), ("y <= x",))]
+    # a division by a variable keeps the whole sequent, in its own order
+    out = ask(["x <= 0"], ["1 / (x - x) <= 0", "x <= 0"])
+    assert isinstance(out, Unknown) and "evaluation error" in out.reason
+    assert compiled == [(["x"], ("x <= 0",), ("1 / (x - x) <= 0", "x <= 0"))]
+    assert ask(["1 <= 0"], ["1 / 0 <= 0"]) == BoundedValid()
+    assert compiled == [([], ("1 <= 0",), ("1 / 0 <= 0",))]
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +325,58 @@ def _differential_cases():
     yield [parse_fml("all <= and")], [parse_fml("forall _v0 . _v0 <= all || and <= _v0")]
     yield [parse_fml("range >= 0")], [parse_fml("forall range . _b0 / range <= _b0 || range == 0")]
     # a term 600 levels deep, beyond what the parser accepts
-    deep = Var("x")
-    for i in range(600):
-        deep = BinOp("+" if i % 2 else "-", deep, Lit(1))
+    deep = _deep_term()
     yield [], [Le(deep, Lit(1))]
     yield [], [Le(deep, Lit(-2))]
     negated = Le(Var("x"), Lit(0))
     for _ in range(600):
         negated = NotF(negated)
     yield [negated], [Forall("y", Le(Var("y"), BinOp("/", Var("x"), Var("x"))))]
+    # sequents the oracle decides from their literals: axioms, behind ! and
+    # on either side of &&, constant literals next to free ones, a total
+    # division
+    yield [parse_fml("x <= 0")], [parse_fml("x <= 0")]
+    yield [], [parse_fml("!(x <= 0)"), parse_fml("x <= 0")]
+    yield [parse_fml("!(x <= 0 && y <= 0)"), parse_fml("x <= 0")], []
+    yield [parse_fml("y <= 0 && x <= 0")], [parse_fml("!!(x <= 0)")]
+    yield [parse_fml("1 <= 0"), parse_fml("x <= y")], [parse_fml("y <= x")]
+    yield [parse_fml("x <= y")], [parse_fml("y <= x"), parse_fml("0 <= 1")]
+    yield [parse_fml("0 <= 1"), parse_fml("x <= y")], [parse_fml("y <= x"), parse_fml("1 <= 0")]
+    yield [parse_fml("!(2 <= 1) && x <= 0")], [parse_fml("forall q . q <= 9"), parse_fml("x < 0")]
+    yield [parse_fml("x / 2 <= y")], [parse_fml("x / 2 <= y")]
+    yield [parse_fml("x / -2 <= y")], [parse_fml("x / 2 <= y")]
+    # ... and sequents it must leave to the ordered scan: a division by a
+    # variable, whose error an axiom must not hide
+    yield [], [parse_fml("x / y <= x / y")]
+    yield [parse_fml("1 / x <= 0"), parse_fml("x <= 0")], [parse_fml("x <= 0")]
+    yield [parse_fml("x <= 0")], [parse_fml("x <= 0"), parse_fml("1 / (x - x) <= 0")]
+    yield [parse_fml("1 / 0 <= 0")], [parse_fml("1 / 0 <= 0")]
+    # two deep literals, equal in structure but built separately
+    yield [Le(_deep_term(), Lit(1))], [Le(_deep_term(), Lit(1))]
+    # random axiom-shaped sequents: a literal of Gamma copied into Delta,
+    # sometimes behind ! (which moves it across) or inside a conjunction of
+    # Gamma
+    for _ in range(120):
+        names = rng.choice([["x"], ["x", "y"], ["x", "y", "z"]])
+        gamma, delta = side(names) + [random_fml(rng, names, 2)], side(names)
+        copied = rng.choice(gamma)
+        if rng.random() < 0.3:
+            gamma.append(NotF(copied))
+        else:
+            delta.insert(rng.randrange(len(delta) + 1), copied)
+        spot = rng.randrange(len(gamma))
+        if rng.random() < 0.3:
+            gamma[spot] = AndF(random_fml(rng, names, 1), gamma[spot])
+        elif rng.random() < 0.3:
+            delta.append(NotF(gamma.pop(spot)))
+        yield gamma, delta
+
+
+def _deep_term():
+    deep = Var("x")
+    for i in range(600):
+        deep = BinOp("+" if i % 2 else "-", deep, Lit(1))
+    return deep
 
 
 def test_compiled_scan_matches_eval_bool():

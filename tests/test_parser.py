@@ -192,6 +192,78 @@ def test_prefix_operators_count_toward_the_nesting_cap():
     assert parse_expr(" - ".join(["x"] * 400)).op == "-"
 
 
+def test_binary_operator_chains_have_a_fixed_cap():
+    from cycproof.parser import MAX_CHAIN
+
+    plus = "x" + " + 1" * MAX_CHAIN
+    assert expr_src(parse_expr(plus)) == plus
+    # "||" and "->" build three levels each: "!", "&&" and "!"
+    ors = " || ".join(["x <= 0"] * (MAX_CHAIN // 3 + 1))
+    assert parse_fml(ors)
+    for text in (plus + " + 1", "x" + " - 1" * (MAX_CHAIN + 1),
+                 " && ".join(["x <= 0"] * (MAX_CHAIN + 2)),
+                 ors + " || x <= 0", " -> ".join(["x <= 0"] * (MAX_CHAIN // 3 + 2))):
+        with pytest.raises(ParseError) as err:
+            parse_fml(text) if "<=" in text else parse_expr(text)
+        assert f"binary operators nested deeper than {MAX_CHAIN}" in str(err.value)
+    # the counts add up over the input, as statements in sequence do
+    with pytest.raises(ParseError):
+        parse_sequent(f"{plus} <= 0 => x + 1 <= 0")
+    # a configuration's "->" maps a variable and builds no level
+    many = ", ".join(f"x{i} -> {i}" for i in range(MAX_CHAIN + 1))
+    assert len(parse_config("{" + many + "}").entries) == MAX_CHAIN + 1
+
+
+def _from_deeper(frames: int, call):
+    """``call()``, run ``frames`` stack frames deeper than the caller."""
+    return call() if frames == 0 else _from_deeper(frames - 1, call)
+
+
+def test_input_at_each_cap_leaves_stack_to_spare():
+    # what the parser accepts must parse and print from well inside a call
+    # stack, not only from the top of a fresh interpreter
+    from cycproof.parser import MAX_CHAIN, MAX_NESTING, MAX_SEQUENCE
+
+    at_caps = [
+        ". => " + "(" * (MAX_NESTING - 1) + "{x -> 0} : [x := 1] x >= 0" + ")" * (MAX_NESTING - 1),
+        ". => " + "!(" * MAX_NESTING + "x <= 0" + ")" * MAX_NESTING,
+        ". => " + "!" * MAX_NESTING + "x <= 0",
+        ". => x <= " + "-" * MAX_NESTING + "1",
+        ". => {x -> 0} : [" + " ; ".join(["x := x + 1"] * MAX_SEQUENCE) + "] x >= 0",
+        ". => {x -> 0} : [x := x" + " + 1" * MAX_CHAIN + "] x >= 0",
+        ". => " + " && ".join(["x <= 0"] * (MAX_CHAIN + 1)),
+        ". => " + " || ".join(["x <= 0"] * (MAX_CHAIN // 3 + 1)),
+        ". => " + " -> ".join(["x <= 0"] * (MAX_CHAIN // 3 + 1)),
+        ". => " + " && ".join(["{x -> 0} : [x := 1] x >= 0"] * (MAX_CHAIN + 1)),
+    ]
+    for text in at_caps:
+        nu = _from_deeper(100, lambda: parse_sequent(text))
+        assert _from_deeper(100, lambda: sequent_src(nu))
+
+
+def test_parenthesis_retries_grow_linearly_with_nesting(monkeypatch):
+    # each "(" is tried as a relation or base formula before it is read as a
+    # bracket; a position that failed once is not parsed again
+    from cycproof import parser
+
+    calls = []
+    real = parser._fml_atom
+    monkeypatch.setattr(parser, "_fml_atom", lambda ts: calls.append(ts.pos) or real(ts))
+
+    def fml_atom_calls(depth: int) -> int:
+        calls.clear()
+        parse_sequent(". => " + "(" * depth + "{x -> 0} : [x := 1] x >= 0" + ")" * depth)
+        return len(calls)
+
+    small, medium, large = (fml_atom_calls(depth) for depth in (20, 40, 80))
+    assert large - medium == 2 * (medium - small)
+    assert large <= 3 * 80
+    # the error for bad input is the one the first attempt raised
+    with pytest.raises(ParseError) as err:
+        parse_sequent(". => " + "(" * 30 + "{x -> 0} : [x := 1] x >= 0" + ")" * 29)
+    assert str(err.value) == "expected ')', found 'end of input' (line 1, column 91)"
+
+
 def test_sequences_have_a_fixed_cap():
     from cycproof.parser import MAX_SEQUENCE
 

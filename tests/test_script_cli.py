@@ -269,3 +269,34 @@ def test_cli_long_prefix_and_sequence_chains_end_without_traceback(tmp_path):
         assert run.returncode == 2 and "Traceback" not in run.stderr
         assert len(run.stderr.splitlines()) == 1, run.stderr
         assert run.stderr.startswith("cannot load goal:"), run.stderr
+
+
+def test_cli_long_operator_chains_end_without_traceback(tmp_path):
+    def plus(n: int) -> str:
+        return ". => {x -> 0} : [x := x" + " + 1" * n + f"] x == {n}"
+
+    def conj(n: int) -> str:
+        return ". => {x -> 0} : [x := 1] (" + " && ".join(["x >= 1"] * n) + ")"
+
+    # 300 terms: searched and proved as before
+    for name, text in (("plus300.txt", plus(300)), ("and300.txt", conj(300))):
+        path = tmp_path / name
+        path.write_text(text)
+        run = _cli("search", str(path), "--depth", "4")
+        assert run.returncode == 0 and "ProvedBounded" in run.stdout, run.stderr
+    # 1200 terms overflowed the stack in the printers; now a parse error
+    for name, text in (("plus1200", plus(1200)), ("and1200", conj(1200))):
+        goal = tmp_path / f"{name}.txt"
+        goal.write_text(text)
+        run = _cli("search", str(goal), "--depth", "4")
+        assert run.returncode == 2 and "Traceback" not in run.stderr
+        assert len(run.stderr.splitlines()) == 1, run.stderr
+        assert run.stderr.startswith("cannot load goal:"), run.stderr
+        assert "binary operators nested deeper than" in run.stderr
+        script = tmp_path / f"{name}.dlp"
+        script.write_text(f"goal {text}\nqed\n")
+        run = _cli("check", str(script))
+        assert run.returncode == 1 and "Traceback" not in run.stderr
+        assert run.stdout.startswith("verdict: Stuck")
+        assert "binary operators nested deeper than" in run.stdout
+        assert "(script line 1)" in run.stdout
