@@ -10,10 +10,19 @@ Division is simplified only when it is provably exact: ``P / c`` for a
 nonzero integer constant ``c`` becomes a polynomial exactly when ``c``
 divides ``P`` at every integer point, which is decided by testing ``P`` on
 the finite grid ``{0..deg_i}`` per variable (the binomial-basis coefficients
-of ``P`` are integer combinations of those grid values and vice versa).  In
-the exact case truncated division agrees with rational division, so the
-rewrite is sound for the truncating evaluator.  Every other division stays
-an opaque atom keyed by the canonical forms of its operands.
+of ``P`` are integer combinations of those grid values and vice versa).  The
+grid runs in integer arithmetic: ``P`` is scaled once by the common
+denominator of its coefficients.  In the exact case truncated division
+agrees with rational division, so the rewrite is sound for the truncating
+evaluator.  Every other division stays an opaque atom keyed by the canonical
+forms of its operands.
+
+Keys are made of strs, ints and tuples only, and every variant of a key
+starts with a tag of its own (``"le"``/``"not"``/``"and"``/``"forall"``,
+``"v"``/``"div"``, ``"store"``/``"stack"``/``"sepstate"``, ...), so two keys
+of one kind never hold values of different types at the first position where
+they differ.  Monomials, polynomial keys, stores and the sides of a sequent
+are therefore sorted by Python's own tuple order, without printing anything.
 
 Known limit: two occurrences of the same opaque division atom cancel, so
 ``x/y <= x/y`` and ``0 <= 0`` get one key even though the former faults at
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .terms import (
     AndF,
@@ -49,7 +59,8 @@ from .terms import (
 )
 
 # A polynomial is a dict: monomial -> Fraction, where a monomial is a sorted
-# tuple of (atom, exponent) pairs and an atom is a nested hashable key.
+# tuple of (atom, exponent) pairs and an atom is a nested key of tuples, strs
+# and ints: ("v", name) or ("div", poly_key(dividend), poly_key(divisor)).
 
 _GRID_LIMIT = 4096
 
@@ -60,7 +71,7 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple:
     powers: dict = {}
     for atom, k in m1 + m2:
         powers[atom] = powers.get(atom, 0) + k
-    return tuple(sorted(((a, k) for a, k in powers.items() if k), key=repr))
+    return tuple(sorted((a, k) for a, k in powers.items() if k))
 
 
 def _add(p1: dict, p2: dict) -> dict:
@@ -100,43 +111,42 @@ def _constant_of(p: dict) -> Fraction | None:
 
 
 def poly_key(p: dict) -> tuple:
-    items = [(m, (c.numerator, c.denominator)) for m, c in p.items()]
-    return tuple(sorted(items, key=repr))
-
-
-def _atoms_of(p: dict) -> list:
-    atoms = set()
-    for mono in p:
-        for atom, _ in mono:
-            atoms.add(atom)
-    return sorted(atoms, key=repr)
-
-
-def _eval_poly(p: dict, assignment: dict) -> Fraction:
-    total = Fraction(0)
-    for mono, c in p.items():
-        term = c
-        for atom, k in mono:
-            term *= Fraction(assignment[atom]) ** k
-        total += term
-    return total
+    # monomials are distinct, so the sort never reaches the coefficients
+    return tuple(sorted((m, (c.numerator, c.denominator)) for m, c in p.items()))
 
 
 def _try_exact_div(p: dict, c: int) -> dict | None:
-    """``p / c`` as a polynomial if ``c`` divides ``p`` at every integer point."""
-    atoms = _atoms_of(p)
-    degrees = []
-    for atom in atoms:
-        deg = max((k for mono in p for a, k in mono if a == atom), default=0)
-        degrees.append(deg)
+    """``p / c`` as a polynomial if ``c`` divides ``p`` at every integer point.
+
+    The grid runs on ints: with ``den`` the common denominator of the
+    coefficients, ``den * p`` has integer coefficients, and ``p / c`` is an
+    integer at a point exactly when ``den * p`` is a multiple of ``den * c``
+    there.
+    """
+    degree: dict = {}  # atom -> highest exponent
+    den = 1
+    for mono, coeff in p.items():
+        for atom, k in mono:
+            if k > degree.get(atom, 0):
+                degree[atom] = k
+        den = lcm(den, coeff.denominator)
     size = 1
-    for d in degrees:
+    for d in degree.values():
         size *= d + 1
         if size > _GRID_LIMIT:
             return None
-    for point in product(*(range(d + 1) for d in degrees)):
-        val = _eval_poly(p, dict(zip(atoms, point)))
-        if val.denominator != 1 or val.numerator % c != 0:
+    column = {atom: i for i, atom in enumerate(degree)}
+    terms = [(coeff.numerator * (den // coeff.denominator),
+              tuple((column[atom], k) for atom, k in mono))
+             for mono, coeff in p.items()]
+    modulus = den * c
+    for point in product(*(range(d + 1) for d in degree.values())):
+        val = 0
+        for coeff, mono in terms:
+            for i, k in mono:
+                coeff *= point[i] ** k
+            val += coeff
+        if val % modulus:
             return None
     return {m: coeff / c for m, coeff in p.items()}
 
@@ -258,7 +268,7 @@ def config_key(sigma: Config) -> tuple:
     if sigma.stack:
         key = ("stack", entries)
     else:
-        key = ("store", tuple(sorted(entries, key=repr)))
+        key = ("store", tuple(sorted(entries)))  # names are distinct
     return _keep(sigma, _KEY, key)
 
 

@@ -3,6 +3,14 @@
 Exit status is 0 for Proved/ProvedBounded, 1 for Rejected/Stuck, 2 for
 usage or parse errors.  Every verdict is printed together with its oracle
 obligation ledger.
+
+Terms nest deeper than any parser cap once symbolic execution has built them
+(a store value ``n - 1 - ... - 1`` after 1500 loop steps), and the term
+functions recurse once per level.  A ``RecursionError`` while ``search``
+parses its goal is a parse error (exit 2); anywhere later it ends the run
+``Stuck`` (exit 1), which is sound because ``Stuck`` never accepts.  The
+report and the dump are built in full before anything is printed or written,
+so an overflow leaves no half-written output.
 """
 
 from __future__ import annotations
@@ -47,10 +55,14 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    replayer, report = script_mod.replay(
-        text, oracle, args.path_bound, base_dir=Path(args.script).parent
-    )
-    print(report.render())
+    try:
+        replayer, report = script_mod.replay(
+            text, oracle, args.path_bound, base_dir=Path(args.script).parent
+        )
+        rendered = report.render()
+    except RecursionError as exc:
+        return _stuck_on_overflow(exc)
+    print(rendered)
     if args.dump and report.dump:
         Path(args.dump).write_text(report.dump + "\n")
     return 0 if report.succeeded else 1
@@ -59,7 +71,7 @@ def cmd_check(args) -> int:
 def cmd_search(args) -> int:
     try:
         goal = parser.parse_sequent(Path(args.goal).read_text().strip())
-    except (OSError, parser.ParseError) as exc:
+    except (OSError, parser.ParseError, RecursionError) as exc:
         print(f"cannot load goal: {exc}", file=sys.stderr)
         return 2
     try:
@@ -70,16 +82,20 @@ def cmd_search(args) -> int:
     if args.depth < 1:
         print("depth must be at least 1", file=sys.stderr)
         return 2
-    result = search_mod.search(goal, oracle, args.depth, args.path_bound)
-    print(f"verdict: {result.verdict}")
-    if result.message:
-        print(f"note: {result.message}")
-    print("oracle obligations:")
-    obligations = result.graph.obligations()
-    for ob in obligations:
-        print(f"  {ob.describe()}")
-    if not obligations:
-        print("  none")
+    try:
+        result = search_mod.search(goal, oracle, args.depth, args.path_bound)
+        report = [f"verdict: {result.verdict}"]
+        if result.message:
+            report.append(f"note: {result.message}")
+        report.append("oracle obligations:")
+        obligations = result.graph.obligations()
+        report.extend(f"  {ob.describe()}" for ob in obligations)
+        if not obligations:
+            report.append("  none")
+        dump = result.graph.dump() if args.dump else None
+    except RecursionError as exc:
+        return _stuck_on_overflow(exc)
+    print("\n".join(report))
     if args.emit:
         Path(args.emit).write_text(result.script + "\n")
         print(f"script written to {args.emit}")
@@ -87,9 +103,15 @@ def cmd_search(args) -> int:
         print("script:")
         for line in result.script.splitlines():
             print(f"  {line}")
-    if args.dump:
-        Path(args.dump).write_text(result.graph.dump() + "\n")
+    if dump is not None:
+        Path(args.dump).write_text(dump + "\n")
     return 0 if result.proved else 1
+
+
+def _stuck_on_overflow(exc: RecursionError) -> int:
+    print("verdict: Stuck")
+    print(f"note: RecursionError: {exc} (a term nests deeper than the stack allows)")
+    return 1
 
 
 def cmd_eval(args) -> int:

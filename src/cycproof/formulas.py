@@ -169,8 +169,8 @@ def formula_key(f: DlpFormula) -> tuple:
 
 
 def sequent_key(nu: Sequent) -> tuple:
-    left = tuple(sorted((formula_key(f) for f in nu.left), key=repr))
-    right = tuple(sorted((formula_key(f) for f in nu.right), key=repr))
+    left = tuple(sorted(formula_key(f) for f in nu.left))
+    right = tuple(sorted(formula_key(f) for f in nu.right))
     return (left, right)
 
 

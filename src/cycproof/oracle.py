@@ -11,7 +11,12 @@ distinct non-closed literals.  Any other obligation is compiled as it stands
 into a Python loop nest over the box (see ``_compile_scan``) that evaluates
 what ``terms.eval_bool`` would, in the same order.  The external oracle
 emits an SMT-LIB2 problem (logic QF_NIA) to a solver subprocess and maps
-unsat/sat/unknown to Valid/Invalid/Unknown.
+unsat/sat/unknown to Valid/Invalid/Unknown.  It reads the sequent as the
+scan's single test, ``G1 && ... && Gn && !(D1 || ... || Dm)`` with
+``eval_bool``'s short cuts, and asserts ``(not (and def (=> G D)))``, where
+``def`` holds where that evaluation divides by no zero (see
+``emit_smtlib``): a point where the scan would stop with a division by zero
+makes the problem satisfiable, so it is never ``Valid``.
 """
 
 from __future__ import annotations
@@ -354,35 +359,76 @@ def _smt_expr(e, divisors: list) -> str:
     raise TermError(f"not an expression: {e!r}")
 
 
-def _smt_fml(phi: BaseFormula, divisors: list) -> str:
+def _smt_fml(phi: BaseFormula) -> tuple:
+    """``(text, defined)``: the SMT text of ``phi`` and the condition under
+    which ``eval_bool`` evaluates ``phi`` without dividing by zero (``"true"``
+    when nothing can fail)."""
     if isinstance(phi, Le):
-        return f"(<= {_smt_expr(phi.left, divisors)} {_smt_expr(phi.right, divisors)})"
+        divisors: list = []
+        text = f"(<= {_smt_expr(phi.left, divisors)} {_smt_expr(phi.right, divisors)})"
+        # both sides are evaluated; an inner divisor is listed before the
+        # division it appears in
+        guards = [f"(not (= {d} 0))" for d in divisors]
+        return text, _smt_and(guards)
     if isinstance(phi, NotF):
-        return f"(not {_smt_fml(phi.body, divisors)})"
+        text, defined = _smt_fml(phi.body)
+        return f"(not {text})", defined
     if isinstance(phi, AndF):
-        return f"(and {_smt_fml(phi.left, divisors)} {_smt_fml(phi.right, divisors)})"
+        left, left_defined = _smt_fml(phi.left)
+        right, right_defined = _smt_fml(phi.right)
+        return f"(and {left} {right})", _smt_then(left_defined, left, right_defined)
     if isinstance(phi, Forall):
         raise TermError("quantified formulas are outside QF_NIA")
     raise TermError(f"not a base formula: {phi!r}")
 
 
+def _smt_and(conditions: list) -> str:
+    conditions = [c for c in conditions if c != "true"]
+    if not conditions:
+        return "true"
+    return conditions[0] if len(conditions) == 1 else f"(and {' '.join(conditions)})"
+
+
+def _smt_then(first_defined: str, first: str, rest_defined: str) -> str:
+    """Definedness of ``first && rest`` as ``eval_bool`` evaluates it: ``rest``
+    is evaluated only where ``first`` holds."""
+    later = "true" if rest_defined == "true" else f"(=> {first} {rest_defined})"
+    return _smt_and([first_defined, later])
+
+
 def emit_smtlib(gamma, delta) -> str:
     """A QF_NIA problem whose unsatisfiability means the sequent is valid.
 
+    The sequent is read as the bounded scan's single test at a point,
+    ``G1 && ... && Gn && !(D1 || ... || Dm)``, evaluated left to right with
+    ``eval_bool``'s short cuts.  ``defined`` says that this evaluation divides
+    by no zero: ``defined(a && b) = defined(a) and (a => defined(b))``, and a
+    division needs its own divisor nonzero.  The problem asserts
+    ``(not (and defined (=> G D)))``, so it is satisfiable at a point where the
+    bounded oracle would find a counterexample or fail with a division by
+    zero, and unsatisfiable only if the sequent holds, defined, everywhere.
     It ends at ``(check-sat)``: SMT-LIB allows ``(get-model)`` only after a
     ``sat`` or ``unknown`` answer, so the model is asked for separately."""
     gamma = tuple(gamma)
     delta = tuple(delta)
     names = sorted(set().union(*(free_vars(f) for f in gamma + delta)) if gamma + delta else set())
-    divisors: list = []
-    lhs = " ".join(_smt_fml(f, divisors) for f in gamma)
-    rhs = " ".join(_smt_fml(f, divisors) for f in delta)
+    left_parts = [_smt_fml(f) for f in gamma]
+    right_parts = [_smt_fml(f) for f in delta]
+    lhs = " ".join(text for text, _ in left_parts)
+    rhs = " ".join(text for text, _ in right_parts)
     left = f"(and {lhs})" if len(gamma) > 1 else (lhs or "true")
     right = f"(or {rhs})" if len(delta) > 1 else (rhs or "false")
+    # the test's conjuncts in evaluation order, folded from the last one
+    tests = left_parts + [(f"(not {text})", defined) for text, defined in right_parts]
+    defined = "true"
+    for text, first_defined in reversed(tests):
+        defined = _smt_then(first_defined, text, defined)
+    implication = f"(=> {left} {right})"
+    if defined != "true":
+        implication = f"(and {defined} {implication})"
     lines = ["(set-logic QF_NIA)", _TDIV_DEF]
     lines += [f"(declare-const {_smt_symbol(x)} Int)" for x in names]
-    lines += [f"(assert (not (= {d} 0)))" for d in divisors]
-    lines.append(f"(assert (not (=> {left} {right})))")
+    lines.append(f"(assert (not {implication}))")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 

@@ -694,6 +694,21 @@ def parse_template_sequent(text: str) -> tuple:
 # Printers
 # ---------------------------------------------------------------------------
 
+# A printed ``BinOp`` or program keeps its text on the node, under an
+# attribute name that is not a dataclass field (as ``canon`` keeps keys), so
+# a term shared by many sequents is printed once.  A ``BinOp``'s text is kept
+# without its outer parentheses, which depend on the context and are added at
+# each call.  Each printer looks its slot up itself rather than through a
+# wrapper, so a level of the term still costs one stack frame.
+
+_SRC = "_src"
+
+
+def _keep_src(term, text: str) -> str:
+    object.__setattr__(term, _SRC, text)  # the term classes are frozen
+    return text
+
+
 def expr_src(e: Expr, level: int = 0) -> str:
     if isinstance(e, Lit):
         s = str(e.value)
@@ -702,9 +717,11 @@ def expr_src(e: Expr, level: int = 0) -> str:
         return e.name
     if isinstance(e, BinOp):
         prec = 1 if e.op in "+-" else 2
-        left = expr_src(e.left, prec)
-        right = expr_src(e.right, prec + 1)
-        s = f"{left} {e.op} {right}"
+        s = getattr(e, _SRC, None)
+        if s is None:
+            left = expr_src(e.left, prec)
+            right = expr_src(e.right, prec + 1)
+            s = _keep_src(e, f"{left} {e.op} {right}")
         return f"({s})" if level > prec else s
     raise TypeError(f"not an expression: {e!r}")
 
@@ -725,33 +742,38 @@ def fml_src(phi: BaseFormula, level: int = 0) -> str:
 
 
 def prog_src(p: Program) -> str:
+    s = getattr(p, _SRC, None)
+    if s is not None:
+        return s
     if isinstance(p, Assign):
-        return f"{p.target} := {expr_src(p.expr)}"
-    if isinstance(p, Seq):
+        s = f"{p.target} := {expr_src(p.expr)}"
+    elif isinstance(p, Seq):
         first = prog_src(p.first)
         if isinstance(p.first, Seq):
             first = f"({first})"
-        return f"{first} ; {prog_src(p.second)}"
-    if isinstance(p, If):
-        return (
+        s = f"{first} ; {prog_src(p.second)}"
+    elif isinstance(p, If):
+        s = (
             f"if {fml_src(p.guard)} then {prog_src(p.then)} "
             f"else {prog_src(p.orelse)} end"
         )
-    if isinstance(p, While):
-        return f"while {fml_src(p.guard)} do {prog_src(p.body)} end"
-    if isinstance(p, Skip):
-        return "skip"
-    if isinstance(p, Epsilon):
-        return "ε"
-    if isinstance(p, _sep.Alloc):
-        return f"{p.target} := cons({expr_src(p.expr)})"
-    if isinstance(p, _sep.HeapRead):
-        return f"{p.target} := [{expr_src(p.addr)}]"
-    if isinstance(p, _sep.HeapWrite):
-        return f"[{expr_src(p.addr)}] := {expr_src(p.expr)}"
-    if isinstance(p, _sep.Dispose):
-        return f"dispose({expr_src(p.addr)})"
-    raise TypeError(f"not a program: {p!r}")
+    elif isinstance(p, While):
+        s = f"while {fml_src(p.guard)} do {prog_src(p.body)} end"
+    elif isinstance(p, Skip):
+        s = "skip"
+    elif isinstance(p, Epsilon):
+        s = "ε"
+    elif isinstance(p, _sep.Alloc):
+        s = f"{p.target} := cons({expr_src(p.expr)})"
+    elif isinstance(p, _sep.HeapRead):
+        s = f"{p.target} := [{expr_src(p.addr)}]"
+    elif isinstance(p, _sep.HeapWrite):
+        s = f"[{expr_src(p.addr)}] := {expr_src(p.expr)}"
+    elif isinstance(p, _sep.Dispose):
+        s = f"dispose({expr_src(p.addr)})"
+    else:
+        raise TypeError(f"not a program: {p!r}")
+    return _keep_src(p, s)
 
 
 def config_src(sigma: Config) -> str:

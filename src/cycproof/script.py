@@ -400,6 +400,7 @@ class Replayer:
                     NoProgressOnCycle,
                     TermError,
                     parser.ParseError,
+                    RecursionError,  # a term deeper than the stack allows
                 ) as exc:
                     raise ScriptError(f"{type(exc).__name__}: {exc}", line_no) from exc
                 if self.qed_seen:

@@ -470,10 +470,10 @@ class TermNode:
         state_key = self.state.key() if self.state is not None else None
         factor = expr_key(self.factor) if self.factor is not None else None
         return (
-            tuple(sorted((formula_key(f) for f in self.gamma), key=repr)),
+            tuple(sorted(formula_key(f) for f in self.gamma)),
             state_key,
             factor,
-            tuple(sorted((formula_key(f) for f in self.delta), key=repr)),
+            tuple(sorted(formula_key(f) for f in self.delta)),
         )
 
 

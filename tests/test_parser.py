@@ -26,6 +26,7 @@ from cycproof.terms import (
     SKIP,
     AndF,
     Assign,
+    BinOp,
     If,
     Le,
     Lit,
@@ -275,3 +276,35 @@ def test_sequences_have_a_fixed_cap():
     with pytest.raises(ParseError) as err:
         parse_prog(chain(MAX_SEQUENCE + 1))
     assert f"more than {MAX_SEQUENCE} statements" in str(err.value)
+
+
+def test_shared_subterms_print_the_same_under_every_parent():
+    # printed text is kept on each BinOp and program node, without the
+    # parentheses its parent adds; a node printed under one parent must
+    # print under every other, and alone, as a fresh copy does
+    rng = random.Random(11)
+    shared_exprs = ["-3", "b - c", "a + b", "a * b", "a / -2", "-3 * b"]
+    parents = [lambda s: BinOp("*", Var("a"), s), lambda s: BinOp("*", s, Var("a")),
+               lambda s: BinOp("-", Var("a"), s), lambda s: BinOp("-", s, Var("a")),
+               lambda s: BinOp("/", s, Lit(-2)), lambda s: BinOp("+", s, s), lambda s: s]
+    for text in shared_exprs:
+        shared = parse_expr(text)
+        for make in rng.sample(parents, len(parents)) * 2:
+            assert expr_src(make(shared)) == expr_src(make(parse_expr(text))), text
+    shared_progs = ["x := 1 ; y := x", "if x <= 0 then x := 1 else skip end", "x := -3 * y"]
+    prog_parents = [lambda s: Seq(s, SKIP), lambda s: Seq(SKIP, s), lambda s: Seq(s, s),
+                    lambda s: While(Le(Var("x"), Lit(0)), s), lambda s: s]
+    for text in shared_progs:
+        shared = parse_prog(text)
+        for make in rng.sample(prog_parents, len(prog_parents)) * 2:
+            assert prog_src(make(shared)) == prog_src(make(parse_prog(text))), text
+    # where the parent adds parentheses, and where it does not
+    shared = parse_expr("b - c")
+    assert expr_src(BinOp("-", Var("a"), shared)) == "a - (b - c)"
+    assert expr_src(shared) == "b - c"
+    shared = parse_expr("a + b")
+    assert expr_src(BinOp("*", shared, Var("c"))) == "(a + b) * c"
+    assert expr_src(BinOp("+", shared, Var("c"))) == "a + b + c"
+    shared = parse_prog("x := 1 ; y := x")
+    assert prog_src(Seq(shared, SKIP)) == "(x := 1 ; y := x) ; skip"
+    assert prog_src(shared) == "x := 1 ; y := x"

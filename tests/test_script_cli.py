@@ -300,3 +300,43 @@ def test_cli_long_operator_chains_end_without_traceback(tmp_path):
         assert run.stdout.startswith("verdict: Stuck")
         assert "binary operators nested deeper than" in run.stdout
         assert "(script line 1)" in run.stdout
+
+
+def test_inputs_deeper_than_the_stack_end_in_a_verdict(tmp_path):
+    # each overflowed the stack with a RecursionError traceback: a program
+    # of 499 statements whose last one holds a 499-term sum, 300 quantifiers,
+    # 1200 boxes in a row, and a store value 1500 levels deep built by
+    # symbolic execution
+    seq = " ; ".join(["x := 1"] * 499 + ["x := x" + " + 1" * 499])
+    goals = {
+        "seq_and_sum": (f". => {{x -> 0}} : [{seq}] x >= 0", 3),
+        "foralls": (". => " + "forall y . " * 300 + "x <= 0", 3),
+        "boxes": (". => {x -> 0} : " + "[x := 1] " * 1200 + "x >= 0", 3),
+        "deep_store": (". => {n -> 1500} : [while n > 0 do n := n - 1 end] (n == 0)", 4000),
+    }
+    codes = {}
+    for name, (text, depth) in goals.items():
+        goal = tmp_path / f"{name}.txt"
+        goal.write_text(text)
+        dump = tmp_path / f"{name}.dump"
+        run = _cli("search", str(goal), "--depth", str(depth), "--dump", str(dump))
+        assert "Traceback" not in run.stderr, (name, run.stderr[-300:])
+        codes[name] = run.returncode
+        if run.returncode == 2:  # the goal itself: a usage error
+            assert run.stderr.startswith("cannot load goal:"), (name, run.stderr)
+            assert not run.stdout
+        else:  # later: Stuck, with nothing half written
+            assert run.returncode == 1, (name, run.returncode)
+            verdict, note = run.stdout.splitlines()[:2]
+            assert verdict == "verdict: Stuck", (name, run.stdout)
+            assert note.startswith("note: RecursionError: "), (name, run.stdout)
+            assert not dump.exists()
+    assert codes == {"seq_and_sum": 1, "foralls": 2, "boxes": 2, "deep_store": 1}
+
+    # a script whose goal is too deep ends Stuck at its line
+    script = tmp_path / "foralls.dlp"
+    script.write_text(f"goal {goals['foralls'][0]}\nqed\n")
+    run = _cli("check", str(script))
+    assert run.returncode == 1 and "Traceback" not in run.stderr, run.stderr[-300:]
+    assert run.stdout.startswith("verdict: Stuck\nnote: RecursionError:"), run.stdout
+    assert "(script line 1)" in run.stdout.splitlines()[1]
