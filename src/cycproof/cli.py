@@ -16,6 +16,7 @@ so an overflow leaves no half-written output.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -24,22 +25,28 @@ from .oracle import BoundedOracle, SmtOracle
 from .whilelang import State, run
 
 
+_ORACLE_FORMS = "bounded, bounded:<lo>..<hi> (integers, lo <= hi) or smt:<command>"
+_RANGE = re.compile(r"(-?\d+)\.\.(-?\d+)")
+
+
 def _make_oracle(spec: str):
-    if spec.startswith("bounded"):
-        lo, hi = -50, 50
-        if ":" in spec:
-            rng = spec.split(":", 1)[1]
-            lo_txt, hi_txt = rng.split("..", 1)
-            lo, hi = int(lo_txt), int(hi_txt)
-        return BoundedOracle(lo, hi)
-    if spec.startswith("smt:"):
-        return SmtOracle(spec.split(":", 1)[1])
-    raise ValueError(f"unknown oracle spec {spec!r}; use bounded:<lo>..<hi> or smt:<command>")
+    """The oracle ``spec`` names; ``ValueError`` with a usage message naming
+    the accepted forms when it is malformed."""
+    if spec == "bounded":
+        return BoundedOracle(-50, 50)
+    kind, _, rest = spec.partition(":")
+    if kind == "bounded":
+        found = _RANGE.fullmatch(rest.strip())
+        if found and int(found[1]) <= int(found[2]):
+            return BoundedOracle(int(found[1]), int(found[2]))
+    elif kind == "smt" and rest.split():
+        return SmtOracle(rest)
+    raise ValueError(f"bad oracle spec {spec!r}; use {_ORACLE_FORMS}")
 
 
 def _add_common(sub):
     sub.add_argument("--oracle", default="bounded:-50..50",
-                     help="bounded:<lo>..<hi> or smt:<command>")
+                     help=_ORACLE_FORMS)
     sub.add_argument("--path-bound", type=int, default=10_000)
     sub.add_argument("--dump", help="write the proof-graph s-expression to a file")
 

@@ -3,18 +3,35 @@
 The bounded oracle decides ``/\\ Gamma -> \\/ Delta`` by exhaustive search over
 a finite box per free variable.  It never answers ``Valid``: a pass is only
 ``BoundedValid``, and certificates carry that mode so a bounded run is never
-mistaken for validity over the integers.  A total obligation (every divisor
-a nonzero literal) is read as its literals: an axiom (one literal on both
-sides), a closed literal false on the left or true on the right, or a closed
-sequent is decided without a scan, and the rest is compiled from its
-distinct non-closed literals.  Any other obligation is compiled as it stands
-into a Python loop nest over the box (see ``_compile_scan``) that evaluates
-what ``terms.eval_bool`` would, in the same order.  The external oracle
-emits an SMT-LIB2 problem (logic QF_NIA) to a solver subprocess and maps
-unsat/sat/unknown to Valid/Invalid/Unknown.  It reads the sequent as the
-scan's single test, ``G1 && ... && Gn && !(D1 || ... || Dm)`` with
-``eval_bool``'s short cuts, and asserts ``(not (and def (=> G D)))``, where
-``def`` holds where that evaluation divides by no zero (see
+mistaken for validity over the integers.  The grid cap (``max_points``) is
+checked on the full box before anything else, so a sequent too large to scan
+is ``Unknown`` however it would be decided.
+
+A total obligation (every divisor a nonzero literal) is read as its
+literals: an axiom (one literal on both sides), a closed literal false on the
+left or true on the right, or a closed sequent is decided without a scan.
+The remaining literals fall into independent groups, which share no free
+variable (constraint independence, as in KLEE).  The sequent's test is the
+conjunction of its groups' tests, so its counterexamples are the product of
+the groups' counterexamples: it is ``BoundedValid`` as soon as one group has
+none, and otherwise its first counterexample in the lexicographic order of
+the sorted names is made of each group's first one, because the least point
+of a product of sets is the product of the least points, however the
+groups' names interleave.  Each group is scanned on its own grid, by a scan
+compiled once per *shape* (the group's literal keys with its free names
+replaced by their positions among the group's sorted names) and kept in a
+dict on the oracle instance for as long as it lives, one command-line run.
+A literal's key and free names are kept on its node (see ``_literal``), so
+a path condition carried by many guards is read once.
+
+Any other obligation is compiled as it stands into one Python loop nest over
+the box (see ``_compile_scan``) that evaluates what ``terms.eval_bool``
+would, in the same order, so the first division by zero is the scalar
+evaluator's.  The external oracle emits an SMT-LIB2 problem (logic QF_NIA)
+to a solver subprocess and maps unsat/sat/unknown to Valid/Invalid/Unknown.
+It reads the sequent as the scan's single test, ``G1 && ... && Gn && !(D1 ||
+... || Dm)`` with ``eval_bool``'s short cuts, and asserts ``(not (and def (=>
+G D)))``, where ``def`` holds where that evaluation divides by no zero (see
 ``emit_smtlib``): a point where the scan would stop with a division by zero
 makes the problem satisfiable, so it is never ``Valid``.
 """
@@ -115,6 +132,7 @@ class BoundedOracle:
         self.hi = hi
         self.quantifier_range = quantifier_range or (lo, hi)
         self.max_points = max_points
+        self._scans: dict = {}  # group shape -> compiled scan (see _group_scan)
 
     def valid_sequent(self, gamma, delta):
         gamma = tuple(gamma)
@@ -129,28 +147,46 @@ class BoundedOracle:
         if total > self.max_points:
             return Unknown(f"{total} grid points exceed the bounded-search cap")
         qlo, qhi = self.quantifier_range
-        if literals is not None:
-            # no evaluation can raise, so only the literals matter, in any order
-            if not left.keys().isdisjoint(right):
-                return BoundedValid()  # the axiom: one literal on both sides
-            kept = ([], [])
-            for side, found in enumerate((left, right)):
-                for phi, closed in found.values():
-                    if not closed:
-                        kept[side].append(phi)
-                    elif eval_bool({}, phi, (qlo, qhi)).value == side:
-                        return BoundedValid()  # false on the left, true on the right
-            if not names:
-                return Invalid(())
-            gamma, delta = kept
-        try:
-            scan = _compile_scan(names, gamma, delta)
-            values = scan(range(self.lo, self.hi + 1), range(qlo, qhi + 1))
-        except DivisionByZero as exc:
-            return Unknown(f"evaluation error: {exc}")
-        if values is not None:
-            return Invalid(tuple(zip(names, values)))
-        return BoundedValid()
+        span, qspan = range(self.lo, self.hi + 1), range(qlo, qhi + 1)
+        if literals is None:
+            try:
+                values = _compile_scan(names, gamma, delta)(span, qspan)
+            except DivisionByZero as exc:
+                return Unknown(f"evaluation error: {exc}")
+            return BoundedValid() if values is None else Invalid(tuple(zip(names, values)))
+        # no evaluation can raise, so only the literals matter, in any order
+        if not left.keys().isdisjoint(right):
+            return BoundedValid()  # the axiom: one literal on both sides
+        kept = []
+        for side, found in enumerate((left, right)):
+            for key, (phi, free) in found.items():
+                if free:
+                    kept.append((side, key, phi, free))
+                elif eval_bool({}, phi, (qlo, qhi)).value == side:
+                    return BoundedValid()  # false on the left, true on the right
+        witness = {}
+        for group in _independent_groups(kept):
+            group_names, scan = self._group_scan(group)
+            values = scan(span, qspan)
+            if values is None:
+                return BoundedValid()  # this group alone has no counterexample
+            witness.update(zip(group_names, values))
+        return Invalid(tuple((x, witness[x]) for x in names))
+
+    def _group_scan(self, group: list):
+        """``(names, scan)`` for a group of kept literals: its free variables
+        sorted, and the compiled scan of the group's sequent over them, shared
+        by every group of the same shape."""
+        names = sorted(set().union(*(free for *_, free in group)))
+        rank = {x: i for i, x in enumerate(names)}
+        shape = tuple((side, template, tuple(rank[x] for x in occurs))
+                      for side, (template, occurs), _, _ in group)
+        scan = self._scans.get(shape)
+        if scan is None:
+            gamma = [phi for side, _, phi, _ in group if side == 0]
+            delta = [phi for side, _, phi, _ in group if side == 1]
+            scan = self._scans[shape] = _compile_scan(names, gamma, delta)
+        return names, scan
 
 
 # ---------------------------------------------------------------------------
@@ -163,49 +199,72 @@ class BoundedOracle:
 # literals it is built from.  ``!`` moves a formula to the other side and
 # ``&&`` on the left splits into its conjuncts; ``&&`` on the right, ``<=`` and
 # ``forall`` are literals.  A literal is identified by its structure, written
-# out as a flat tuple (each node's class, then its operator, name or value, in
-# preorder), so comparing and hashing two deep literals needs no recursion.
+# out as a flat tuple, so comparing and hashing two deep literals needs no
+# recursion.  The key is ``(template, occurs)``: the template lists each node's
+# class, then its operator, value or bound name, in preorder, with ``None``
+# where a free variable stands, and ``occurs`` names those free variables in
+# the same order.  Renaming the free variables changes ``occurs`` only, which
+# is what lets groups of the same shape share a compiled scan.
+#
+# Each literal node keeps ``(key, free)``, ``free`` a frozenset, or ``False``
+# when it is not total, under an attribute name that is not a dataclass field
+# (the pattern of ``canon._keep``), so a guard's path condition is read once
+# and not again at every later obligation that carries it.
+
+_LITERAL = "_oracle_literal"
 
 
 def _literal(phi):
-    """``(key, free)`` for the literal ``phi``, ``free`` the set of its free
-    variables, or ``None`` when it has a division by something other than a
-    nonzero literal, or a node that is not a base-formula or expression
-    node."""
-    key = []
-    free = set()
+    """``(key, free)`` for the literal ``phi``, ``free`` the frozenset of its
+    free variables, or ``False`` when it has a division by something other
+    than a nonzero literal, or a node that is not a base-formula or
+    expression node."""
+    if not isinstance(phi, BaseFormula):
+        return False
+    found = getattr(phi, _LITERAL, None)
+    if found is not None:
+        return found
+    template = []
+    occurs = []
     todo = [(phi, ())]
     while todo:
         t, bound = todo.pop()
         cls = type(t)
-        key.append(cls)
+        template.append(cls)
         if cls is BinOp:
             if t.op == "/" and (type(t.right) is not Lit or t.right.value == 0):
-                return None
-            key.append(t.op)
+                found = False
+                break
+            template.append(t.op)
             todo += ((t.right, bound), (t.left, bound))
         elif cls is Var:
-            key.append(t.name)
-            if t.name not in bound:
-                free.add(t.name)
+            if t.name in bound:
+                template.append(t.name)
+            else:
+                template.append(None)
+                occurs.append(t.name)
         elif cls is Lit:
-            key.append(t.value)
+            template.append(t.value)
         elif cls is Le or cls is AndF:
             todo += ((t.right, bound), (t.left, bound))
         elif cls is NotF:
             todo.append((t.body, bound))
         elif cls is Forall:
-            key.append(t.var)
+            template.append(t.var)
             todo.append((t.body, bound + (t.var,)))
         else:
-            return None
-    return tuple(key), free
+            found = False
+            break
+    else:
+        found = ((tuple(template), tuple(occurs)), frozenset(occurs))
+    object.__setattr__(phi, _LITERAL, found)  # the term classes are frozen
+    return found
 
 
 def _total_literals(gamma: tuple, delta: tuple):
     """``(names, left, right)`` for the sequent ``gamma => delta``: its free
     variables sorted, and the literals of each side as a dict from a
-    literal's key to ``(literal, closed)``, in order of first occurrence;
+    literal's key to ``(literal, free)``, in order of first occurrence;
     ``None`` when the sequent is not total."""
     names = set()
     sides = ({}, {})
@@ -218,19 +277,47 @@ def _total_literals(gamma: tuple, delta: tuple):
             todo += ((phi.right, 0), (phi.left, 0))
         else:
             found = _literal(phi)
-            if found is None:
+            if not found:
                 return None
             key, free = found
             names |= free
-            sides[side].setdefault(key, (phi, not free))
+            sides[side].setdefault(key, (phi, free))
     return sorted(names), *sides
+
+
+def _independent_groups(kept: list) -> list:
+    """The literals of ``kept`` (each ``(side, key, literal, free)``, ``free``
+    not empty) in groups that share no free variable, joined by union-find
+    over the names.  Groups and the literals in each keep the order of
+    ``kept``."""
+    parent: dict = {}  # a name -> a name of its group; a root is not a key
+
+    def find(x):
+        while x in parent:
+            up = parent[x]
+            parent[x] = parent.get(up, up)  # path halving
+            x = up
+        return x
+
+    for *_, free in kept:
+        first, *rest = free
+        root = find(first)
+        for y in rest:
+            other = find(y)
+            if other != root:
+                parent[other] = root
+    groups: dict = {}
+    for literal in kept:
+        groups.setdefault(find(next(iter(literal[3]))), []).append(literal)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
 # The bounded scan, compiled
 # ---------------------------------------------------------------------------
 #
-# ``_compile_scan`` turns one obligation into
+# ``_compile_scan`` turns one obligation, or one independent group of a
+# total obligation's literals, into
 #
 #     def _scan(_span, _qspan):
 #         for _v0 in _span:
@@ -249,6 +336,16 @@ def _total_literals(gamma: tuple, delta: tuple):
 # named ``and`` or ``all`` cannot collide with Python.  The tree is built with
 # positions already set, because ``ast.fix_missing_locations`` recurses once
 # per level and deep terms would exhaust the stack there first.
+#
+# Since free names become ``_v<i>`` by their rank and bound names ``_b<d>`` by
+# their depth, the code depends only on the group's shape, which
+# ``BoundedOracle._group_scan`` uses as the key of its cache: the literals in
+# order, each as its side, its key's template (operators, constants and
+# bound names) and the ranks of its free occurrences.  Two groups that differ
+# only in the names of their free variables share one compiled scan, and each
+# maps the scan's point back to its own names.  The cache holds one function
+# per shape met, and lives with the oracle instance.  An obligation that is
+# not total is still compiled whole at each call.
 
 _AT = {"lineno": 1, "col_offset": 0}  # end positions are optional
 _ARITH = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
@@ -467,6 +564,8 @@ class SmtOracle:
         if isinstance(command, str):
             command = command.split()
         self.command = list(command)
+        if not self.command:
+            raise ValueError("empty solver command")
         self.timeout = timeout
         self._lock = threading.Lock()
 

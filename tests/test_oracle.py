@@ -5,6 +5,8 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import pytest
+
 from conftest import random_expr, random_fml
 from cycproof import oracle as oracle_module
 from cycproof.oracle import (
@@ -100,6 +102,12 @@ def test_grid_cap_returns_unknown():
     axiom = parse_fml("w + x + y + z <= 0")
     out = BoundedOracle(-50, 50).valid_sequent([axiom], [axiom])
     assert isinstance(out, Unknown) and "exceed" in out.reason
+    # ... and it caps the full product, even when every independent group
+    # fits and one of them alone has no counterexample
+    small = BoundedOracle(-50, 50, max_points=10_000)
+    for right in ("y <= 0", "y * y >= 0"):
+        out = small.valid_sequent([parse_fml("x <= 0")], [parse_fml(right)])
+        assert isinstance(out, Unknown) and "10201 grid points" in out.reason, right
 
 
 def test_total_sequents_are_decided_from_their_literals(monkeypatch):
@@ -132,6 +140,39 @@ def test_total_sequents_are_decided_from_their_literals(monkeypatch):
     assert compiled == [(["x"], ("x <= 0",), ("1 / (x - x) <= 0", "x <= 0"))]
     assert ask(["1 <= 0"], ["1 / 0 <= 0"]) == BoundedValid()
     assert compiled == [([], ("1 <= 0",), ("1 / 0 <= 0",))]
+
+
+def test_independent_groups_share_compiled_scans_by_shape(monkeypatch):
+    compiled = []
+    real = oracle_module._compile_scan
+
+    def spy(names, gamma, delta):
+        compiled.append((names, tuple(map(fml_src, gamma)), tuple(map(fml_src, delta))))
+        return real(names, gamma, delta)
+
+    monkeypatch.setattr(oracle_module, "_compile_scan", spy)
+    oracle = BoundedOracle(-3, 3)
+    assert oracle.valid_sequent([], [parse_fml("x <= 0")]) == Invalid((("x", 1),))
+    assert oracle.valid_sequent([], [parse_fml("x <= 1")]) == Invalid((("x", 2),))
+    # the first sequent with x renamed: the same shape, so its scan is reused
+    assert oracle.valid_sequent([], [parse_fml("y <= 0")]) == Invalid((("y", 1),))
+    assert compiled == [(["x"], (), ("x <= 0",)), (["x"], (), ("x <= 1",))]
+    # three groups whose names interleave, each compiled once: b <= 0 sits
+    # on the left, so it is not of the shape of x <= 0 on the right
+    compiled.clear()
+    out = oracle.valid_sequent([parse_fml("a <= c"), parse_fml("b <= 0")],
+                               [parse_fml("c <= 0"), parse_fml("d * d <= 4")])
+    assert out == Invalid((("a", -3), ("b", -3), ("c", 1), ("d", -3)))
+    assert compiled == [(["a", "c"], ("a <= c",), ("c <= 0",)), (["b"], ("b <= 0",), ()),
+                        (["d"], (), ("d * d <= 4",))]
+    # ... but p <= 0 on the left is
+    compiled.clear()
+    assert oracle.valid_sequent([parse_fml("p <= 0")], []) == Invalid((("p", -3),))
+    assert compiled == []
+    # one template, the names in the other order: a shape of its own
+    assert oracle.valid_sequent([], [parse_fml("x <= y")]) == Invalid((("x", -2), ("y", -3)))
+    assert oracle.valid_sequent([], [parse_fml("y <= x")]) == Invalid((("x", -3), ("y", -2)))
+    assert len(compiled) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +232,10 @@ def test_unknown_and_garbage_map_to_unknown(tmp_path):
 def test_missing_solver_is_unknown():
     out = SmtOracle(["/nonexistent/solver-binary"]).valid_sequent([], [parse_fml("x <= x")])
     assert isinstance(out, Unknown)
+    # no command at all is refused up front, not left to subprocess
+    for empty in ("", "   ", []):
+        with pytest.raises(ValueError, match="empty solver command"):
+            SmtOracle(empty)
 
 
 def test_fake_solver_checks_problem_is_wellformed(tmp_path):
@@ -355,6 +400,20 @@ def _differential_cases():
     yield [parse_fml("1 / 0 <= 0")], [parse_fml("1 / 0 <= 0")]
     # two deep literals, equal in structure but built separately
     yield [Le(_deep_term(), Lit(1))], [Le(_deep_term(), Lit(1))]
+    # total sequents in groups that share no variable, their names
+    # interleaved in sorted order: a witness put together from each group's
+    # first counterexample, and sequents where only one group (the last one
+    # scanned, or a middle one) has none
+    yield [parse_fml("a + c >= 1"), parse_fml("b * b >= 4")], [parse_fml("a >= 2"), parse_fml("b >= 3")]
+    yield [parse_fml("a <= c"), parse_fml("b >= 0")], [parse_fml("c <= 0"), parse_fml("b >= 2"), parse_fml("d * d >= 0")]
+    yield [parse_fml("b <= 1 && d + a >= 2"), parse_fml("e == 2 * c")], [parse_fml("a - d >= 3"), parse_fml("c >= 2")]
+    yield [parse_fml("a + c >= 1")], [parse_fml("b * b >= 0"), parse_fml("a >= 2")]
+    yield [parse_fml("c * c <= 1"), parse_fml("b / 2 >= a")], [parse_fml("c != 0"), parse_fml("!(a <= b)")]
+    # a bound q beside a free q: the quantified literal does not join q's
+    # group; and one literal where q is both free and bound
+    yield [parse_fml("q >= 2"), parse_fml("forall q . q * y <= 2")], [parse_fml("q >= 3")]
+    yield [parse_fml("forall q . q <= y + 3")], [parse_fml("q * q >= 1"), parse_fml("y <= 0")]
+    yield [parse_fml("q <= 1")], [parse_fml("q <= 0 && (forall q . q * z <= 2)"), parse_fml("p >= 0")]
     # random axiom-shaped sequents: a literal of Gamma copied into Delta,
     # sometimes behind ! (which moves it across) or inside a conjunction of
     # Gamma

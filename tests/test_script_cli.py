@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, NU1_SRC
-from cycproof import script as script_mod
+from cycproof import cli, script as script_mod
 from cycproof.oracle import BoundedOracle
 from cycproof.parser import parse_sequent
 from cycproof.search import search
@@ -220,9 +220,20 @@ def test_cli_search_and_eval(tmp_path):
     assert "exit flag: bound" in ev2.stdout
 
 
-def test_cli_bad_oracle_spec_is_usage_error():
+def test_cli_bad_oracle_spec_is_usage_error(tmp_path, capsys):
     run = _cli("check", str(FIXTURES / "table4.dlp"), "--oracle", "magic")
     assert run.returncode == 2
+    # an empty solver command and a malformed range are usage errors too,
+    # with the one message that names the accepted forms
+    goal = tmp_path / "goal.txt"
+    goal.write_text(". => {x -> 0} : [x := x + 1] (x == 1)\n")
+    for command, target in (("check", [str(FIXTURES / "table4.dlp")]),
+                            ("search", [str(goal), "--depth", "5"])):
+        for spec in ("smt:", "smt:   ", "bounded:abc", "bounded:3..1"):
+            assert cli.main([command, *target, "--oracle", spec]) == 2, (command, spec)
+            err = capsys.readouterr().err
+            assert err == (f"bad oracle spec {spec!r}; use bounded, bounded:<lo>..<hi> "
+                           "(integers, lo <= hi) or smt:<command>\n"), err
 
 
 def _deep_box_script(depth: int) -> str:
