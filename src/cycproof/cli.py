@@ -125,7 +125,7 @@ def cmd_eval(args) -> int:
     try:
         prog = parser.parse_prog(Path(args.program).read_text().strip())
         config = parser.parse_config(args.config)
-    except (OSError, parser.ParseError) as exc:
+    except (OSError, parser.ParseError, RecursionError) as exc:
         print(f"cannot load program: {exc}", file=sys.stderr)
         return 2
     state = State(prog, config)

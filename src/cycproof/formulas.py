@@ -77,6 +77,20 @@ class DAnd(DlpFormula):
     right: DlpFormula
 
 
+@dataclass(frozen=True)
+class DTer(DlpFormula):
+    """The termination judgment ``label : prog ⇓ factor``.
+
+    From the label's store the program terminates.  ``factor`` is an
+    expression occurring in the label over variables outside it, a measure
+    that no step raises; it is None once the program is terminal.
+    """
+
+    label: Config
+    prog: Program
+    factor: object  # Expr | None
+
+
 def d_or(a: DlpFormula, b: DlpFormula) -> DlpFormula:
     return DNot(DAnd(DNot(a), DNot(b)))
 
@@ -165,6 +179,9 @@ def formula_key(f: DlpFormula) -> tuple:
         if k1[0] == "base" and k2[0] == "base":
             return ("base", ("and", k1[1], k2[1]))
         return ("and", k1, k2)
+    if isinstance(f, DTer):
+        factor = () if f.factor is None else canon.expr_key(f.factor)
+        return ("ter", canon.config_key(f.label), canon.program_key(f.prog), factor)
     raise TermError(f"formula_key: not a formula: {f!r}")
 
 
@@ -248,6 +265,11 @@ def free_vars(f) -> frozenset:
         for g in f.left + f.right:
             out |= free_vars(g)
         return out
+    if isinstance(f, DTer):
+        label_fv = terms.free_vars(f.label)
+        prog_fv = terms.free_vars(f.prog) - terms.bound_vars(f.label)
+        factor_fv = frozenset() if f.factor is None else terms.free_vars(f.factor)
+        return label_fv | prog_fv | factor_fv
     return terms.free_vars(f)
 
 
@@ -285,13 +307,7 @@ def substitute(f, bindings, scope=None):
     if isinstance(f, DLabeled):
         if not isinstance(f.label, Config):
             raise TermError("substitution over non-store labels is not defined")
-        inner = scope - terms.bound_vars(f.label)
-        for x in inner & frozenset(bindings) & body_free_vars(f.body):
-            clash = terms.free_vars(bindings[x]) & terms.bound_vars(f.label)
-            if clash:
-                raise terms.CaptureError(
-                    f"substituting {x} would capture {sorted(clash)} under a label"
-                )
+        inner = _scope_under(f.label, bindings, scope, body_free_vars(f.body))
         return DLabeled(
             terms.substitute(f.label, bindings, scope),
             substitute_body(f.body, bindings, inner),
@@ -308,7 +324,28 @@ def substitute(f, bindings, scope=None):
             tuple(substitute(g, bindings, scope) for g in f.left),
             tuple(substitute(g, bindings, scope) for g in f.right),
         )
+    if isinstance(f, DTer):
+        inner = _scope_under(f.label, bindings, scope, terms.free_vars(f.prog))
+        return DTer(
+            terms.substitute(f.label, bindings, scope),
+            terms.substitute(f.prog, bindings, inner),
+            None if f.factor is None else terms.substitute(f.factor, bindings, scope),
+        )
     return terms.substitute(f, bindings, scope)
+
+
+def _scope_under(label: Config, bindings, scope: frozenset, names: frozenset) -> frozenset:
+    """The substitution scope under ``label``, which binds its store
+    variables; ``CaptureError`` when a replacement for one of ``names``
+    would be captured there."""
+    inner = scope - terms.bound_vars(label)
+    for x in inner & frozenset(bindings) & names:
+        clash = terms.free_vars(bindings[x]) & terms.bound_vars(label)
+        if clash:
+            raise terms.CaptureError(
+                f"substituting {x} would capture {sorted(clash)} under a label"
+            )
+    return inner
 
 
 def base_formulas(side: tuple) -> list:

@@ -8,6 +8,15 @@ Context occurrences map by identity and never progress.  A box step always
 marks its target pair as progress; a diamond step progresses only when a
 termination judgment for the successor state is attached.
 
+Termination is itself a judgment of the calculus: ``σ : α ⇓ e`` says that
+from ``σ`` the program ``α`` terminates, with the factor ``e`` (an
+expression inside ``σ``) as its measure.  ``ter_step`` takes the one
+transition of ``α``, and the factor may not grow across it; the judgment's
+trace progresses only where the factor strictly decreases.  ``ter_eps``
+closes a judgment on the terminal program, and ``ter_base`` closes one
+through the structural, annotation-driven prover.  Cyclic termination
+proofs are ordinary proof graphs, checked by the same trace closure.
+
 Derived rules (imp_r, or_l, le, the cut variant that splits a conjunction
 on the left premise) expand into primitive applications internally and
 record one visible edge whose trace pairs are the composition, so replayed
@@ -32,6 +41,7 @@ from .formulas import (
     DLabeled,
     DNot,
     DlpFormula,
+    DTer,
     Sequent,
     base_formulas,
     formula_key,
@@ -48,18 +58,24 @@ from .terms import (
     BaseFormula,
     Config,
     Epsilon,
+    Expr,
+    Le,
+    Lit,
     NotF,
     Seq,
     apply_config,
     apply_stack_config,
+    ge,
+    lt,
 )
 from .whilelang import (
     LoopAnnotations,
-    ObligationFailed,
     State,
     TerminationJudgment,
     derive_termination_structural,
     derive_transitions,
+    is_subexpression,
+    require_accepted,
 )
 
 
@@ -87,7 +103,7 @@ PRIMITIVE_RULES = frozenset(
     {
         "box", "diamond", "ter", "int", "box_eps", "sub", "sigma_not",
         "sigma_and", "ax", "cut", "wk_l", "wk_r", "con_l", "con_r",
-        "not_l", "not_r", "and_l", "and_r",
+        "not_l", "not_r", "and_l", "and_r", "ter_step", "ter_eps", "ter_base",
     }
 )
 DERIVED_RULES = frozenset({"imp_r", "or_l", "le"})
@@ -243,6 +259,9 @@ MATCHERS = {
     # the lifts that lifting.default_registry pre-registers
     "sigma_seq": lambda f: _labeled(BBox)(f) and isinstance(f.body.prog, Seq),
     "sigma_gen": _labeled(BBox),  # the one formula on each side
+    "ter_step": lambda f: isinstance(f, DTer) and not isinstance(f.prog, Epsilon),
+    "ter_eps": lambda f: isinstance(f, DTer) and isinstance(f.prog, Epsilon),
+    "ter_base": lambda f: isinstance(f, DTer),
 }
 
 # the label rewrites: one premise replacing the matched labeled formula
@@ -351,6 +370,14 @@ class ProofGraph:
             )
         return hits[0]
 
+    def _context(self, nu: Sequent, occ, rule: str, what: str) -> tuple:
+        """The right occurrence ``rule`` applies to, and the base formulas
+        around it, under which its transitions are derived."""
+        occ = self._occurrence(nu.right, occ, MATCHERS[rule], what)
+        gamma = base_formulas(nu.left)
+        delta = base_formulas(nu.right[:occ] + nu.right[occ + 1:])
+        return occ, nu.right[occ], gamma, delta
+
     # -- rule dispatch ----------------------------------------------------------
 
     def apply_rule(self, node_id: int, rule: str, **args) -> list:
@@ -377,12 +404,9 @@ class ProofGraph:
     def _rule_box(self, node_id: int, occ: int | None = None) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-        occ = self._occurrence(nu.right, occ, MATCHERS["box"], "a boxed formula")
-        target: DLabeled = nu.right[occ]
+        occ, target, gamma, delta = self._context(nu, occ, "box", "a boxed formula")
         if isinstance(target.body.prog, Epsilon):
             raise SideConditionFailed("the box rule requires a non-terminal program")
-        gamma = base_formulas(nu.left)
-        delta = base_formulas(nu.right[:occ] + nu.right[occ + 1:])
         transitions = derive_transitions(
             gamma, State(target.body.prog, target.label), delta, self.oracle
         )
@@ -421,12 +445,9 @@ class ProofGraph:
     ) -> list:
         node = self._require_open(node_id)
         nu = node.sequent
-        occ = self._occurrence(nu.right, occ, MATCHERS["diamond"], "a diamond formula")
-        target: DLabeled = nu.right[occ]
+        occ, target, gamma, delta = self._context(nu, occ, "diamond", "a diamond formula")
         if isinstance(target.body.prog, Epsilon):
             raise SideConditionFailed("the diamond rule requires a non-terminal program")
-        gamma = base_formulas(nu.left)
-        delta = base_formulas(nu.right[:occ] + nu.right[occ + 1:])
         transitions = derive_transitions(
             gamma, State(target.body.prog, target.label), delta, self.oracle
         )
@@ -469,10 +490,81 @@ class ProofGraph:
         ob = check_obligation(
             self.oracle, base_formulas(nu.left), base_formulas(nu.right), node=node_id
         )
-        if not is_accepting(ob.verdict):
-            raise ObligationFailed(f"ter obligation failed: {ob.describe()}", ob)
+        require_accepted(ob, "ter obligation failed")
         instance = RuleInstance(
             "ter", nu, (), {}, (), [ob], consumed=tuple(range(len(nu.right)))
+        )
+        return self._attach(node_id, instance)
+
+    def _rule_ter_step(self, node_id: int, factor: Expr | None = None,
+                       occ: int | None = None) -> list:
+        node = self._require_open(node_id)
+        nu = node.sequent
+        occ, target, gamma, delta = self._context(
+            nu, occ, "ter_step", "a termination judgment on a non-terminal program"
+        )
+        transitions = derive_transitions(
+            gamma, State(target.prog, target.label), delta, self.oracle
+        )
+        if len(transitions) != 1:
+            raise SideConditionFailed(f"expected one transition, got {len(transitions)}")
+        t = transitions[0]
+        obligations = list(t.obligations)
+        new_factor, progress = None, False
+        if not isinstance(t.target.program, Epsilon):
+            new_factor = target.factor if factor is None else factor
+            if not is_subexpression(new_factor, t.target.config):
+                raise SideConditionFailed(
+                    "successor factor must occur inside the configuration"
+                )
+            oblige = partial(check_obligation, self.oracle, gamma, node=node_id)
+            ob = oblige([ge(new_factor, Lit(0))] + delta)
+            obligations.append(require_accepted(ob, "factor nonnegativity failed"))
+            ob = oblige([lt(new_factor, target.factor)] + delta)
+            progress = is_accepting(ob.verdict)
+            if not progress:
+                ob = require_accepted(
+                    oblige([Le(new_factor, target.factor)] + delta),
+                    "factor may grow across the step",
+                )
+            obligations.append(ob)
+        succ = DTer(t.target.config, t.target.program, new_factor)
+        premise = Sequent(nu.left, nu.right[:occ] + (succ,) + nu.right[occ + 1:])
+        pairs = (
+            _identity_pairs((i, i) for i in range(len(nu.right)) if i != occ)
+            + (TracePair(occ, occ, target=True, progress=progress),)
+        )
+        instance = RuleInstance(
+            "ter_step", nu, (premise,), {"occ": occ, "progress": progress}, (pairs,),
+            obligations,
+        )
+        return self._attach(node_id, instance)
+
+    def _rule_ter_eps(self, node_id: int, occ: int | None = None) -> list:
+        node = self._require_open(node_id)
+        nu = node.sequent
+        occ = self._occurrence(
+            nu.right, occ, MATCHERS["ter_eps"], "a termination judgment on ε"
+        )
+        instance = RuleInstance(
+            "ter_eps", nu, (), {"occ": occ}, (), consumed=tuple(range(len(nu.right)))
+        )
+        return self._attach(node_id, instance)
+
+    def _rule_ter_base(self, node_id: int, annotations: LoopAnnotations | None = None,
+                       occ: int | None = None) -> list:
+        node = self._require_open(node_id)
+        nu = node.sequent
+        occ, target, gamma, delta = self._context(
+            nu, occ, "ter_base", "a termination judgment"
+        )
+        judgment = derive_termination_structural(
+            gamma, State(target.prog, target.label), delta, self.oracle,
+            annotations=annotations, path_bound=self.path_bound,
+        )
+        instance = RuleInstance(
+            "ter_base", nu, (), {"occ": occ}, (), judgment.obligations,
+            consumed=tuple(range(len(nu.right))), termination=judgment,
         )
         return self._attach(node_id, instance)
 
@@ -731,8 +823,7 @@ class ProofGraph:
         occ = self._occurrence(nu.left, occ, MATCHERS["le"], "a base formula on the left")
         phi = nu.left[occ]
         ob = check_obligation(self.oracle, [phi.fml], [target], node=node_id)
-        if not is_accepting(ob.verdict):
-            raise ObligationFailed(f"le obligation failed: {ob.describe()}", ob)
+        require_accepted(ob, "le obligation failed")
         premise = Sequent(
             nu.left[:occ] + (DBase(target),) + nu.left[occ + 1:], nu.right
         )

@@ -131,6 +131,8 @@ class BoundedOracle:
         self.lo = lo
         self.hi = hi
         self.quantifier_range = quantifier_range or (lo, hi)
+        if self.quantifier_range[0] > self.quantifier_range[1]:
+            raise ValueError("empty quantifier range")
         self.max_points = max_points
         self._scans: dict = {}  # group shape -> compiled scan (see _group_scan)
 

@@ -21,7 +21,9 @@ Grammar (whitespace-insensitive)::
 
 Derived connectives normalize to the core on the way in; the printers emit
 only core connectives plus the relation sugar that reparses to the same
-tree, so ``parse(print(t)) == t``.
+tree, so ``parse(print(t)) == t``.  The termination judgment
+``config : prog ⇓ factor`` is printed, for dumps and error messages, but has
+no input syntax.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .formulas import (
     DLabeled,
     DNot,
     DlpFormula,
+    DTer,
     Sequent,
 )
 from .terms import (
@@ -823,6 +826,10 @@ def dlp_src(f: DlpFormula, level: int = 0) -> str:
     if isinstance(f, DAnd):
         s = f"{dlp_src(f.left, 2)} && {dlp_src(f.right, 3)}"
         return f"({s})" if level > 2 else s
+    if isinstance(f, DTer):
+        factor = "" if f.factor is None else f" {expr_src(f.factor)}"
+        s = f"{config_src(f.label)} : {prog_src(f.prog)} ⇓{factor}"
+        return f"({s})" if level > 0 else s
     raise TypeError(f"not a formula: {f!r}")
 
 

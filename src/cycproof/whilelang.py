@@ -10,10 +10,14 @@ Three layers live here:
     by the validity oracle, in either direction; an undecidable guard aborts
     with ``CaseSplitNeeded`` so the caller can cut on it, because an unknown
     guard must never silently shrink the successor set.
-  * two termination provers: a structural one driven by loop annotations
-    (invariant plus a decreasing factor), and a cyclic one that replays a
-    user script of steps, generalizations, and backlinks, accepting only
-    when every cycle crosses a strict factor decrease.
+  * ``derive_termination_structural``: the termination prover driven by
+    loop annotations (invariant plus a decreasing factor).
+
+Cyclic termination proofs have no engine of their own:
+``derive_termination_cyclic`` replays a script of steps, generalizations
+and backlinks as a kernel proof of the judgment ``σ : α ⇓ e`` and accepts it
+through the kernel's trace closure, so every cycle must cross a strict
+decrease of the factor ``e``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import parser
+from .formulas import DBase, DTer, Sequent
 from .oracle import Obligation, OracleUnavailable, check_obligation, is_accepting
 from .terms import (
     EPSILON,
@@ -47,12 +52,10 @@ from .terms import (
     fold,
     free_vars,
     fresh_name,
-    ge,
     gt,
     lt,
-    substitute,
 )
-from .canon import config_key, expr_key, formula_key, program_key
+from .canon import config_key, program_key
 
 
 class WellDefinednessError(TermError):
@@ -80,10 +83,6 @@ class MissingAnnotation(Exception):
     pass
 
 
-class UnknownNode(TermError):
-    """A node id outside ``1..len(nodes)`` of a termination prover."""
-
-
 class NoProgressOnCycle(Exception):
     def __init__(self, cycle):
         super().__init__(f"cycle without strict factor decrease: {list(cycle)}")
@@ -104,17 +103,6 @@ class State:
 
 def state_free_vars(s: State) -> frozenset:
     return free_vars(s.config) | (free_vars(s.program) - bound_vars(s.config))
-
-
-def substitute_state(s: State, bindings, scope=None) -> State:
-    if scope is None:
-        scope = frozenset(bindings)
-    scope = frozenset(scope)
-    inner = scope - bound_vars(s.config)
-    return State(
-        substitute(s.program, bindings, inner),
-        substitute(s.config, bindings, scope),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +261,8 @@ class TerminationJudgment:
     obligations: list
 
 
-def _require(ob: Obligation, message: str):
+def require_accepted(ob: Obligation, message: str) -> Obligation:
+    """``ob``, or ``ObligationFailed`` when its verdict does not accept."""
     if not is_accepting(ob.verdict):
         raise ObligationFailed(f"{message}: {ob.describe()}", ob)
     return ob
@@ -401,7 +390,7 @@ def _terminate_while(gamma, state, delta, oracle, annotations, obligations, path
     # Entry obligation: factor positive, invariant holds, guard true.
     entry = AndF(gt(factor, Lit(0)), AndF(invariant, loop.guard))
     ob1 = check_obligation(oracle, gamma, [apply_config(sigma, entry)] + list(delta))
-    obligations.append(_require(ob1, "loop entry obligation failed"))
+    obligations.append(require_accepted(ob1, "loop entry obligation failed"))
 
     # Inductive obligation on a generic configuration: one body pass from any
     # state on the invariant with the guard true strictly shrinks the factor.
@@ -419,7 +408,7 @@ def _terminate_while(gamma, state, delta, oracle, annotations, obligations, path
     ]
     rhs = apply_config(end, AndF(lt(factor, bound), invariant))
     ob2 = check_obligation(oracle, lhs, [rhs])
-    obligations.append(_require(ob2, "loop decrease obligation failed"))
+    obligations.append(require_accepted(ob2, "loop decrease obligation failed"))
 
     # Exit obligation: a non-positive factor forces the guard off.
     ob3 = check_obligation(
@@ -427,7 +416,7 @@ def _terminate_while(gamma, state, delta, oracle, annotations, obligations, path
         [apply_config(sigma_g, Le(factor, Lit(0))), apply_config(sigma_g, invariant)],
         [apply_config(sigma_g, NotF(loop.guard))],
     )
-    obligations.append(_require(ob3, "loop exit obligation failed"))
+    obligations.append(require_accepted(ob3, "loop exit obligation failed"))
 
     result = None
     if not state_free_vars(State(loop, sigma)):
@@ -439,7 +428,7 @@ def _terminate_while(gamma, state, delta, oracle, annotations, obligations, path
 
 
 # ---------------------------------------------------------------------------
-# Cyclic termination prover (factor-annotated, script-replayed)
+# Cyclic termination proofs: scripts replayed as kernel proofs
 # ---------------------------------------------------------------------------
 
 def is_subexpression(e: Expr, sigma: Config) -> bool:
@@ -455,243 +444,63 @@ def is_subexpression(e: Expr, sigma: Config) -> bool:
     return any(occurs(expr) for _, expr in sigma.entries)
 
 
-@dataclass
-class TermNode:
-    id: int
-    gamma: tuple
-    state: State | None  # None once the judgment has been weakened away
-    factor: Expr | None
-    delta: tuple
-    parent: int | None
-    closed: bool = False
-    children: list = field(default_factory=list)
-
-    def key(self) -> tuple:
-        state_key = self.state.key() if self.state is not None else None
-        factor = expr_key(self.factor) if self.factor is not None else None
-        return (
-            tuple(sorted(formula_key(f) for f in self.gamma)),
-            state_key,
-            factor,
-            tuple(sorted(formula_key(f) for f in self.delta)),
-        )
-
-
-class CyclicTerminationProver:
-    """Replays a termination script and checks its cycles for progress.
-
-    Nodes carry a base-formula context, one termination judgment with a
-    designated factor expression, and a base-formula residue.  A ``step``
-    follows the unique program transition and discharges the factor
-    obligations (new factor nonnegative, and bounded by, or strictly below,
-    the old one); backlinked cycles must contain a strict decrease.
-    """
-
-    def __init__(self, gamma, state: State, factor: Expr, delta, oracle):
-        if not is_subexpression(factor, state.config):
-            raise TermError("factor must occur inside the configuration")
-        self.oracle = oracle
-        self.nodes = [TermNode(1, tuple(gamma), state, factor, tuple(delta), None)]
-        self.backlinks: dict = {}
-        self.edges: list = []  # (parent, child, progress)
-        self.obligations: list = []
-
-    # -- bookkeeping --------------------------------------------------------
-
-    def node(self, node_id: int) -> TermNode:
-        if not (isinstance(node_id, int) and 1 <= node_id <= len(self.nodes)):
-            raise UnknownNode(f"no node {node_id!r}")
-        return self.nodes[node_id - 1]
-
-    def _new_node(self, parent: TermNode, gamma, state, factor, delta, progress=False) -> TermNode:
-        child = TermNode(
-            len(self.nodes) + 1, tuple(gamma), state, factor, tuple(delta), parent.id
-        )
-        self.nodes.append(child)
-        parent.children.append(child.id)
-        self.edges.append((parent.id, child.id, progress))
-        return child
-
-    def _ancestors(self, node_id: int):
-        walk = self.node(node_id).parent
-        while walk is not None:
-            yield walk
-            walk = self.node(walk).parent
-
-    def open_nodes(self) -> list:
-        return [n.id for n in self.nodes if not n.children and not n.closed]
-
-    def _open(self, node_id: int) -> TermNode:
-        n = self.node(node_id)
-        if n.closed or n.children:
-            raise TermError(f"node {node_id} is not open")
-        return n
-
-    # -- script operations ---------------------------------------------------
-
-    def step(self, node_id: int, new_factor: Expr | None = None):
-        n = self._open(node_id)
-        if n.state is None:
-            raise TermError("no termination judgment at this node")
-        transitions = derive_transitions(n.gamma, n.state, n.delta, self.oracle)
-        if len(transitions) != 1:
-            raise TermError(f"expected one transition, got {len(transitions)}")
-        t = transitions[0]
-        self.obligations.extend(t.obligations)
-        successor = t.target
-        if isinstance(successor.program, Epsilon):
-            factor = None
-            progress = False
-        else:
-            factor = new_factor if new_factor is not None else n.factor
-            if not is_subexpression(factor, successor.config):
-                raise TermError("successor factor must occur inside the configuration")
-            ob_nonneg = check_obligation(
-                self.oracle, n.gamma, [ge(factor, Lit(0))] + list(n.delta), node=n.id
-            )
-            self.obligations.append(_require(ob_nonneg, "factor nonnegativity failed"))
-            ob_strict = check_obligation(
-                self.oracle, n.gamma, [lt(factor, n.factor)] + list(n.delta), node=n.id
-            )
-            if is_accepting(ob_strict.verdict):
-                self.obligations.append(ob_strict)
-                progress = True
-            else:
-                ob_weak = check_obligation(
-                    self.oracle, n.gamma, [Le(factor, n.factor)] + list(n.delta), node=n.id
-                )
-                self.obligations.append(_require(ob_weak, "factor may grow across the step"))
-                progress = False
-        return self._new_node(n, n.gamma, successor, factor, n.delta, progress)
-
-    def eps(self, node_id: int):
-        n = self._open(node_id)
-        if n.state is None or not isinstance(n.state.program, Epsilon):
-            raise TermError("eps closes terminal-program nodes only")
-        n.closed = True
-
-    def base(self, node_id: int, annotations: LoopAnnotations | None = None):
-        """Close a node by the structural prover (loop-free, or annotated)."""
-        n = self._open(node_id)
-        if n.state is None:
-            raise TermError("no termination judgment at this node")
-        judgment = derive_termination_structural(
-            n.gamma, n.state, n.delta, self.oracle, annotations=annotations or LoopAnnotations()
-        )
-        self.obligations.extend(judgment.obligations)
-        n.closed = True
-
-    def sub(self, node_id: int, bindings: dict, premise: TermNode | tuple):
-        """Generalization: the substituted premise must equal this node."""
-        n = self._open(node_id)
-        gamma, state, factor, delta = premise
-        inst_gamma = tuple(substitute(f, bindings) for f in gamma)
-        inst_delta = tuple(substitute(f, bindings) for f in delta)
-        inst_state = substitute_state(state, bindings)
-        inst_factor = substitute(factor, bindings)
-        candidate = TermNode(0, inst_gamma, inst_state, inst_factor, inst_delta, None)
-        if candidate.key() != n.key():
-            raise TermError("substituted premise does not match the node")
-        return self._new_node(n, tuple(gamma), state, factor, tuple(delta))
-
-    def cut(self, node_id: int, fml: BaseFormula):
-        n = self._open(node_id)
-        right = self._new_node(n, n.gamma, n.state, n.factor, n.delta + (fml,))
-        left = self._new_node(n, n.gamma + (fml,), n.state, n.factor, n.delta)
-        return right, left
-
-    def or_l(self, node_id: int, occ: int):
-        n = self._open(node_id)
-        phi = n.gamma[occ]
-        shape = phi
-        if not (
-            isinstance(shape, NotF)
-            and isinstance(shape.body, AndF)
-            and isinstance(shape.body.left, NotF)
-            and isinstance(shape.body.right, NotF)
-        ):
-            raise TermError("or_l expects a disjunction at the occurrence")
-        a = shape.body.left.body
-        b = shape.body.right.body
-        out = []
-        for disjunct in (a, b):
-            gamma = list(n.gamma)
-            gamma[occ] = disjunct
-            out.append(self._new_node(n, tuple(gamma), n.state, n.factor, n.delta))
-        return tuple(out)
-
-    def wk_l(self, node_id: int, occs):
-        n = self._open(node_id)
-        keep = [f for i, f in enumerate(n.gamma) if i not in set(occs)]
-        return self._new_node(n, tuple(keep), n.state, n.factor, n.delta)
-
-    def wk_r(self, node_id: int, occs=(), drop_judgment: bool = False):
-        n = self._open(node_id)
-        keep = [f for i, f in enumerate(n.delta) if i not in set(occs)]
-        state = None if drop_judgment else n.state
-        factor = None if drop_judgment else n.factor
-        return self._new_node(n, n.gamma, state, factor, tuple(keep))
-
-    def ter(self, node_id: int):
-        n = self._open(node_id)
-        if n.state is not None:
-            raise TermError("ter closes base-only nodes; weaken the judgment first")
-        ob = check_obligation(self.oracle, n.gamma, n.delta, node=n.id)
-        self.obligations.append(_require(ob, "terminal sequent not valid"))
-        n.closed = True
-
-    def backlink(self, node_id: int, companion_id: int):
-        n = self._open(node_id)
-        companion = self.node(companion_id)
-        if companion_id not in set(self._ancestors(node_id)):
-            raise TermError(f"node {companion_id} is not an ancestor of {node_id}")
-        if companion.key() != n.key():
-            raise TermError("bud and companion differ")
-        self.backlinks[n.id] = companion_id
-        self.edges.append((n.id, companion_id, False))
-        n.closed = True
-
-    # -- acceptance ----------------------------------------------------------
-
-    def check(self) -> TerminationJudgment:
-        """Accept when every cycle crosses a strict factor decrease.
-
-        This is the trace closure over one occurrence, the judgment, whose
-        edges progress exactly where the factor strictly decreases.
-        """
-        from . import cyclic  # cyclic imports kernel, which imports this module
-
-        if self.open_nodes():
-            raise TermError(f"open nodes remain: {self.open_nodes()}")
-        edge_lookup = {(u, v): frozenset({(0, 0, progress)}) for u, v, progress in self.edges}
-        companions, segments = cyclic.companion_segments(
-            self.backlinks, self._ancestors, edge_lookup
-        )
-        failure = cyclic.closure_reject(segments, companions)
-        if failure is not None:
-            raise NoProgressOnCycle(failure[2])
-        root = self.nodes[0]
-        return TerminationJudgment(
-            root.gamma,
-            root.state,
-            root.delta,
-            None,
-            ("cyclic", tuple(self.backlinks.items())),
-            self.obligations,
-        )
-
-
 def derive_termination_cyclic(gamma, state: State, factor: Expr, delta, oracle, script):
-    """Replay a list of ``(op, args...)`` operations and check the result.
+    """Replay a termination script as a kernel proof of ``state ⇓ factor``.
 
     Operations: ``("step", node, [factor])``, ``("eps", node)``,
     ``("base", node, [annotations])``, ``("sub", node, bindings, premise)``,
     ``("cut", node, fml)``, ``("or_l", node, occ)``, ``("wk_l", node, occs)``,
     ``("wk_r", node, occs, drop_judgment)``, ``("ter", node)``,
-    ``("backlink", node, companion)``.
+    ``("backlink", node, companion)``.  A node holds the base formulas
+    ``gamma`` on the left and the judgment, then ``delta``, on the right, so
+    a ``sub`` premise is ``(gamma, state, factor, delta)`` and the ``wk_r``
+    indices count ``delta``.  Misuse raises the kernel's errors; a cycle
+    without a strict factor decrease raises ``NoProgressOnCycle``.
     """
-    prover = CyclicTerminationProver(gamma, state, factor, delta, oracle)
-    for op in script:
-        name, node_id, *args = op
-        getattr(prover, name)(node_id, *args)
-    return prover.check()
+    from . import cyclic, kernel  # both import this module
+
+    if not is_subexpression(factor, state.config):
+        raise TermError("factor must occur inside the configuration")
+
+    def sequent(gamma, state, factor, delta) -> Sequent:
+        judgment = DTer(state.config, state.program, factor)
+        return Sequent(tuple(map(DBase, gamma)), (judgment,) + tuple(map(DBase, delta)))
+
+    graph = kernel.ProofGraph(sequent(gamma, state, factor, delta), oracle=oracle)
+    rule = graph.apply_rule
+
+    def wk_r(node_id, occs=(), drop_judgment=False):
+        if any(isinstance(f, DTer) for f in graph.node(node_id).sequent.right):
+            occs = [i + 1 for i in occs] + ([0] if drop_judgment else [])
+        rule(node_id, "wk_r", occs=occs)
+
+    operations = {
+        "step": lambda n, factor=None: rule(n, "ter_step", factor=factor),
+        "eps": lambda n: rule(n, "ter_eps"),
+        "base": lambda n, annotations=None: rule(n, "ter_base", annotations=annotations),
+        "sub": lambda n, bindings, premise: rule(
+            n, "sub", bindings=bindings, premise=sequent(*premise)),
+        "cut": lambda n, fml: rule(n, "cut", fml=DBase(fml)),
+        "or_l": lambda n, occ: rule(n, "or_l", occ=occ),
+        "wk_l": lambda n, occs: rule(n, "wk_l", occs=occs),
+        "wk_r": wk_r,
+        "ter": lambda n: rule(n, "ter"),
+        "backlink": graph.link_bud,
+    }
+    for name, node_id, *args in script:
+        if name not in operations:
+            raise TermError(f"unknown termination script operation {name!r}")
+        operations[name](node_id, *args)
+    if graph.open_goals():
+        raise kernel.KernelError(f"open goals remain: {graph.open_goals()}")
+    certificate = cyclic.check_cyclic(graph)
+    if not certificate.accepted:
+        raise NoProgressOnCycle(certificate.reject_cycle)
+    return TerminationJudgment(
+        tuple(gamma),
+        state,
+        tuple(delta),
+        None,
+        ("cyclic", tuple(graph.backlinks.items())),
+        graph.obligations(),
+    )

@@ -110,6 +110,13 @@ def test_grid_cap_returns_unknown():
         assert isinstance(out, Unknown) and "10201 grid points" in out.reason, right
 
 
+def test_empty_ranges_are_refused():
+    # over an empty quantifier range every ``forall`` would hold vacuously
+    for kwargs in ({"lo": 1, "hi": 0}, {"lo": -3, "hi": 3, "quantifier_range": (2, 1)}):
+        with pytest.raises(ValueError, match="empty"):
+            BoundedOracle(**kwargs)
+
+
 def test_total_sequents_are_decided_from_their_literals(monkeypatch):
     compiled = []
     real = oracle_module._compile_scan

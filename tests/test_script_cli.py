@@ -218,6 +218,12 @@ def test_cli_search_and_eval(tmp_path):
     diverging.write_text("while 1 <= 1 do skip end\n")
     ev2 = _cli("eval", str(diverging), "--config", "{n -> 0}", "--bound", "10")
     assert "exit flag: bound" in ev2.stdout
+    # a guard deeper than the parser's stack is a usage error, not a traceback
+    deep = tmp_path / "deep.txt"
+    deep.write_text("while " + "forall y . " * 400 + "x <= 0 do skip end\n")
+    ev3 = _cli("eval", str(deep), "--config", "{x -> 0}")
+    assert ev3.returncode == 2 and "Traceback" not in ev3.stderr, ev3.stderr[-300:]
+    assert ev3.stderr.startswith("cannot load program:"), ev3.stderr
 
 
 def test_cli_bad_oracle_spec_is_usage_error(tmp_path, capsys):

@@ -3,16 +3,15 @@ from __future__ import annotations
 import pytest
 
 from conftest import wp_cyclic_goal, wp_cyclic_script
+from cycproof.kernel import KernelError
 from cycproof.parser import parse_config, parse_expr, parse_fml, parse_prog
 from cycproof.terms import TermError
 from cycproof.whilelang import (
-    CyclicTerminationProver,
     LoopAnnotations,
     MissingAnnotation,
     NoProgressOnCycle,
     ObligationFailed,
     State,
-    UnknownNode,
     derive_termination_cyclic,
     derive_termination_structural,
     is_subexpression,
@@ -104,7 +103,7 @@ def test_structural_acceptance_implies_real_termination(oracle):
 
 
 # ---------------------------------------------------------------------------
-# The cyclic termination prover
+# Cyclic termination proofs, replayed through the kernel
 # ---------------------------------------------------------------------------
 
 def test_factor_must_occur_in_configuration(oracle):
@@ -177,12 +176,57 @@ def test_factor_may_not_grow(oracle):
 
 def test_node_ids_outside_the_prover_are_refused(oracle):
     state = State(parse_prog("while 1 <= 1 do skip end"), parse_config("{n -> 0}"))
-    prover = CyclicTerminationProver([], state, parse_expr("0"), [], oracle)
-    prover.step(1)
-    assert prover.node(2).id == 2
-    for bad in (0, -1, 3, "1"):  # 0 and -1 used to address the last nodes
-        with pytest.raises(UnknownNode):
-            prover.node(bad)
-        with pytest.raises(UnknownNode):
-            prover.step(bad)
-    assert len(prover.nodes) == 2
+    for bad in (0, -1, 3, "1"):  # 0 and -1 must not address the last nodes
+        with pytest.raises(KernelError, match="no node"):
+            derive_termination_cyclic(
+                [], state, parse_expr("0"), [], oracle, [("step", 1), ("step", bad)]
+            )
+
+
+_COUNTDOWN = ("while n > 0 do n := n - 1 end", "{n -> 2}", "2")
+_SKIP_LOOP = ("while 1 <= 1 do skip end", "{n -> 0}", "0")
+
+
+def _forged_scripts():
+    other = ((), State(parse_prog("skip"), parse_config("{n -> m}")), parse_expr("m"), ())
+    return {
+        "backlink_to_non_ancestor": (
+            _SKIP_LOOP, [("cut", 1, parse_fml("0 <= 0")), ("backlink", 3, 2)]),
+        "bud_differs_from_companion": (
+            _COUNTDOWN, [("step", 1), ("backlink", 2, 1)]),
+        "ter_while_judgment_kept": (_SKIP_LOOP, [("ter", 1)]),
+        "eps_on_non_terminal_program": (_SKIP_LOOP, [("eps", 1)]),
+        "sub_premise_does_not_match": (
+            _SKIP_LOOP, [("sub", 1, {"m": parse_expr("0")}, other)]),
+        "node_left_open": (_SKIP_LOOP, [("step", 1)]),
+        "step_on_closed_node": (
+            _SKIP_LOOP, [("step", 1), ("backlink", 2, 1), ("step", 2)]),
+        "invalid_ter": (_SKIP_LOOP, [("wk_r", 1, (), True), ("ter", 2)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_forged_scripts()))
+def test_forged_termination_scripts_are_refused(oracle, name):
+    (prog, config, factor), script = _forged_scripts()[name]
+    state = State(parse_prog(prog), parse_config(config))
+    with pytest.raises((TermError, KernelError, ObligationFailed, NoProgressOnCycle)):
+        derive_termination_cyclic([], state, parse_expr(factor), [], oracle, script)
+
+
+def test_termination_judgment_is_a_kernel_formula(oracle):
+    from cycproof.formulas import DTer, Sequent, formula_key, free_vars, substitute
+    from cycproof.kernel import ProofGraph
+
+    # the label binds the program's variables, not the factor's
+    judgment = DTer(parse_config("{n -> n}"), parse_prog("n := n - 1"), parse_expr("n"))
+    assert free_vars(judgment) == frozenset({"n"})
+    image = substitute(judgment, {"n": parse_expr("2")})
+    assert image == DTer(parse_config("{n -> 2}"), parse_prog("n := n - 1"), parse_expr("2"))
+    assert formula_key(image) != formula_key(judgment)
+
+    graph = ProofGraph(Sequent((), (image,)), oracle=oracle)
+    (child,) = graph.apply_rule(1, "ter_step")
+    graph.apply_rule(child, "ter_eps")
+    assert graph.open_goals() == []
+    assert '". => {n -> 2} : n := n - 1 ⇓ 2" (rule ter_step occ 0 progress False)' in graph.dump()
+    assert '". => {n -> 2 - 1} : ε ⇓" (rule ter_eps occ 0)' in graph.dump()
