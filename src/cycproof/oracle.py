@@ -22,18 +22,27 @@ compiled once per *shape* (the group's literal keys with its free names
 replaced by their positions among the group's sorted names) and kept in a
 dict on the oracle instance for as long as it lives, one command-line run.
 A literal's key and free names are kept on its node (see ``_literal``), so
-a path condition carried by many guards is read once.
+a path condition carried by many guards is read once.  Since no literal of
+a group can raise, the scan may evaluate them in any order: each literal is
+tested in the outermost loop that binds all its free variables, and each
+largest subterm over outer variables only is computed once, before the
+loops that do not change it, into a temporary shared by equal subterms.
+The loops still visit the grid in the same order and skip only points that
+a literal already decides, so the first counterexample is unchanged.
 
 Any other obligation is compiled as it stands into one Python loop nest over
 the box (see ``_compile_scan``) that evaluates what ``terms.eval_bool``
-would, in the same order, so the first division by zero is the scalar
-evaluator's.  The external oracle emits an SMT-LIB2 problem (logic QF_NIA)
-to a solver subprocess and maps unsat/sat/unknown to Valid/Invalid/Unknown.
-It reads the sequent as the scan's single test, ``G1 && ... && Gn && !(D1 ||
-... || Dm)`` with ``eval_bool``'s short cuts, and asserts ``(not (and def (=>
-G D)))``, where ``def`` holds where that evaluation divides by no zero (see
-``emit_smtlib``): a point where the scan would stop with a division by zero
-makes the problem satisfiable, so it is never ``Valid``.
+would, in the same order and all in the innermost loop, so the first
+division by zero is the scalar evaluator's: there the order decides which
+error is met first, so nothing is moved.
+
+The external oracle emits an SMT-LIB2 problem (logic QF_NIA) to a solver
+subprocess and maps unsat/sat/unknown to Valid/Invalid/Unknown.  It reads
+the sequent as the ordered scan's single test, ``G1 && ... && Gn && !(D1 ||
+... || Dm)`` with ``eval_bool``'s short cuts, and asserts ``(not (and def
+(=> G D)))``, where ``def`` holds where that evaluation divides by no zero
+(see ``emit_smtlib``): a point where the scan would stop with a division by
+zero makes the problem satisfiable, so it is never ``Valid``.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import re
 import subprocess
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 from . import parser
 from .terms import (
@@ -187,7 +197,7 @@ class BoundedOracle:
         if scan is None:
             gamma = [phi for side, _, phi, _ in group if side == 0]
             delta = [phi for side, _, phi, _ in group if side == 1]
-            scan = self._scans[shape] = _compile_scan(names, gamma, delta)
+            scan = self._scans[shape] = _compile_scan(names, gamma, delta, total=True)
         return names, scan
 
 
@@ -319,7 +329,23 @@ def _independent_groups(kept: list) -> list:
 # ---------------------------------------------------------------------------
 #
 # ``_compile_scan`` turns one obligation, or one independent group of a
-# total obligation's literals, into
+# total obligation's literals, into one Python loop nest over the box, with
+# the i-th free variable (in sorted-name order) as ``_v<i>`` and the variable
+# of a quantifier nested d deep as ``_b<d>``, so the loops visit the grid in
+# the lexicographic order of the sorted names.  Only generated names and the
+# literals' integer values reach the compiler: no text of the user's is
+# parsed, and a variable named ``and`` or ``all`` cannot collide with Python.
+# The tree is built with positions already set, because
+# ``ast.fix_missing_locations`` recurses once per level and deep terms would
+# exhaust the stack there first.
+#
+# The body of the loop over ``_v<i>`` is *level* i, and the function's body
+# before the first loop is level -1.  A test sits at one level, as
+# ``<its Gamma joined by and> and not (<its Delta joined by or>)``, and the
+# rest of the level's body runs only where it holds, so a point that fails
+# it skips the whole rest of that iteration; the innermost level returns the
+# point.  An obligation that is not total is tested in one piece at the
+# innermost level, with nothing computed ahead:
 #
 #     def _scan(_span, _qspan):
 #         for _v0 in _span:
@@ -327,17 +353,37 @@ def _independent_groups(kept: list) -> list:
 #                 if <Gamma joined by and> and not (<Delta joined by or>):
 #                     return (_v0, _v1)
 #
-# with the i-th free variable (in sorted-name order) as ``_v<i>`` and the
-# variable of a quantifier nested d deep as ``_b<d>``, so the loops visit the
-# grid in the lexicographic order of the sorted names.  Python's ``and``,
-# ``or`` and ``not`` short-circuit exactly where ``eval_bool`` does, and its
-# operands are evaluated left to right as ``evaluate`` does, so the first
-# counterexample and the first unmasked division by zero are the ones the
-# scalar evaluator meets.  Only generated names and the literals' integer
-# values reach the compiler: no text of the user's is parsed, and a variable
-# named ``and`` or ``all`` cannot collide with Python.  The tree is built with
-# positions already set, because ``ast.fix_missing_locations`` recurses once
-# per level and deep terms would exhaust the stack there first.
+# Python's ``and``, ``or`` and ``not`` short-circuit exactly where
+# ``eval_bool`` does, and its operands are evaluated left to right as
+# ``evaluate`` does, so the first counterexample and the first unmasked
+# division by zero are the ones the scalar evaluator meets.
+#
+# The literals of a total group cannot raise, so the order in which they and
+# their subterms are evaluated cannot change the answer, and each is placed
+# where it costs least (loop-invariant code motion).  A literal is tested at
+# the outermost level where all its free variables are bound: the highest
+# rank in its ``free`` set.  A maximal arithmetic subterm whose variables are
+# all bound at a shallower level than the literal that uses it (``-1`` when
+# it has none, and never when it mentions a quantified variable) is computed
+# once at that level, into a temporary ``_h<k>`` assigned after the level's
+# own test; a hoisted subterm hoists its own shallower subterms the same way.
+# For ``0 <= v - m, v - m <= 0 => w + 6 * ((2 * v - m + 1) * m / 2) <= ...``
+# over ``m, v, w``:
+#
+#         for _v0 in _span:
+#             for _v1 in _span:
+#                 if 0 <= _v1 - _v0 and _v1 - _v0 <= 0 and not False:
+#                     _h0 = 6 * _tdiv((2 * _v1 - _v0 + 1) * _v0, 2)
+#                     for _v2 in _span:
+#                         if True and not (_v2 + _h0 <= ...):
+#                             return (_v0, _v1, _v2)
+#
+# The loops and their order are unchanged, and a test skips only points
+# where some literal already decides the group's test, so the first point
+# returned is the one the ordered scan returns.  Structurally equal subterms
+# share one temporary: a subterm's key is its operators and constants with
+# each variable replaced by its generated name, which is its rank or its
+# quantifier depth, so no user name and no printed text enters the key.
 #
 # Since free names become ``_v<i>`` by their rank and bound names ``_b<d>`` by
 # their depth, the code depends only on the group's shape, which
@@ -357,32 +403,70 @@ def _name(identifier: str, ctx=ast.Load) -> ast.Name:
     return ast.Name(identifier, ctx(), **_AT)
 
 
-def _expr_ast(e, scope: dict) -> ast.expr:
-    if isinstance(e, Lit):
-        return ast.Constant(e.value, **_AT)
-    if isinstance(e, Var):
-        return _name(scope[e.name])
-    if isinstance(e, BinOp):
-        left = _expr_ast(e.left, scope)
-        right = _expr_ast(e.right, scope)
-        if e.op == "/":
-            return ast.Call(_name("_tdiv"), [left, right], [], **_AT)
-        return ast.BinOp(left, _ARITH[e.op](), right, **_AT)
-    raise TermError(f"evaluate: not an expression: {e!r}")
+def _arith_ast(op: str, left: ast.expr, right: ast.expr) -> ast.expr:
+    if op == "/":
+        return ast.Call(_name("_tdiv"), [left, right], [], **_AT)
+    return ast.BinOp(left, _ARITH[op](), right, **_AT)
 
 
-def _fml_ast(phi, scope: dict, depth: int) -> ast.expr:
+class _Temporaries:
+    """The subterms one scan computes ahead of the literals that use them: a
+    temporary per distinct key, and its assignment at its level.  Nothing is
+    computed ahead of a literal tested at level -1, the ordered scan's."""
+
+    def __init__(self, count: int):
+        self.levels = {f"_v{i}": i for i in range(count)}
+        self.bound = count  # a quantified variable's level: below every loop
+        self.names: dict = {}  # a subterm's key -> its temporary
+        self.assigns = [[] for _ in range(count + 1)]  # level -1, 0, 1, ...
+
+    def term(self, e, scope: dict, here: int) -> ast.expr:
+        """The code of ``e`` in a literal tested at level ``here``."""
+        return self._code(self._plan(e, scope), here)
+
+    def _plan(self, e, scope: dict) -> tuple:
+        """``(level, key, parts)`` for ``e``: the deepest level of its
+        variables, its key, and ``(op, left plan, right plan)`` for a
+        ``BinOp`` (``None`` for a leaf, whose key is its value or name)."""
+        if isinstance(e, Lit):
+            return -1, e.value, None
+        if isinstance(e, Var):
+            name = scope[e.name]
+            return self.levels.get(name, self.bound), name, None
+        if isinstance(e, BinOp):
+            left = self._plan(e.left, scope)
+            right = self._plan(e.right, scope)
+            return max(left[0], right[0]), (e.op, left[1], right[1]), (e.op, left, right)
+        raise TermError(f"evaluate: not an expression: {e!r}")
+
+    def _code(self, plan: tuple, here: int) -> ast.expr:
+        level, key, parts = plan
+        if parts is None:
+            return _name(key) if type(key) is str else ast.Constant(key, **_AT)
+        if level < here:
+            temp = self.names.get(key)
+            if temp is None:
+                value = self._code(plan, level)
+                temp = self.names[key] = f"_h{len(self.names)}"
+                self.assigns[level + 1].append(
+                    ast.Assign([_name(temp, ast.Store)], value, **_AT))
+            return _name(temp)
+        op, left, right = parts
+        return _arith_ast(op, self._code(left, here), self._code(right, here))
+
+
+def _fml_ast(phi, scope: dict, depth: int, term) -> ast.expr:
     if isinstance(phi, Le):
-        left = _expr_ast(phi.left, scope)
-        return ast.Compare(left, [ast.LtE()], [_expr_ast(phi.right, scope)], **_AT)
+        left = term(phi.left, scope)
+        return ast.Compare(left, [ast.LtE()], [term(phi.right, scope)], **_AT)
     if isinstance(phi, NotF):
-        return ast.UnaryOp(ast.Not(), _fml_ast(phi.body, scope, depth), **_AT)
+        return ast.UnaryOp(ast.Not(), _fml_ast(phi.body, scope, depth, term), **_AT)
     if isinstance(phi, AndF):
-        left = _fml_ast(phi.left, scope, depth)
-        return ast.BoolOp(ast.And(), [left, _fml_ast(phi.right, scope, depth)], **_AT)
+        left = _fml_ast(phi.left, scope, depth, term)
+        return ast.BoolOp(ast.And(), [left, _fml_ast(phi.right, scope, depth, term)], **_AT)
     if isinstance(phi, Forall):
         bound = f"_b{depth}"
-        body = _fml_ast(phi.body, {**scope, phi.var: bound}, depth + 1)
+        body = _fml_ast(phi.body, {**scope, phi.var: bound}, depth + 1, term)
         loop = ast.comprehension(_name(bound, ast.Store), _name("_qspan"), [], 0)
         return ast.Call(_name("all"), [ast.GeneratorExp(body, [loop], **_AT)], [], **_AT)
     raise TermError(f"eval_bool: not a base formula: {phi!r}")
@@ -396,19 +480,36 @@ def _join(op, values: list, empty: bool) -> ast.expr:
     return ast.BoolOp(op, values, **_AT)
 
 
-def _compile_scan(names: list, gamma: tuple, delta: tuple):
+def _compile_scan(names: list, gamma: tuple, delta: tuple, total: bool = False):
     """``scan(span, qspan)``: the first grid point (one value per name of
     ``names``, the sequent's free variables in sorted order, each over
     ``span``) at which every member of ``gamma`` holds and none of ``delta``
-    does, or ``None``; bounded quantifiers range over ``qspan``."""
+    does, or ``None``; bounded quantifiers range over ``qspan``.  With
+    ``total``, the members are literals of a total group (see ``_literal``),
+    each tested at its own level with its subterms placed ahead of it."""
     scope = {x: f"_v{i}" for i, x in enumerate(names)}
-    holds = _join(ast.And(), [_fml_ast(f, scope, 0) for f in gamma], True)
-    fails = _join(ast.Or(), [_fml_ast(f, scope, 0) for f in delta], False)
-    test = ast.BoolOp(ast.And(), [holds, ast.UnaryOp(ast.Not(), fails, **_AT)], **_AT)
-    point = ast.Tuple([_name(v) for v in scope.values()], ast.Load(), **_AT)
-    body = [ast.If(test, [ast.Return(point, **_AT)], [], **_AT)]
-    for i in reversed(range(len(names))):
-        body = [ast.For(_name(f"_v{i}", ast.Store), _name("_span"), body, [], **_AT)]
+    rank = {x: i for i, x in enumerate(names)}
+    temporaries = _Temporaries(len(names))
+    tests = [([], []) for _ in range(len(names) + 1)]  # level -1, 0, 1, ...
+    for side, formulas in enumerate((gamma, delta)):
+        for phi in formulas:
+            if total:
+                level = here = max(rank[x] for x in _literal(phi)[1])
+            else:
+                level, here = len(names) - 1, -1  # nothing computed ahead
+            term = partial(temporaries.term, here=here)
+            tests[level + 1][side].append(_fml_ast(phi, scope, 0, term))
+    body = [ast.Return(ast.Tuple([_name(v) for v in scope.values()], ast.Load(), **_AT),
+                       **_AT)]
+    for level in reversed(range(-1, len(names))):
+        body = temporaries.assigns[level + 1] + body
+        holds, fails = tests[level + 1]
+        if holds or fails:
+            holds = _join(ast.And(), holds, True)
+            fails = ast.UnaryOp(ast.Not(), _join(ast.Or(), fails, False), **_AT)
+            body = [ast.If(ast.BoolOp(ast.And(), [holds, fails], **_AT), body, [], **_AT)]
+        if level >= 0:
+            body = [ast.For(_name(f"_v{level}", ast.Store), _name("_span"), body, [], **_AT)]
     params = ast.arguments([], [ast.arg("_span", **_AT), ast.arg("_qspan", **_AT)],
                            None, [], [], None, [])
     scan = ast.FunctionDef("_scan", params, body, [], None, **_AT)

@@ -109,18 +109,32 @@ KEYWORDS = {
 # nests one level per ``;`` in the term functions too, so an input may join
 # at most MAX_SEQUENCE statements (1000 did not fit, 200 do).  The parser
 # builds a chain ``a + b + ...`` or ``a && b && ...`` in a loop, but the term
-# nests one level per operator, and three per ``||`` or ``->`` (each stands
-# for a ``!``, a ``&&`` and a ``!``), so an input's binary operators may build
-# at most MAX_CHAIN levels (1200 ``+`` did not fit; a configuration's ``->``
+# nests one level per operator, three per ``||`` or ``->`` (each stands for a
+# ``!``, a ``&&`` and a ``!``) and one per ``==`` or ``!=`` (each stands for a
+# ``&&``, which its printed form shows), so an input's binary operators may
+# build at most MAX_CHAIN levels (1200 ``+`` did not fit; a configuration's ``->``
 # maps a variable and builds none).  Input at each cap must still parse and
 # print 100 frames below a test runner's own: the formula parser spends five
 # frames per ``!(`` level, and 160 levels fit with about 45 frames to spare.
+#
+# What is accepted must also read back once printed.  The printers write
+# ``a || b`` as ``!(!(a) && !(b))`` and ``a -> b`` as ``!(a && !(b))``, so in
+# a chain of n such operators the first operand of ``||`` (the last of
+# ``->``) prints 2n levels deeper than it is written.  Each ``||`` and ``->``
+# is therefore charged two levels of nesting, for the tokens after it in its
+# chain and, through the chain's deepest token so far, for those before it.
+# A chain is the run of tokens between brackets, between an ``if`` or
+# ``while`` and its ``then`` or ``do`` (a guard, printed on its own), or
+# between the ``,`` and ``=>`` that separate the formulas of a list.  This
+# bounds the printed nesting from above, exactly for a chain of ``||`` alone.
 MAX_NESTING = 160
 MAX_SEQUENCE = 500
 MAX_CHAIN = 500
 _OPENING = ("(", "[", "{")
-_LEVELS = {"+": 1, "-": 1, "*": 1, "/": 1, "&&": 1, "||": 3, "->": 3}
+_LEVELS = {"+": 1, "-": 1, "*": 1, "/": 1, "&&": 1, "||": 3, "->": 3, "==": 1, "!=": 1}
 _CLOSING = (")", "]", "}")
+_GUARD = {"if": "then", "while": "do"}  # a guard's first keyword -> its last
+_LIST_SEPARATORS = (",", "=>")
 # a "-" after one of these is binary; anywhere else it is a prefix operator
 _VALUE_END = ("int", "ident")
 
@@ -140,6 +154,14 @@ class _Tokens:
         joins = 0  # ";" tokens
         chained = 0  # levels built by binary operators
         braces = 0  # open "{": inside a configuration "->" maps a variable
+        # per open bracket or guard: [the keyword that closes a guard, or None;
+        # the nesting its chain's "||" and "->" charge; the deepest printed
+        # nesting of a token of the chain; the deepest of any token in it].
+        # A token nests deeper than the one before it only at an opening
+        # bracket, a prefix operator or a "||" or "->", so only those are
+        # checked; the others nest as deep as the chain's start.
+        chains = [[None, 0, 0, 0]]
+        charged = 0  # the charges of all open chains
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if not m:
@@ -148,41 +170,73 @@ class _Tokens:
             if m.lastgroup != "ws":
                 kind = m.lastgroup
                 is_prefix = chunk == "!" or chunk == "-" and not self._after_value()
-                if kind == "ident" and chunk in KEYWORDS:
-                    kind = "kw"
+                nesting = 0  # set where the token may nest deeper than the chain's start
+                if kind != "op":
+                    if kind == "ident" and chunk in KEYWORDS:
+                        kind = "kw"
+                        if chunk == chains[-1][0] and len(chains) > 1:
+                            charged -= _close(chains)
+                        elif chunk in _GUARD:
+                            base = depth + charged
+                            chains.append([_GUARD[chunk], 0, base, base])
                 elif chunk in _OPENING:
                     depth += 1
                     braces += chunk == "{"
                     prefix -= after_prefix
+                    nesting = depth + prefix + charged
                 elif chunk in _CLOSING:
                     depth -= 1
                     braces -= chunk == "}"
+                    if chains[-1][0] is None and len(chains) > 1:
+                        charged -= _close(chains)
                 elif chunk == ";":
                     joins += 1
                     if joins >= MAX_SEQUENCE:
                         raise ParseError(
                             f"more than {MAX_SEQUENCE} statements in sequence", line, col)
+                elif chunk in _LIST_SEPARATORS:
+                    chain = chains[-1]
+                    charged -= chain[1]
+                    chain[1] = 0
+                    chain[2] = depth + charged
                 elif chunk in _LEVELS and not is_prefix and not (chunk == "->" and braces):
                     chained += _LEVELS[chunk]
                     if chained > MAX_CHAIN:
                         raise ParseError(
                             f"binary operators nested deeper than {MAX_CHAIN}", line, col)
+                    if chunk == "||" or chunk == "->":
+                        chain = chains[-1]
+                        charged += 2
+                        chain[1] += 2
+                        chain[2] += 2
+                        chain[3] = max(chain[3], chain[2])
+                        if chain[2] > MAX_NESTING:
+                            raise ParseError(
+                                f"'||' and '->' nested deeper than {MAX_NESTING} "
+                                "once printed", line, col)
                 if is_prefix:
                     prefix += 1
+                    nesting = depth + prefix + charged
                 elif chunk not in _OPENING:
                     prefix = 0
                 after_prefix = is_prefix
-                if depth + prefix > MAX_NESTING:
-                    raise ParseError(
-                        f"brackets and prefix operators nested deeper than {MAX_NESTING}",
-                        line, col)
+                if nesting:
+                    if nesting > MAX_NESTING:
+                        raise ParseError(
+                            f"brackets and prefix operators nested deeper than {MAX_NESTING}",
+                            line, col)
+                    chain = chains[-1]
+                    chain[2] = max(chain[2], nesting)
+                    chain[3] = max(chain[3], nesting)
+                    if chunk in _OPENING:
+                        base = depth + charged
+                        chains.append([None, 0, base, base])
                 self.toks.append((kind, chunk, line, col))
-            for ch in chunk:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
+            if "\n" in chunk:
+                line += chunk.count("\n")
+                col = len(chunk) - chunk.rfind("\n")
+            else:
+                col += len(chunk)
             pos = m.end()
         self.pos = 0
         self._end = (line, col)
@@ -222,6 +276,17 @@ class _Tokens:
     def error(self, message: str):
         _, chunk, line, col = self.peek()
         raise ParseError(f"{message} (found {chunk or 'end of input'!r})", line, col)
+
+
+def _close(chains: list) -> int:
+    """Close the innermost chain: its tokens are in the chain around it now,
+    which a later ``||`` or ``->`` charges for them.  Returns the closed
+    chain's charge."""
+    _, charge, _, deepest = chains.pop()
+    outer = chains[-1]
+    outer[2] = max(outer[2], deepest)
+    outer[3] = max(outer[3], deepest)
+    return charge
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import random
 import sys
 from itertools import product
@@ -18,7 +19,7 @@ from cycproof.oracle import (
     Valid,
     emit_smtlib,
 )
-from cycproof.parser import fml_src, parse_fml
+from cycproof.parser import fml_src, parse_expr, parse_fml
 from cycproof.terms import (
     AndF,
     BinOp,
@@ -121,9 +122,9 @@ def test_total_sequents_are_decided_from_their_literals(monkeypatch):
     compiled = []
     real = oracle_module._compile_scan
 
-    def spy(names, gamma, delta):
+    def spy(names, gamma, delta, **options):
         compiled.append((names, tuple(map(fml_src, gamma)), tuple(map(fml_src, delta))))
-        return real(names, gamma, delta)
+        return real(names, gamma, delta, **options)
 
     monkeypatch.setattr(oracle_module, "_compile_scan", spy)
     oracle = BoundedOracle(-3, 3)
@@ -153,9 +154,9 @@ def test_independent_groups_share_compiled_scans_by_shape(monkeypatch):
     compiled = []
     real = oracle_module._compile_scan
 
-    def spy(names, gamma, delta):
+    def spy(names, gamma, delta, **options):
         compiled.append((names, tuple(map(fml_src, gamma)), tuple(map(fml_src, delta))))
-        return real(names, gamma, delta)
+        return real(names, gamma, delta, **options)
 
     monkeypatch.setattr(oracle_module, "_compile_scan", spy)
     oracle = BoundedOracle(-3, 3)
@@ -180,6 +181,75 @@ def test_independent_groups_share_compiled_scans_by_shape(monkeypatch):
     assert oracle.valid_sequent([], [parse_fml("x <= y")]) == Invalid((("x", -2), ("y", -3)))
     assert oracle.valid_sequent([], [parse_fml("y <= x")]) == Invalid((("x", -3), ("y", -2)))
     assert len(compiled) == 2
+
+
+def _placement(tree) -> list:
+    """``[(loop variable, names its test reads, its assignments)]`` for each
+    level of a compiled scan's loop nest, from the function's body in."""
+    rows, body, loop = [], tree.body[0].body, None
+    while True:
+        test, assigns = [], []
+        if isinstance(body[0], ast.If):
+            test = sorted({n.id for n in ast.walk(body[0].test) if isinstance(n, ast.Name)})
+            body = body[0].body
+        while isinstance(body[0], ast.Assign):
+            assigns.append(ast.unparse(body[0]))
+            body = body[1:]
+        rows.append((loop, test, assigns))
+        if not isinstance(body[0], ast.For):
+            return rows
+        loop, body = body[0].target.id, body[0].body
+
+
+def test_total_groups_test_each_literal_where_its_variables_are_bound(monkeypatch):
+    trees = []
+
+    def spy(tree, *args):
+        trees.append(tree)
+        return compile(tree, *args)
+
+    monkeypatch.setattr(oracle_module, "compile", spy, raising=False)
+    oracle = BoundedOracle(-3, 3)
+    # m, v, w in that order: Gamma binds at v, and the polynomials over m and
+    # v are computed once per (m, v), not at each w
+    gamma = [parse_fml("0 <= v - m"), parse_fml("v - m <= 0")]
+    delta = [parse_fml("w + 2 + 6 * (((2 * v - m + 1) * m) / 2) <= w + 2 + 6 * (((v + 1) * v) / 2)")]
+    assert oracle.valid_sequent(gamma, delta) == BoundedValid()
+    assert _placement(trees.pop()) == [
+        (None, [], []),
+        ("_v0", [], []),
+        ("_v1", ["_v0", "_v1"], ["_h0 = 6 * _tdiv((2 * _v1 - _v0 + 1) * _v0, 2)",
+                                 "_h1 = 6 * _tdiv((_v1 + 1) * _v1, 2)"]),
+        ("_v2", ["_h0", "_h1", "_v2"], []),
+    ]
+    # a subterm over no variable is computed before the loops, and one in a
+    # quantifier's body that mentions its variable stays in the body
+    out = oracle.valid_sequent([parse_fml("forall q . q * a + b * b <= a * a + 7 * 3")],
+                               [parse_fml("a * a <= b + q")])
+    assert isinstance(out, Invalid)
+    assert _placement(trees.pop()) == [
+        (None, [], ["_h0 = 7 * 3"]),
+        ("_v0", [], ["_h1 = _v0 * _v0 + _h0", "_h2 = _v0 * _v0"]),
+        ("_v1", ["_b0", "_h1", "_qspan", "_v0", "_v1", "all"], []),
+        ("_v2", ["_h2", "_v1", "_v2"], []),
+    ]
+    # an obligation that is not total keeps one test, in the innermost loop
+    out = oracle.valid_sequent([parse_fml("a / b <= 1")], [parse_fml("a * a <= b")])
+    assert out == Invalid((("a", -3), ("b", -3)))
+    assert _placement(trees.pop()) == [(None, [], []), ("_v0", [], []),
+                                       ("_v1", ["_tdiv", "_v0", "_v1"], [])]
+
+
+def test_hoisted_subterms_are_keyed_by_structure_and_rank():
+    # one compiled scan serves every group of its shape, whatever its names:
+    # a subterm's key holds its variables' ranks, not their names or text
+    keys = []
+    for a, b in (("a", "b"), ("y", "x")):
+        temporaries = oracle_module._Temporaries(2)
+        for text in (f"({a} * {a} + 1) * {b}", f"{a} * {a} + {b}", f"{b} - ({a} * {a} + 1)"):
+            temporaries.term(parse_expr(text), {a: "_v0", b: "_v1"}, here=1)
+        keys.append(temporaries.names)
+    assert keys[0] == keys[1] and len(keys[0]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +491,35 @@ def _differential_cases():
     yield [parse_fml("q >= 2"), parse_fml("forall q . q * y <= 2")], [parse_fml("q >= 3")]
     yield [parse_fml("forall q . q <= y + 3")], [parse_fml("q * q >= 1"), parse_fml("y <= 0")]
     yield [parse_fml("q <= 1")], [parse_fml("q <= 0 && (forall q . q * z <= 2)"), parse_fml("p >= 0")]
+    # level placement in total groups: each literal is tested in the
+    # outermost loop that binds its variables (a, b, c, d in that order),
+    # and a subterm over outer variables is computed ahead of the loops that
+    # do not change it.  Gamma literals over outer subsets of 3-4 variables:
+    yield [parse_fml("a <= 1"), parse_fml("a + b >= 0"), parse_fml("a * b <= c")], \
+        [parse_fml("a + b + c + d * d <= 3")]
+    yield [parse_fml("b * b <= a + 2"), parse_fml("a - b <= c")], \
+        [parse_fml("c * c + a * b >= d"), parse_fml("d <= a")]
+    yield [parse_fml("b <= c"), parse_fml("a != b")], [parse_fml("c * (a - b) <= 2 * a")]
+    # the same invariant subterm in several literals, on both sides, inside
+    # larger hoisted subterms and beside a deeper variable
+    yield [parse_fml("(a * a + b) * 2 <= c + (a * a + b)")], \
+        [parse_fml("(a * a + b) * 2 + c * c <= d + a * a"), parse_fml("a * a + b <= d - 3")]
+    yield [parse_fml("a * a + b <= c"), parse_fml("(a * a + b) * d <= 9")], \
+        [parse_fml("(a * a + b) * 2 <= c + (a * a + b)"), parse_fml("d * d <= -1")]
+    yield [parse_fml("(b - a) / 2 * c <= (b - a) / 2 + 1")], [parse_fml("(b - a) / 2 * c <= 0")]
+    # a witness found only after whole outer iterations were skipped: Gamma
+    # on a alone fails for a < 2, and on a and b for most b
+    yield [parse_fml("a >= 2"), parse_fml("b * b >= a + 5")], [parse_fml("c <= b * b - a * a")]
+    yield [parse_fml("a == 3"), parse_fml("b * a >= 6")], [parse_fml("c + b <= a * b + c - 3")]
+    # forall bodies: a subterm that mentions the bound variable stays in the
+    # body, one that does not is computed ahead of it, and a free q beside a
+    # bound q is not the same variable
+    yield [parse_fml("forall q . q * a <= b * b + q * q")], [parse_fml("forall q . a * a + q <= c + b")]
+    yield [parse_fml("forall q . a * b <= c + 3")], [parse_fml("forall q . q * q * (a + b) <= c + q")]
+    yield [parse_fml("a * a <= b")], [parse_fml("forall q . q * q + a * a <= b + q * q")]
+    yield [parse_fml("p * p <= q * q + 2"), parse_fml("q * q + z <= 5")], \
+        [parse_fml("forall q . q * q + z <= p * p + 1")]
+    yield [parse_fml("forall q . (forall r . r * q <= a * a + b)")], [parse_fml("a * a + b <= 2")]
     # random axiom-shaped sequents: a literal of Gamma copied into Delta,
     # sometimes behind ! (which moves it across) or inside a conjunction of
     # Gamma

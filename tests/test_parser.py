@@ -198,14 +198,17 @@ def test_binary_operator_chains_have_a_fixed_cap():
 
     plus = "x" + " + 1" * MAX_CHAIN
     assert expr_src(parse_expr(plus)) == plus
-    # "||" and "->" build three levels each: "!", "&&" and "!"
-    ors = " || ".join(["x <= 0"] * (MAX_CHAIN // 3 + 1))
-    assert parse_fml(ors)
+    # "||" and "->" build three levels each: "!", "&&" and "!"; one chain of
+    # them meets the nesting cap first, so these are spread over guards
+    def guards(n: int, op: str) -> str:
+        return " ; ".join([f"if x <= 0 {op} x <= 1 then skip else skip end"] * n)
+
+    assert parse_prog(guards(MAX_CHAIN // 3, "||"))
     for text in (plus + " + 1", "x" + " - 1" * (MAX_CHAIN + 1),
                  " && ".join(["x <= 0"] * (MAX_CHAIN + 2)),
-                 ors + " || x <= 0", " -> ".join(["x <= 0"] * (MAX_CHAIN // 3 + 2))):
+                 guards(MAX_CHAIN // 3 + 1, "||"), guards(MAX_CHAIN // 3 + 1, "->")):
         with pytest.raises(ParseError) as err:
-            parse_fml(text) if "<=" in text else parse_expr(text)
+            parse_prog(text) if "if" in text else parse_fml(text) if "<=" in text else parse_expr(text)
         assert f"binary operators nested deeper than {MAX_CHAIN}" in str(err.value)
     # the counts add up over the input, as statements in sequence do
     with pytest.raises(ParseError):
@@ -213,6 +216,77 @@ def test_binary_operator_chains_have_a_fixed_cap():
     # a configuration's "->" maps a variable and builds no level
     many = ", ".join(f"x{i} -> {i}" for i in range(MAX_CHAIN + 1))
     assert len(parse_config("{" + many + "}").entries) == MAX_CHAIN + 1
+
+
+def test_printed_chains_of_or_and_implies_read_back():
+    # "a || b" prints as "!(!(a) && !(b))" and "a -> b" as "!(a && !(b))":
+    # each chain is refused, or its printed form reads back as the same tree
+    from cycproof.parser import MAX_CHAIN, MAX_NESTING
+
+    longest = MAX_NESTING // 2 + 1  # operands: two printed levels per operator
+    for op in ("||", "->"):
+        for n in range(1, MAX_CHAIN // 3 + 3):
+            text = f" {op} ".join(["x <= 0"] * n)
+            if n > longest:
+                with pytest.raises(ParseError) as err:
+                    parse_fml(text)
+                assert f"nested deeper than {MAX_NESTING}" in str(err.value)
+                continue
+            phi = parse_fml(text)
+            assert parse_fml(fml_src(phi)) == phi, (op, n)
+    # chains inside brackets, behind "!", mixed, in a list and in guards
+    rng = random.Random(5)
+
+    def chain(depth: int) -> str:
+        roll = rng.random()
+        if depth == 0 or roll < 0.2:
+            return rng.choice(["x <= 0", "0 <= y", "x == 1"])
+        if roll < 0.45:
+            return "!" * rng.randint(1, 4) + "(" + chain(depth - 1) + ")"
+        if roll < 0.6:
+            k = rng.randint(1, 40)
+            return "(" * k + chain(depth - 1) + ")" * k
+        ops = [rng.choice(["||", "->", "&&"]) for _ in range(rng.randint(1, 6))]
+        text = chain(depth - 1)
+        for o in ops:
+            text += f" {o} " + chain(depth - 1)
+        return text
+
+    verdicts = set()
+    for _ in range(120):
+        text = chain(rng.randint(2, 5))
+        try:
+            nu = parse_sequent(f"{text}, x <= 0 => {text}")
+        except ParseError as err:
+            assert "nested deeper than" in str(err), err
+            verdicts.add("refused")
+            continue
+        assert parse_sequent(sequent_src(nu)) == nu, text
+        verdicts.add("read back")
+        prog = parse_prog(f"while {text} do if x <= 0 || x <= 1 then skip else skip end end")
+        assert parse_prog(prog_src(prog)) == prog
+    assert verdicts == {"refused", "read back"}
+    # separate chains are charged separately: in a list, and in guards
+    row = " || ".join(["x <= 0"] * longest)
+    assert parse_sequent(f"{row} => {row}")
+    assert parse_prog(f"if {row} then skip else skip end ; while {row} do skip end")
+
+
+def test_parse_error_positions_on_several_lines():
+    # line and column of the offending token; the expected values are the
+    # ones a character-by-character count gives
+    cases = [
+        (parse_sequent, "x <= 0,\n  y <= 1\n=> z <= \n\n  $", (5, 3)),
+        (parse_sequent, ". =>\n\t{x -> 0} : [x := 1 ;\n   y := ]\n x >= 0", (3, 9)),
+        (parse_prog, "while n > 0 do\r\n  s := s + n ;\r\n  n := n - 1\r\nend end", (4, 5)),
+        (parse_fml, "x <= 0 &&\n\n\n   (y <= 1 ||\n z <= 2", (5, 8)),
+        (parse_fml, "x <= 0 &&\n   (y <= 1 ||\n z <= 2)\n )", (4, 2)),
+        (parse_fml, "\n\n\n" + "!(" * 161 + "x <= 0", (4, 321)),
+    ]
+    for parse, text, where in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == where, text
 
 
 def _from_deeper(frames: int, call):
@@ -233,8 +307,10 @@ def test_input_at_each_cap_leaves_stack_to_spare():
         ". => {x -> 0} : [" + " ; ".join(["x := x + 1"] * MAX_SEQUENCE) + "] x >= 0",
         ". => {x -> 0} : [x := x" + " + 1" * MAX_CHAIN + "] x >= 0",
         ". => " + " && ".join(["x <= 0"] * (MAX_CHAIN + 1)),
-        ". => " + " || ".join(["x <= 0"] * (MAX_CHAIN // 3 + 1)),
-        ". => " + " -> ".join(["x <= 0"] * (MAX_CHAIN // 3 + 1)),
+        ". => " + " || ".join(["x <= 0"] * (MAX_NESTING // 2 + 1)),
+        ". => " + " -> ".join(["x <= 0"] * (MAX_NESTING // 2 + 1)),
+        ". => {x -> 0} : [" + " ; ".join(["if x <= 0 || x <= 1 then skip else skip end"]
+                                        * (MAX_CHAIN // 3)) + "] x >= 0",
         ". => " + " && ".join(["{x -> 0} : [x := 1] x >= 0"] * (MAX_CHAIN + 1)),
     ]
     for text in at_caps:

@@ -357,3 +357,25 @@ def test_inputs_deeper_than_the_stack_end_in_a_verdict(tmp_path):
     assert run.returncode == 1 and "Traceback" not in run.stderr, run.stderr[-300:]
     assert run.stdout.startswith("verdict: Stuck\nnote: RecursionError:"), run.stdout
     assert "(script line 1)" in run.stdout.splitlines()[1]
+
+
+def test_emitted_script_for_the_longest_printable_chain_replays(tmp_path, capsys):
+    # "a || b" prints two levels deeper than it is written; the longest chain
+    # the parser accepts is the longest whose printed form it reads back
+    from cycproof.parser import MAX_NESTING
+
+    def goal(n: int) -> Path:
+        path = tmp_path / f"or{n}.txt"
+        path.write_text(". => " + " || ".join((["x <= 0", "0 <= x"] * n)[:n]))
+        return path
+
+    longest = MAX_NESTING // 2 + 1
+    emitted = tmp_path / "found.dlp"
+    assert cli.main(["search", str(goal(longest)), "--depth", "4", "--emit", str(emitted)]) == 0
+    searched = capsys.readouterr().out
+    assert searched.startswith("verdict: ProvedBounded"), searched[:200]
+    assert cli.main(["check", str(emitted)]) == 0
+    assert capsys.readouterr().out.startswith("verdict: ProvedBounded")
+    # one disjunct more is refused before the search, as its script would be
+    assert cli.main(["search", str(goal(longest + 1)), "--depth", "4"]) == 2
+    assert f"nested deeper than {MAX_NESTING}" in capsys.readouterr().err
