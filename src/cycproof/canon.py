@@ -4,18 +4,18 @@ Sequent identity (rule side conditions, backlink matching) must recognize
 that ``v - 0`` and ``v`` denote the same integer everywhere, and likewise
 ``((2*v - m + 1) * m) / 2 + (v - m)`` and ``((2*v - (m + 1) + 1) * (m + 1)) / 2``.
 Expressions are normalized to polynomials with rational coefficients over
-"atoms" (variables plus opaque division nodes).
+"atoms" (variables plus opaque division nodes), kept as integer numerators
+over one normalised denominator, so all arithmetic is on ints.
 
 Division is simplified only when it is provably exact: ``P / c`` for a
 nonzero integer constant ``c`` becomes a polynomial exactly when ``c``
 divides ``P`` at every integer point, which is decided by testing ``P`` on
 the finite grid ``{0..deg_i}`` per variable (the binomial-basis coefficients
 of ``P`` are integer combinations of those grid values and vice versa).  The
-grid runs in integer arithmetic: ``P`` is scaled once by the common
-denominator of its coefficients.  In the exact case truncated division
-agrees with rational division, so the rewrite is sound for the truncating
-evaluator.  Every other division stays an opaque atom keyed by the canonical
-forms of its operands.
+grid runs on the integer numerators of ``P``.  In the exact case truncated
+division agrees with rational division, so the rewrite is sound for the
+truncating evaluator.  Every other division stays an opaque atom keyed by the
+canonical forms of its operands.
 
 Keys are made of strs, ints and tuples only, and every variant of a key
 starts with a tag of its own (``"le"``/``"not"``/``"and"``/``"forall"``,
@@ -31,9 +31,8 @@ Known limit: two occurrences of the same opaque division atom cancel, so
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .terms import (
     AndF,
@@ -58,87 +57,116 @@ from .terms import (
     truncated_div,
 )
 
-# A polynomial is a dict: monomial -> Fraction, where a monomial is a sorted
-# tuple of (atom, exponent) pairs and an atom is a nested key of tuples, strs
-# and ints: ("v", name) or ("div", poly_key(dividend), poly_key(divisor)).
+# A polynomial is a pair ``(den, nums)``: ``nums`` maps each monomial to an
+# int numerator, and the coefficient of a monomial is ``nums[m] / den``.
+# ``den >= 1``, no numerator is 0, and ``den`` has no factor common to all
+# numerators (Knuth's content and primitive part), so equal polynomials are
+# equal pairs and integer polynomials have ``den == 1``.  A monomial is a
+# sorted tuple of (atom, exponent) pairs and an atom is a nested key of
+# tuples, strs and ints: ("v", name) or ("div", poly_key(dividend),
+# poly_key(divisor)).
 
 _GRID_LIMIT = 4096
 
-ZERO: dict = {}
+
+def _normal(den: int, nums: dict) -> tuple:
+    """``(den, nums)`` divided by its content."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            return den // g, {m: c // g for m, c in nums.items()}
+    return den, nums
 
 
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+    if not m1 or not m2:  # a constant factor
+        return m1 or m2
     powers: dict = {}
     for atom, k in m1 + m2:
         powers[atom] = powers.get(atom, 0) + k
     return tuple(sorted((a, k) for a, k in powers.items() if k))
 
 
-def _add(p1: dict, p2: dict) -> dict:
-    out = dict(p1)
-    for mono, c in p2.items():
-        c2 = out.get(mono, Fraction(0)) + c
+def _add(p1: tuple, p2: tuple, sign: int = 1) -> tuple:
+    """``p1 + sign * p2``."""
+    d1, n1 = p1
+    d2, n2 = p2
+    if d1 == d2:
+        den = d1
+        out = dict(n1)
+        scale = sign
+    else:
+        den = lcm(d1, d2)
+        scale = den // d1
+        out = {m: c * scale for m, c in n1.items()}
+        scale = sign * (den // d2)
+    for mono, c in n2.items():
+        c2 = out.get(mono, 0) + c * scale
         if c2:
             out[mono] = c2
         else:
             out.pop(mono, None)
-    return out
+    return _normal(den, out)
 
 
-def _neg(p: dict) -> dict:
-    return {m: -c for m, c in p.items()}
-
-
-def _mul(p1: dict, p2: dict) -> dict:
+def _mul(p1: tuple, p2: tuple) -> tuple:
     out: dict = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
+    for m1, c1 in p1[1].items():
+        for m2, c2 in p2[1].items():
             mono = _mono_mul(m1, m2)
-            c = out.get(mono, Fraction(0)) + c1 * c2
+            c = out.get(mono, 0) + c1 * c2
             if c:
                 out[mono] = c
             else:
                 out.pop(mono, None)
-    return out
+    return _normal(p1[0] * p2[0], out)
 
 
-def _constant_of(p: dict) -> Fraction | None:
-    if not p:
-        return Fraction(0)
-    if len(p) == 1 and () in p:
-        return p[()]
+def _constant_of(p: tuple) -> int | None:
+    """The value of ``p`` if it is an integer constant, else None."""
+    den, nums = p
+    if den != 1:
+        return None
+    if not nums:
+        return 0
+    if len(nums) == 1:
+        return nums.get(())
     return None
 
 
-def poly_key(p: dict) -> tuple:
+def poly_key(p: tuple) -> tuple:
+    # each coefficient as (numerator, denominator) in lowest terms; the
     # monomials are distinct, so the sort never reaches the coefficients
-    return tuple(sorted((m, (c.numerator, c.denominator)) for m, c in p.items()))
+    den, nums = p
+    if den == 1:
+        return tuple(sorted((m, (c, 1)) for m, c in nums.items()))
+    out = []
+    for m, c in nums.items():
+        g = gcd(c, den)
+        out.append((m, (c // g, den // g)))
+    return tuple(sorted(out))
 
 
-def _try_exact_div(p: dict, c: int) -> dict | None:
+def _try_exact_div(p: tuple, c: int) -> tuple | None:
     """``p / c`` as a polynomial if ``c`` divides ``p`` at every integer point.
 
-    The grid runs on ints: with ``den`` the common denominator of the
-    coefficients, ``den * p`` has integer coefficients, and ``p / c`` is an
-    integer at a point exactly when ``den * p`` is a multiple of ``den * c``
-    there.
+    The grid runs on the numerators: ``p / c`` is an integer at a point
+    exactly when ``den * p`` is a multiple of ``den * c`` there.
     """
+    den, nums = p
     degree: dict = {}  # atom -> highest exponent
-    den = 1
-    for mono, coeff in p.items():
+    for mono in nums:
         for atom, k in mono:
             if k > degree.get(atom, 0):
                 degree[atom] = k
-        den = lcm(den, coeff.denominator)
     size = 1
     for d in degree.values():
         size *= d + 1
         if size > _GRID_LIMIT:
             return None
     column = {atom: i for i, atom in enumerate(degree)}
-    terms = [(coeff.numerator * (den // coeff.denominator),
-              tuple((column[atom], k) for atom, k in mono))
-             for mono, coeff in p.items()]
+    terms = [(coeff, tuple((column[atom], k) for atom, k in mono))
+             for mono, coeff in nums.items()]
     modulus = den * c
     for point in product(*(range(d + 1) for d in degree.values())):
         val = 0
@@ -148,16 +176,19 @@ def _try_exact_div(p: dict, c: int) -> dict | None:
             val += coeff
         if val % modulus:
             return None
-    return {m: coeff / c for m, coeff in p.items()}
+    if c < 0:
+        c = -c
+        nums = {m: -coeff for m, coeff in nums.items()}
+    return _normal(den * c, nums)
 
 
 # Each term node keeps its canonical form once computed, under an attribute
 # name that is not a dataclass field, so ``==``, ``hash`` and ``repr`` ignore
 # it.  A node's keys live as long as the node: nothing is kept at module
-# level.  The cached polynomial dicts are shared and never mutated (``_add``,
-# ``_neg``, ``_mul`` and ``_try_exact_div`` build new dicts).  Each function
-# looks its slot up itself rather than through a wrapper, so a level of the
-# term still costs one stack frame.
+# level.  The cached polynomials are shared and never mutated (``_add``,
+# ``_mul`` and ``_try_exact_div`` write only to dicts they build).  Each
+# function looks its slot up itself rather than through a wrapper, so a
+# level of the term still costs one stack frame.
 
 _POLY = "_canon_poly"  # canon_expr on an Expr
 _KEY = "_canon_key"  # expr_key, formula_key (depth 0), program_key, config_key
@@ -169,7 +200,7 @@ def _keep(term, slot: str, value):
     return value
 
 
-def canon_expr(e: Expr) -> dict:
+def canon_expr(e: Expr) -> tuple:
     poly = getattr(e, _POLY, None)
     if poly is not None:
         return poly
@@ -178,33 +209,33 @@ def canon_expr(e: Expr) -> dict:
     elif isinstance(e, Lit):
         poly = _constant_poly(e.value)
     elif isinstance(e, Var):
-        poly = {((("v", e.name), 1),): Fraction(1)}
+        poly = (1, {((("v", e.name), 1),): 1})
     else:
         raise TermError(f"canon_expr: not an expression: {e!r}")
     return _keep(e, _POLY, poly)
 
 
-def _constant_poly(value: int) -> dict:
-    return {(): Fraction(value)} if value else {}
+def _constant_poly(value: int) -> tuple:
+    return (1, {(): value} if value else {})
 
 
-def _binop_poly(op: str, left: dict, right: dict) -> dict:
+def _binop_poly(op: str, left: tuple, right: tuple) -> tuple:
     if op == "+":
         return _add(left, right)
     if op == "-":
-        return _add(left, _neg(right))
+        return _add(left, right, -1)
     if op == "*":
         return _mul(left, right)
-    cl = _constant_of(left)
     cr = _constant_of(right)
-    if cr is not None and cr != 0 and cr.denominator == 1:
-        if cl is not None and cl.denominator == 1:
-            return _constant_poly(truncated_div(cl.numerator, cr.numerator))
-        exact = _try_exact_div(left, cr.numerator)
+    if cr:
+        cl = _constant_of(left)
+        if cl is not None:
+            return _constant_poly(truncated_div(cl, cr))
+        exact = _try_exact_div(left, cr)
         if exact is not None:
             return exact
     atom = ("div", poly_key(left), poly_key(right))
-    return {((atom, 1),): Fraction(1)}
+    return (1, {((atom, 1),): 1})
 
 
 def expr_key(e: Expr) -> tuple:
@@ -222,7 +253,7 @@ def formula_key(phi: BaseFormula, depth: int = 0) -> tuple:
         if key is not None:
             return key
     if isinstance(phi, Le):
-        diff = _add(canon_expr(phi.right), _neg(canon_expr(phi.left)))
+        diff = _add(canon_expr(phi.right), canon_expr(phi.left), -1)
         key = ("le", poly_key(diff))
     elif isinstance(phi, NotF):
         key = ("not", formula_key(phi.body, depth))

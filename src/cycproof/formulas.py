@@ -274,21 +274,25 @@ def free_vars(f) -> frozenset:
 
 
 def substitute_body(b: Body, bindings, scope) -> Body:
+    # like ``terms.substitute``, an unchanged node is returned itself
     if isinstance(b, BBase):
-        return BBase(terms.substitute(b.fml, bindings, scope))
+        fml = terms.substitute(b.fml, bindings, scope)
+        return b if fml is b.fml else BBase(fml)
     if isinstance(b, BNot):
-        return BNot(substitute_body(b.body, bindings, scope))
+        body = substitute_body(b.body, bindings, scope)
+        return b if body is b.body else BNot(body)
     if isinstance(b, BAnd):
-        return BAnd(
-            substitute_body(b.left, bindings, scope),
-            substitute_body(b.right, bindings, scope),
-        )
+        left = substitute_body(b.left, bindings, scope)
+        right = substitute_body(b.right, bindings, scope)
+        if left is b.left and right is b.right:
+            return b
+        return BAnd(left, right)
     if isinstance(b, (BBox, BDia)):
-        cls = BBox if isinstance(b, BBox) else BDia
-        return cls(
-            terms.substitute(b.prog, bindings, scope),
-            substitute_body(b.body, bindings, scope),
-        )
+        prog = terms.substitute(b.prog, bindings, scope)
+        body = substitute_body(b.body, bindings, scope)
+        if prog is b.prog and body is b.body:
+            return b
+        return type(b)(prog, body)
     raise TermError(f"substitute_body: not a body: {b!r}")
 
 
@@ -298,39 +302,47 @@ def substitute(f, bindings, scope=None):
     Under a label the scope shrinks by the configuration's bound variables;
     a replacement whose free variables include one of those would be
     captured, which raises ``CaptureError`` (the binder is not renamable).
+    A formula or sequent that the substitution leaves unchanged is returned
+    itself.
     """
     if scope is None:
         scope = frozenset(bindings)
     scope = frozenset(scope)
     if isinstance(f, DBase):
-        return DBase(terms.substitute(f.fml, bindings, scope))
+        fml = terms.substitute(f.fml, bindings, scope)
+        return f if fml is f.fml else DBase(fml)
     if isinstance(f, DLabeled):
         if not isinstance(f.label, Config):
             raise TermError("substitution over non-store labels is not defined")
         inner = _scope_under(f.label, bindings, scope, body_free_vars(f.body))
-        return DLabeled(
-            terms.substitute(f.label, bindings, scope),
-            substitute_body(f.body, bindings, inner),
-        )
+        label = terms.substitute(f.label, bindings, scope)
+        body = substitute_body(f.body, bindings, inner)
+        if label is f.label and body is f.body:
+            return f
+        return DLabeled(label, body)
     if isinstance(f, DNot):
-        return DNot(substitute(f.arg, bindings, scope))
+        arg = substitute(f.arg, bindings, scope)
+        return f if arg is f.arg else DNot(arg)
     if isinstance(f, DAnd):
-        return DAnd(
-            substitute(f.left, bindings, scope),
-            substitute(f.right, bindings, scope),
-        )
+        left = substitute(f.left, bindings, scope)
+        right = substitute(f.right, bindings, scope)
+        if left is f.left and right is f.right:
+            return f
+        return DAnd(left, right)
     if isinstance(f, Sequent):
-        return Sequent(
-            tuple(substitute(g, bindings, scope) for g in f.left),
-            tuple(substitute(g, bindings, scope) for g in f.right),
-        )
+        left = tuple(substitute(g, bindings, scope) for g in f.left)
+        right = tuple(substitute(g, bindings, scope) for g in f.right)
+        if all(g is h for g, h in zip(left + right, f.left + f.right)):
+            return f
+        return Sequent(left, right)
     if isinstance(f, DTer):
         inner = _scope_under(f.label, bindings, scope, terms.free_vars(f.prog))
-        return DTer(
-            terms.substitute(f.label, bindings, scope),
-            terms.substitute(f.prog, bindings, inner),
-            None if f.factor is None else terms.substitute(f.factor, bindings, scope),
-        )
+        label = terms.substitute(f.label, bindings, scope)
+        prog = terms.substitute(f.prog, bindings, inner)
+        factor = None if f.factor is None else terms.substitute(f.factor, bindings, scope)
+        if label is f.label and prog is f.prog and factor is f.factor:
+            return f
+        return DTer(label, prog, factor)
     return terms.substitute(f, bindings, scope)
 
 

@@ -123,9 +123,22 @@ KEYWORDS = {
 # ``->``) prints 2n levels deeper than it is written.  Each ``||`` and ``->``
 # is therefore charged two levels of nesting, for the tokens after it in its
 # chain and, through the chain's deepest token so far, for those before it.
-# A chain is the run of tokens between brackets, between an ``if`` or
-# ``while`` and its ``then`` or ``do`` (a guard, printed on its own), or
-# between the ``,`` and ``=>`` that separate the formulas of a list.  This
+# A chain (_Chain) is the run of tokens between brackets, between an ``if`` or
+# ``while`` and its ``then`` or ``do`` (a guard, printed on its own), between
+# a diamond's ``<`` and ``>``, or between the ``,`` and ``=>`` that separate
+# the formulas of a list.  It starts as deep as what opens it, and the
+# prefix operators before a label or a ``forall`` nest the rest of the chain.
+#
+# Other tokens make a formula print deeper by a fixed amount however often
+# they occur, so a chain is charged once for them, the most they may add
+# (_Chain.extra): ``<``, ``>`` and ``false`` print as ``!(...)``, ``==`` as
+# ``(a <= b) && (b <= a)`` and ``!=`` as both, and an operand of ``&&`` that
+# is a ``<=`` (``true`` is one), an ``==``, a labeled formula or a ``forall``
+# after the ``&&`` is bracketed.  So is a base formula in a label's body,
+# unless it is a bare ``<=``, and in a bracketed body with a modality each
+# ``&&`` after the first brackets its left operand (_Chain.follow_body).  The
+# printed forms hold none of these tokens in the chain of their own brackets,
+# so a printed formula is charged no more than what it was read from.  This
 # bounds the printed nesting from above, exactly for a chain of ``||`` alone.
 MAX_NESTING = 160
 MAX_SEQUENCE = 500
@@ -134,6 +147,9 @@ _OPENING = ("(", "[", "{")
 _LEVELS = {"+": 1, "-": 1, "*": 1, "/": 1, "&&": 1, "||": 3, "->": 3, "==": 1, "!=": 1}
 _CLOSING = (")", "]", "}")
 _GUARD = {"if": "then", "while": "do"}  # a guard's first keyword -> its last
+_RELATION_LEVELS = {"<": 1, ">": 1, "==": 1, "false": 1, "!=": 2}
+_BRACKETED_IN_AND = ("<=", ">=", "==", "true", ":", "forall")
+_ONCE = ("&&", "==", "!=")  # the binary operators that extra reads
 _LIST_SEPARATORS = (",", "=>")
 # a "-" after one of these is binary; anywhere else it is a prefix operator
 _VALUE_END = ("int", "ident")
@@ -146,22 +162,15 @@ class _Tokens:
         self.toks: list = []
         line, col = 1, 1
         pos = 0
-        depth = 0  # open brackets
-        prefix = 0  # prefix operators since the last operand, less one for
-        # each opening bracket straight after one: "!(" nests one level, as
-        # "(" does, so printed negations reparse
+        prefix = 0  # prefix operators since the last operand or bracket,
+        # less one for a "(" or "[" straight after one: "!(" nests one level,
+        # as "(" does, so printed negations reparse ("!{" prints as "!({")
         after_prefix = False
         joins = 0  # ";" tokens
         chained = 0  # levels built by binary operators
         braces = 0  # open "{": inside a configuration "->" maps a variable
-        # per open bracket or guard: [the keyword that closes a guard, or None;
-        # the nesting its chain's "||" and "->" charge; the deepest printed
-        # nesting of a token of the chain; the deepest of any token in it].
-        # A token nests deeper than the one before it only at an opening
-        # bracket, a prefix operator or a "||" or "->", so only those are
-        # checked; the others nest as deep as the chain's start.
-        chains = [[None, 0, 0, 0]]
-        charged = 0  # the charges of all open chains
+        chain = _Chain(None, 0)
+        chains = [chain]
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if not m:
@@ -171,52 +180,65 @@ class _Tokens:
                 kind = m.lastgroup
                 is_prefix = chunk == "!" or chunk == "-" and not self._after_value()
                 nesting = 0  # set where the token may nest deeper than the chain's start
+                if chain.body is not None:
+                    chain.follow_body(chunk, line, col)
                 if kind != "op":
                     if kind == "ident" and chunk in KEYWORDS:
                         kind = "kw"
-                        if chunk == chains[-1][0] and len(chains) > 1:
-                            charged -= _close(chains)
+                        if chunk == chain.closer:
+                            chain = _close(chains, line, col)
                         elif chunk in _GUARD:
-                            base = depth + charged
-                            chains.append([_GUARD[chunk], 0, base, base])
+                            chain = _open(chains, _GUARD[chunk], chain.start + chain.charge)
+                        elif chunk == "true" or chunk == "false" or (
+                                chunk == "forall" and chain.conjunction):
+                            chain.note(chunk, line, col)
+                        if chunk == "forall":
+                            chain.charge += prefix  # the chain's rest is its body
+                elif chunk == "{":
+                    braces += 1
+                    nesting = chain.start + chain.charge + prefix + 1
+                    chain.charge += prefix  # and the label's body after the "}"
                 elif chunk in _OPENING:
-                    depth += 1
-                    braces += chunk == "{"
-                    prefix -= after_prefix
-                    nesting = depth + prefix + charged
+                    nesting = chain.start + chain.charge + prefix + 1 - after_prefix
                 elif chunk in _CLOSING:
-                    depth -= 1
                     braces -= chunk == "}"
-                    if chains[-1][0] is None and len(chains) > 1:
-                        charged -= _close(chains)
+                    if chain.closer is None and len(chains) > 1:
+                        chain = _close(chains, line, col)
                 elif chunk == ";":
                     joins += 1
                     if joins >= MAX_SEQUENCE:
                         raise ParseError(
                             f"more than {MAX_SEQUENCE} statements in sequence", line, col)
                 elif chunk in _LIST_SEPARATORS:
-                    chain = chains[-1]
-                    charged -= chain[1]
-                    chain[1] = 0
-                    chain[2] = depth + charged
+                    fresh = _Chain(chain.closer, chain.start)
+                    fresh.deepest = chain.deepest
+                    chain = chains[-1] = fresh
                 elif chunk in _LEVELS and not is_prefix and not (chunk == "->" and braces):
                     chained += _LEVELS[chunk]
                     if chained > MAX_CHAIN:
                         raise ParseError(
                             f"binary operators nested deeper than {MAX_CHAIN}", line, col)
                     if chunk == "||" or chunk == "->":
-                        chain = chains[-1]
-                        charged += 2
-                        chain[1] += 2
-                        chain[2] += 2
-                        chain[3] = max(chain[3], chain[2])
-                        if chain[2] > MAX_NESTING:
-                            raise ParseError(
-                                f"'||' and '->' nested deeper than {MAX_NESTING} "
-                                "once printed", line, col)
+                        chain.add_charge(2, line, col)
+                    elif chunk in _ONCE:  # "&&", "==", "!="
+                        chain.note(chunk, line, col)
+                elif chunk == "<" or chunk == ">":
+                    if chunk == chain.closer:
+                        chain = _close(chains, line, col)
+                    elif self._after_operand():
+                        chain.note(chunk, line, col)
+                    elif chunk == "<":
+                        chain = _open(chains, ">", chain.start + chain.charge)
+                elif chunk == ":":  # a label: its body follows
+                    chain.body = _Body(True)
+                    chain.note(chunk, line, col)
+                elif chunk in _BRACKETED_IN_AND and not chain.bracketed:  # "<=", ">="
+                    chain.bracketed = True
+                    if chain.conjunction:
+                        chain.recharge(line, col)
                 if is_prefix:
                     prefix += 1
-                    nesting = depth + prefix + charged
+                    nesting = chain.start + chain.charge + prefix
                 elif chunk not in _OPENING:
                     prefix = 0
                 after_prefix = is_prefix
@@ -225,12 +247,11 @@ class _Tokens:
                         raise ParseError(
                             f"brackets and prefix operators nested deeper than {MAX_NESTING}",
                             line, col)
-                    chain = chains[-1]
-                    chain[2] = max(chain[2], nesting)
-                    chain[3] = max(chain[3], nesting)
+                    chain.printed = max(chain.printed, nesting)
+                    chain.deepest = max(chain.deepest, nesting)
                     if chunk in _OPENING:
-                        base = depth + charged
-                        chains.append([None, 0, base, base])
+                        chain = _open(chains, None, nesting)
+                        prefix = 0
                 self.toks.append((kind, chunk, line, col))
             if "\n" in chunk:
                 line += chunk.count("\n")
@@ -247,6 +268,14 @@ class _Tokens:
             return False
         kind, chunk = self.toks[-1][:2]
         return kind in _VALUE_END or chunk in _CLOSING
+
+    def _after_operand(self) -> bool:
+        """Whether the last token ends an expression: a ``<`` there compares,
+        anywhere else it opens a diamond."""
+        if not self.toks:
+            return False
+        kind, chunk = self.toks[-1][:2]
+        return kind in _VALUE_END or chunk == ")"
 
     def peek(self):
         if self.pos < len(self.toks):
@@ -278,15 +307,134 @@ class _Tokens:
         raise ParseError(f"{message} (found {chunk or 'end of input'!r})", line, col)
 
 
-def _close(chains: list) -> int:
+class _Chain:
+    """A chain of tokens and what its formulas may print deeper (see above)."""
+
+    __slots__ = ("closer", "start", "charge", "printed", "deepest", "relation", "conjunction",
+                 "bracketed", "once", "body")
+
+    def __init__(self, closer, start: int):
+        self.closer = closer  # the token that closes a guard or diamond, or None
+        self.start = start  # the nesting of its first token
+        self.charge = 0  # the nesting charged to it
+        self.printed = start  # the deepest printed nesting of a token of it
+        self.deepest = start  # the same, over all formulas of a list
+        self.relation = 0  # the most a relation of it prints deeper
+        self.conjunction = False  # it holds a "&&"
+        self.bracketed = False  # it holds a token of _BRACKETED_IN_AND
+        self.once = 0  # what extra was charged
+        self.body = None  # a _Body when it holds a label's body or a bracketed one
+
+    def add_charge(self, levels: int, line: int, col: int) -> None:
+        """Its tokens so far print ``levels`` deeper, and so do those after."""
+        self.charge += levels
+        self.printed += levels
+        self.deepest = max(self.deepest, self.printed)
+        if self.printed > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} once printed",
+                             line, col)
+
+    def extra(self) -> int:
+        """Levels by which its formulas may print deeper than written,
+        besides its "||" and "->"."""
+        levels = self.relation + (self.conjunction and self.bracketed)
+        body = self.body
+        if body is not None:
+            if body.wrap and (body.label or body.modal):
+                levels += 1
+            if body.modal and body.ands > 1:
+                levels += body.ands - 1
+        return levels
+
+    def note(self, token: str, line: int, col: int) -> None:
+        """Record ``token``, and charge what it adds to extra."""
+        self.conjunction = self.conjunction or token == "&&"
+        self.bracketed = self.bracketed or token in _BRACKETED_IN_AND
+        self.relation = max(self.relation, _RELATION_LEVELS.get(token, 0))
+        self.recharge(line, col)
+
+    def recharge(self, line: int, col: int) -> None:
+        """Charge what extra grew by since it was last charged."""
+        more = self.extra() - self.once
+        if more > 0:
+            self.once += more
+            self.add_charge(more, line, col)
+
+    def follow_body(self, chunk: str, line: int, col: int) -> None:
+        """Follow a token of a body: the base formulas it brackets (anything
+        but a bare "<=", and whatever a "!" stands before), its modalities,
+        and its "&&"."""
+        body = self.body
+        if chunk in _RELATION_LEVELS and not (body.at and chunk == "<") or chunk == "forall":
+            body.wrap = True
+            self.recharge(line, col)
+        if body.at:
+            if chunk == "!":
+                body.negated = True
+                return
+            if chunk == "[" or chunk == "<":
+                body.negated = False
+                body.modal = True
+                self.recharge(line, col)
+                return
+            if chunk == "(":
+                body.next_negated = body.negated
+            elif body.negated:
+                body.wrap = True
+                self.recharge(line, col)
+            body.at = body.negated = False
+        if chunk in ("&&", "||", "->") and not body.label:
+            body.at = True
+            if chunk == "&&":
+                body.ands += 1
+                self.recharge(line, col)
+
+
+class _Body:
+    """What a chain holding a label's body, or a bracketed part of one,
+    tracks of it."""
+
+    __slots__ = ("label", "modal", "wrap", "at", "negated", "ands", "opened_negated",
+                 "next_negated")
+
+    def __init__(self, label: bool, opened_negated: bool = False):
+        self.label = label  # a label's own chain, where its body starts
+        self.modal = False  # it holds a modality
+        self.wrap = False  # it holds a base formula that the body brackets
+        self.at = True  # the next token starts an operand
+        self.negated = False  # a "!" before that operand
+        self.ands = 0  # its "&&", in a bracketed body
+        self.opened_negated = opened_negated  # bracketed after a "!"
+        self.next_negated = None  # for a "(" that starts an operand: a "!" before it
+
+
+def _open(chains: list, closer, start: int) -> _Chain:
+    """Open a chain whose first token nests ``start`` deep; returns it."""
+    chain = _Chain(closer, start)
+    body = chains[-1].body
+    if closer is None and body is not None and body.next_negated is not None:
+        chain.body = _Body(False, body.next_negated)  # a bracketed body
+        body.next_negated = None
+    chains.append(chain)
+    return chain
+
+
+def _close(chains: list, line: int, col: int) -> _Chain:
     """Close the innermost chain: its tokens are in the chain around it now,
-    which a later ``||`` or ``->`` charges for them.  Returns the closed
-    chain's charge."""
-    _, charge, _, deepest = chains.pop()
+    which a later ``||`` or ``->`` charges for them.  Returns that chain."""
+    inner = chains.pop()
     outer = chains[-1]
-    outer[2] = max(outer[2], deepest)
-    outer[3] = max(outer[3], deepest)
-    return charge
+    outer.printed = max(outer.printed, inner.deepest)
+    outer.deepest = max(outer.deepest, inner.deepest)
+    body = inner.body
+    if body is not None and not body.label:
+        if body.modal:
+            outer.body.modal = True
+            outer.recharge(line, col)
+        elif body.opened_negated:  # "!(" around a base formula
+            outer.body.wrap = True
+            outer.recharge(line, col)
+    return outer
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,8 @@ def _check_binder(binder: str, bindings: dict, scope: frozenset, body_fv: frozen
 
 
 def _subst(t: Term, bindings: dict, scope: frozenset) -> Term:
+    # a node whose children all come back as the identical objects is
+    # returned itself, so unchanged subterms keep what is cached on them
     if isinstance(t, Var):
         if t.name in scope and t.name in bindings:
             return bindings[t.name]
@@ -377,13 +379,20 @@ def _subst(t: Term, bindings: dict, scope: frozenset) -> Term:
     if isinstance(t, Lit):
         return t
     if isinstance(t, BinOp):
-        return BinOp(t.op, _subst(t.left, bindings, scope), _subst(t.right, bindings, scope))
-    if isinstance(t, Le):
-        return Le(_subst(t.left, bindings, scope), _subst(t.right, bindings, scope))
+        left = _subst(t.left, bindings, scope)
+        right = _subst(t.right, bindings, scope)
+        if left is t.left and right is t.right:
+            return t
+        return BinOp(t.op, left, right)
+    if isinstance(t, (Le, AndF)):
+        left = _subst(t.left, bindings, scope)
+        right = _subst(t.right, bindings, scope)
+        if left is t.left and right is t.right:
+            return t
+        return type(t)(left, right)
     if isinstance(t, NotF):
-        return NotF(_subst(t.body, bindings, scope))
-    if isinstance(t, AndF):
-        return AndF(_subst(t.left, bindings, scope), _subst(t.right, bindings, scope))
+        body = _subst(t.body, bindings, scope)
+        return t if body is t.body else NotF(body)
     if isinstance(t, Forall):
         inner_scope = scope - {t.var}
         relevant = _relevant(bindings, inner_scope, free_vars(t.body))
@@ -394,10 +403,12 @@ def _subst(t: Term, bindings: dict, scope: frozenset) -> Term:
             new_var = fresh_name(t.var, taken)
             renamed = _subst(t.body, {t.var: Var(new_var)}, frozenset((t.var,)))
             return Forall(new_var, _subst(renamed, bindings, inner_scope))
-        return Forall(t.var, _subst(t.body, bindings, inner_scope))
+        body = _subst(t.body, bindings, inner_scope)
+        return t if body is t.body else Forall(t.var, body)
     if isinstance(t, Assign):
         _check_binder(t.target, bindings, scope, free_vars(t.expr))
-        return Assign(t.target, _subst(t.expr, bindings, scope - {t.target}))
+        expr = _subst(t.expr, bindings, scope - {t.target})
+        return t if expr is t.expr else Assign(t.target, expr)
     if isinstance(t, Seq):
         inner = scope - bound_vars(t.first)
         for x in _relevant(bindings, inner, free_vars(t.second)):
@@ -406,21 +417,31 @@ def _subst(t: Term, bindings: dict, scope: frozenset) -> Term:
                 raise CaptureError(
                     f"substituting {x} would capture {sorted(clash)} under a sequence binder"
                 )
-        return Seq(_subst(t.first, bindings, scope), _subst(t.second, bindings, inner))
+        first = _subst(t.first, bindings, scope)
+        second = _subst(t.second, bindings, inner)
+        if first is t.first and second is t.second:
+            return t
+        return Seq(first, second)
     if isinstance(t, If):
-        return If(
-            _subst(t.guard, bindings, scope),
-            _subst(t.then, bindings, scope),
-            _subst(t.orelse, bindings, scope),
-        )
+        guard = _subst(t.guard, bindings, scope)
+        then = _subst(t.then, bindings, scope)
+        orelse = _subst(t.orelse, bindings, scope)
+        if guard is t.guard and then is t.then and orelse is t.orelse:
+            return t
+        return If(guard, then, orelse)
     if isinstance(t, While):
-        return While(_subst(t.guard, bindings, scope), _subst(t.body, bindings, scope))
+        guard = _subst(t.guard, bindings, scope)
+        body = _subst(t.body, bindings, scope)
+        if guard is t.guard and body is t.body:
+            return t
+        return While(guard, body)
     if isinstance(t, (Skip, Epsilon)):
         return t
     if isinstance(t, Config):
-        return Config(
-            tuple((x, _subst(e, bindings, scope)) for x, e in t.entries), stack=t.stack
-        )
+        entries = tuple((x, _subst(e, bindings, scope)) for x, e in t.entries)
+        if all(new is old for (_, new), (_, old) in zip(entries, t.entries)):
+            return t
+        return Config(entries, stack=t.stack)
     raise TermError(f"substitute: not a term: {t!r}")
 
 

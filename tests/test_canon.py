@@ -1,14 +1,28 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import product
 
-from conftest import random_expr
+from conftest import random_expr, random_fml
 from cycproof import canon
 from cycproof.canon import config_key, expr_key, formula_key, program_key, terms_equal
 from cycproof.oracle import BoundedOracle
 from cycproof.parser import parse_config, parse_expr, parse_fml, parse_prog, parse_sequent
 from cycproof.search import search
-from cycproof.terms import AndF, BinOp, DivisionByZero, Forall, Le, Lit, Var, evaluate
+from cycproof.terms import (
+    AndF,
+    BinOp,
+    DivisionByZero,
+    Forall,
+    Le,
+    Lit,
+    NotF,
+    Var,
+    evaluate,
+    substitute,
+    truncated_div,
+)
 
 
 def test_zero_and_unit_laws():
@@ -83,6 +97,108 @@ def test_canonical_equality_is_sound_on_samples():
             except DivisionByZero:
                 continue
             assert len(values) == 1, group
+
+
+# ---------------------------------------------------------------------------
+# Integer polynomials against the rational arithmetic they replaced
+# ---------------------------------------------------------------------------
+
+# Reference: a polynomial is a dict monomial -> nonzero Fraction, exact
+# division tested on the grid in Fractions, keys built as canon builds them.
+
+def _ref_add(p1: dict, p2: dict) -> dict:
+    out = dict(p1)
+    for m, c in p2.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(p1: dict, p2: dict) -> dict:
+    out: dict = {}
+    for (m1, c1), (m2, c2) in product(p1.items(), p2.items()):
+        out = _ref_add(out, {canon._mono_mul(m1, m2): c1 * c2})
+    return out
+
+
+def _ref_key(p: dict) -> tuple:
+    return tuple(sorted((m, (c.numerator, c.denominator)) for m, c in p.items()))
+
+
+def _ref_poly(e) -> dict:
+    if isinstance(e, Lit):
+        return {(): Fraction(e.value)} if e.value else {}
+    if isinstance(e, Var):
+        return {((("v", e.name), 1),): Fraction(1)}
+    left, right = _ref_poly(e.left), _ref_poly(e.right)
+    if e.op in "+-":
+        return _ref_add(left, right if e.op == "+" else {m: -c for m, c in right.items()})
+    if e.op == "*":
+        return _ref_mul(left, right)
+    c = right.get((), Fraction(0)) if set(right) <= {()} else None
+    if c and c.denominator == 1:
+        if set(left) <= {()} and left.get((), Fraction(0)).denominator == 1:
+            value = truncated_div(int(left.get((), 0)), int(c))
+            return {(): Fraction(value)} if value else {}
+        degree: dict = {}
+        for m in left:
+            for atom, k in m:
+                degree[atom] = max(degree.get(atom, 0), k)
+        grid = list(product(*(range(d + 1) for d in degree.values())))
+        if len(grid) <= canon._GRID_LIMIT and all(
+                (sum(coeff * _at(m, dict(zip(degree, point))) for m, coeff in left.items())
+                 / c).denominator == 1 for point in grid):
+            return {m: coeff / c for m, coeff in left.items()}
+    return {((("div", _ref_key(left), _ref_key(right)), 1),): Fraction(1)}
+
+
+def _at(m: tuple, point: dict) -> int:
+    value = 1
+    for atom, k in m:
+        value *= point[atom] ** k
+    return value
+
+
+def _ref_formula_key(phi, depth: int = 0) -> tuple:
+    if isinstance(phi, Le):
+        return ("le", _ref_key(_ref_add(_ref_poly(phi.right),
+                                        {m: -c for m, c in _ref_poly(phi.left).items()})))
+    if isinstance(phi, NotF):
+        return ("not", _ref_formula_key(phi.body, depth))
+    if isinstance(phi, AndF):
+        return ("and", _ref_formula_key(phi.left, depth), _ref_formula_key(phi.right, depth))
+    body = substitute(phi.body, {phi.var: Var(f"__bound{depth}")}, frozenset((phi.var,)))
+    return ("forall", _ref_formula_key(body, depth + 1))
+
+
+_ARITHMETIC = [
+    "((v + 1) * v) / 2",  # half-integer coefficients
+    "((v + 1) * v) / 2 + 1",  # a numerator sharing a factor with the denominator
+    "((v + 1) * v) / 2 + ((v + 2) * (v + 1) * v) / 6",  # unequal denominators
+    "((v + 1) * v) / -2", "(4 * v + 2) / -2", "(v * v + v) / -6",  # negative divisors
+    "(((v + 1) * v) / 2) / 3", "((v * (v - 1)) / 2 + v) / 5",  # exact inside inexact
+    "(((v + 1) * v) / 2) / -3 + (v * v) / 4",
+    "(v * v + v) / 2 - (v * v - v) / 2",  # sums that cancel
+    "((v + 1) * v) / 2 - ((v + 1) * v) / 2", "(v * m + m) / 2 - (v + 1) * (m / 2)",
+    "x / y + (x / y) * 2", "(x / y) / 2", "x / (y + 1 - 1) - x / y",  # opaque atoms
+    "7 / -2", "-7 / 2", "(3 * v + 1) / 1", "(2 * m * v) / 2 / v",
+]
+
+
+def test_integer_polynomials_key_as_rational_ones():
+    for text in _ARITHMETIC:
+        e = parse_expr(text)
+        assert expr_key(e) == _ref_key(_ref_poly(e)), text
+        phi = parse_fml(f"{text} <= m / 2 + v")
+        assert formula_key(phi) == _ref_formula_key(phi), text
+    rng = random.Random(23)
+    names = ["x", "y", "v"]
+    for _ in range(400):
+        e = random_expr(rng, names, rng.randint(1, 5))
+        if rng.random() < 0.5:  # a division that may or may not be exact
+            e = BinOp("/", BinOp("*", e, BinOp("+", e, Lit(1))), Lit(rng.choice([2, -2, 3, 6])))
+        assert expr_key(e) == _ref_key(_ref_poly(e)), e
+        phi = random_fml(rng, names, 3)
+        assert formula_key(phi) == _ref_formula_key(phi), phi
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,81 @@ def test_printed_chains_of_or_and_implies_read_back():
     assert parse_prog(f"if {row} then skip else skip end ; while {row} do skip end")
 
 
+def test_printed_relations_read_back_under_every_run_of_negations():
+    # "<" and ">" print as "!(...)", "==" as "(a <= b) && (b <= a)" and "!="
+    # as both, a level or two deeper than written: each input is refused, or
+    # its printed form reads back as the same tree
+    from cycproof.parser import MAX_NESTING
+
+    for rel in ("<=", "<", "==", "!=", ">=", ">"):
+        for text in ("!" * n + f"(x {rel} 0)" for n in range(MAX_NESTING + 2)):
+            try:
+                phi = parse_fml(text)
+            except ParseError as err:
+                assert f"nested deeper than {MAX_NESTING}" in str(err)
+                continue
+            assert parse_fml(fml_src(phi)) == phi, (rel, text.count("!"))
+    # "<=" and ">=" print as written, up to the cap
+    assert parse_fml("!" * MAX_NESTING + "x <= 0") and parse_fml("!" * MAX_NESTING + "x >= 0")
+    with pytest.raises(ParseError):
+        parse_fml("!" * MAX_NESTING + "x < 0")
+
+
+def _near_the_cap(rng: random.Random, depth: int) -> str:
+    """A random labeled or base formula with runs of "!" and brackets that
+    reach towards the nesting cap."""
+
+    def run() -> str:
+        return "!" * rng.choice([0, 0, 0, 1, 2, 60, 120, 150, 157, 158, 159, 160])
+
+    def atom() -> str:
+        return rng.choice(["x < 0", "x > y", "x == 1", "x != y", "x <= 0", "x >= y",
+                           "true", "false", "(x + 1) < y"])
+
+    def fml(d: int) -> str:
+        roll = rng.random()
+        if d == 0 or roll < 0.3:
+            return run() + atom()
+        if roll < 0.5:
+            return run() + "(" + fml(d - 1) + ")"
+        if roll < 0.6:
+            return run() + "forall q . " + fml(d - 1)
+        ops = [rng.choice(["&&", "||", "->"]) for _ in range(rng.randint(1, 3))]
+        return f" {ops[0]} ".join(fml(d - 1) for _ in range(2)) + "".join(
+            f" {o} " + fml(d - 1) for o in ops[1:])
+
+    def body(d: int) -> str:
+        roll = rng.random()
+        if d == 0 or roll < 0.3:
+            return run() + rng.choice([atom(), "(" + fml(1) + ")"])
+        if roll < 0.5:
+            return run() + rng.choice(["[x := 1] ", "<x := 1> "]) + body(d - 1)
+        parts = [body(d - 1) for _ in range(rng.randint(2, 4))]
+        return run() + "(" + f" {rng.choice(['&&', '||', '->'])} ".join(parts) + ")"
+
+    if rng.random() < 0.5:
+        return fml(depth)
+    return run() + "{x -> 0} : " + body(depth)
+
+
+def test_printed_formulas_read_back_near_the_nesting_cap():
+    # the charges for relations, "&&" operands, labels' bodies, and "!"
+    # before a bracket, a label or a quantifier: refused or read back
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(400):
+        text = ", ".join(_near_the_cap(rng, rng.randint(1, 3)) for _ in range(2)) + " => x <= 0"
+        try:
+            nu = parse_sequent(text)
+        except ParseError as err:
+            assert "nested deeper than" in str(err), err
+            verdicts.add("refused")
+            continue
+        assert parse_sequent(sequent_src(nu)) == nu, text
+        verdicts.add("read back")
+    assert verdicts == {"refused", "read back"}
+
+
 def test_parse_error_positions_on_several_lines():
     # line and column of the offending token; the expected values are the
     # ones a character-by-character count gives

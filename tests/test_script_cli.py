@@ -379,3 +379,32 @@ def test_emitted_script_for_the_longest_printable_chain_replays(tmp_path, capsys
     # one disjunct more is refused before the search, as its script would be
     assert cli.main(["search", str(goal(longest + 1)), "--depth", "4"]) == 2
     assert f"nested deeper than {MAX_NESTING}" in capsys.readouterr().err
+
+
+def test_emitted_script_for_the_deepest_negated_relation_replays(tmp_path, capsys):
+    # "<" prints as "!(...)", a level deeper than written; the most "!" the
+    # parser accepts before "(x + 1 < x)" is the most whose script reads back
+    from cycproof.parser import MAX_NESTING, ParseError, parse_fml
+
+    def accepted(n: int) -> bool:
+        try:
+            parse_fml("!" * n + "(x + 1 < x)")
+        except ParseError:
+            return False
+        return True
+
+    deepest = max(n for n in range(MAX_NESTING + 2) if accepted(n))
+    assert deepest == MAX_NESTING - 1
+    # an odd run of "!" before a false relation: the goal is valid
+    goal = tmp_path / "deep.txt"
+    goal.write_text(". => " + "!" * deepest + "(x + 1 < x)")
+    emitted = tmp_path / "found.dlp"
+    assert cli.main(["search", str(goal), "--depth", "4", "--emit", str(emitted)]) == 0
+    searched = capsys.readouterr().out
+    assert searched.startswith("verdict: ProvedBounded"), searched[:200]
+    assert cli.main(["check", str(emitted)]) == 0
+    assert capsys.readouterr().out.startswith("verdict: ProvedBounded")
+    # one "!" more is refused before the search, as its script would be
+    goal.write_text(". => " + "!" * (deepest + 1) + "(x + 1 < x)")
+    assert cli.main(["search", str(goal), "--depth", "4"]) == 2
+    assert f"nested deeper than {MAX_NESTING}" in capsys.readouterr().err

@@ -4,17 +4,23 @@ import random
 
 import pytest
 
-from conftest import random_expr, random_fml
-from cycproof.parser import parse_config, parse_expr, parse_fml, parse_prog
+from conftest import random_config, random_expr, random_fml
+from cycproof.canon import expr_key, formula_key, terms_equal
+from cycproof.formulas import substitute as fsubstitute
+from cycproof.parser import parse_config, parse_expr, parse_fml, parse_prog, parse_sequent
 from cycproof.terms import (
+    AndF,
+    BinOp,
     CaptureError,
     Config,
     DivisionByZero,
     Forall,
     Le,
     Lit,
+    NotF,
     TermError,
     Var,
+    all_vars,
     apply_config,
     apply_stack_config,
     bound_vars,
@@ -22,10 +28,10 @@ from cycproof.terms import (
     eval_term,
     evaluate,
     free_vars,
+    fresh_name,
     substitute,
     truncated_div,
 )
-from cycproof.canon import terms_equal
 
 
 def test_free_vars_of_loop(wp):
@@ -201,3 +207,76 @@ def test_self_referential_config_is_not_idempotent():
     phi = parse_fml("x <= 0")
     once = apply_config(sigma, phi)
     assert apply_config(sigma, once) != once
+
+
+# ---------------------------------------------------------------------------
+# Sharing: substitution keeps what it does not change
+# ---------------------------------------------------------------------------
+
+def _rebuilt(t, bindings: dict):
+    """Substitution that builds every node anew: the reference side."""
+    if isinstance(t, Var):
+        return bindings.get(t.name, Var(t.name))
+    if isinstance(t, Lit):
+        return Lit(t.value)
+    if isinstance(t, (BinOp, Le, AndF)):
+        parts = [_rebuilt(t.left, bindings), _rebuilt(t.right, bindings)]
+        return BinOp(t.op, *parts) if isinstance(t, BinOp) else type(t)(*parts)
+    if isinstance(t, NotF):
+        return NotF(_rebuilt(t.body, bindings))
+    if isinstance(t, Config):
+        return Config(tuple((x, _rebuilt(e, bindings)) for x, e in t.entries), t.stack)
+    inner = {x: e for x, e in bindings.items() if x != t.var}
+    relevant = [e for x, e in inner.items() if x in free_vars(t.body)]
+    if not any(t.var in free_vars(e) for e in relevant):
+        return Forall(t.var, _rebuilt(t.body, inner))
+    taken = all_vars(t.body) | frozenset(bindings)
+    for e in relevant:
+        taken |= free_vars(e)
+    renamed = fresh_name(t.var, taken)
+    return Forall(renamed, _rebuilt(_rebuilt(t.body, {t.var: Var(renamed)}), inner))
+
+
+def test_substitution_equals_a_rebuilding_reference():
+    rng = random.Random(31)
+    for _ in range(600):
+        roll = rng.random()
+        t = (random_expr(rng, NAMES) if roll < 0.3 else random_fml(rng, NAMES, 3)
+             if roll < 0.8 else random_config(rng, NAMES))
+        bindings = {x: random_expr(rng, NAMES, 2) for x in rng.sample(NAMES, rng.randint(1, 3))}
+        assert substitute(t, bindings) == _rebuilt(t, bindings), (t, bindings)
+
+
+def test_substitution_returns_unchanged_terms_themselves():
+    rng = random.Random(32)
+    for _ in range(200):
+        t = random_fml(rng, NAMES, 3)
+        assert substitute(t, {"w": Var("x")}) is t
+        assert substitute(t, {x: Var("w") for x in NAMES}, frozenset()) is t
+    prog = parse_prog("while n > 0 do s := s + n ; n := n - 1 end")
+    assert substitute(prog, {"m": Var("k")}) is prog
+    sigma = parse_config("{n -> v, s -> w + 1}")
+    assert substitute(sigma, {"m": Lit(0)}) is sigma
+    nu = parse_sequent("x <= 0, {n -> v} : [n := n + 1] n >= y => y <= v")
+    assert fsubstitute(nu, {"m": Lit(0)}) is nu
+    assert fsubstitute(nu, {"n": Lit(0)}) is nu  # bound by the label wherever it occurs
+
+
+def test_substitution_keeps_untouched_subterms_with_their_keys():
+    phi = parse_fml("(a + b) * c <= y && forall z . z * z <= a / 2 + y")
+    kept = phi.left.left
+    key = expr_key(kept)
+    image = substitute(phi, {"y": parse_expr("c - 1")})
+    assert image.left.left is kept and expr_key(image.left.left) is key
+    assert image.left.right == parse_expr("c - 1") and image.left is not phi.left
+    # under the quantifier only the path to "y" is rebuilt
+    quantified, image_quantified = phi.right.body, image.right.body
+    assert image_quantified.left is quantified.left  # z * z
+    assert image_quantified.right.left is quantified.right.left  # a / 2
+    assert formula_key(image) == formula_key(
+        parse_fml("(a + b) * c <= c - 1 && forall z . z * z <= a / 2 + (c - 1)"))
+    # a symbolic step "s := s + n" builds one node over the store's entries
+    sigma = parse_config("{n -> v - m, s -> ((2 * v - m + 1) * m) / 2}")
+    stepped = sigma.set("s", apply_config(sigma, parse_expr("s + n")))
+    assert stepped.get("s").left is sigma.get("s") and stepped.get("s").right is sigma.get("n")
+    assert stepped.get("n") is sigma.get("n")
