@@ -4,13 +4,15 @@ Exit status is 0 for Proved/ProvedBounded, 1 for Rejected/Stuck, 2 for
 usage or parse errors.  Every verdict is printed together with its oracle
 obligation ledger.
 
-Terms nest deeper than any parser cap once symbolic execution has built them
-(a store value ``n - 1 - ... - 1`` after 1500 loop steps), and the term
-functions recurse once per level.  A ``RecursionError`` while ``search``
-parses its goal is a parse error (exit 2); anywhere later it ends the run
-``Stuck`` (exit 1), which is sound because ``Stuck`` never accepts.  The
-report and the dump are built in full before anything is printed or written,
-so an overflow leaves no half-written output.
+The parser refuses input nested past its caps with a ParseError (exit 2 for
+a goal), whatever the stack, so parsing raises no ``RecursionError``; the
+handlers for one around the parse stay as a safeguard.  Terms nest deeper
+than any parser cap once symbolic execution has built them (a store value
+``n - 1 - ... - 1`` after 1500 loop steps), and the term functions recurse
+once per level: there a ``RecursionError`` ends the run ``Stuck`` (exit 1),
+which is sound because ``Stuck`` never accepts.  The report and the dump are
+built in full before anything is printed or written, so an overflow leaves
+no half-written output.
 """
 
 from __future__ import annotations

@@ -24,6 +24,23 @@ only core connectives plus the relation sugar that reparses to the same
 tree, so ``parse(print(t)) == t``.  The termination judgment
 ``config : prog ⇓ factor`` is printed, for dumps and error messages, but has
 no input syntax.
+
+Every input ends in a tree or a ParseError, whatever the caller's stack, and
+every accepted tree reads back once printed (dumps and emitted scripts are
+printed sequents).  Two caps make it so:
+
+- Nesting (MAX_NESTING): at each token, the open brackets ("(", "[", "{", and
+  "if" or "while" up to its "end"), the ``forall`` binders in scope and the
+  run of prefix "!" or "-" before it.  The parser recurses at most four frames
+  per counted level and reads everything else in loops, so the tokenizer's
+  count bounds its stack.  The same count of the text the printers would
+  write is measured on the parsed tree, because a printed form can nest
+  deeper than its input: "a || b" prints as "!(!(a) && !(b))".
+- Depth (MAX_DEPTH): the parsed tree's height.  The term functions (printers,
+  canonical forms, evaluation) recurse once per level, and a long sequence,
+  sum or conjunction is read in a loop but builds a deep tree.
+
+A printed tree parses to the same tree, so it passes both caps again.
 """
 
 from __future__ import annotations
@@ -66,6 +83,7 @@ from .terms import (
     Seq,
     Skip,
     TRUE,
+    TermError,
     Var,
     While,
     eq,
@@ -91,6 +109,7 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
   | (?P<op>:=|<=|>=|==|!=|=>|->|&&|\|\||[-+*/(){}\[\],;:.<>!|?@]|ε)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -100,187 +119,77 @@ KEYWORDS = {
     "skip", "true", "false", "cons", "dispose", "eps",
 }
 
-# The parsers, and the term functions after them, recurse once or more per
-# bracket level and per prefix operator, so deeper input would exhaust
-# Python's stack (about 200 levels of parentheses around a formula did, and
-# 1200 ``!`` in a row).  A token's nesting counts the open brackets and the
-# prefix operators (``!`` and unary ``-``) that lead up to it; past
-# MAX_NESTING the input is a parse error instead.  A sequence ``p1 ; p2 ; ...``
-# nests one level per ``;`` in the term functions too, so an input may join
-# at most MAX_SEQUENCE statements (1000 did not fit, 200 do).  The parser
-# builds a chain ``a + b + ...`` or ``a && b && ...`` in a loop, but the term
-# nests one level per operator, three per ``||`` or ``->`` (each stands for a
-# ``!``, a ``&&`` and a ``!``) and one per ``==`` or ``!=`` (each stands for a
-# ``&&``, which its printed form shows), so an input's binary operators may
-# build at most MAX_CHAIN levels (1200 ``+`` did not fit; a configuration's ``->``
-# maps a variable and builds none).  Input at each cap must still parse and
-# print 100 frames below a test runner's own: the formula parser spends five
-# frames per ``!(`` level, and 160 levels fit with about 45 frames to spare.
-#
-# What is accepted must also read back once printed.  The printers write
-# ``a || b`` as ``!(!(a) && !(b))`` and ``a -> b`` as ``!(a && !(b))``, so in
-# a chain of n such operators the first operand of ``||`` (the last of
-# ``->``) prints 2n levels deeper than it is written.  Each ``||`` and ``->``
-# is therefore charged two levels of nesting, for the tokens after it in its
-# chain and, through the chain's deepest token so far, for those before it.
-# A chain (_Chain) is the run of tokens between brackets, between an ``if`` or
-# ``while`` and its ``then`` or ``do`` (a guard, printed on its own), between
-# a diamond's ``<`` and ``>``, or between the ``,`` and ``=>`` that separate
-# the formulas of a list.  It starts as deep as what opens it, and the
-# prefix operators before a label or a ``forall`` nest the rest of the chain.
-#
-# Other tokens make a formula print deeper by a fixed amount however often
-# they occur, so a chain is charged once for them, the most they may add
-# (_Chain.extra): ``<``, ``>`` and ``false`` print as ``!(...)``, ``==`` as
-# ``(a <= b) && (b <= a)`` and ``!=`` as both, and an operand of ``&&`` that
-# is a ``<=`` (``true`` is one), an ``==``, a labeled formula or a ``forall``
-# after the ``&&`` is bracketed.  So is a base formula in a label's body,
-# unless it is a bare ``<=``, and in a bracketed body with a modality each
-# ``&&`` after the first brackets its left operand (_Chain.follow_body).  The
-# printed forms hold none of these tokens in the chain of their own brackets,
-# so a printed formula is charged no more than what it was read from.  This
-# bounds the printed nesting from above, exactly for a chain of ``||`` alone.
+# The caps (see the module docstring).  A binder's scope, in the count, ends
+# where the bracket around it closes or at a separator; a bracket or binder
+# straight after a run of prefix operators adds no level of its own, so "!("
+# is one level, as the printers write a negation.
 MAX_NESTING = 160
-MAX_SEQUENCE = 500
-MAX_CHAIN = 500
-_OPENING = ("(", "[", "{")
-_LEVELS = {"+": 1, "-": 1, "*": 1, "/": 1, "&&": 1, "||": 3, "->": 3, "==": 1, "!=": 1}
-_CLOSING = (")", "]", "}")
-_GUARD = {"if": "then", "while": "do"}  # a guard's first keyword -> its last
-_RELATION_LEVELS = {"<": 1, ">": 1, "==": 1, "false": 1, "!=": 2}
-_BRACKETED_IN_AND = ("<=", ">=", "==", "true", ":", "forall")
-_ONCE = ("&&", "==", "!=")  # the binary operators that extra reads
-_LIST_SEPARATORS = (",", "=>")
-# a "-" after one of these is binary; anywhere else it is a prefix operator
-_VALUE_END = ("int", "ident")
+MAX_DEPTH = 500
+_OPENING = ("(", "[", "{", "if", "while", "forall")
+_CLOSING = (")", "]", "}", "end")
+_SEPARATORS = (",", "=>", "then", "else", "do")
 
 
 class _Tokens:
+    """The tokens of ``text``, as (kind, text, offset), and a cursor."""
+
     metavars = False  # template mode: ?name body and @name program holes
 
     def __init__(self, text: str):
-        self.toks: list = []
-        line, col = 1, 1
-        pos = 0
-        prefix = 0  # prefix operators since the last operand or bracket,
-        # less one for a "(" or "[" straight after one: "!(" nests one level,
-        # as "(" does, so printed negations reparse ("!{" prints as "!({")
-        after_prefix = False
-        joins = 0  # ";" tokens
-        chained = 0  # levels built by binary operators
-        braces = 0  # open "{": inside a configuration "->" maps a variable
-        chain = _Chain(None, 0)
-        chains = [chain]
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            chunk = m.group(0)
-            if m.lastgroup != "ws":
-                kind = m.lastgroup
-                is_prefix = chunk == "!" or chunk == "-" and not self._after_value()
-                nesting = 0  # set where the token may nest deeper than the chain's start
-                if chain.body is not None:
-                    chain.follow_body(chunk, line, col)
-                if kind != "op":
-                    if kind == "ident" and chunk in KEYWORDS:
-                        kind = "kw"
-                        if chunk == chain.closer:
-                            chain = _close(chains, line, col)
-                        elif chunk in _GUARD:
-                            chain = _open(chains, _GUARD[chunk], chain.start + chain.charge)
-                        elif chunk == "true" or chunk == "false" or (
-                                chunk == "forall" and chain.conjunction):
-                            chain.note(chunk, line, col)
-                        if chunk == "forall":
-                            chain.charge += prefix  # the chain's rest is its body
-                elif chunk == "{":
-                    braces += 1
-                    nesting = chain.start + chain.charge + prefix + 1
-                    chain.charge += prefix  # and the label's body after the "}"
-                elif chunk in _OPENING:
-                    nesting = chain.start + chain.charge + prefix + 1 - after_prefix
-                elif chunk in _CLOSING:
-                    braces -= chunk == "}"
-                    if chain.closer is None and len(chains) > 1:
-                        chain = _close(chains, line, col)
-                elif chunk == ";":
-                    joins += 1
-                    if joins >= MAX_SEQUENCE:
-                        raise ParseError(
-                            f"more than {MAX_SEQUENCE} statements in sequence", line, col)
-                elif chunk in _LIST_SEPARATORS:
-                    fresh = _Chain(chain.closer, chain.start)
-                    fresh.deepest = chain.deepest
-                    chain = chains[-1] = fresh
-                elif chunk in _LEVELS and not is_prefix and not (chunk == "->" and braces):
-                    chained += _LEVELS[chunk]
-                    if chained > MAX_CHAIN:
-                        raise ParseError(
-                            f"binary operators nested deeper than {MAX_CHAIN}", line, col)
-                    if chunk == "||" or chunk == "->":
-                        chain.add_charge(2, line, col)
-                    elif chunk in _ONCE:  # "&&", "==", "!="
-                        chain.note(chunk, line, col)
-                elif chunk == "<" or chunk == ">":
-                    if chunk == chain.closer:
-                        chain = _close(chains, line, col)
-                    elif self._after_operand():
-                        chain.note(chunk, line, col)
-                    elif chunk == "<":
-                        chain = _open(chains, ">", chain.start + chain.charge)
-                elif chunk == ":":  # a label: its body follows
-                    chain.body = _Body(True)
-                    chain.note(chunk, line, col)
-                elif chunk in _BRACKETED_IN_AND and not chain.bracketed:  # "<=", ">="
-                    chain.bracketed = True
-                    if chain.conjunction:
-                        chain.recharge(line, col)
-                if is_prefix:
-                    prefix += 1
-                    nesting = chain.start + chain.charge + prefix
-                elif chunk not in _OPENING:
-                    prefix = 0
-                after_prefix = is_prefix
-                if nesting:
-                    if nesting > MAX_NESTING:
-                        raise ParseError(
-                            f"brackets and prefix operators nested deeper than {MAX_NESTING}",
-                            line, col)
-                    chain.printed = max(chain.printed, nesting)
-                    chain.deepest = max(chain.deepest, nesting)
-                    if chunk in _OPENING:
-                        chain = _open(chains, None, nesting)
-                        prefix = 0
-                self.toks.append((kind, chunk, line, col))
-            if "\n" in chunk:
-                line += chunk.count("\n")
-                col = len(chunk) - chunk.rfind("\n")
+        self.text = text
+        self.toks = toks = []
+        depth = 0  # counted levels before the next token
+        inside = 0  # depth just inside the innermost open bracket
+        outer = []  # (depth, inside) around each open bracket
+        run = 0  # prefix operators just before the next token
+        after_value = False  # a "-" next is binary
+        deepest = 0
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "ws":
+                continue
+            chunk = m.group()
+            if chunk == "!" or chunk == "-" and not after_value:
+                run += 1
+                if depth + run > deepest:
+                    deepest = depth + run
             else:
-                col += len(chunk)
-            pos = m.end()
+                if kind == "ident" and chunk in KEYWORDS:
+                    kind = "kw"
+                if chunk in _OPENING:
+                    level = depth + (run or 1)
+                    if chunk != "forall":
+                        outer.append((depth, inside))
+                        inside = level
+                    depth = level
+                    if depth > deepest:
+                        deepest = depth
+                elif chunk in _CLOSING:
+                    if outer:
+                        depth, inside = outer.pop()
+                elif chunk in _SEPARATORS:
+                    depth = inside
+                elif kind == "bad":
+                    self.fail(f"unexpected character {chunk!r}", m.start())
+                run = 0
+            if deepest > MAX_NESTING:
+                self.fail("brackets, binders and prefix operators nested deeper than "
+                          f"{MAX_NESTING}", m.start())
+            after_value = kind == "int" or kind == "ident" or chunk == ")"
+            toks.append((kind, chunk, m.start()))
         self.pos = 0
-        self._end = (line, col)
+        self.deepest = deepest
         self.failed: dict = {}  # (rule, position) -> the ParseError it raised there
 
-    def _after_value(self) -> bool:
-        if not self.toks:
-            return False
-        kind, chunk = self.toks[-1][:2]
-        return kind in _VALUE_END or chunk in _CLOSING
-
-    def _after_operand(self) -> bool:
-        """Whether the last token ends an expression: a ``<`` there compares,
-        anywhere else it opens a diamond."""
-        if not self.toks:
-            return False
-        kind, chunk = self.toks[-1][:2]
-        return kind in _VALUE_END or chunk == ")"
+    def fail(self, message: str, offset: int):
+        text = self.text
+        raise ParseError(message, text.count("\n", 0, offset) + 1,
+                         offset - text.rfind("\n", 0, offset))
 
     def peek(self):
         if self.pos < len(self.toks):
             return self.toks[self.pos]
-        return ("eof", "", *self._end)
+        return ("eof", "", len(self.text))
 
     def next(self):
         tok = self.peek()
@@ -297,144 +206,21 @@ class _Tokens:
         return False
 
     def expect(self, value: str):
-        kind, chunk, line, col = self.peek()
+        _, chunk, offset = self.peek()
         if chunk != value:
-            raise ParseError(f"expected {value!r}, found {chunk or 'end of input'!r}", line, col)
+            self.fail(f"expected {value!r}, found {chunk or 'end of input'!r}", offset)
         self.pos += 1
 
     def error(self, message: str):
-        _, chunk, line, col = self.peek()
-        raise ParseError(f"{message} (found {chunk or 'end of input'!r})", line, col)
+        _, chunk, offset = self.peek()
+        self.fail(f"{message} (found {chunk or 'end of input'!r})", offset)
 
-
-class _Chain:
-    """A chain of tokens and what its formulas may print deeper (see above)."""
-
-    __slots__ = ("closer", "start", "charge", "printed", "deepest", "relation", "conjunction",
-                 "bracketed", "once", "body")
-
-    def __init__(self, closer, start: int):
-        self.closer = closer  # the token that closes a guard or diamond, or None
-        self.start = start  # the nesting of its first token
-        self.charge = 0  # the nesting charged to it
-        self.printed = start  # the deepest printed nesting of a token of it
-        self.deepest = start  # the same, over all formulas of a list
-        self.relation = 0  # the most a relation of it prints deeper
-        self.conjunction = False  # it holds a "&&"
-        self.bracketed = False  # it holds a token of _BRACKETED_IN_AND
-        self.once = 0  # what extra was charged
-        self.body = None  # a _Body when it holds a label's body or a bracketed one
-
-    def add_charge(self, levels: int, line: int, col: int) -> None:
-        """Its tokens so far print ``levels`` deeper, and so do those after."""
-        self.charge += levels
-        self.printed += levels
-        self.deepest = max(self.deepest, self.printed)
-        if self.printed > MAX_NESTING:
-            raise ParseError(f"formula nested deeper than {MAX_NESTING} once printed",
-                             line, col)
-
-    def extra(self) -> int:
-        """Levels by which its formulas may print deeper than written,
-        besides its "||" and "->"."""
-        levels = self.relation + (self.conjunction and self.bracketed)
-        body = self.body
-        if body is not None:
-            if body.wrap and (body.label or body.modal):
-                levels += 1
-            if body.modal and body.ands > 1:
-                levels += body.ands - 1
-        return levels
-
-    def note(self, token: str, line: int, col: int) -> None:
-        """Record ``token``, and charge what it adds to extra."""
-        self.conjunction = self.conjunction or token == "&&"
-        self.bracketed = self.bracketed or token in _BRACKETED_IN_AND
-        self.relation = max(self.relation, _RELATION_LEVELS.get(token, 0))
-        self.recharge(line, col)
-
-    def recharge(self, line: int, col: int) -> None:
-        """Charge what extra grew by since it was last charged."""
-        more = self.extra() - self.once
-        if more > 0:
-            self.once += more
-            self.add_charge(more, line, col)
-
-    def follow_body(self, chunk: str, line: int, col: int) -> None:
-        """Follow a token of a body: the base formulas it brackets (anything
-        but a bare "<=", and whatever a "!" stands before), its modalities,
-        and its "&&"."""
-        body = self.body
-        if chunk in _RELATION_LEVELS and not (body.at and chunk == "<") or chunk == "forall":
-            body.wrap = True
-            self.recharge(line, col)
-        if body.at:
-            if chunk == "!":
-                body.negated = True
-                return
-            if chunk == "[" or chunk == "<":
-                body.negated = False
-                body.modal = True
-                self.recharge(line, col)
-                return
-            if chunk == "(":
-                body.next_negated = body.negated
-            elif body.negated:
-                body.wrap = True
-                self.recharge(line, col)
-            body.at = body.negated = False
-        if chunk in ("&&", "||", "->") and not body.label:
-            body.at = True
-            if chunk == "&&":
-                body.ands += 1
-                self.recharge(line, col)
-
-
-class _Body:
-    """What a chain holding a label's body, or a bracketed part of one,
-    tracks of it."""
-
-    __slots__ = ("label", "modal", "wrap", "at", "negated", "ands", "opened_negated",
-                 "next_negated")
-
-    def __init__(self, label: bool, opened_negated: bool = False):
-        self.label = label  # a label's own chain, where its body starts
-        self.modal = False  # it holds a modality
-        self.wrap = False  # it holds a base formula that the body brackets
-        self.at = True  # the next token starts an operand
-        self.negated = False  # a "!" before that operand
-        self.ands = 0  # its "&&", in a bracketed body
-        self.opened_negated = opened_negated  # bracketed after a "!"
-        self.next_negated = None  # for a "(" that starts an operand: a "!" before it
-
-
-def _open(chains: list, closer, start: int) -> _Chain:
-    """Open a chain whose first token nests ``start`` deep; returns it."""
-    chain = _Chain(closer, start)
-    body = chains[-1].body
-    if closer is None and body is not None and body.next_negated is not None:
-        chain.body = _Body(False, body.next_negated)  # a bracketed body
-        body.next_negated = None
-    chains.append(chain)
-    return chain
-
-
-def _close(chains: list, line: int, col: int) -> _Chain:
-    """Close the innermost chain: its tokens are in the chain around it now,
-    which a later ``||`` or ``->`` charges for them.  Returns that chain."""
-    inner = chains.pop()
-    outer = chains[-1]
-    outer.printed = max(outer.printed, inner.deepest)
-    outer.deepest = max(outer.deepest, inner.deepest)
-    body = inner.body
-    if body is not None and not body.label:
-        if body.modal:
-            outer.body.modal = True
-            outer.recharge(line, col)
-        elif body.opened_negated:  # "!(" around a base formula
-            outer.body.wrap = True
-            outer.recharge(line, col)
-    return outer
+    def name(self, message: str) -> str:
+        """The identifier next, or a ParseError with ``message``."""
+        kind, chunk, offset = self.next()
+        if kind != "ident":
+            self.fail(message, offset)
+        return chunk
 
 
 # ---------------------------------------------------------------------------
@@ -480,93 +266,88 @@ def _expr_mul(ts: _Tokens) -> Expr:
 
 
 def _expr_atom(ts: _Tokens) -> Expr:
-    kind, chunk, _, _ = ts.peek()
-    if chunk == "-":
+    kind, chunk, _ = ts.peek()
+    minus = 0
+    while chunk == "-":  # read in a loop, as "!" is
         ts.next()
-        inner = _expr_atom(ts)
-        if isinstance(inner, Lit):
-            return Lit(-inner.value)
-        return BinOp("-", Lit(0), inner)
+        minus += 1
+        kind, chunk, _ = ts.peek()
     if kind == "int":
         ts.next()
-        return Lit(int(chunk))
-    if kind == "ident":
+        node = Lit(int(chunk))
+    elif kind == "ident":
         ts.next()
-        return Var(chunk)
-    if chunk == "(":
+        node = Var(chunk)
+    elif chunk == "(":
         ts.next()
         node = _expr(ts)
         ts.expect(")")
-        return node
-    ts.error("expected an expression")
+    else:
+        ts.error("expected an expression")
+    for _ in range(minus):
+        node = Lit(-node.value) if isinstance(node, Lit) else BinOp("-", Lit(0), node)
+    return node
 
 
-_RELATIONS = ("<=", "<", "==", "!=", ">=", ">")
+_RELATIONS = {"<=": Le, "<": lt, "==": eq, "!=": ne, ">=": ge, ">": gt}
 
 
 @_remembers_failure
 def _relation(ts: _Tokens) -> BaseFormula:
     left = _expr(ts)
-    op = ts.peek()[1]
-    if op not in _RELATIONS:
+    make = _RELATIONS.get(ts.peek()[1])
+    if make is None:
         ts.error("expected a relation")
     ts.next()
-    right = _expr(ts)
-    if op == "<=":
-        return Le(left, right)
-    if op == "<":
-        return lt(left, right)
-    if op == "==":
-        return eq(left, right)
-    if op == "!=":
-        return ne(left, right)
-    if op == ">=":
-        return ge(left, right)
-    return gt(left, right)
+    return make(left, _expr(ts))
 
 
 # ---------------------------------------------------------------------------
-# Base formulas
+# Base formulas and labeled formulas
 # ---------------------------------------------------------------------------
 
-# Each bracket level costs one call of every function on the way from
-# ``_fml`` back to ``_fml_atom``, so ``||`` is read in ``_fml`` and a run of
-# ``!`` in one loop: fewer frames per level leave more stack for MAX_NESTING.
+def _connectives(ts: _Tokens, atom, not_, and_):
+    """``->`` over ``||`` over ``&&`` over prefix ``!``, all in loops, over
+    ``atom``; the derived connectives built from ``not_`` and ``and_``.  Each
+    bracket level costs the frames of ``atom`` and of its caller here."""
+    parts = []  # the operands of "->", which associates to the right
+    while True:
+        disjunction = None
+        while True:
+            conjunction = None
+            while True:
+                negations = 0
+                while ts.accept("!"):
+                    negations += 1
+                node = atom(ts)
+                for _ in range(negations):
+                    node = not_(node)
+                conjunction = node if conjunction is None else and_(conjunction, node)
+                if not ts.accept("&&"):
+                    break
+            disjunction = conjunction if disjunction is None else not_(
+                and_(not_(disjunction), not_(conjunction)))
+            if not ts.accept("||"):
+                break
+        parts.append(disjunction)
+        if not ts.accept("->"):
+            break
+    node = parts.pop()
+    while parts:
+        node = not_(and_(parts.pop(), not_(node)))
+    return node
+
 
 def _fml(ts: _Tokens) -> BaseFormula:
-    node = _fml_and(ts)
-    while ts.accept("||"):
-        node = or_f(node, _fml_and(ts))
-    if ts.accept("->"):
-        return imp_f(node, _fml(ts))
-    return node
-
-
-def _fml_and(ts: _Tokens) -> BaseFormula:
-    node = _fml_unary(ts)
-    while ts.accept("&&"):
-        node = AndF(node, _fml_unary(ts))
-    return node
-
-
-def _fml_unary(ts: _Tokens) -> BaseFormula:
-    negations = 0
-    while ts.accept("!"):
-        negations += 1
-    node = _fml_atom(ts)
-    for _ in range(negations):
-        node = NotF(node)
-    return node
+    return _connectives(ts, _fml_atom, NotF, AndF)
 
 
 @_remembers_failure
 def _fml_atom(ts: _Tokens) -> BaseFormula:
-    kind, chunk, _, _ = ts.peek()
+    chunk = ts.peek()[1]
     if chunk == "forall":
         ts.next()
-        k2, name, line, col = ts.next()
-        if k2 != "ident":
-            raise ParseError("expected a variable after forall", line, col)
+        name = ts.name("expected a variable after forall")
         ts.expect(".")
         return Forall(name, _fml(ts))
     if chunk == "true":
@@ -588,6 +369,44 @@ def _fml_atom(ts: _Tokens) -> BaseFormula:
     return _relation(ts)
 
 
+# A connective over purely base operands collapses into the base-formula
+# connective, so modality-free bodies and formulas stay one atom.
+
+def _d_not(f: DlpFormula) -> DlpFormula:
+    if isinstance(f, DBase):
+        return DBase(NotF(f.fml))
+    return DNot(f)
+
+
+def _d_and(a: DlpFormula, b: DlpFormula) -> DlpFormula:
+    if isinstance(a, DBase) and isinstance(b, DBase):
+        return DBase(AndF(a.fml, b.fml))
+    return DAnd(a, b)
+
+
+def _dlp(ts: _Tokens) -> DlpFormula:
+    return _connectives(ts, _dlp_atom, _d_not, _d_and)
+
+
+def _dlp_atom(ts: _Tokens) -> DlpFormula:
+    chunk = ts.peek()[1]
+    if chunk == "{":
+        sigma = _config(ts)
+        ts.expect(":")
+        return DLabeled(sigma, _body_atom(ts))
+    if chunk == "(":
+        save = ts.pos
+        try:
+            return DBase(_fml_atom(ts))
+        except ParseError:
+            ts.pos = save
+        ts.next()
+        node = _dlp(ts)
+        ts.expect(")")
+        return node
+    return DBase(_fml_atom(ts))
+
+
 # ---------------------------------------------------------------------------
 # Programs
 # ---------------------------------------------------------------------------
@@ -604,15 +423,12 @@ def _prog(ts: _Tokens) -> Program:
 
 
 def _prog_atom(ts: _Tokens) -> Program:
-    kind, chunk, line, col = ts.peek()
+    kind, chunk, offset = ts.peek()
     if ts.metavars and chunk == "@":
         from .lifting import MProg
 
         ts.next()
-        k2, name, line2, col2 = ts.next()
-        if k2 != "ident":
-            raise ParseError("expected a metavariable name after @", line2, col2)
-        return MProg(name)
+        return MProg(ts.name("expected a metavariable name after @"))
     if chunk == "(":
         ts.next()
         node = _prog(ts)
@@ -666,7 +482,7 @@ def _prog_atom(ts: _Tokens) -> Program:
             ts.expect("]")
             return _sep.HeapRead(chunk, e)
         return Assign(chunk, _expr(ts))
-    raise ParseError(f"expected a program, found {chunk!r}", line, col)
+    ts.fail(f"expected a program, found {chunk!r}", offset)
 
 
 # ---------------------------------------------------------------------------
@@ -674,14 +490,13 @@ def _prog_atom(ts: _Tokens) -> Program:
 # ---------------------------------------------------------------------------
 
 def _config(ts: _Tokens) -> Config:
+    start = ts.peek()[2]
     ts.expect("{")
     entries = []
     stack = False
     if not ts.at("}"):
         while True:
-            kind, name, line, col = ts.next()
-            if kind != "ident":
-                raise ParseError("expected a variable in configuration", line, col)
+            name = ts.name("expected a variable in configuration")
             ts.expect("->")
             entries.append((name, _expr(ts)))
             if ts.accept(","):
@@ -691,15 +506,15 @@ def _config(ts: _Tokens) -> Config:
                 continue
             break
     ts.expect("}")
-    return Config(tuple(entries), stack=stack)
+    try:
+        return Config(tuple(entries), stack=stack)
+    except TermError as exc:  # a store maps a variable twice
+        ts.fail(str(exc), start)
 
 
 # ---------------------------------------------------------------------------
-# Labeled formulas and sequents
+# Bodies and sequents
 # ---------------------------------------------------------------------------
-
-# A body (or labeled-formula) connective over purely base operands collapses
-# into the base-formula connective, so modality-free bodies stay one atom.
 
 def _b_not(b: Body) -> Body:
     if isinstance(b, BBase):
@@ -714,148 +529,206 @@ def _b_and(a: Body, b: Body) -> Body:
 
 
 def _body_atom(ts: _Tokens) -> Body:
-    chunk = ts.peek()[1]
+    # a run of "!" and modalities is read in a loop and applied innermost first
+    prefixes = []
+    while True:
+        chunk = ts.peek()[1]
+        if chunk == "!":
+            ts.next()
+            prefixes.append(None)
+        elif chunk == "[" or chunk == "<":
+            ts.next()
+            prog = _prog(ts)
+            ts.expect("]" if chunk == "[" else ">")
+            prefixes.append((BBox if chunk == "[" else BDia, prog))
+        else:
+            break
+    node = None
     if ts.metavars and chunk == "?":
         from .lifting import MBody
 
         ts.next()
-        kind, name, line, col = ts.next()
-        if kind != "ident":
-            raise ParseError("expected a metavariable name after ?", line, col)
-        return MBody(name)
-    if chunk == "[":
-        ts.next()
-        prog = _prog(ts)
-        ts.expect("]")
-        return BBox(prog, _body_atom(ts))
-    if chunk == "<":
-        ts.next()
-        prog = _prog(ts)
-        ts.expect(">")
-        return BDia(prog, _body_atom(ts))
-    if chunk == "!":
-        ts.next()
-        return _b_not(_body_atom(ts))
-    if chunk == "(":
+        node = MBody(ts.name("expected a metavariable name after ?"))
+    elif chunk == "(":
         save = ts.pos
         ts.next()
         try:
             node = _body_compound(ts)
             ts.expect(")")
-            return node
         except ParseError:
             ts.pos = save
-        return BBase(_fml_atom(ts))
-    return BBase(_fml_atom(ts))
+            node = None
+    if node is None:
+        node = BBase(_fml_atom(ts))
+    while prefixes:
+        prefix = prefixes.pop()
+        node = _b_not(node) if prefix is None else prefix[0](prefix[1], node)
+    return node
 
 
 def _body_compound(ts: _Tokens) -> Body:
-    node = _body_and(ts)
-    if ts.accept("->"):
-        rest = _body_compound(ts)
-        return _b_not(_b_and(node, _b_not(rest)))
+    # "&&" and "||" bind alike here, from the left; "->" to the right
+    parts = [_body_and(ts)]
+    while ts.accept("->"):
+        parts.append(_body_and(ts))
+    node = parts.pop()
+    while parts:
+        node = _b_not(_b_and(parts.pop(), _b_not(node)))
     return node
 
 
 def _body_and(ts: _Tokens) -> Body:
-    node = _body_unary(ts)
+    node = _body_atom(ts)
     while True:
         if ts.accept("&&"):
-            node = _b_and(node, _body_unary(ts))
+            node = _b_and(node, _body_atom(ts))
         elif ts.accept("||"):
-            right = _body_unary(ts)
+            right = _body_atom(ts)
             node = _b_not(_b_and(_b_not(node), _b_not(right)))
         else:
             return node
 
 
-def _body_unary(ts: _Tokens) -> Body:
-    if ts.accept("!"):
-        return _b_not(_body_unary(ts))
-    return _body_atom(ts)
-
-
-def _d_not(f: DlpFormula) -> DlpFormula:
-    if isinstance(f, DBase):
-        return DBase(NotF(f.fml))
-    return DNot(f)
-
-
-def _d_and(a: DlpFormula, b: DlpFormula) -> DlpFormula:
-    if isinstance(a, DBase) and isinstance(b, DBase):
-        return DBase(AndF(a.fml, b.fml))
-    return DAnd(a, b)
-
-
-def _dlp(ts: _Tokens) -> DlpFormula:
-    node = _dlp_and(ts)
-    while ts.accept("||"):
-        right = _dlp_and(ts)
-        node = _d_not(_d_and(_d_not(node), _d_not(right)))
-    if ts.accept("->"):
-        rest = _dlp(ts)
-        return _d_not(_d_and(node, _d_not(rest)))
-    return node
-
-
-def _dlp_and(ts: _Tokens) -> DlpFormula:
-    node = _dlp_unary(ts)
-    while ts.accept("&&"):
-        node = _d_and(node, _dlp_unary(ts))
-    return node
-
-
-def _dlp_unary(ts: _Tokens) -> DlpFormula:
-    negations = 0
-    while ts.accept("!"):
-        negations += 1
-    node = _dlp_atom(ts)
-    for _ in range(negations):
-        node = _d_not(node)
-    return node
-
-
-def _dlp_atom(ts: _Tokens) -> DlpFormula:
-    chunk = ts.peek()[1]
-    if chunk == "{":
-        sigma = _config(ts)
-        ts.expect(":")
-        return DLabeled(sigma, _body_atom(ts))
-    if chunk == "(":
-        save = ts.pos
-        try:
-            return DBase(_fml_atom(ts))
-        except ParseError:
-            ts.pos = save
-        ts.next()
-        node = _dlp(ts)
-        ts.expect(")")
-        return node
-    return DBase(_fml_atom(ts))
-
-
 def _sequent(ts: _Tokens) -> Sequent:
-    left = _formula_list(ts)
+    left = _formula_list(ts, _dlp)
     ts.expect("=>")
-    right = _formula_list(ts)
-    return Sequent(tuple(left), tuple(right))
+    right = _formula_list(ts, _dlp)
+    return Sequent(left, right)
 
 
-def _formula_list(ts: _Tokens) -> list:
+def _formula_list(ts: _Tokens, formula) -> tuple:
     if ts.accept("."):
-        return []
+        return ()
     if ts.at("=>") or ts.peek()[0] == "eof":
-        return []
-    out = [_dlp(ts)]
+        return ()
+    out = [formula(ts)]
     while ts.accept(","):
-        out.append(_dlp(ts))
-    return out
+        out.append(formula(ts))
+    return tuple(out)
 
 
 def _finish(ts: _Tokens, node):
     if ts.peek()[0] != "eof":
         ts.error("trailing input")
+    depth, nesting = _measure(node)
+    if nesting > MAX_NESTING:
+        raise ParseError(f"formula nested deeper than {MAX_NESTING} once printed", 1, 1)
+    if depth > MAX_DEPTH:
+        raise ParseError(f"terms nested deeper than {MAX_DEPTH} levels", 1, 1)
     return node
+
+
+def _measure(root) -> tuple:
+    """The height of ``root`` (a term, a sequent, or a tuple of terms), and
+    the tokenizer's nesting count of the text the printers write for it.
+
+    One top-down walk with an explicit stack.  An entry is a node, its depth,
+    the count before its first token, its printer ``level`` (the context that
+    decides its outer brackets), and how many prefix operators are printed
+    just before it.  The rules follow the printers below.
+    """
+    height = nesting = 0
+    stack = [(root, 1, 0, 0, 0)]
+    push = stack.append
+    while stack:
+        node, d, n, level, run = stack.pop()
+        if d > height:
+            height = d
+        d += 1
+        cls = type(node)
+        if cls is Var:
+            continue
+        if cls is BinOp:  # "left op right", bracketed above its precedence
+            prec = 1 if node.op in "+-" else 2
+            if level > prec:
+                n += run or 1
+                run = 0
+            push((node.left, d, n, prec, run))
+            push((node.right, d, n, prec + 1, 0))
+        elif cls is Lit:
+            if node.value < 0:  # "-k", bracketed at level 3
+                if level >= 3:
+                    n += run or 1
+                    run = 0
+                n += run + 1
+        elif cls is Le:
+            if level > 1:
+                n += run or 1
+                run = 0
+            push((node.left, d, n, 0, run))
+            push((node.right, d, n, 0, 0))
+        elif cls is NotF or cls is DNot:  # "!(arg)": one level
+            n += run + 1
+            push((node.body if cls is NotF else node.arg, d, n, 0, 0))
+        elif cls is AndF or cls is DAnd:
+            if level > 2:
+                n += run or 1
+                run = 0
+            push((node.left, d, n, 2, run))
+            push((node.right, d, n, 3, 0))
+        elif cls is Forall:  # "forall v . body", bracketed at level 1
+            if level > 0:
+                n += run or 1
+                run = 0
+            n += run or 1
+            push((node.body, d, n, 0, 0))
+        elif cls is DBase:
+            push((node.fml, d, n, level, run))
+        elif cls is DLabeled:  # "label : body", bracketed at level 1
+            if level > 0:
+                n += run or 1
+                run = 0
+            push((node.label, d, n, 0, run))
+            push((node.body, d, n, 0, 0))
+        elif cls is Config:  # "{x -> e, ...}"
+            n += run or 1
+            for _, e in node.entries:
+                push((e, d, n, 0, 0))
+        elif cls is BBase:  # bare if a "<=", else "(fml)"
+            if type(node.fml) is Le:
+                push((node.fml, d, n, 0, run))
+            else:
+                push((node.fml, d, n + (run or 1), 0, 0))
+        elif cls is BNot:  # "!body"
+            push((node.body, d, n, 0, run + 1))
+            n += run + 1
+        elif cls is BAnd:  # "(left && right)"
+            n += run or 1
+            push((node.left, d, n, 0, 0))
+            push((node.right, d, n, 0, 0))
+        elif cls is BBox:  # "[prog] body"
+            push((node.prog, d, n + (run or 1), 0, 0))
+            push((node.body, d, n, 0, 0))
+        elif cls is BDia:  # "<prog> body": "<" is no bracket
+            push((node.prog, d, n, 0, 0))
+            push((node.body, d, n, 0, 0))
+        elif cls is Assign:
+            push((node.expr, d, n, 0, 0))
+        elif cls is Seq:  # "first ; second", "(first) ; second" for a Seq
+            push((node.first, d, n + (type(node.first) is Seq), 0, 0))
+            push((node.second, d, n, 0, 0))
+        elif cls is If:  # "if", "then" and "else" start one level in
+            n += 1
+            push((node.guard, d, n, 0, 0))
+            push((node.then, d, n, 0, 0))
+            push((node.orelse, d, n, 0, 0))
+        elif cls is While:
+            n += 1
+            push((node.guard, d, n, 0, 0))
+            push((node.body, d, n, 0, 0))
+        elif cls is _sep.HeapWrite:  # "[addr] := expr"
+            push((node.addr, d, n + 1, 0, 0))
+            push((node.expr, d, n, 0, 0))
+        elif cls is _sep.HeapRead or cls is _sep.Dispose:  # "x := [addr]", "dispose(addr)"
+            push((node.addr, d, n + 1, 0, 0))
+        elif cls is _sep.Alloc:  # "x := cons(expr)"
+            push((node.expr, d, n + 1, 0, 0))
+        elif cls is Sequent or cls is tuple:  # its parts, printed apart
+            for part in (node.left + node.right if cls is Sequent else node):
+                push((part, d - 1, 0, 0, 0))
+        if n > nesting:
+            nesting = n
+    return height, nesting
 
 
 def parse_expr(text: str) -> Expr:
@@ -889,20 +762,9 @@ def parse_template_sequent(text: str) -> tuple:
     """
     ts = _Tokens(text)
     ts.metavars = True
-
-    def side() -> tuple:
-        if ts.accept("."):
-            return ()
-        if ts.at("=>") or ts.peek()[0] == "eof":
-            return ()
-        out = [_body_compound(ts)]
-        while ts.accept(","):
-            out.append(_body_compound(ts))
-        return tuple(out)
-
-    left = side()
+    left = _formula_list(ts, _body_compound)
     ts.expect("=>")
-    right = side()
+    right = _formula_list(ts, _body_compound)
     return _finish(ts, (left, right))
 
 
@@ -1006,24 +868,12 @@ def body_src(b: Body) -> str:
     if isinstance(b, BNot):
         return f"!{body_src(b.body)}"
     if isinstance(b, BAnd):
-        return f"({_body_src_inner(b)})"
+        return f"({body_src(b.left)} && {body_src(b.right)})"
     if isinstance(b, BBox):
         return f"[{prog_src(b.prog)}] {body_src(b.body)}"
     if isinstance(b, BDia):
         return f"<{prog_src(b.prog)}> {body_src(b.body)}"
     raise TypeError(f"not a body: {b!r}")
-
-
-def _body_src_inner(b: Body) -> str:
-    if isinstance(b, BAnd):
-        return f"{_body_and_src(b.left)} && {_body_and_src(b.right)}"
-    return body_src(b)
-
-
-def _body_and_src(b: Body) -> str:
-    if isinstance(b, BAnd):
-        return f"({_body_src_inner(b)})"
-    return body_src(b)
 
 
 def dlp_src(f: DlpFormula, level: int = 0) -> str:

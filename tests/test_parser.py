@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from conftest import random_config, random_expr, random_fml
-from cycproof.formulas import BBase, DAnd, DBase, DLabeled, DNot
+from cycproof.formulas import BAnd, BBase, BBox, BDia, BNot, DAnd, DBase, DLabeled, DNot, Sequent
 from cycproof.parser import (
     ParseError,
+    body_src,
     config_src,
     dlp_src,
     expr_src,
@@ -18,6 +20,7 @@ from cycproof.parser import (
     parse_fml,
     parse_prog,
     parse_sequent,
+    parse_template_sequent,
     prog_src,
     sequent_src,
 )
@@ -96,6 +99,10 @@ def test_stack_config_uses_bars():
     sigma = parse_config("{x -> 1 | x -> 2}")
     assert sigma.stack
     assert parse_config(config_src(sigma)) == sigma
+    # a store maps each variable once
+    with pytest.raises(ParseError) as err:
+        parse_config("{y -> 0,\n  x -> 1, x -> 2}")
+    assert "maps a variable twice (line 1, column 1)" in str(err.value)
 
 
 def test_labeled_formula_shapes():
@@ -159,73 +166,14 @@ def test_every_replayed_sequent_roundtrips(oracle, table4_text):
         assert parse_sequent(src) == node.sequent, src
 
 
-def test_bracket_nesting_has_a_fixed_cap():
-    # the deepest context: each level is a parenthesised labeled formula,
-    # which the parser first tries as a base formula and then as a dlp
-    from cycproof.parser import MAX_NESTING
-
-    def goal(depth: int) -> str:
-        return ". => " + "(" * depth + "{x -> 0} : [x := 1] x >= 0" + ")" * depth
-
-    # the innermost ``{...}`` and ``[...]`` are one more level each
-    assert parse_sequent(goal(MAX_NESTING - 1)).right
-    with pytest.raises(ParseError) as err:
-        parse_sequent(goal(MAX_NESTING))
-    assert f"nested deeper than {MAX_NESTING}" in str(err.value)
-    with pytest.raises(ParseError):
-        parse_expr("(" * 300 + "x" + ")" * 300)
-
-
-def test_prefix_operators_count_toward_the_nesting_cap():
-    from cycproof.parser import MAX_NESTING
-
-    assert parse_fml("!" * MAX_NESTING + "x <= 0")
-    # "!(" nests one level, as "(" does, so printed negations reparse
-    deep = "!(" * 100 + "x <= 0" + ")" * 100
-    assert fml_src(parse_fml(deep)) == deep
-    for text in ("!" * 1200 + "x <= 0",
-                 "!!(" * (MAX_NESTING // 2 + 1) + "x <= 0" + ")" * (MAX_NESTING // 2 + 1),
-                 "x <= " + "-" * 1200 + "1"):
-        with pytest.raises(ParseError) as err:
-            parse_fml(text)
-        assert f"nested deeper than {MAX_NESTING}" in str(err.value)
-    # a binary minus is no prefix: long chains of it stay flat
-    assert parse_expr(" - ".join(["x"] * 400)).op == "-"
-
-
-def test_binary_operator_chains_have_a_fixed_cap():
-    from cycproof.parser import MAX_CHAIN
-
-    plus = "x" + " + 1" * MAX_CHAIN
-    assert expr_src(parse_expr(plus)) == plus
-    # "||" and "->" build three levels each: "!", "&&" and "!"; one chain of
-    # them meets the nesting cap first, so these are spread over guards
-    def guards(n: int, op: str) -> str:
-        return " ; ".join([f"if x <= 0 {op} x <= 1 then skip else skip end"] * n)
-
-    assert parse_prog(guards(MAX_CHAIN // 3, "||"))
-    for text in (plus + " + 1", "x" + " - 1" * (MAX_CHAIN + 1),
-                 " && ".join(["x <= 0"] * (MAX_CHAIN + 2)),
-                 guards(MAX_CHAIN // 3 + 1, "||"), guards(MAX_CHAIN // 3 + 1, "->")):
-        with pytest.raises(ParseError) as err:
-            parse_prog(text) if "if" in text else parse_fml(text) if "<=" in text else parse_expr(text)
-        assert f"binary operators nested deeper than {MAX_CHAIN}" in str(err.value)
-    # the counts add up over the input, as statements in sequence do
-    with pytest.raises(ParseError):
-        parse_sequent(f"{plus} <= 0 => x + 1 <= 0")
-    # a configuration's "->" maps a variable and builds no level
-    many = ", ".join(f"x{i} -> {i}" for i in range(MAX_CHAIN + 1))
-    assert len(parse_config("{" + many + "}").entries) == MAX_CHAIN + 1
-
-
 def test_printed_chains_of_or_and_implies_read_back():
     # "a || b" prints as "!(!(a) && !(b))" and "a -> b" as "!(a && !(b))":
     # each chain is refused, or its printed form reads back as the same tree
-    from cycproof.parser import MAX_CHAIN, MAX_NESTING
+    from cycproof.parser import MAX_NESTING
 
     longest = MAX_NESTING // 2 + 1  # operands: two printed levels per operator
     for op in ("||", "->"):
-        for n in range(1, MAX_CHAIN // 3 + 3):
+        for n in range(1, MAX_NESTING + 3):
             text = f" {op} ".join(["x <= 0"] * n)
             if n > longest:
                 with pytest.raises(ParseError) as err:
@@ -246,7 +194,7 @@ def test_printed_chains_of_or_and_implies_read_back():
         if roll < 0.6:
             k = rng.randint(1, 40)
             return "(" * k + chain(depth - 1) + ")" * k
-        ops = [rng.choice(["||", "->", "&&"]) for _ in range(rng.randint(1, 6))]
+        ops = [rng.choice(["||", "->", "&&"]) for _ in range(rng.randint(1, 7))]
         text = chain(depth - 1)
         for o in ops:
             text += f" {o} " + chain(depth - 1)
@@ -263,12 +211,18 @@ def test_printed_chains_of_or_and_implies_read_back():
             continue
         assert parse_sequent(sequent_src(nu)) == nu, text
         verdicts.add("read back")
-        prog = parse_prog(f"while {text} do if x <= 0 || x <= 1 then skip else skip end end")
+        # a guard is one level in: its "while" is open
+        try:
+            prog = parse_prog(f"while {text} do if x <= 0 || x <= 1 then skip else skip end end")
+        except ParseError as err:
+            assert "nested deeper than" in str(err), err
+            continue
         assert parse_prog(prog_src(prog)) == prog
     assert verdicts == {"refused", "read back"}
-    # separate chains are charged separately: in a list, and in guards
+    # separate chains are measured separately: in a list, and in guards
     row = " || ".join(["x <= 0"] * longest)
     assert parse_sequent(f"{row} => {row}")
+    row = " || ".join(["x <= 0"] * (longest - 1))
     assert parse_prog(f"if {row} then skip else skip end ; while {row} do skip end")
 
 
@@ -372,25 +326,181 @@ def _from_deeper(frames: int, call):
 def test_input_at_each_cap_leaves_stack_to_spare():
     # what the parser accepts must parse and print from well inside a call
     # stack, not only from the top of a fresh interpreter
-    from cycproof.parser import MAX_CHAIN, MAX_NESTING, MAX_SEQUENCE
+    from cycproof.parser import MAX_DEPTH, MAX_NESTING
 
     at_caps = [
         ". => " + "(" * (MAX_NESTING - 1) + "{x -> 0} : [x := 1] x >= 0" + ")" * (MAX_NESTING - 1),
         ". => " + "!(" * MAX_NESTING + "x <= 0" + ")" * MAX_NESTING,
         ". => " + "!" * MAX_NESTING + "x <= 0",
         ". => x <= " + "-" * MAX_NESTING + "1",
-        ". => {x -> 0} : [" + " ; ".join(["x := x + 1"] * MAX_SEQUENCE) + "] x >= 0",
-        ". => {x -> 0} : [x := x" + " + 1" * MAX_CHAIN + "] x >= 0",
-        ". => " + " && ".join(["x <= 0"] * (MAX_CHAIN + 1)),
+        ". => {x -> 0} : [" + " ; ".join(["x := x + 1"] * (MAX_DEPTH - 4)) + "] x >= 0",
+        ". => {x -> 0} : [x := x" + " + 1" * (MAX_DEPTH - 4) + "] x >= 0",
+        ". => " + " && ".join(["x <= 0"] * (MAX_DEPTH - 2)),
         ". => " + " || ".join(["x <= 0"] * (MAX_NESTING // 2 + 1)),
         ". => " + " -> ".join(["x <= 0"] * (MAX_NESTING // 2 + 1)),
         ". => {x -> 0} : [" + " ; ".join(["if x <= 0 || x <= 1 then skip else skip end"]
-                                        * (MAX_CHAIN // 3)) + "] x >= 0",
-        ". => " + " && ".join(["{x -> 0} : [x := 1] x >= 0"] * (MAX_CHAIN + 1)),
+                                        * (MAX_DEPTH - 7)) + "] x >= 0",
+        ". => " + " && ".join(["{x -> 0} : [x := 1] x >= 0"] * (MAX_DEPTH - 4)),
     ]
     for text in at_caps:
         nu = _from_deeper(100, lambda: parse_sequent(text))
         assert _from_deeper(100, lambda: sequent_src(nu))
+
+
+def _same_tree(a, b) -> bool:
+    """``a == b`` for terms, in a loop: the generated ``==`` recurses a few
+    frames per level and overflows on trees near MAX_DEPTH."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if type(a) is not type(b):
+            return False
+        if dataclasses.is_dataclass(a):
+            pairs.extend((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+        elif isinstance(a, tuple):
+            if len(a) != len(b):
+                return False
+            pairs.extend(zip(a, b))
+        elif a != b:
+            return False
+    return True
+
+
+def _template_src(sides: tuple) -> str:
+    left, right = (", ".join(body_src(b) for b in side) or "." for side in sides)
+    return f"{left} => {right}"
+
+
+_FORMS = {
+    "expr": (parse_expr, expr_src),
+    "fml": (parse_fml, fml_src),
+    "prog": (parse_prog, prog_src),
+    "sequent": (parse_sequent, sequent_src),
+    "template": (parse_template_sequent, _template_src),
+}
+
+
+def _nesting_forms():
+    """(form, text of n, the largest n accepted, the cap it meets)."""
+    from cycproof.parser import MAX_DEPTH as D, MAX_NESTING as N
+
+    labeled = "{x -> 0} : [x := 1] x >= 0"
+    return [
+        # brackets and prefix operators, counted as written
+        ("sequent", lambda n: ". => " + "(" * n + labeled + ")" * n, N - 1, N),
+        ("expr", lambda n: "(" * n + "x" + ")" * n, N, N),
+        ("fml", lambda n: "!(" * n + "x <= 0" + ")" * n, N, N),
+        ("sequent", lambda n: ". => x <= " + "-" * n + "1", N, N),
+        ("prog", lambda n: "while x <= 0 do " * n + "skip" + " end" * n, N, N),
+        ("prog", lambda n: "if x <= 0 then " * n + "skip" + " else skip end" * n, N, N),
+        ("fml", lambda n: "forall q . " * n + "x <= q", N, N),
+        # deeper once printed: "!" and relations as "!(...)", "||" and "->"
+        # two levels per operator, "!forall" as "!(forall ...)"
+        ("fml", lambda n: "!" * n + "x <= 0", N, N),
+        ("fml", lambda n: "!" * n + "(x + 1 < x)", N - 1, N),
+        ("fml", lambda n: "!!(" * n + "x <= 0" + ")" * n, N // 2, N),
+        ("fml", lambda n: " || ".join(["x <= 0"] * n), N // 2 + 1, N),
+        ("fml", lambda n: " -> ".join(["x <= 0"] * n), N // 2 + 1, N),
+        ("sequent", lambda n: ". => " + " -> ".join([labeled] * n), N // 2, N),
+        ("template", lambda n: ". => " + " -> ".join(["[x := 1] x >= 0"] * n), N // 2 + 1, N),
+        ("fml", lambda n: "!forall q . " * n + "x <= q", N // 2, N),
+        # chains read in loops that build deep trees
+        ("expr", lambda n: "x" + " + 1" * n, D - 1, D),
+        ("expr", lambda n: " - ".join(["x"] * n), D, D),
+        ("fml", lambda n: " && ".join(["x <= 0"] * n), D - 1, D),
+        ("sequent", lambda n: ". => " + " && ".join([labeled] * n), D - 4, D),
+        ("prog", lambda n: " ; ".join(["x := x + 1"] * n), D - 2, D),
+        ("prog", lambda n: " ; ".join(["if x <= 0 || x <= 1 then skip else skip end"] * n),
+         D - 5, D),
+        ("sequent", lambda n: ". => {x -> 0} : " + "[x := 1] " * n + "x >= 0", D - 4, D),
+        ("sequent", lambda n: ". => {x -> 0} : " + ("!" * 150 + "[x := 1] ") * n + "x <= 0",
+         (D - 4) // 151, D),
+    ]
+
+
+def test_every_nesting_form_meets_its_cap():
+    # at its cap each form parses, prints and reads back as the same tree; one
+    # step past, it is a ParseError naming the cap, from the top of the stack
+    # and from 100 frames deeper alike
+    for form, text, largest, cap in _nesting_forms():
+        parse, src = _FORMS[form]
+        for frames in (0, 100):
+            tree = _from_deeper(frames, lambda: parse(text(largest)))
+            printed = _from_deeper(frames, lambda: src(tree))
+            assert _same_tree(_from_deeper(frames, lambda: parse(printed)), tree), (form, largest)
+            with pytest.raises(ParseError) as err:
+                _from_deeper(frames, lambda: parse(text(largest + 1)))
+            assert f"nested deeper than {cap}" in str(err.value), (form, largest, err.value)
+    # a configuration's "->" maps a variable and builds no level
+    many = ", ".join(f"x{i} -> {i}" for i in range(1000))
+    assert len(parse_config("{" + many + "}").entries) == 1000
+
+
+def _random_body(rng: random.Random, depth: int):
+    # the plain constructors: the walk must follow the printers on any tree
+    if depth == 0 or rng.random() < 0.3:
+        return BBase(random_fml(rng, NAMES, 2))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return BNot(_random_body(rng, depth - 1))
+    if kind == 1:
+        return BAnd(_random_body(rng, depth - 1), _random_body(rng, depth - 1))
+    return (BBox if kind == 2 else BDia)(random_prog(rng, 2), _random_body(rng, depth - 1))
+
+
+def _random_dlp(rng: random.Random, depth: int):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return DLabeled(random_config(rng, NAMES), _random_body(rng, 3))
+    if roll < 0.45:
+        return DBase(random_fml(rng, NAMES, 2))
+    if roll < 0.7:
+        return DNot(_random_dlp(rng, depth - 1))
+    return DAnd(_random_dlp(rng, depth - 1), _random_dlp(rng, depth - 1))
+
+
+def test_printed_nesting_walk_counts_as_the_tokenizer(oracle, table4_text):
+    # the nesting the walk measures on a tree is the tokenizer's count of the
+    # tree's printed text: on generated terms, some negated up to the cap and
+    # past it, on parsed near-cap inputs, and on the table4 replay's sequents
+    from cycproof import script as script_mod
+    from cycproof.parser import MAX_NESTING, _measure, _Tokens
+
+    rng = random.Random(23)
+    cases = []
+    for _ in range(300):
+        negated = random_fml(rng, NAMES)
+        for _ in range(rng.choice([0, 0, 150, 158, 159, 160])):
+            negated = NotF(negated)
+        sides = ([_random_dlp(rng, 3) for _ in range(rng.randrange(3))] for _ in range(2))
+        cases += [(random_expr(rng, NAMES), expr_src), (random_fml(rng, NAMES), fml_src),
+                  (negated, fml_src), (random_prog(rng), prog_src),
+                  (random_config(rng, NAMES), config_src),
+                  (Sequent(*map(tuple, sides)), sequent_src)]
+    near = random.Random(17)
+    for _ in range(200):
+        try:
+            cases.append((parse_sequent(_near_the_cap(near, near.randint(1, 3)) + " => ."),
+                          sequent_src))
+        except ParseError:
+            pass
+    replayer, _ = script_mod.replay(table4_text, oracle)
+    cases += [(node.sequent, sequent_src) for node in replayer.graph.nodes.values()]
+    heap = ["x := cons(-3) ; [x * -2] := -1 ; y := [0 - x] ; dispose(x - -1)",
+            "while !(x <= 0) do [x] := x * (y - 1) ; y := cons((x)) end"]
+    cases += [(parse_prog(text), prog_src) for text in heap]
+    past = 0
+    for tree, src in cases:
+        text = src(tree)
+        nesting = _measure(tree)[1]
+        try:
+            counted = _Tokens(text).deepest
+        except ParseError:
+            assert nesting > MAX_NESTING, text
+            past += 1
+            continue
+        assert nesting == counted, text
+    assert past
 
 
 def test_parenthesis_retries_grow_linearly_with_nesting(monkeypatch):
@@ -414,19 +524,6 @@ def test_parenthesis_retries_grow_linearly_with_nesting(monkeypatch):
     with pytest.raises(ParseError) as err:
         parse_sequent(". => " + "(" * 30 + "{x -> 0} : [x := 1] x >= 0" + ")" * 29)
     assert str(err.value) == "expected ')', found 'end of input' (line 1, column 91)"
-
-
-def test_sequences_have_a_fixed_cap():
-    from cycproof.parser import MAX_SEQUENCE
-
-    def chain(n: int) -> str:
-        return " ; ".join(["x := x + 1"] * n)
-
-    prog = parse_prog(chain(MAX_SEQUENCE))
-    assert prog_src(prog) == chain(MAX_SEQUENCE)
-    with pytest.raises(ParseError) as err:
-        parse_prog(chain(MAX_SEQUENCE + 1))
-    assert f"more than {MAX_SEQUENCE} statements" in str(err.value)
 
 
 def test_shared_subterms_print_the_same_under_every_parent():

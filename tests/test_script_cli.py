@@ -309,26 +309,36 @@ def test_cli_long_operator_chains_end_without_traceback(tmp_path):
         assert run.returncode == 2 and "Traceback" not in run.stderr
         assert len(run.stderr.splitlines()) == 1, run.stderr
         assert run.stderr.startswith("cannot load goal:"), run.stderr
-        assert "binary operators nested deeper than" in run.stderr
+        assert "terms nested deeper than" in run.stderr
         script = tmp_path / f"{name}.dlp"
         script.write_text(f"goal {text}\nqed\n")
         run = _cli("check", str(script))
         assert run.returncode == 1 and "Traceback" not in run.stderr
         assert run.stdout.startswith("verdict: Stuck")
-        assert "binary operators nested deeper than" in run.stdout
+        assert "terms nested deeper than" in run.stdout
         assert "(script line 1)" in run.stdout
+
+
+def test_goal_mapping_a_variable_twice_is_a_usage_error(tmp_path):
+    goal = tmp_path / "twice.txt"
+    goal.write_text(". => {x -> 1, x -> 2} : [x := 1] x >= 0")
+    run = _cli("search", str(goal), "--depth", "3")
+    assert run.returncode == 2 and "Traceback" not in run.stderr, run.stderr[-300:]
+    assert run.stderr.startswith("cannot load goal: store configuration maps a variable twice")
 
 
 def test_inputs_deeper_than_the_stack_end_in_a_verdict(tmp_path):
     # each overflowed the stack with a RecursionError traceback: a program
     # of 499 statements whose last one holds a 499-term sum, 300 quantifiers,
-    # 1200 boxes in a row, and a store value 1500 levels deep built by
-    # symbolic execution
+    # 1200 boxes in a row, runs of 150 "!" between boxes, and a store value
+    # 1500 levels deep built by symbolic execution; all but the last are
+    # refused as they are parsed
     seq = " ; ".join(["x := 1"] * 499 + ["x := x" + " + 1" * 499])
     goals = {
         "seq_and_sum": (f". => {{x -> 0}} : [{seq}] x >= 0", 3),
         "foralls": (". => " + "forall y . " * 300 + "x <= 0", 3),
         "boxes": (". => {x -> 0} : " + "[x := 1] " * 1200 + "x >= 0", 3),
+        "negated_boxes": (". => {x -> 0} : " + ("!" * 150 + "[x := 1] ") * 8 + "x <= 0", 3),
         "deep_store": (". => {n -> 1500} : [while n > 0 do n := n - 1 end] (n == 0)", 4000),
     }
     codes = {}
@@ -348,14 +358,16 @@ def test_inputs_deeper_than_the_stack_end_in_a_verdict(tmp_path):
             assert verdict == "verdict: Stuck", (name, run.stdout)
             assert note.startswith("note: RecursionError: "), (name, run.stdout)
             assert not dump.exists()
-    assert codes == {"seq_and_sum": 1, "foralls": 2, "boxes": 2, "deep_store": 1}
+    assert codes == {"seq_and_sum": 2, "foralls": 2, "boxes": 2, "negated_boxes": 2,
+                     "deep_store": 1}
 
     # a script whose goal is too deep ends Stuck at its line
     script = tmp_path / "foralls.dlp"
     script.write_text(f"goal {goals['foralls'][0]}\nqed\n")
     run = _cli("check", str(script))
     assert run.returncode == 1 and "Traceback" not in run.stderr, run.stderr[-300:]
-    assert run.stdout.startswith("verdict: Stuck\nnote: RecursionError:"), run.stdout
+    assert run.stdout.startswith("verdict: Stuck\nnote: ParseError:"), run.stdout
+    assert "nested deeper than 160" in run.stdout.splitlines()[1]
     assert "(script line 1)" in run.stdout.splitlines()[1]
 
 
