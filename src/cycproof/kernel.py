@@ -1,12 +1,15 @@
 """Sequent-calculus engine: rule catalog, proof graphs, and trace pairs.
 
 Proofs grow backward: applying a rule to an open goal creates its premises
-as children.  Every rule instance records, per premise, a partial map from
-conclusion right-side occurrences to premise right-side occurrences; those
-maps are what the cyclic checker later stitches into derivation traces.
-Context occurrences map by identity and never progress.  A box step always
-marks its target pair as progress; a diamond step progresses only when a
-termination judgment for the successor state is attached.
+as children.  A rule handler maps an open goal node and its arguments to a
+``RuleInstance``.  Only ``ProofGraph.apply_rule`` checks that the goal is
+open and attaches the instance.  Every rule instance records, per premise,
+a partial map from conclusion right-side occurrences to premise right-side
+occurrences; those maps are what the cyclic checker later stitches into
+derivation traces.  Context occurrences map by identity and never progress.
+A box step always marks its target pair as progress; a diamond step
+progresses only when a termination judgment for the successor state is
+attached.
 
 Termination is itself a judgment of the calculus: ``σ : α ⇓ e`` says that
 from ``σ`` the program ``α`` terminates, with the factor ``e`` (an
@@ -18,8 +21,8 @@ through the structural, annotation-driven prover.  Cyclic termination
 proofs are ordinary proof graphs, checked by the same trace closure.
 
 Derived rules (imp_r, or_l, le, the cut variant that splits a conjunction
-on the left premise) expand into primitive applications internally and
-record one visible edge whose trace pairs are the composition, so replayed
+on the left premise) stand for several primitive applications but record
+one visible edge whose trace pairs are the composition, so replayed
 derivations keep the node numbering of the source material.
 """
 
@@ -130,8 +133,7 @@ class RuleInstance:
     args: dict
     trace_pairs: tuple  # one tuple of TracePair per premise
     obligations: list = field(default_factory=list)
-    expansion: tuple = ()
-    consumed: tuple = ()  # right occurrences intentionally without pairs
+    consumed: tuple = ()  # right occurrences a premise intentionally drops
     termination: TerminationJudgment | None = None
 
 
@@ -275,12 +277,35 @@ LABEL_REWRITES = {
 }
 
 
-def _identity_pairs(indices) -> tuple:
-    return tuple(TracePair(i, j) for i, j in indices)
-
-
 def _same_positions(n: int) -> tuple:
-    return _identity_pairs((i, i) for i in range(n))
+    return tuple(TracePair(i, i) for i in range(n))
+
+
+def _replace_right(nu: Sequent, occ: int, formula, progress: bool = False) -> tuple:
+    """The premise that replaces right occurrence ``occ`` of ``nu`` by
+    ``formula``, and its trace pairs: the context maps to itself, and the
+    replaced occurrence is the target pair, last."""
+    premise = Sequent(nu.left, nu.right[:occ] + (formula,) + nu.right[occ + 1:])
+    pairs = tuple(TracePair(i, i) for i in range(len(nu.right)) if i != occ)
+    return premise, pairs + (TracePair(occ, occ, target=True, progress=progress),)
+
+
+def _replace_left(nu: Sequent, occ: int, *formulas) -> tuple:
+    """The premise that replaces left occurrence ``occ`` of ``nu`` by
+    ``formulas``, and its trace pairs: the right side maps to itself."""
+    premise = Sequent(nu.left[:occ] + formulas + nu.left[occ + 1:], nu.right)
+    return premise, _same_positions(len(nu.right))
+
+
+def _unzip(built) -> tuple:
+    """(premises, trace pairs) of a sequence of (premise, pairs)."""
+    return tuple(premise for premise, _ in built), tuple(pairs for _, pairs in built)
+
+
+def _require_in_range(side: tuple, occs, rule: str) -> None:
+    for i in occs:
+        if not (0 <= i < len(side)):
+            raise SideConditionFailed(f"{rule} occurrence {i} out of range")
 
 
 class ProofGraph:
@@ -312,10 +337,6 @@ class ProofGraph:
             if n.rule_instance is None and n.backlink is None
         )
 
-    def is_open(self, node_id: int) -> bool:
-        n = self.node(node_id)
-        return n.rule_instance is None and n.backlink is None
-
     def ancestors(self, node_id: int):
         walk = self.node(node_id).parent
         while walk is not None:
@@ -331,14 +352,13 @@ class ProofGraph:
 
     # -- mutation -------------------------------------------------------------
 
-    def _attach(self, node_id: int, instance: RuleInstance) -> list:
-        node = self.node(node_id)
+    def _attach(self, node: Node, instance: RuleInstance) -> list:
         for ob in instance.obligations:
             if ob.node is None:
-                ob.node = node_id
+                ob.node = node.id
         child_ids = []
         for premise in instance.premises:
-            child = Node(self._next, premise, node_id)
+            child = Node(self._next, premise, node.id)
             self.nodes[child.id] = child
             child_ids.append(child.id)
             self._next += 1
@@ -348,9 +368,10 @@ class ProofGraph:
         return child_ids
 
     def _require_open(self, node_id: int) -> Node:
-        if not self.is_open(node_id):
+        node = self.node(node_id)
+        if node.rule_instance is not None or node.backlink is not None:
             raise KernelError(f"node {node_id} is not an open goal")
-        return self.node(node_id)
+        return node
 
     def _occurrence(self, side: tuple, occ, predicate, what: str) -> int:
         if occ is not None:
@@ -388,21 +409,22 @@ class ProofGraph:
             handler = partial(self.extra_rules[rule], self)
         else:
             raise KernelError(f"unknown rule {rule!r}")
+        node = self._require_open(node_id)
         try:
-            return handler(node_id, **args)
+            instance = handler(node, **args)
         except TypeError:
             # arguments the rule does not take are a usage error; a TypeError
             # raised inside a rule that accepted its arguments propagates
             try:
-                inspect.signature(handler).bind(node_id, **args)
+                inspect.signature(handler).bind(node, **args)
             except TypeError as exc:
                 raise KernelError(f"rule {rule}: {exc}") from None
             raise
+        return self._attach(node, instance)
 
     # -- primitive rules --------------------------------------------------------
 
-    def _rule_box(self, node_id: int, occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_box(self, node: Node, occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ, target, gamma, delta = self._context(nu, occ, "box", "a boxed formula")
         if isinstance(target.body.prog, Epsilon):
@@ -410,40 +432,24 @@ class ProofGraph:
         transitions = derive_transitions(
             gamma, State(target.body.prog, target.label), delta, self.oracle
         )
-        premises = []
-        pairs = []
-        obligations = []
-        for t in transitions:
-            succ = DLabeled(t.target.config, BBox(t.target.program, target.body.body))
-            premises.append(
-                Sequent(nu.left, nu.right[:occ] + (succ,) + nu.right[occ + 1:])
+        premises, pairs = _unzip([
+            _replace_right(
+                nu, occ, DLabeled(t.target.config, BBox(t.target.program, target.body.body)),
+                progress=True,
             )
-            pairs.append(
-                _same_positions(len(nu.right))[:occ]
-                + (TracePair(occ, occ, target=True, progress=True),)
-                + _identity_pairs((i, i) for i in range(occ + 1, len(nu.right)))
-            )
-            obligations.extend(t.obligations)
-        instance = RuleInstance(
-            "box",
-            nu,
-            tuple(premises),
-            {"occ": occ},
-            tuple(pairs),
-            obligations,
-            consumed=(occ,) if not transitions else (),
-        )
-        return self._attach(node_id, instance)
+            for t in transitions
+        ])
+        obligations = [ob for t in transitions for ob in t.obligations]
+        return RuleInstance("box", nu, premises, {"occ": occ}, pairs, obligations)
 
     def _rule_diamond(
         self,
-        node_id: int,
+        node: Node,
         occ: int | None = None,
         choice: int = 0,
         progress: bool = False,
         annotations: LoopAnnotations | None = None,
-    ) -> list:
-        node = self._require_open(node_id)
+    ) -> RuleInstance:
         nu = node.sequent
         occ, target, gamma, delta = self._context(nu, occ, "diamond", "a diamond formula")
         if isinstance(target.body.prog, Epsilon):
@@ -462,16 +468,14 @@ class ProofGraph:
                 gamma, t.target, delta, self.oracle, annotations=annotations,
                 path_bound=self.path_bound,
             )
-        succ = DLabeled(t.target.config, BDia(t.target.program, target.body.body))
-        premise = Sequent(nu.left, nu.right[:occ] + (succ,) + nu.right[occ + 1:])
-        pairs = (
-            _identity_pairs((i, i) for i in range(len(nu.right)) if i != occ)
-            + (TracePair(occ, occ, target=True, progress=termination is not None),)
+        premise, pairs = _replace_right(
+            nu, occ, DLabeled(t.target.config, BDia(t.target.program, target.body.body)),
+            progress=termination is not None,
         )
         obligations = list(t.obligations)
         if termination is not None:
             obligations.extend(termination.obligations)
-        instance = RuleInstance(
+        return RuleInstance(
             "diamond",
             nu,
             (premise,),
@@ -480,25 +484,19 @@ class ProofGraph:
             obligations,
             termination=termination,
         )
-        return self._attach(node_id, instance)
 
-    def _rule_ter(self, node_id: int) -> list:
-        node = self._require_open(node_id)
+    def _rule_ter(self, node: Node) -> RuleInstance:
         nu = node.sequent
         if not nu.is_base_only():
             raise SideConditionFailed("ter needs every formula to be non-dynamic")
         ob = check_obligation(
-            self.oracle, base_formulas(nu.left), base_formulas(nu.right), node=node_id
+            self.oracle, base_formulas(nu.left), base_formulas(nu.right), node=node.id
         )
         require_accepted(ob, "ter obligation failed")
-        instance = RuleInstance(
-            "ter", nu, (), {}, (), [ob], consumed=tuple(range(len(nu.right)))
-        )
-        return self._attach(node_id, instance)
+        return RuleInstance("ter", nu, (), {}, (), [ob])
 
-    def _rule_ter_step(self, node_id: int, factor: Expr | None = None,
-                       occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_ter_step(self, node: Node, factor: Expr | None = None,
+                       occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ, target, gamma, delta = self._context(
             nu, occ, "ter_step", "a termination judgment on a non-terminal program"
@@ -517,7 +515,7 @@ class ProofGraph:
                 raise SideConditionFailed(
                     "successor factor must occur inside the configuration"
                 )
-            oblige = partial(check_obligation, self.oracle, gamma, node=node_id)
+            oblige = partial(check_obligation, self.oracle, gamma, node=node.id)
             ob = oblige([ge(new_factor, Lit(0))] + delta)
             obligations.append(require_accepted(ob, "factor nonnegativity failed"))
             ob = oblige([lt(new_factor, target.factor)] + delta)
@@ -528,32 +526,23 @@ class ProofGraph:
                     "factor may grow across the step",
                 )
             obligations.append(ob)
-        succ = DTer(t.target.config, t.target.program, new_factor)
-        premise = Sequent(nu.left, nu.right[:occ] + (succ,) + nu.right[occ + 1:])
-        pairs = (
-            _identity_pairs((i, i) for i in range(len(nu.right)) if i != occ)
-            + (TracePair(occ, occ, target=True, progress=progress),)
+        premise, pairs = _replace_right(
+            nu, occ, DTer(t.target.config, t.target.program, new_factor), progress
         )
-        instance = RuleInstance(
+        return RuleInstance(
             "ter_step", nu, (premise,), {"occ": occ, "progress": progress}, (pairs,),
             obligations,
         )
-        return self._attach(node_id, instance)
 
-    def _rule_ter_eps(self, node_id: int, occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_ter_eps(self, node: Node, occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(
             nu.right, occ, MATCHERS["ter_eps"], "a termination judgment on ε"
         )
-        instance = RuleInstance(
-            "ter_eps", nu, (), {"occ": occ}, (), consumed=tuple(range(len(nu.right)))
-        )
-        return self._attach(node_id, instance)
+        return RuleInstance("ter_eps", nu, (), {"occ": occ}, ())
 
-    def _rule_ter_base(self, node_id: int, annotations: LoopAnnotations | None = None,
-                       occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_ter_base(self, node: Node, annotations: LoopAnnotations | None = None,
+                       occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ, target, gamma, delta = self._context(
             nu, occ, "ter_base", "a termination judgment"
@@ -562,15 +551,13 @@ class ProofGraph:
             gamma, State(target.prog, target.label), delta, self.oracle,
             annotations=annotations, path_bound=self.path_bound,
         )
-        instance = RuleInstance(
+        return RuleInstance(
             "ter_base", nu, (), {"occ": occ}, (), judgment.obligations,
-            consumed=tuple(range(len(nu.right))), termination=judgment,
+            termination=judgment,
         )
-        return self._attach(node_id, instance)
 
-    def _rule_ax(self, node_id: int, left_occ: int | None = None,
-                 right_occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_ax(self, node: Node, left_occ: int | None = None,
+                 right_occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         if left_occ is None or right_occ is None:
             found = None
@@ -584,49 +571,30 @@ class ProofGraph:
             if not found:
                 raise SideConditionFailed("no matching formula pair for ax")
             left_occ, right_occ = found
+        _require_in_range(nu.left, (left_occ,), "ax")
+        _require_in_range(nu.right, (right_occ,), "ax")
         if not formulas_equal(nu.left[left_occ], nu.right[right_occ]):
             raise SideConditionFailed("ax formulas differ")
-        instance = RuleInstance(
-            "ax",
-            nu,
-            (),
-            {"left": left_occ, "right": right_occ},
-            (),
-            consumed=tuple(range(len(nu.right))),
-        )
-        return self._attach(node_id, instance)
+        return RuleInstance("ax", nu, (), {"left": left_occ, "right": right_occ}, ())
 
-    def _labeled_rewrite(self, node_id: int, occ: int | None = None,
-                         side: str = "right", *, rule: str) -> list:
-        node = self._require_open(node_id)
+    def _labeled_rewrite(self, node: Node, occ: int | None = None,
+                         side: str = "right", *, rule: str) -> RuleInstance:
         nu = node.sequent
         if side not in ("left", "right"):
             raise SideConditionFailed(f"side must be left or right, not {side!r}")
-        formulas = nu.right if side == "right" else nu.left
-        occ = self._occurrence(formulas, occ, MATCHERS[rule], rule)
-        replacement = LABEL_REWRITES[rule](formulas[occ])
-        new_side = formulas[:occ] + (replacement,) + formulas[occ + 1:]
-        if side == "right":
-            premise = Sequent(nu.left, new_side)
-            pairs = (
-                _identity_pairs((i, i) for i in range(len(nu.right)) if i != occ)
-                + (TracePair(occ, occ, target=True),)
-            )
-        else:
-            premise = Sequent(new_side, nu.right)
-            pairs = _same_positions(len(nu.right))
-        instance = RuleInstance(
-            rule, nu, (premise,), {"occ": occ, "side": side}, (pairs,)
+        formulas, replace = (
+            (nu.right, _replace_right) if side == "right" else (nu.left, _replace_left)
         )
-        return self._attach(node_id, instance)
+        occ = self._occurrence(formulas, occ, MATCHERS[rule], rule)
+        premise, pairs = replace(nu, occ, LABEL_REWRITES[rule](formulas[occ]))
+        return RuleInstance(rule, nu, (premise,), {"occ": occ, "side": side}, (pairs,))
 
     _rule_int = partialmethod(_labeled_rewrite, rule="int")
     _rule_box_eps = partialmethod(_labeled_rewrite, rule="box_eps")
     _rule_sigma_not = partialmethod(_labeled_rewrite, rule="sigma_not")
     _rule_sigma_and = partialmethod(_labeled_rewrite, rule="sigma_and")
 
-    def _rule_sub(self, node_id: int, bindings: dict, premise: Sequent) -> list:
-        node = self._require_open(node_id)
+    def _rule_sub(self, node: Node, bindings: dict, premise: Sequent) -> RuleInstance:
         nu = node.sequent
         if len(premise.left) != len(nu.left) or len(premise.right) != len(nu.right):
             raise SideConditionFailed("sub premise and conclusion differ in shape")
@@ -642,51 +610,33 @@ class ProofGraph:
             TracePair(i, i, target=True) for i in range(len(nu.right))
         )
         binding_src = {x: parser.expr_src(e) for x, e in sorted(bindings.items())}
-        instance = RuleInstance(
-            "sub", nu, (premise,), {"bindings": binding_src}, (pairs,)
-        )
-        return self._attach(node_id, instance)
+        return RuleInstance("sub", nu, (premise,), {"bindings": binding_src}, (pairs,))
 
-    def _rule_cut(self, node_id: int, fml: DlpFormula, split: bool = False) -> list:
-        node = self._require_open(node_id)
+    def _rule_cut(self, node: Node, fml: DlpFormula, split: bool = False) -> RuleInstance:
         nu = node.sequent
-        right_premise = Sequent(nu.left, nu.right + (fml,))
         parts = tuple(conjuncts(fml)) if split else (fml,)
-        left_premise = Sequent(nu.left + parts, nu.right)
-        pairs_right = _same_positions(len(nu.right))
-        pairs_left = _same_positions(len(nu.right))
-        expansion = ("cut", "and_l") if split and len(parts) > 1 else ("cut",)
-        instance = RuleInstance(
+        return RuleInstance(
             "cut",
             nu,
-            (right_premise, left_premise),
+            (Sequent(nu.left, nu.right + (fml,)), Sequent(nu.left + parts, nu.right)),
             {"fml": parser.dlp_src(fml), "split": split},
-            (pairs_right, pairs_left),
-            expansion=expansion,
+            (_same_positions(len(nu.right)),) * 2,
         )
-        return self._attach(node_id, instance)
 
-    def _rule_wk_l(self, node_id: int, occs) -> list:
-        node = self._require_open(node_id)
+    def _rule_wk_l(self, node: Node, occs) -> RuleInstance:
         nu = node.sequent
         occs = sorted(set(occs))
-        for i in occs:
-            if not (0 <= i < len(nu.left)):
-                raise SideConditionFailed(f"wk_l occurrence {i} out of range")
+        _require_in_range(nu.left, occs, "wk_l")
         keep = tuple(f for i, f in enumerate(nu.left) if i not in set(occs))
         premise = Sequent(keep, nu.right)
-        instance = RuleInstance(
+        return RuleInstance(
             "wk_l", nu, (premise,), {"occs": occs}, (_same_positions(len(nu.right)),)
         )
-        return self._attach(node_id, instance)
 
-    def _rule_wk_r(self, node_id: int, occs) -> list:
-        node = self._require_open(node_id)
+    def _rule_wk_r(self, node: Node, occs) -> RuleInstance:
         nu = node.sequent
         occs = sorted(set(occs))
-        for i in occs:
-            if not (0 <= i < len(nu.right)):
-                raise SideConditionFailed(f"wk_r occurrence {i} out of range")
+        _require_in_range(nu.right, occs, "wk_r")
         keep = []
         pairs = []
         for i, f in enumerate(nu.right):
@@ -694,48 +644,38 @@ class ProofGraph:
                 pairs.append(TracePair(i, len(keep)))
                 keep.append(f)
         premise = Sequent(nu.left, tuple(keep))
-        instance = RuleInstance(
+        return RuleInstance(
             "wk_r", nu, (premise,), {"occs": occs}, (tuple(pairs),),
             consumed=tuple(occs),
         )
-        return self._attach(node_id, instance)
 
-    def _rule_con_l(self, node_id: int, occ: int) -> list:
-        node = self._require_open(node_id)
+    def _rule_con_l(self, node: Node, occ: int) -> RuleInstance:
         nu = node.sequent
-        if not (0 <= occ < len(nu.left)):
-            raise SideConditionFailed(f"con_l occurrence {occ} out of range")
+        _require_in_range(nu.left, (occ,), "con_l")
         premise = Sequent(nu.left + (nu.left[occ],), nu.right)
-        instance = RuleInstance(
+        return RuleInstance(
             "con_l", nu, (premise,), {"occ": occ}, (_same_positions(len(nu.right)),)
         )
-        return self._attach(node_id, instance)
 
-    def _rule_con_r(self, node_id: int, occ: int) -> list:
-        node = self._require_open(node_id)
+    def _rule_con_r(self, node: Node, occ: int) -> RuleInstance:
         nu = node.sequent
-        if not (0 <= occ < len(nu.right)):
-            raise SideConditionFailed(f"con_r occurrence {occ} out of range")
+        _require_in_range(nu.right, (occ,), "con_r")
         premise = Sequent(nu.left, nu.right + (nu.right[occ],))
         pairs = _same_positions(len(nu.right)) + (TracePair(occ, len(nu.right)),)
-        instance = RuleInstance("con_r", nu, (premise,), {"occ": occ}, (pairs,))
-        return self._attach(node_id, instance)
+        return RuleInstance("con_r", nu, (premise,), {"occ": occ}, (pairs,))
 
-    def _rule_not_l(self, node_id: int, occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_not_l(self, node: Node, occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(nu.left, occ, MATCHERS["not_l"], "a negation on the left")
         inner = split_not(nu.left[occ])
         premise = Sequent(
             nu.left[:occ] + nu.left[occ + 1:], nu.right + (inner,)
         )
-        instance = RuleInstance(
+        return RuleInstance(
             "not_l", nu, (premise,), {"occ": occ}, (_same_positions(len(nu.right)),)
         )
-        return self._attach(node_id, instance)
 
-    def _rule_not_r(self, node_id: int, occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_not_r(self, node: Node, occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(nu.right, occ, MATCHERS["not_r"], "a negation on the right")
         inner = split_not(nu.right[occ])
@@ -747,99 +687,62 @@ class ProofGraph:
             if i == occ:
                 continue
             pairs.append(TracePair(i, i if i < occ else i - 1))
-        instance = RuleInstance(
+        return RuleInstance(
             "not_r", nu, (premise,), {"occ": occ}, (tuple(pairs),), consumed=(occ,)
         )
-        return self._attach(node_id, instance)
 
-    def _rule_and_l(self, node_id: int, occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_and_l(self, node: Node, occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(nu.left, occ, MATCHERS["and_l"], "a conjunction on the left")
-        a, b = split_and(nu.left[occ])
-        premise = Sequent(nu.left[:occ] + (a, b) + nu.left[occ + 1:], nu.right)
-        instance = RuleInstance(
-            "and_l", nu, (premise,), {"occ": occ}, (_same_positions(len(nu.right)),)
-        )
-        return self._attach(node_id, instance)
+        premise, pairs = _replace_left(nu, occ, *split_and(nu.left[occ]))
+        return RuleInstance("and_l", nu, (premise,), {"occ": occ}, (pairs,))
 
-    def _rule_and_r(self, node_id: int, occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_and_r(self, node: Node, occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(nu.right, occ, MATCHERS["and_r"], "a conjunction on the right")
-        a, b = split_and(nu.right[occ])
-        premises = []
-        pairs = []
-        for part in (a, b):
-            premises.append(
-                Sequent(nu.left, nu.right[:occ] + (part,) + nu.right[occ + 1:])
-            )
-            pairs.append(
-                _identity_pairs((i, i) for i in range(len(nu.right)) if i != occ)
-                + (TracePair(occ, occ, target=True),)
-            )
-        instance = RuleInstance(
-            "and_r", nu, tuple(premises), {"occ": occ}, tuple(pairs)
+        premises, pairs = _unzip(
+            [_replace_right(nu, occ, part) for part in split_and(nu.right[occ])]
         )
-        return self._attach(node_id, instance)
+        return RuleInstance("and_r", nu, premises, {"occ": occ}, pairs)
 
     # -- derived rules -----------------------------------------------------------
 
-    def _rule_imp_r(self, node_id: int, occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_imp_r(self, node: Node, occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(nu.right, occ, MATCHERS["imp_r"], "an implication on the right")
         a, b = split_imp(nu.right[occ])
-        premise = Sequent(
-            nu.left + (a,), nu.right[:occ] + (b,) + nu.right[occ + 1:]
+        premise, pairs = _replace_right(nu, occ, b)
+        # the consequent is a new formula: no trace continues into it
+        return RuleInstance(
+            "imp_r", nu, (Sequent(nu.left + (a,), premise.right),), {"occ": occ},
+            (pairs[:-1],), consumed=(occ,),
         )
-        pairs = _identity_pairs((i, i) for i in range(len(nu.right)) if i != occ)
-        instance = RuleInstance(
-            "imp_r", nu, (premise,), {"occ": occ}, (pairs,),
-            expansion=("not_r", "and_l", "not_l"), consumed=(occ,),
-        )
-        return self._attach(node_id, instance)
 
-    def _rule_or_l(self, node_id: int, occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_or_l(self, node: Node, occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(nu.left, occ, MATCHERS["or_l"], "a disjunction on the left")
-        a, b = split_or(nu.left[occ])
-        premises = []
-        for part in (a, b):
-            premises.append(
-                Sequent(nu.left[:occ] + (part,) + nu.left[occ + 1:], nu.right)
-            )
-        pairs = (_same_positions(len(nu.right)), _same_positions(len(nu.right)))
-        instance = RuleInstance(
-            "or_l", nu, tuple(premises), {"occ": occ}, pairs,
-            expansion=("not_l", "and_r", "not_r"),
+        premises, pairs = _unzip(
+            [_replace_left(nu, occ, part) for part in split_or(nu.left[occ])]
         )
-        return self._attach(node_id, instance)
+        return RuleInstance("or_l", nu, premises, {"occ": occ}, pairs)
 
-    def _rule_le(self, node_id: int, target: BaseFormula, occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_le(self, node: Node, target: BaseFormula, occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(nu.left, occ, MATCHERS["le"], "a base formula on the left")
         phi = nu.left[occ]
-        ob = check_obligation(self.oracle, [phi.fml], [target], node=node_id)
+        ob = check_obligation(self.oracle, [phi.fml], [target], node=node.id)
         require_accepted(ob, "le obligation failed")
-        premise = Sequent(
-            nu.left[:occ] + (DBase(target),) + nu.left[occ + 1:], nu.right
-        )
-        instance = RuleInstance(
+        premise, pairs = _replace_left(nu, occ, DBase(target))
+        return RuleInstance(
             "le", nu, (premise,), {"occ": occ, "target": parser.fml_src(target)},
-            (_same_positions(len(nu.right)),), [ob],
-            expansion=("cut", "wk_l", "ter"),
+            (pairs,), [ob],
         )
-        return self._attach(node_id, instance)
 
     # -- separation-logic rules ----------------------------------------------------
 
-    def _rule_sigma_star(self, node_id: int, h1: dict | None = None,
+    def _rule_sigma_star(self, node: Node, h1: dict | None = None,
                          h2: dict | None = None, h1_addrs=None, h2_addrs=None,
-                         occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+                         occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(nu.right, occ, MATCHERS["sigma_star"], "a separating conjunction")
         f: DLabeled = nu.right[occ]
@@ -857,36 +760,21 @@ class ProofGraph:
         if merged != state.heap_map() or len(merged) != len(h1) + len(h2):
             raise SideConditionFailed("h1 and h2 must split the heap exactly")
         ok = sepmod.disjoint(h1, h2)
-        disjoint_fml = DBase(TRUE if ok else FALSE)
-        premises = (
-            Sequent(nu.left, nu.right[:occ] + (disjoint_fml,) + nu.right[occ + 1:]),
-            Sequent(
-                nu.left,
-                nu.right[:occ]
-                + (DLabeled(state.with_heap(h1), BBase(star.left)),)
-                + nu.right[occ + 1:],
-            ),
-            Sequent(
-                nu.left,
-                nu.right[:occ]
-                + (DLabeled(state.with_heap(h2), BBase(star.right)),)
-                + nu.right[occ + 1:],
-            ),
-        )
-        pairs = tuple(
-            _identity_pairs((i, i) for i in range(len(nu.right)) if i != occ)
-            + (TracePair(occ, occ, target=True),)
-            for _ in premises
-        )
-        instance = RuleInstance(
+        premises, pairs = _unzip([
+            _replace_right(nu, occ, part)
+            for part in (
+                DBase(TRUE if ok else FALSE),
+                DLabeled(state.with_heap(h1), BBase(star.left)),
+                DLabeled(state.with_heap(h2), BBase(star.right)),
+            )
+        ])
+        return RuleInstance(
             "sigma_star", nu, premises,
             {"occ": occ, "h1": sorted(h1), "h2": sorted(h2), "disjoint": ok},
             pairs,
         )
-        return self._attach(node_id, instance)
 
-    def _rule_sigma_frm(self, node_id: int, occ: int | None = None) -> list:
-        node = self._require_open(node_id)
+    def _rule_sigma_frm(self, node: Node, occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(nu.right, occ, MATCHERS["sigma_frm"], "a separating conjunction")
         f: DLabeled = nu.right[occ]
@@ -902,16 +790,8 @@ class ProofGraph:
             raise SideConditionFailed(
                 f"frame side condition: {offenders} address mapped heap cells"
             )
-        premise = Sequent(
-            nu.left,
-            nu.right[:occ] + (DLabeled(state, BBase(star.left)),) + nu.right[occ + 1:],
-        )
-        pairs = (
-            _identity_pairs((i, i) for i in range(len(nu.right)) if i != occ)
-            + (TracePair(occ, occ, target=True),),
-        )
-        instance = RuleInstance("sigma_frm", nu, (premise,), {"occ": occ}, pairs)
-        return self._attach(node_id, instance)
+        premise, pairs = _replace_right(nu, occ, DLabeled(state, BBase(star.left)))
+        return RuleInstance("sigma_frm", nu, (premise,), {"occ": occ}, (pairs,))
 
     # -- backlinks --------------------------------------------------------------
 

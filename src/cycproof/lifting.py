@@ -31,7 +31,16 @@ from .formulas import (
     formula_key,
     free_vars,
 )
-from .kernel import MATCHERS, ProofGraph, RuleInstance, SideConditionFailed, TracePair
+from .kernel import (
+    MATCHERS,
+    KernelError,
+    Node,
+    ProofGraph,
+    RuleInstance,
+    SideConditionFailed,
+    TracePair,
+    _replace_right,
+)
 from .semantics import Verdict, models
 from .terms import (
     TRUE as _TRUE,
@@ -44,11 +53,11 @@ from .terms import (
 )
 
 
-class ClassMismatch(Exception):
+class ClassMismatch(KernelError):
     pass
 
 
-class FreenessNotEstablished(Exception):
+class FreenessNotEstablished(SideConditionFailed):
     pass
 
 
@@ -271,16 +280,20 @@ class LiftedRule:
 
 
 def lift_rule(rule: LiftedRule, registry: dict, samples: int = 50) -> dict:
-    """Register the labeled version of ``rule`` in a kernel rule registry."""
-    def handler(graph: ProofGraph, node_id: int):
-        return _apply_lifted(graph, node_id, rule, samples)
+    """Register the labeled version of ``rule`` in a kernel rule registry.
+
+    A registered handler is called as ``handler(graph, node)`` on an open
+    goal node and returns the ``RuleInstance`` the graph attaches there.
+    """
+    def handler(graph: ProofGraph, node: Node) -> RuleInstance:
+        return _apply_lifted(node, rule, samples)
 
     registry[rule.name] = handler
     return registry
 
 
-def _apply_lifted(graph: ProofGraph, node_id: int, rule: LiftedRule, samples: int):
-    nu = graph._require_open(node_id).sequent
+def _apply_lifted(node: Node, rule: LiftedRule, samples: int) -> RuleInstance:
+    nu = node.sequent
     cleft, cright = rule.conclusion
     if len(nu.left) != len(cleft) or len(nu.right) != len(cright):
         raise SideConditionFailed(f"{rule.name}: sequent shape differs from the template")
@@ -326,15 +339,13 @@ def _apply_lifted(graph: ProofGraph, node_id: int, rule: LiftedRule, samples: in
                 for i in range(min(len(nu.right), len(right)))
             )
         )
-    instance = RuleInstance(
+    return RuleInstance(
         rule.name,
         nu,
         tuple(premises),
         {"lifted": rule.name, "evidence": rule.evidence},
         tuple(pairs),
-        consumed=tuple(range(len(nu.right))) if not rule.premises else (),
     )
-    return graph._attach(node_id, instance)
 
 
 def _evaluable_instances(rule: LiftedRule, bindings: dict) -> list:
@@ -351,27 +362,24 @@ def _evaluable_instances(rule: LiftedRule, bindings: dict) -> list:
 # Built-in lifts for the While domain
 # ---------------------------------------------------------------------------
 
-def _sigma_seq_handler(graph: ProofGraph, node_id: int, occ: int | None = None):
+def _sigma_seq_handler(graph: ProofGraph, node: Node, occ: int | None = None) -> RuleInstance:
     """Box over sequencing: proves sigma:[a;b]phi from sigma:[a][b]phi."""
-    nu = graph._require_open(node_id).sequent
+    nu = node.sequent
     occ = graph._occurrence(nu.right, occ, MATCHERS["sigma_seq"], "a boxed sequence")
     target: DLabeled = nu.right[occ]
     seq: Seq = target.body.prog
-    rewritten = DLabeled(target.label, BBox(seq.first, BBox(seq.second, target.body.body)))
-    premise = Sequent(nu.left, nu.right[:occ] + (rewritten,) + nu.right[occ + 1:])
-    pairs = tuple(
-        TracePair(i, i, target=(i == occ)) for i in range(len(nu.right))
+    premise, pairs = _replace_right(
+        nu, occ, DLabeled(target.label, BBox(seq.first, BBox(seq.second, target.body.body)))
     )
-    instance = RuleInstance(
+    return RuleInstance(
         "sigma_seq", nu, (premise,), {"occ": occ, "evidence": "builtin-argument"},
         (pairs,),
     )
-    return graph._attach(node_id, instance)
 
 
-def _sigma_gen_handler(graph: ProofGraph, node_id: int):
+def _sigma_gen_handler(graph: ProofGraph, node: Node) -> RuleInstance:
     """Modality generation: sigma:[a]phi => sigma:[a]psi from sigma:phi => sigma:psi."""
-    nu = graph._require_open(node_id).sequent
+    nu = node.sequent
     if len(nu.left) != 1 or len(nu.right) != 1:
         raise SideConditionFailed("sigma_gen applies to one-formula sides")
     lhs, rhs = nu.left[0], nu.right[0]
@@ -389,11 +397,10 @@ def _sigma_gen_handler(graph: ProofGraph, node_id: int):
         (DLabeled(lhs.label, lhs.body.body),),
         (DLabeled(rhs.label, rhs.body.body),),
     )
-    instance = RuleInstance(
+    return RuleInstance(
         "sigma_gen", nu, (premise,), {"evidence": "builtin-argument"},
         ((TracePair(0, 0, target=True),),),
     )
-    return graph._attach(node_id, instance)
 
 
 def default_registry() -> dict:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from . import cyclic, lifting, parser
 from .formulas import DBase, Sequent, formulas_equal, sequents_equal
-from .kernel import LABEL_REWRITES, MATCHERS, ProofGraph
+from .kernel import LABEL_REWRITES, MATCHERS, KernelError, ProofGraph
 from .oracle import BoundedValid
+from .terms import TermError
 from .whilelang import CaseSplitNeeded, ObligationFailed
 
 
@@ -74,6 +75,12 @@ def search(goal: Sequent, oracle, depth: int, path_bound: int = 10_000) -> Searc
         except DepthExhausted as exc:
             return SearchResult(
                 graph, "\n".join(lines), "Stuck", f"DepthExhausted at node {exc.node_id}"
+            )
+        except (KernelError, TermError) as exc:
+            # a rule the goal's shape selected cannot apply (a heap command
+            # under a While-domain step, say): the search ends without a proof
+            return SearchResult(
+                graph, "\n".join(lines), "Stuck", f"{type(exc).__name__}: {exc}"
             )
 
     lines.append("qed")

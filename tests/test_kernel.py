@@ -208,6 +208,23 @@ def test_rule_catalog_is_closed(oracle):
         assert getattr(g, f"_rule_{rule}") is not None
 
 
+def test_only_open_goals_take_a_rule(oracle):
+    from cycproof.kernel import CATALOG, KernelError
+    from cycproof.lifting import default_registry
+
+    lifts = default_registry()
+    g = ProofGraph(parse_sequent("x <= 0 => x <= 0"), oracle=oracle, extra_rules=lifts)
+    g.apply_rule(1, "wk_l", occs=[])  # the premise repeats the conclusion
+    g.link_bud(2, 1)
+    for node_id in (1, 2):  # a closed node and a back-linked bud
+        for rule in sorted(CATALOG) + sorted(lifts):
+            with pytest.raises(KernelError, match=f"node {node_id} is not an open goal"):
+                g.apply_rule(node_id, rule)
+        with pytest.raises(KernelError, match="unknown rule"):
+            g.apply_rule(node_id, "made_up_rule")
+    assert len(g.nodes) == 2
+
+
 def test_dump_golden():
     from cycproof.oracle import BoundedOracle
 

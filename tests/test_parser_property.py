@@ -89,7 +89,8 @@ def test_trees_near_the_caps_read_back_or_are_refused(nu):
 _PIECES = ["(", ")", "[", "]", "{", "}", "<", ">", "!", "-", "+", "*", "/", ";", ":", ",",
            ".", "|", "?", "@", "=>", "->", "||", "&&", "<=", "==", ":=", "0", "-1", "x", "m",
            "forall q .", "while", "if", "then", "else", "do", "end", "at", "to", "with",
-           "premise", "split", "99999999999999999999", "\n", " "]
+           "premise", "split", "left", "right", "occ", "choice", "x := cons(1)", "dispose(x)",
+           "[x] := 1", "y := [x]", "99999999999999999999", "\n", " "]
 
 
 def _mutate(rng, text: str) -> str:

@@ -98,6 +98,14 @@ qed
 
 _BOX_GOAL = "goal . => {x -> 0} : [x := x + 1] x == 1"
 _LOOP_GOAL = "goal . => {n -> 1} : <while n > 0 do n := n - 1 end> (n == 0)"
+_AX_GOAL = "goal x <= 0 => x <= 0"
+_PROJ_GOAL = "goal {x -> x + 1} : (x <= 3 && x >= 0) => {x -> x + 1} : x <= 3"
+_SAME_GOAL = "goal {x -> x + 1} : x <= 3 => {x -> x + 1} : x <= 3"
+_TEMPLATES = {
+    "proj.rule": "conclusion ?a && ?b => ?a\n",
+    "premised.rule": "premise . => ?a\nconclusion . => ?a\n",
+    "same.rule": "conclusion ?a => ?a\n",
+}
 
 
 @pytest.mark.parametrize("text", [
@@ -112,11 +120,21 @@ _LOOP_GOAL = "goal . => {n -> 1} : <while n > 0 do n := n - 1 end> (n == 0)"
     "goal {x -> 0} : x == 0 => 0 <= 0\napply int at 1 with side middle",
     f"{_BOX_GOAL}\nlift p from missing.rule class standard",
     "# no goal yet\napply ter at 1",
+    f"{_AX_GOAL}\napply ax at 1 with left 5 right 0",
+    f"{_AX_GOAL}\napply ax at 1 with left -1 right -1",
+    f"{_PROJ_GOAL}\nlift p from proj.rule class bogus",
+    f"{_PROJ_GOAL}\nlift p from premised.rule class standard",
+    f"{_PROJ_GOAL}\nlift p from proj.rule class standard\napply p at 1",
+    f"{_SAME_GOAL}\nlift p from same.rule class free witness fwd {{x := 0}} bwd {{x := 0}}"
+    "\napply p at 1",
 ])
-def test_malformed_script_line_is_stuck_at_its_line(text):
-    _, report = _replay(text + "\nqed\n")
+def test_malformed_script_line_is_stuck_at_its_line(text, tmp_path):
+    for name, template in _TEMPLATES.items():
+        (tmp_path / name).write_text(template)
+    _, report = script_mod.replay(text + "\nqed\n", BoundedOracle(-50, 50), base_dir=tmp_path)
     assert report.verdict == "Stuck"
-    assert report.message.endswith("(script line 2)"), report.message
+    # the failing line is the last one before qed
+    assert report.message.endswith(f"(script line {text.count(chr(10)) + 1})"), report.message
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +157,17 @@ def test_search_closes_terminal_diamonds(oracle):
     _, report = _replay(result.script)
     assert report.verdict == result.verdict
     assert report.dump == result.graph.dump()
+
+
+@pytest.mark.parametrize("program", ["x := cons(1)", "dispose(x)"])
+def test_search_on_a_heap_goal_is_stuck(program, tmp_path, capsys):
+    # the search's box step derives While-domain transitions only
+    goal = tmp_path / "goal.txt"
+    goal.write_text(f". => {{x -> 0}} : [{program}] x >= 0")
+    assert cli.main(["search", str(goal), "--depth", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "verdict: Stuck"
+    assert out[1].startswith("note: TermError: "), out[1]
 
 
 def test_search_trivial_base_goal(oracle):
