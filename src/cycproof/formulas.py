@@ -83,12 +83,20 @@ class DTer(DlpFormula):
 
     From the label's store the program terminates.  ``factor`` is an
     expression occurring in the label over variables outside it, a measure
-    that no step raises; it is None once the program is terminal.
+    that no step raises; it may be None only once the program is terminal.
+    The constructor checks both, as ``Config`` checks its names.
     """
 
     label: Config
     prog: Program
     factor: object  # Expr | None
+
+    def __post_init__(self) -> None:
+        if self.factor is None:
+            if not isinstance(self.prog, terms.Epsilon):
+                raise TermError("a judgment on a non-terminal program needs a factor")
+        elif not terms.is_subexpression(self.factor, self.label):
+            raise TermError("the factor must occur inside the configuration")
 
 
 def d_or(a: DlpFormula, b: DlpFormula) -> DlpFormula:

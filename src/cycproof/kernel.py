@@ -77,7 +77,6 @@ from .whilelang import (
     TerminationJudgment,
     derive_termination_structural,
     derive_transitions,
-    is_subexpression,
     require_accepted,
 )
 
@@ -121,7 +120,6 @@ _RULE_METHODS = {rule: f"_rule_{rule}" for rule in CATALOG}
 class TracePair:
     src: int
     dst: int
-    target: bool = False
     progress: bool = False
 
 
@@ -284,10 +282,10 @@ def _same_positions(n: int) -> tuple:
 def _replace_right(nu: Sequent, occ: int, formula, progress: bool = False) -> tuple:
     """The premise that replaces right occurrence ``occ`` of ``nu`` by
     ``formula``, and its trace pairs: the context maps to itself, and the
-    replaced occurrence is the target pair, last."""
+    replaced occurrence's pair, last, carries ``progress``."""
     premise = Sequent(nu.left, nu.right[:occ] + (formula,) + nu.right[occ + 1:])
     pairs = tuple(TracePair(i, i) for i in range(len(nu.right)) if i != occ)
-    return premise, pairs + (TracePair(occ, occ, target=True, progress=progress),)
+    return premise, pairs + (TracePair(occ, occ, progress=progress),)
 
 
 def _replace_left(nu: Sequent, occ: int, *formulas) -> tuple:
@@ -507,14 +505,13 @@ class ProofGraph:
         if len(transitions) != 1:
             raise SideConditionFailed(f"expected one transition, got {len(transitions)}")
         t = transitions[0]
+        terminal = isinstance(t.target.program, Epsilon)
+        successor = DTer(t.target.config, t.target.program, None if terminal
+                         else target.factor if factor is None else factor)
+        new_factor = successor.factor
         obligations = list(t.obligations)
-        new_factor, progress = None, False
-        if not isinstance(t.target.program, Epsilon):
-            new_factor = target.factor if factor is None else factor
-            if not is_subexpression(new_factor, t.target.config):
-                raise SideConditionFailed(
-                    "successor factor must occur inside the configuration"
-                )
+        progress = False
+        if not terminal:
             oblige = partial(check_obligation, self.oracle, gamma, node=node.id)
             ob = oblige([ge(new_factor, Lit(0))] + delta)
             obligations.append(require_accepted(ob, "factor nonnegativity failed"))
@@ -526,9 +523,7 @@ class ProofGraph:
                     "factor may grow across the step",
                 )
             obligations.append(ob)
-        premise, pairs = _replace_right(
-            nu, occ, DTer(t.target.config, t.target.program, new_factor), progress
-        )
+        premise, pairs = _replace_right(nu, occ, successor, progress)
         return RuleInstance(
             "ter_step", nu, (premise,), {"occ": occ, "progress": progress}, (pairs,),
             obligations,
@@ -556,26 +551,20 @@ class ProofGraph:
             termination=judgment,
         )
 
-    def _rule_ax(self, node: Node, left_occ: int | None = None,
-                 right_occ: int | None = None) -> RuleInstance:
+    def _rule_ax(self, node: Node, left: int | None = None,
+                 right: int | None = None) -> RuleInstance:
+        # an occurrence given is kept; the first equal pair is searched for
+        # among the occurrences not given
         nu = node.sequent
-        if left_occ is None or right_occ is None:
-            found = None
-            for i, f in enumerate(nu.left):
-                for j, g in enumerate(nu.right):
-                    if formulas_equal(f, g):
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if not found:
-                raise SideConditionFailed("no matching formula pair for ax")
-            left_occ, right_occ = found
-        _require_in_range(nu.left, (left_occ,), "ax")
-        _require_in_range(nu.right, (right_occ,), "ax")
-        if not formulas_equal(nu.left[left_occ], nu.right[right_occ]):
-            raise SideConditionFailed("ax formulas differ")
-        return RuleInstance("ax", nu, (), {"left": left_occ, "right": right_occ}, ())
+        lefts = range(len(nu.left)) if left is None else (left,)
+        rights = range(len(nu.right)) if right is None else (right,)
+        _require_in_range(nu.left, lefts, "ax")
+        _require_in_range(nu.right, rights, "ax")
+        found = next(((i, j) for i in lefts for j in rights
+                      if formulas_equal(nu.left[i], nu.right[j])), None)
+        if found is None:
+            raise SideConditionFailed("no matching formula pair for ax")
+        return RuleInstance("ax", nu, (), {"left": found[0], "right": found[1]}, ())
 
     def _labeled_rewrite(self, node: Node, occ: int | None = None,
                          side: str = "right", *, rule: str) -> RuleInstance:
@@ -606,9 +595,7 @@ class ProofGraph:
                         f"sub: substituted premise differs at {side}[{i}]: "
                         f"{parser.dlp_src(image)} vs {parser.dlp_src(c)}"
                     )
-        pairs = tuple(
-            TracePair(i, i, target=True) for i in range(len(nu.right))
-        )
+        pairs = _same_positions(len(nu.right))
         binding_src = {x: parser.expr_src(e) for x, e in sorted(bindings.items())}
         return RuleInstance("sub", nu, (premise,), {"bindings": binding_src}, (pairs,))
 

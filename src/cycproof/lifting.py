@@ -335,7 +335,7 @@ def _apply_lifted(node: Node, rule: LiftedRule, samples: int) -> RuleInstance:
         premises.append(Sequent(left, right))
         pairs.append(
             tuple(
-                TracePair(i, i, target=True)
+                TracePair(i, i)
                 for i in range(min(len(nu.right), len(right)))
             )
         )
@@ -399,7 +399,7 @@ def _sigma_gen_handler(graph: ProofGraph, node: Node) -> RuleInstance:
     )
     return RuleInstance(
         "sigma_gen", nu, (premise,), {"evidence": "builtin-argument"},
-        ((TracePair(0, 0, target=True),),),
+        ((TracePair(0, 0),),),
     )
 
 

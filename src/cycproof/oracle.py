@@ -5,7 +5,10 @@ a finite box per free variable.  It never answers ``Valid``: a pass is only
 ``BoundedValid``, and certificates carry that mode so a bounded run is never
 mistaken for validity over the integers.  The grid cap (``max_points``) is
 checked on the full box before anything else, so a sequent too large to scan
-is ``Unknown`` however it would be decided.
+is ``Unknown`` however it would be decided.  A scan nests one loop per free
+variable, and CPython compiles at most 20 nested loops, so an obligation that
+is not total, or a group (below), with more free variables is not scanned:
+it is ``Unknown`` unless another group decides it.
 
 A total obligation (every divisor a nonzero literal) is read as its
 literals: an axiom (one literal on both sides), a closed literal false on the
@@ -129,6 +132,13 @@ class OracleUnavailable(Exception):
     pass
 
 
+MAX_SCAN_NAMES = 20  # CPython compiles at most 20 nested blocks in a function
+
+
+def _unscannable(count: int) -> Unknown:
+    return Unknown(f"{count} free variables exceed the scan's {MAX_SCAN_NAMES} nested loops")
+
+
 class BoundedOracle:
     """Exhaustive check over a finite range per free variable."""
 
@@ -161,6 +171,8 @@ class BoundedOracle:
         qlo, qhi = self.quantifier_range
         span, qspan = range(self.lo, self.hi + 1), range(qlo, qhi + 1)
         if literals is None:
+            if len(names) > MAX_SCAN_NAMES:
+                return _unscannable(len(names))
             try:
                 values = _compile_scan(names, gamma, delta)(span, qspan)
             except DivisionByZero as exc:
@@ -177,19 +189,27 @@ class BoundedOracle:
                 elif eval_bool({}, phi, (qlo, qhi)).value == side:
                     return BoundedValid()  # false on the left, true on the right
         witness = {}
+        unscanned = 0  # free variables of a group too wide to scan
         for group in _independent_groups(kept):
             group_names, scan = self._group_scan(group)
+            if scan is None:
+                unscanned = len(group_names)
+                continue
             values = scan(span, qspan)
             if values is None:
                 return BoundedValid()  # this group alone has no counterexample
             witness.update(zip(group_names, values))
+        if unscanned:
+            return _unscannable(unscanned)
         return Invalid(tuple((x, witness[x]) for x in names))
 
     def _group_scan(self, group: list):
         """``(names, scan)`` for a group of kept literals: its free variables
         sorted, and the compiled scan of the group's sequent over them, shared
-        by every group of the same shape."""
+        by every group of the same shape; ``None`` for a group too wide."""
         names = sorted(set().union(*(free for *_, free in group)))
+        if len(names) > MAX_SCAN_NAMES:
+            return names, None
         rank = {x: i for i, x in enumerate(names)}
         shape = tuple((side, template, tuple(rank[x] for x in occurs))
                       for side, (template, occurs), _, _ in group)

@@ -13,17 +13,19 @@ Grammar (whitespace-insensitive)::
              | "[" expr "]" ":=" expr | "dispose" "(" expr ")"
     config ::= "{" [IDENT "->" expr ("," IDENT "->" expr)*] "}"      (store)
              | "{" IDENT "->" expr ("|" IDENT "->" expr)+ "}"        (stack)
-    dlp    ::= fml | config ":" body | "!" dlp | dlp "&&" dlp
-             | dlp "||" dlp | dlp "->" dlp | "(" dlp ")"
+    dlp    ::= fml | config ":" body | config ":" prog "⇓" [expr] | "!" dlp
+             | dlp "&&" dlp | dlp "||" dlp | dlp "->" dlp | "(" dlp ")"
     body   ::= "[" prog "]" body | "<" prog ">" body | "!" body
              | "(" bodyc ")" | fml-atom                    (bodyc adds &&/||/->)
     seq    ::= [dlp ("," dlp)*] "=>" [dlp ("," dlp)*]      ("." = empty side)
+    update ::= "{" [IDENT ":=" expr ("," IDENT ":=" expr)*] "}"
 
 Derived connectives normalize to the core on the way in; the printers emit
 only core connectives plus the relation sugar that reparses to the same
-tree, so ``parse(print(t)) == t``.  The termination judgment
-``config : prog ⇓ factor`` is printed, for dumps and error messages, but has
-no input syntax.
+tree, so ``parse(print(t)) == t``.  After ``config ":"`` the body is tried
+first and the termination judgment only where no body parses.  Proof
+scripts read the terms of a line with a ``Reader``, one token stream per
+line, each term ending where its production does.
 
 Every input ends in a tree or a ParseError, whatever the caller's stack, and
 every accepted tree reads back once printed (dumps and emitted scripts are
@@ -108,7 +110,7 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
-  | (?P<op>:=|<=|>=|==|!=|=>|->|&&|\|\||[-+*/(){}\[\],;:.<>!|?@]|ε)
+  | (?P<op>:=|<=|>=|==|!=|=>|->|&&|\|\||[-+*/(){}\[\],;:.<>!|?@]|ε|⇓)
   | (?P<bad>.)
     """,
     re.VERBOSE,
@@ -214,6 +216,10 @@ class _Tokens:
     def error(self, message: str):
         _, chunk, offset = self.peek()
         self.fail(f"{message} (found {chunk or 'end of input'!r})", offset)
+
+    def end(self) -> None:
+        if self.peek()[0] != "eof":
+            self.error("trailing input")
 
     def name(self, message: str) -> str:
         """The identifier next, or a ParseError with ``message``."""
@@ -391,9 +397,27 @@ def _dlp(ts: _Tokens) -> DlpFormula:
 def _dlp_atom(ts: _Tokens) -> DlpFormula:
     chunk = ts.peek()[1]
     if chunk == "{":
+        start = ts.peek()[2]
         sigma = _config(ts)
         ts.expect(":")
-        return DLabeled(sigma, _body_atom(ts))
+        save = ts.pos
+        try:
+            return DLabeled(sigma, _body_atom(ts))
+        except ParseError as exc:
+            ts.pos = save
+            failure = exc
+        try:
+            prog = _prog(ts)
+            ts.expect("⇓")
+        except ParseError as exc:  # the error of the parse that got further
+            farther = max(failure, exc, key=lambda e: (e.line, e.col))
+            raise farther.with_traceback(None) from None
+        kind, chunk, _ = ts.peek()
+        factor = _expr(ts) if kind in ("int", "ident") or chunk in ("(", "-") else None
+        try:
+            return DTer(sigma, prog, factor)
+        except TermError as exc:  # the factor is not in the label
+            ts.fail(str(exc), start)
     if chunk == "(":
         save = ts.pos
         try:
@@ -512,6 +536,22 @@ def _config(ts: _Tokens) -> Config:
         ts.fail(str(exc), start)
 
 
+def _update(ts: _Tokens) -> dict:
+    """``{x := e, ...}``: each name mapped to its expression."""
+    ts.expect("{")
+    out: dict = {}
+    while not ts.accept("}"):
+        if out:
+            ts.expect(",")
+        offset = ts.peek()[2]
+        name = ts.name("expected a variable in an update")
+        if name in out:
+            ts.fail(f"update binds {name} twice", offset)
+        ts.expect(":=")
+        out[name] = _expr(ts)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Bodies and sequents
 # ---------------------------------------------------------------------------
@@ -608,8 +648,12 @@ def _formula_list(ts: _Tokens, formula) -> tuple:
 
 
 def _finish(ts: _Tokens, node):
-    if ts.peek()[0] != "eof":
-        ts.error("trailing input")
+    ts.end()
+    return _capped(node)
+
+
+def _capped(node):
+    """``node``, or a ParseError when it passes a cap (see the module docstring)."""
     depth, nesting = _measure(node)
     if nesting > MAX_NESTING:
         raise ParseError(f"formula nested deeper than {MAX_NESTING} once printed", 1, 1)
@@ -674,12 +718,14 @@ def _measure(root) -> tuple:
             push((node.body, d, n, 0, 0))
         elif cls is DBase:
             push((node.fml, d, n, level, run))
-        elif cls is DLabeled:  # "label : body", bracketed at level 1
-            if level > 0:
+        elif cls is DLabeled or cls is DTer:  # "label : body", "label : prog ⇓ e"
+            if level > 0:  # bracketed at level 1
                 n += run or 1
                 run = 0
             push((node.label, d, n, 0, run))
-            push((node.body, d, n, 0, 0))
+            for part in (node.body,) if cls is DLabeled else (node.prog, node.factor):
+                if part is not None:
+                    push((part, d, n, 0, 0))
         elif cls is Config:  # "{x -> e, ...}"
             n += run or 1
             for _, e in node.entries:
@@ -753,6 +799,28 @@ def parse_dlp(text: str) -> DlpFormula:
 
 def parse_sequent(text: str) -> Sequent:
     return _finish(ts := _Tokens(text), _sequent(ts))
+
+
+def _capped_read(production):
+    return lambda reader: _capped(production(reader))
+
+
+class Reader(_Tokens):
+    """The terms of one proof-script line, read in order from one token
+    stream whose words ``accept``, ``expect`` and ``next`` read.  Each term
+    ends where its production does, so the words between terms (``premise``,
+    ``split``, ``factor``, ...) are tokens of the same stream, and each term
+    passes the caps as a whole input would."""
+
+    sequent = _capped_read(_sequent)
+    dlp = _capped_read(_dlp)
+    fml = _capped_read(_fml)
+    expr = _capped_read(_expr)
+
+    def update(self) -> dict:
+        out = _update(self)
+        _capped(tuple(out.values()))
+        return out
 
 
 def parse_template_sequent(text: str) -> tuple:

@@ -11,23 +11,29 @@ by node id (``at N``); without it they act on the lowest open goal.
     cut [at <node>] <formula> [split]
     backlink [at <node>] to <companion>
     annotate while <index> invariant <formula> factor <expr>
-    lift <name> from <file> class free|standard witness fwd {..} bwd {..}
+    lift <name> from <file> class free|standard [witness fwd {..} [bwd {..}]]
     qed
 
-Lines starting with ``#`` are comments.
+Lines starting with ``#`` are comments.  A line's frame (the command,
+``at N``, rule and file names, integers) is read as whitespace-separated
+words; its terms, and the words between and after them, are read by one
+``parser.Reader`` over the rest of the line, so each term ends where the
+grammar says.  An ``apply`` line whose rule takes no term is never
+tokenized.  Termination proofs are scripts too: ``apply ter_step [with
+factor <expr>]``, ``apply ter_eps`` and ``apply ter_base``, which reads the
+``annotate`` lines, act on a goal's ``σ : α ⇓ e`` judgment.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path as FsPath
 
 from . import cyclic, lifting, parser
-from .formulas import BBox, BDia, DLabeled
 from .kernel import KernelError, ProofGraph
 from .oracle import BoundedValid
-from .terms import Program, TermError, While
+from .terms import TermError, While
 from .whilelang import (
     CaseSplitNeeded,
     LoopAnnotations,
@@ -76,7 +82,8 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _split_lines(text: str) -> list:
+def script_lines(text: str) -> list:
+    """(line number, line) for each line that is not blank or a comment."""
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -101,35 +108,10 @@ def _take_at(rest: str):
     return None, rest
 
 
-def _parse_updates(text: str) -> dict:
-    """``{x := e, y := e2}`` into a name-to-expression map."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ScriptError(f"expected {{x := e, ...}}, got {text!r}")
-    inner = text[1:-1].strip()
-    out: dict = {}
-    if not inner:
-        return out
-    depth = 0
-    chunk = ""
-    chunks = []
-    for ch in inner:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            chunks.append(chunk)
-            chunk = ""
-        else:
-            chunk += ch
-    chunks.append(chunk)
-    for item in chunks:
-        if ":=" not in item:
-            raise ScriptError(f"expected x := e in binding, got {item!r}")
-        name, expr = item.split(":=", 1)
-        out[name.strip()] = parser.parse_expr(expr)
-    return out
+# the apply arguments that are integers; the rules with a term argument, its
+# word, and its reader: only their lines are tokenized
+_INT_ARGS = ("occ", "choice", "left", "right")
+_TERM_ARGS = {"le": ("target", parser.Reader.fml), "ter_step": ("factor", parser.Reader.expr)}
 
 
 class Replayer:
@@ -158,38 +140,15 @@ class Replayer:
     def _whiles_in_goal(self) -> list:
         """While statements of the root goal, in preorder, left to right."""
         out: list = []
-
-        def walk_prog(p: Program):
-            if isinstance(p, While):
-                out.append(p)
-            for attr in ("first", "second", "then", "orelse", "body"):
-                sub = getattr(p, attr, None)
-                if isinstance(sub, Program):
-                    walk_prog(sub)
-
-        def walk_body(b):
-            from .formulas import Body
-
-            if isinstance(b, (BBox, BDia)):
-                walk_prog(b.prog)
-                walk_body(b.body)
-                return
-            for attr in ("left", "right", "body"):
-                sub = getattr(b, attr, None)
-                if isinstance(sub, Body):
-                    walk_body(sub)
-
-        def walk_formula(f):
-            if isinstance(f, DLabeled):
-                walk_body(f.body)
-            for attr in ("arg", "left", "right"):
-                sub = getattr(f, attr, None)
-                if sub is not None:
-                    walk_formula(sub)
-
-        root = self.graph.node(self.graph.root).sequent
-        for f in root.left + root.right:
-            walk_formula(f)
+        stack = [self.graph.node(self.graph.root).sequent]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, While):
+                out.append(node)
+            if is_dataclass(node):
+                stack += reversed([getattr(node, f.name) for f in fields(node)])
+            elif isinstance(node, tuple):
+                stack += reversed(node)
         return out
 
     # -- commands --------------------------------------------------------------
@@ -211,37 +170,18 @@ class Replayer:
         remainder = parts[1] if len(parts) > 1 else ""
         node, remainder = _take_at(remainder)
         node = self._target_node(node)
-        args = self._parse_apply_args(rule, remainder)
+        if remainder.split(None, 1)[:1] == ["with"]:
+            remainder = remainder[len("with"):]
+        args = self._apply_args(rule, remainder.strip())
+        if rule == "ter_base":
+            args["annotations"] = self.annotations
         self.graph.apply_rule(node, rule, **args)
 
-    def _parse_apply_args(self, rule: str, remainder: str) -> dict:
-        remainder = remainder.strip()
-        if remainder.startswith("with"):
-            remainder = remainder[4:].strip()
+    def _apply_args(self, rule: str, remainder: str) -> dict:
         if not remainder:
             return {}
         if rule in ("wk_l", "wk_r"):
             return {"occs": [_int(tok, rule) for tok in remainder.split()]}
-        if rule == "le":
-            tokens = remainder.split()
-            args: dict = {}
-            if tokens[0] == "occ":
-                args["occ"] = _int(tokens[1] if len(tokens) > 1 else "", "occ")
-                tokens = tokens[2:]
-            if tokens and tokens[0] == "target":
-                args["target"] = parser.parse_fml(" ".join(tokens[1:]))
-            if "target" not in args:
-                raise ScriptError("le needs `target <formula>`")
-            return args
-        if rule == "ax":
-            tokens = remainder.split()
-            args = {}
-            for key, value in zip(tokens[::2], tokens[1::2]):
-                if key == "left":
-                    args["left_occ"] = _int(value, key)
-                elif key == "right":
-                    args["right_occ"] = _int(value, key)
-            return args
         if rule == "sigma_star":
             tokens = remainder.split()
             h1: list = []
@@ -257,11 +197,18 @@ class Replayer:
                 else:
                     raise ScriptError(f"sigma_star: unexpected token {tok!r}")
             return {"h1_addrs": h1, "h2_addrs": h2}
-        args = {}
-        tokens = iter(remainder.split())
+        args: dict = {}
+        term, read = _TERM_ARGS.get(rule, (None, None))
+        if term is None:
+            tokens = iter(remainder.split())
+        else:
+            reader = parser.Reader(remainder)
+            tokens = iter(lambda: reader.next()[1], "")
         for tok in tokens:
-            if tok in ("occ", "choice"):
+            if tok in _INT_ARGS:
                 args[tok] = _int(next(tokens, ""), tok)
+            elif tok == term:
+                args[tok] = read(reader)
             elif tok == "side":
                 args["side"] = next(tokens, "")
             elif tok == "progress":
@@ -274,22 +221,20 @@ class Replayer:
     def cmd_sub(self, rest: str):
         node, remainder = _take_at(rest)
         node = self._target_node(node)
-        if "premise" not in remainder:
-            raise ScriptError("sub needs `premise <sequent>`")
-        bindings_txt, premise_txt = remainder.split("premise", 1)
-        bindings = _parse_updates(bindings_txt)
-        premise = parser.parse_sequent(premise_txt)
+        reader = parser.Reader(remainder)
+        bindings = reader.update()
+        reader.expect("premise")
+        premise = reader.sequent()
+        reader.end()
         self.graph.apply_rule(node, "sub", bindings=bindings, premise=premise)
 
     def cmd_cut(self, rest: str):
         node, remainder = _take_at(rest)
         node = self._target_node(node)
-        split = False
-        stripped = remainder.rstrip()
-        if stripped.endswith(" split"):
-            split = True
-            stripped = stripped[: -len(" split")]
-        fml = parser.parse_dlp(stripped)
+        reader = parser.Reader(remainder)
+        fml = reader.dlp()
+        split = reader.accept("split")
+        reader.end()
         self.graph.apply_rule(node, "cut", fml=fml, split=split)
 
     def cmd_backlink(self, rest: str):
@@ -304,24 +249,23 @@ class Replayer:
         self.graph.link_bud(node, companion)
 
     def cmd_annotate(self, rest: str):
-        tokens = rest.split()
+        tokens = rest.split(None, 2)
         if len(tokens) < 2 or tokens[0] != "while":
             raise ScriptError("annotate syntax: annotate while <index> invariant <fml> factor <expr>")
         index = _int(tokens[1], "annotate while")
-        remainder = rest.split(None, 2)[2] if len(tokens) > 2 else ""
-        _, _, after_inv = remainder.partition("invariant")
-        inv_txt, found, factor_txt = after_inv.rpartition("factor")
-        if not found:
-            raise ScriptError("annotate needs an invariant followed by a factor")
-        invariant = parser.parse_fml(inv_txt)
-        factor = parser.parse_expr(factor_txt)
+        reader = parser.Reader(tokens[2] if len(tokens) > 2 else "")
+        reader.expect("invariant")
+        invariant = reader.fml()
+        reader.expect("factor")
+        factor = reader.expr()
+        reader.end()
         whiles = self._whiles_in_goal()
         if not (1 <= index <= len(whiles)):
             raise ScriptError(f"no while statement #{index} in the goal (found {len(whiles)})")
         self.annotations.annotate(whiles[index - 1], invariant, factor)
 
     def cmd_lift(self, rest: str):
-        tokens = rest.split()
+        tokens = rest.split(None, 5)
         if len(tokens) < 5 or tokens[1] != "from":
             raise ScriptError(
                 "lift syntax: lift <name> from <file> class free|standard witness ..."
@@ -332,21 +276,16 @@ class Replayer:
             raise ScriptError("lift needs `class free|standard`")
         config_class = tokens[4]
         witness = None
-        remainder = rest.split("witness", 1)
-        if len(remainder) == 2:
-            spec = remainder[1]
-            if "fwd" in spec and "bwd" in spec:
-                fwd_txt = spec.split("fwd", 1)[1].split("bwd", 1)[0]
-                bwd_txt = spec.split("bwd", 1)[1]
-                witness = (
-                    lifting.transformer_from_updates(_parse_updates(fwd_txt)),
-                    lifting.transformer_from_updates(_parse_updates(bwd_txt)),
-                )
-            elif "fwd" in spec:
-                fwd = lifting.transformer_from_updates(
-                    _parse_updates(spec.split("fwd", 1)[1])
-                )
-                witness = (fwd, fwd)
+        if len(tokens) > 5:
+            word, *spec = tokens[5].split(None, 1)
+            if word != "witness":
+                raise ScriptError(f"lift: unexpected {word!r} after the class")
+            reader = parser.Reader(spec[0] if spec else "")
+            reader.expect("fwd")
+            fwd = lifting.transformer_from_updates(reader.update())
+            bwd = lifting.transformer_from_updates(reader.update()) if reader.accept("bwd") else fwd
+            reader.end()
+            witness = (fwd, bwd)
         premises = []
         conclusion = None
         try:
@@ -377,19 +316,24 @@ class Replayer:
 
     # -- entry -------------------------------------------------------------------
 
+    def step(self, line: str) -> None:
+        """Run one script line.  Raises ``ScriptError``, or the error of the
+        kernel, parser or prover that refused the line."""
+        head, _, rest = line.partition(" ")
+        handler = _COMMANDS.get(head)
+        if handler is None:
+            raise ScriptError(f"unknown command {head!r}")
+        if self.graph is None and head not in ("goal", "lift", "qed"):
+            raise ScriptError(f"{head} before goal")
+        handler(self, rest.strip())
+
     def replay(self, text: str) -> RunReport:
         started = time.monotonic()
         report = RunReport(verdict="Stuck")
         try:
-            for line_no, line in _split_lines(text):
-                head, _, rest = line.partition(" ")
-                handler = _COMMANDS.get(head)
-                if handler is None:
-                    raise ScriptError(f"unknown command {head!r}", line_no)
-                if self.graph is None and head not in ("goal", "lift", "qed"):
-                    raise ScriptError(f"{head} before goal", line_no)
+            for line_no, line in script_lines(text):
                 try:
-                    handler(self, rest.strip())
+                    self.step(line)
                 except ScriptError as exc:
                     raise ScriptError(str(exc), line_no) from None
                 except (

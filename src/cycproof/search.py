@@ -119,8 +119,7 @@ def _close_or_step(graph: ProofGraph, node_id: int, budget: dict, lines: list) -
     for i, f in enumerate(nu.left):
         for j, g in enumerate(nu.right):
             if formulas_equal(f, g):
-                graph.apply_rule(node_id, "ax", left_occ=i, right_occ=j)
-                lines.append(f"apply ax at {node_id} with left {i} right {j}")
+                _apply(graph, node_id, "ax", lines, left=i, right=j)
                 return
 
     # 3. closure: backlink to an identical ancestor

@@ -242,6 +242,18 @@ class Config:
         return Config(self.entries + ((name, expr),))
 
 
+def is_subexpression(e: Expr, sigma: Config) -> bool:
+    """Whether ``e`` occurs, syntactically, within some mapping of ``sigma``."""
+    stack = [expr for _, expr in sigma.entries]
+    while stack:
+        inside = stack.pop()
+        if inside == e:
+            return True
+        if isinstance(inside, BinOp):
+            stack += (inside.left, inside.right)
+    return False
+
+
 Term = Union[Expr, BaseFormula, Program, Config]
 
 

@@ -14,10 +14,10 @@ Three layers live here:
     loop annotations (invariant plus a decreasing factor).
 
 Cyclic termination proofs have no engine of their own:
-``derive_termination_cyclic`` replays a script of steps, generalizations
-and backlinks as a kernel proof of the judgment ``σ : α ⇓ e`` and accepts it
-through the kernel's trace closure, so every cycle must cross a strict
-decrease of the factor ``e``.
+``derive_termination_cyclic`` replays a ``.dlp`` script of steps,
+generalizations and backlinks as a kernel proof of the judgment
+``σ : α ⇓ e`` and accepts it through the kernel's trace closure, so every
+cycle must cross a strict decrease of the factor ``e``.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import parser
-from .formulas import DBase, DTer, Sequent
+from .formulas import DTer, Sequent, base_formulas
 from .oracle import Obligation, OracleUnavailable, check_obligation, is_accepting
 from .terms import (
     EPSILON,
     AndF,
     Assign,
     BaseFormula,
-    BinOp,
     Config,
     Epsilon,
     Expr,
@@ -428,78 +427,40 @@ def _terminate_while(gamma, state, delta, oracle, annotations, obligations, path
 
 
 # ---------------------------------------------------------------------------
-# Cyclic termination proofs: scripts replayed as kernel proofs
+# Cyclic termination proofs: .dlp scripts replayed as kernel proofs
 # ---------------------------------------------------------------------------
 
-def is_subexpression(e: Expr, sigma: Config) -> bool:
-    """Syntactic check that ``e`` occurs within some mapping of ``sigma``."""
+def derive_termination_cyclic(script: str, oracle) -> TerminationJudgment:
+    """Replay a ``.dlp`` script whose goal holds a judgment ``σ : α ⇓ e`` on
+    its right, as a kernel proof, through ``script.Replayer`` line by line.
 
-    def occurs(inside: Expr) -> bool:
-        if inside == e:
-            return True
-        if isinstance(inside, BinOp):
-            return occurs(inside.left) or occurs(inside.right)
-        return False
-
-    return any(occurs(expr) for _, expr in sigma.entries)
-
-
-def derive_termination_cyclic(gamma, state: State, factor: Expr, delta, oracle, script):
-    """Replay a termination script as a kernel proof of ``state ⇓ factor``.
-
-    Operations: ``("step", node, [factor])``, ``("eps", node)``,
-    ``("base", node, [annotations])``, ``("sub", node, bindings, premise)``,
-    ``("cut", node, fml)``, ``("or_l", node, occ)``, ``("wk_l", node, occs)``,
-    ``("wk_r", node, occs, drop_judgment)``, ``("ter", node)``,
-    ``("backlink", node, companion)``.  A node holds the base formulas
-    ``gamma`` on the left and the judgment, then ``delta``, on the right, so
-    a ``sub`` premise is ``(gamma, state, factor, delta)`` and the ``wk_r``
-    indices count ``delta``.  Misuse raises the kernel's errors; a cycle
-    without a strict factor decrease raises ``NoProgressOnCycle``.
+    A line the kernel, parser or prover refuses raises that error; a line the
+    script language refuses raises ``script.ScriptError``; a proof with open
+    goals raises ``KernelError``, and a cycle without a strict factor
+    decrease raises ``NoProgressOnCycle``.  The judgment's ``gamma`` and
+    ``delta`` are the goal's other base formulas.
     """
-    from . import cyclic, kernel  # both import this module
+    from . import cyclic, kernel, script as script_mod  # all import this module
 
-    if not is_subexpression(factor, state.config):
-        raise TermError("factor must occur inside the configuration")
-
-    def sequent(gamma, state, factor, delta) -> Sequent:
-        judgment = DTer(state.config, state.program, factor)
-        return Sequent(tuple(map(DBase, gamma)), (judgment,) + tuple(map(DBase, delta)))
-
-    graph = kernel.ProofGraph(sequent(gamma, state, factor, delta), oracle=oracle)
-    rule = graph.apply_rule
-
-    def wk_r(node_id, occs=(), drop_judgment=False):
-        if any(isinstance(f, DTer) for f in graph.node(node_id).sequent.right):
-            occs = [i + 1 for i in occs] + ([0] if drop_judgment else [])
-        rule(node_id, "wk_r", occs=occs)
-
-    operations = {
-        "step": lambda n, factor=None: rule(n, "ter_step", factor=factor),
-        "eps": lambda n: rule(n, "ter_eps"),
-        "base": lambda n, annotations=None: rule(n, "ter_base", annotations=annotations),
-        "sub": lambda n, bindings, premise: rule(
-            n, "sub", bindings=bindings, premise=sequent(*premise)),
-        "cut": lambda n, fml: rule(n, "cut", fml=DBase(fml)),
-        "or_l": lambda n, occ: rule(n, "or_l", occ=occ),
-        "wk_l": lambda n, occs: rule(n, "wk_l", occs=occs),
-        "wk_r": wk_r,
-        "ter": lambda n: rule(n, "ter"),
-        "backlink": graph.link_bud,
-    }
-    for name, node_id, *args in script:
-        if name not in operations:
-            raise TermError(f"unknown termination script operation {name!r}")
-        operations[name](node_id, *args)
+    replayer = script_mod.Replayer(oracle)
+    for _, line in script_mod.script_lines(script):
+        replayer.step(line)
+        if replayer.qed_seen:
+            break
+    graph = replayer.graph
+    goal = graph.node(graph.root).sequent if graph is not None else Sequent()
+    judgment = next((f for f in goal.right if isinstance(f, DTer)), None)
+    if judgment is None:
+        raise TermError("the script's goal holds no termination judgment")
     if graph.open_goals():
         raise kernel.KernelError(f"open goals remain: {graph.open_goals()}")
     certificate = cyclic.check_cyclic(graph)
     if not certificate.accepted:
         raise NoProgressOnCycle(certificate.reject_cycle)
     return TerminationJudgment(
-        tuple(gamma),
-        state,
-        tuple(delta),
+        tuple(base_formulas(goal.left)),
+        State(judgment.prog, judgment.label),
+        tuple(base_formulas(goal.right)),
         None,
         ("cyclic", tuple(graph.backlinks.items())),
         graph.obligations(),

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from cycproof.oracle import BoundedOracle
-from cycproof.parser import parse_config, parse_expr, parse_fml, parse_prog
+from cycproof.parser import parse_config, parse_prog
 from cycproof.terms import (
     AndF,
     BinOp,
@@ -84,44 +84,11 @@ def random_config(rng: random.Random, names):
 # The loop-program termination script for the cyclic prover
 # ---------------------------------------------------------------------------
 
-def wp_cyclic_goal():
-    from cycproof.whilelang import State
-
-    wp = parse_prog(WP_SRC)
-    return [parse_fml("v >= 0")], State(wp, parse_config(SIGMA1_SRC)), parse_expr("v"), []
+def wp_cyclic_script() -> str:
+    """The summation loop's cyclic termination proof, as `.dlp` text."""
+    return (FIXTURES / "sum_terminates.dlp").read_text()
 
 
-def wp_cyclic_script():
-    """Hand-built script mirroring the loop generalization of the replay."""
-    from cycproof.whilelang import State
-
-    wp = parse_prog(WP_SRC)
-    sigma3 = parse_config(SIGMA3_SRC)
-    prem2 = ((parse_fml("v - m >= 0"),), State(wp, sigma3), parse_expr("v - m"), ())
-    prem17 = (
-        (parse_fml("v - m >= -1"), parse_fml("v - m >= 0")),
-        State(wp, sigma3),
-        parse_expr("v - m"),
-        (),
-    )
-    return [
-        ("sub", 1, {"m": parse_expr("0")}, prem2),                # -> 2
-        ("cut", 2, parse_fml("v - m > 0 || v - m <= 0")),         # -> 3, 4
-        ("wk_r", 3, (), True),                                    # -> 5
-        ("ter", 5),
-        ("or_l", 4, 1),                                           # -> 6, 7
-        ("step", 6),                                              # -> 8
-        ("step", 8, parse_expr("(v - m) - 1")),                   # -> 9, progress
-        ("cut", 9, parse_fml("v - (m + 1) >= -1")),               # -> 10, 11
-        ("wk_r", 10, (), True),                                   # -> 12
-        ("ter", 12),
-        ("cut", 11, parse_fml("v - (m + 1) >= 0")),               # -> 13, 14
-        ("wk_r", 13, (), True),                                   # -> 15
-        ("ter", 15),
-        ("wk_l", 14, (0, 1)),                                     # -> 16
-        ("sub", 16, {"m": parse_expr("m + 1")}, prem17),          # -> 17
-        ("wk_l", 17, (0,)),                                       # -> 18
-        ("backlink", 18, 2),
-        ("step", 7),                                              # -> 19
-        ("eps", 19),
-    ]
+def termination_script(prog: str, config: str, factor: str, *lines: str) -> str:
+    """A script proving ``config : prog ⇓ factor`` from no assumptions."""
+    return "\n".join((f"goal . => {config} : {prog} ⇓ {factor}",) + lines)

@@ -19,7 +19,7 @@ from conftest import (
     WP_SRC,
     random_expr,
     random_fml,
-    wp_cyclic_goal,
+    termination_script,
     wp_cyclic_script,
 )
 from cycproof import script as script_mod
@@ -302,16 +302,13 @@ def test_criterion_9_termination_provers(oracle, wp):
     )
     assert structural.result == parse_config("{n -> 0, s -> 15}")
 
-    gamma, state, factor, delta = wp_cyclic_goal()
-    cyclic_j = derive_termination_cyclic(
-        gamma, state, factor, delta, oracle, wp_cyclic_script()
-    )
+    cyclic_j = derive_termination_cyclic(wp_cyclic_script(), oracle)
     assert cyclic_j.justification[0] == "cyclic"
 
-    skip_loop = State(parse_prog("while 1 <= 1 do skip end"), parse_config("{n -> 0}"))
+    skip_loop = termination_script(
+        "while 1 <= 1 do skip end", "{n -> 0}", "0",
+        "apply ter_step at 1", "backlink at 2 to 1",
+    )
     with pytest.raises(NoProgressOnCycle):
-        derive_termination_cyclic(
-            [], skip_loop, parse_expr("0"), [], oracle,
-            [("step", 1), ("backlink", 2, 1)],
-        )
+        derive_termination_cyclic(skip_loop, oracle)
     _note(9, "structural and cyclic provers accept the loop; the skip loop is refused")

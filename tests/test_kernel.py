@@ -241,3 +241,34 @@ def test_dump_golden():
         ")"
     )
     assert g.dump() == expected
+
+
+def test_ax_keeps_an_occurrence_given_alone(oracle):
+    # only the side not given is searched for an equal formula
+    g = new_proof(parse_sequent("x <= 0, y <= 0 => y <= 0"), oracle=oracle)
+    with pytest.raises(SideConditionFailed, match="no matching formula pair"):
+        g.apply_rule(1, "ax", left=0)
+    with pytest.raises(SideConditionFailed, match="out of range"):
+        g.apply_rule(1, "ax", right=1)
+    g.apply_rule(1, "ax", left=1)
+    assert '(rule ax left 1 right 0)' in g.dump()
+    g = new_proof(parse_sequent("y <= 0 => x <= 0, y <= 0"), oracle=oracle)
+    g.apply_rule(1, "ax", right=1)
+    assert '(rule ax left 0 right 1)' in g.dump()
+
+
+def test_and_r_and_con_r_map_their_trace_pairs(oracle):
+    from cycproof.kernel import TracePair
+
+    g = new_proof(parse_sequent("a <= 0 => b <= 0, (c <= 0) && (d <= 0)"), oracle=oracle)
+    first, second = g.apply_rule(1, "and_r")
+    assert g.node(first).sequent == parse_sequent("a <= 0 => b <= 0, c <= 0")
+    assert g.node(second).sequent == parse_sequent("a <= 0 => b <= 0, d <= 0")
+    # the context maps to itself, and each conjunct continues the conjunction
+    assert g.node(1).rule_instance.trace_pairs == ((TracePair(0, 0), TracePair(1, 1)),) * 2
+    (copy,) = g.apply_rule(first, "con_r", occ=1)
+    assert g.node(copy).sequent == parse_sequent("a <= 0 => b <= 0, c <= 0, c <= 0")
+    assert g.node(first).rule_instance.trace_pairs == (
+        (TracePair(0, 0), TracePair(1, 1), TracePair(1, 2)),)
+    with pytest.raises(SideConditionFailed, match="out of range"):
+        g.apply_rule(second, "con_r", occ=2)

@@ -176,3 +176,37 @@ def test_sigma_seq_semantic_check_sampled():
         b = models(rho, flat, 500)
         if a is Verdict.TRUE:
             assert b is Verdict.TRUE
+
+
+def test_free_lift_with_premises_replays_end_to_end(tmp_path, oracle):
+    # conjunction on the right, lifted over a free configuration: each
+    # premise keeps the shared label and is closed on its own
+    from cycproof import script as script_mod
+    from cycproof.kernel import TracePair
+
+    (tmp_path / "and.rule").write_text(
+        "premise ?c => ?a\npremise ?c => ?b\nconclusion ?c => ?a && ?b\n")
+    text = """
+goal {x -> x + 1} : x >= 1 => {x -> x + 1} : (x >= 1 && x >= -1)
+lift and_lift from and.rule class free witness fwd {x := x + 1} bwd {x := x - 1}
+apply and_lift at 1
+apply int at 2
+apply int at 4 with side left
+apply ter at 5
+apply int at 3
+apply int at 6 with side left
+apply ter at 7
+qed
+"""
+    replayer, report = script_mod.replay(text, oracle, base_dir=tmp_path)
+    assert report.verdict == "ProvedBounded", report.message
+    root = replayer.graph.node(1)
+    assert root.children == (2, 3)
+    assert replayer.graph.node(3).sequent == parse_sequent(
+        "{x -> x + 1} : x >= 1 => {x -> x + 1} : x >= -1")
+    assert root.rule_instance.trace_pairs == ((TracePair(0, 0),),) * 2
+    assert root.rule_instance.args == {"lifted": "and_lift", "evidence": "sampled-witness"}
+    # a witness that does not mirror the label refuses the premised rule too
+    broken = text.replace("bwd {x := x - 1}", "bwd {x := 0}")
+    _, report = script_mod.replay(broken, oracle, base_dir=tmp_path)
+    assert report.verdict == "Stuck" and "FreenessNotEstablished" in report.message

@@ -556,3 +556,44 @@ def test_compiled_scan_matches_eval_bool():
         assert out == expected, (gamma, delta)
         seen.add(type(out))
     assert seen == {BoundedValid, Invalid, Unknown}
+
+
+@pytest.mark.parametrize("count, decided", [(20, True), (21, False)])
+def test_a_scan_is_compiled_for_at_most_twenty_variables(count, decided):
+    # a scan nests one loop per free variable, and CPython compiles 20
+    oracle = BoundedOracle(1, 1)
+    names = [f"x{i}" for i in range(count)]
+    total = ([parse_fml(" + ".join(names) + f" <= {count}")], [parse_fml("x0 <= 0")])
+    not_total = ([parse_fml(" + ".join(names[1:]) + f" / x0 <= {count}")],
+                 [parse_fml("x1 <= 0")])
+    for gamma, delta in (total, not_total):
+        out = oracle.valid_sequent(gamma, delta)
+        if decided:
+            assert out == Invalid(tuple((x, 1) for x in sorted(names)))
+        else:
+            assert out == Unknown(f"{count} free variables exceed the scan's 20 nested loops")
+    # a group too wide to scan does not hide another group without a
+    # counterexample
+    gamma, delta = total
+    out = oracle.valid_sequent(gamma + [parse_fml("z <= 0")], delta + [parse_fml("z <= 1")])
+    assert isinstance(out, BoundedValid)
+
+
+@pytest.mark.parametrize("command", ["check", "search"])
+def test_goals_past_twenty_variables_end_in_a_verdict(command, tmp_path, capsys):
+    from cycproof import cli
+
+    wide = " + ".join(f"x{i}" for i in range(21))
+    path = tmp_path / "wide.txt"
+    if command == "check":
+        path.write_text(f"goal {wide} <= 0 => x0 <= 1\napply ter\nqed\n")
+        args = [str(path)]
+    else:
+        path.write_text(f"{wide} <= 0 => x0 <= 1\n")
+        args = [str(path), "--depth", "2"]
+    for spec in ("bounded:0..0", "bounded:0..1"):
+        assert cli.main([command, *args, "--oracle", spec]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("verdict: Stuck"), out
+        # search drops the failed ter and runs out of depth
+        assert command == "search" or "21 free variables exceed" in out, out

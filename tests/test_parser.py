@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_config, random_expr, random_fml
+from conftest import random_config, random_expr, random_fml, wp_cyclic_script
 from cycproof.formulas import BAnd, BBase, BBox, BDia, BNot, DAnd, DBase, DLabeled, DNot, Sequent
 from cycproof.parser import (
     ParseError,
@@ -27,6 +27,7 @@ from cycproof.parser import (
 from cycproof.terms import (
     EPSILON,
     SKIP,
+    TRUE,
     AndF,
     Assign,
     BinOp,
@@ -486,6 +487,11 @@ def test_printed_nesting_walk_counts_as_the_tokenizer(oracle, table4_text):
             pass
     replayer, _ = script_mod.replay(table4_text, oracle)
     cases += [(node.sequent, sequent_src) for node in replayer.graph.nodes.values()]
+    replayer, _ = script_mod.replay(wp_cyclic_script(), oracle)
+    for node in replayer.graph.nodes.values():  # termination judgments
+        judgment = node.sequent.right[0]
+        cases += [(node.sequent, sequent_src), (DAnd(DBase(TRUE), judgment), dlp_src)]
+        cases += [(_negated(judgment, k), dlp_src) for k in (1, 157, 158, 159)]
     heap = ["x := cons(-3) ; [x * -2] := -1 ; y := [0 - x] ; dispose(x - -1)",
             "while !(x <= 0) do [x] := x * (y - 1) ; y := cons((x)) end"]
     cases += [(parse_prog(text), prog_src) for text in heap]
@@ -556,3 +562,63 @@ def test_shared_subterms_print_the_same_under_every_parent():
     shared = parse_prog("x := 1 ; y := x")
     assert prog_src(Seq(shared, SKIP)) == "(x := 1 ; y := x) ; skip"
     assert prog_src(shared) == "x := 1 ; y := x"
+
+
+def _negated(formula, k: int):
+    for _ in range(k):
+        formula = DNot(formula)
+    return formula
+
+
+def test_termination_judgments_read_back_as_printed():
+    from cycproof.formulas import DTer
+
+    for text in [
+        ". => {n -> 2} : n := n - 1 ⇓ 2",
+        "v >= 0 => {n -> v, s -> 0} : while n > 0 do s := s + n ; n := n - 1 end ⇓ v",
+        ". => {n -> 1} : ε ⇓, !({x -> y - 1} : skip ⇓ y - 1) && x <= 0",
+        ". => ({n -> 1 | n -> 2} : (n := 0 ; skip) ; skip ⇓ 1)",
+    ]:
+        seq = parse_sequent(text)
+        assert parse_sequent(sequent_src(seq)) == seq, text
+    assert parse_dlp("{n -> 2} : n := n - 1 ⇓ 2") == DTer(
+        parse_config("{n -> 2}"), parse_prog("n := n - 1"), Lit(2))
+    # a body is read first, and the judgment only where no body parses
+    assert isinstance(parse_dlp("{n -> 2} : [n := 1] n <= 1"), DLabeled)
+    for bad, message in [
+        ("{n -> 2} : n := n - 1 ⇓ 3", "factor must occur"),
+        ("{n -> 2} : n := n - 1 ⇓", "needs a factor"),
+        ("{n -> 2} : n := n - 1", "expected '⇓'"),
+        ("{n -> 2} : [n := ] n <= 1", "expected an expression"),
+    ]:
+        with pytest.raises(ParseError, match=message):
+            parse_dlp(bad)
+
+
+def test_reader_ends_each_term_where_the_grammar_does():
+    from cycproof.parser import MAX_DEPTH, Reader
+
+    r = Reader("{premise := p, q := (1 + premise)} premise . => x <= premise split")
+    assert r.update() == {"premise": Var("p"), "q": parse_expr("1 + premise")}
+    r.expect("premise")
+    assert r.sequent() == parse_sequent(". => x <= premise")
+    assert r.accept("split") and not r.accept("split")
+    r.end()
+    r = Reader("factor >= 0 factor factor")
+    assert r.fml() == parse_fml("factor >= 0")
+    r.expect("factor")
+    assert r.expr() == Var("factor")
+    r.end()
+    r = Reader("x <= 0 y")
+    r.fml()
+    with pytest.raises(ParseError, match="trailing input"):
+        r.end()
+    for text, read, message in [
+        ("{x := 1, x := 2}", Reader.update, "binds x twice"),
+        ("{x := 1 y := 2}", Reader.update, "expected ','"),
+        ("{x := 1,}", Reader.update, "expected a variable"),
+        ("{x -> 1}", Reader.update, "expected ':='"),
+        (" + ".join(["1"] * (MAX_DEPTH + 1)), Reader.expr, "deeper than"),
+    ]:
+        with pytest.raises(ParseError, match=message):
+            read(Reader(text))

@@ -449,3 +449,66 @@ def test_emitted_script_for_the_deepest_negated_relation_replays(tmp_path, capsy
     goal.write_text(". => " + "!" * (deepest + 1) + "(x + 1 < x)")
     assert cli.main(["search", str(goal), "--depth", "4"]) == 2
     assert f"nested deeper than {MAX_NESTING}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Terms inside script lines
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("word, text", [
+    ("premise", "goal p <= 0 => p <= 0\n"
+                "sub at 1 {VAR := p} premise VAR <= 0 => VAR <= 0\napply ax at 2"),
+    ("split", "goal x <= VAR => x <= VAR\ncut at 1 x <= VAR\napply ax at 2\napply ax at 3"),
+    ("factor", "goal . => {VAR -> 2} : <while VAR > 0 do VAR := VAR - 1 end> (VAR == 0)\n"
+               "annotate while 1 invariant VAR >= 0 factor VAR\n"
+               + "".join(f"apply diamond at {i} with progress\n" for i in (1, 2, 3))
+               + "apply box_eps at 4\napply int at 5\napply ter at 6"),
+], ids=["premise", "split", "factor"])
+def test_a_variable_named_like_a_script_word_is_a_variable(word, text):
+    # the parser reads each term to its end, so the name changes nothing
+    _, named = _replay(text.replace("VAR", word) + "\nqed")
+    _, renamed = _replay(text.replace("VAR", "zz9") + "\nqed")
+    assert named.succeeded, named.message
+    assert (named.verdict, named.dump) == (renamed.verdict, renamed.dump.replace("zz9", word))
+
+
+def test_ax_with_one_occurrence_searches_only_the_other_side():
+    goal = "goal x <= 0, y <= 0 => y <= 0\n"
+    _, report = _replay(goal + "apply ax at 1 with left 0\nqed")
+    assert report.verdict == "Stuck" and "no matching formula pair" in report.message
+    _, report = _replay(goal + "apply ax at 1 with left 1\nqed")
+    assert report.verdict == "Proved" and "(rule ax left 1 right 0)" in report.dump
+
+
+def test_termination_fixture_dump_reads_back(tmp_path, capsys):
+    import re
+
+    dump = tmp_path / "d.sexp"
+    script = FIXTURES / "sum_terminates.dlp"
+    assert cli.main(["check", str(script), "--dump", str(dump)]) == 0
+    assert capsys.readouterr().out.startswith("verdict: ProvedBounded")
+    replayer, _ = _replay(script.read_text())
+    nodes = re.findall(r'\(node (\d+) "(.*)" \(rule', dump.read_text())
+    assert len(nodes) == 19 and replayer.graph.backlinks == {18: 2}
+    for node_id, text in nodes:
+        assert parse_sequent(text).key == replayer.graph.node(int(node_id)).sequent.key
+
+
+def test_cli_eval_prints_steps_and_exit_status(tmp_path, capsys):
+    def run(program: str, *args: str) -> int:
+        (tmp_path / "prog.txt").write_text(program + "\n")
+        return cli.main(["eval", str(tmp_path / "prog.txt"), *args])
+
+    assert run("n := n - 1 ; n := n - 1", "--config", "{n -> 2}") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0: (n := n - 1 ; n := n - 1, {n -> 2})",
+        "1: (n := n - 1, {n -> 1})",
+        "2: (ε, {n -> 0})",
+    ]
+    assert run("while 1 <= 1 do skip end", "--config", "{n -> 0}", "--bound", "2") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 4 and out[-1] == "exit flag: bound"
+    assert run("x := 1 / n", "--config", "{n -> 0}") == 1
+    assert capsys.readouterr().err.startswith("evaluation error:")
+    assert run("x := ", "--config", "{n -> 0}") == 2
+    assert capsys.readouterr().err.startswith("cannot load program:")

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import wp_cyclic_goal, wp_cyclic_script
+from conftest import SIGMA1_SRC, WP_SRC, termination_script, wp_cyclic_script
+from cycproof.formulas import DTer
 from cycproof.kernel import KernelError
-from cycproof.parser import parse_config, parse_expr, parse_fml, parse_prog
-from cycproof.terms import TermError
+from cycproof.parser import ParseError, parse_config, parse_expr, parse_fml, parse_prog
+from cycproof.terms import TermError, is_subexpression
 from cycproof.whilelang import (
     LoopAnnotations,
     MissingAnnotation,
@@ -14,7 +15,6 @@ from cycproof.whilelang import (
     State,
     derive_termination_cyclic,
     derive_termination_structural,
-    is_subexpression,
     run,
 )
 
@@ -107,38 +107,43 @@ def test_structural_acceptance_implies_real_termination(oracle):
 # ---------------------------------------------------------------------------
 
 def test_factor_must_occur_in_configuration(oracle):
-    goal_gamma, state, _, delta = wp_cyclic_goal()
-    with pytest.raises(TermError):
-        derive_termination_cyclic(
-            goal_gamma, state, parse_expr("q + 1"), delta, oracle, []
-        )
+    state = State(parse_prog(WP_SRC), parse_config(SIGMA1_SRC))
+    with pytest.raises(TermError, match="factor must occur"):
+        DTer(state.config, state.program, parse_expr("q + 1"))
+    with pytest.raises(ParseError, match="factor must occur"):
+        derive_termination_cyclic(termination_script(WP_SRC, SIGMA1_SRC, "q + 1"), oracle)
     assert is_subexpression(parse_expr("v"), state.config)
     assert not is_subexpression(parse_expr("v + v"), state.config)
 
 
 def test_wp_cyclic_script_is_accepted(oracle):
-    gamma, state, factor, delta = wp_cyclic_goal()
-    j = derive_termination_cyclic(gamma, state, factor, delta, oracle, wp_cyclic_script())
+    j = derive_termination_cyclic(wp_cyclic_script(), oracle)
     assert j.justification[0] == "cyclic"
     assert dict(j.justification[1]) == {18: 2}
+    assert j.gamma == (parse_fml("v >= 0"),) and j.delta == ()
+    assert j.state == State(parse_prog(WP_SRC), parse_config(SIGMA1_SRC))
 
 
 def test_skip_loop_has_no_progress(oracle):
-    state = State(parse_prog("while 1 <= 1 do skip end"), parse_config("{n -> 0}"))
+    script = termination_script(*_SKIP_LOOP, "apply ter_step at 1", "backlink at 2 to 1")
     with pytest.raises(NoProgressOnCycle) as err:
-        derive_termination_cyclic(
-            [], state, parse_expr("0"), [], oracle,
-            [("step", 1), ("backlink", 2, 1)],
-        )
+        derive_termination_cyclic(script, oracle)
     assert err.value.cycle == [1, 2, 1]
 
 
 def test_single_assignment_accepted_via_base(oracle):
-    state = State(parse_prog("x := 1"), parse_config("{x -> 5}"))
-    j = derive_termination_cyclic(
-        [], state, parse_expr("5"), [], oracle, [("base", 1)]
-    )
+    script = termination_script("x := 1", "{x -> 5}", "5", "apply ter_base at 1")
+    j = derive_termination_cyclic(script, oracle)
     assert j.justification[0] == "cyclic"
+
+
+def test_ter_base_reads_annotate_lines(oracle):
+    # the structural prover closes the loop with the script's annotation
+    lines = ("annotate while 1 invariant n >= 0 factor n", "apply ter_base at 1", "qed")
+    j = derive_termination_cyclic(termination_script(*_COUNTDOWN, *lines), oracle)
+    assert j.justification[0] == "cyclic"
+    with pytest.raises(MissingAnnotation):
+        derive_termination_cyclic(termination_script(*_COUNTDOWN, *lines[1:]), oracle)
 
 
 def test_cyclic_acceptance_implies_real_termination(oracle):
@@ -146,8 +151,7 @@ def test_cyclic_acceptance_implies_real_termination(oracle):
     # enumeration must reach the terminal program every time
     from cycproof.semantics import close_state
 
-    gamma, state, factor, delta = wp_cyclic_goal()
-    derive_termination_cyclic(gamma, state, factor, delta, oracle, wp_cyclic_script())
+    state = derive_termination_cyclic(wp_cyclic_script(), oracle).state
     for v in range(0, 7):
         closed = close_state({"v": v}, state.program, state.config)
         states, done = run(closed, 10_000)
@@ -165,52 +169,45 @@ def test_transitions_require_an_oracle():
 
 def test_factor_may_not_grow(oracle):
     # stepping to a strictly larger factor fails the bound obligation
-    state = State(parse_prog("x := x + 1 ; x := x + 2"), parse_config("{x -> x0}"))
+    script = "\n".join((
+        "goal x0 >= 0 => {x -> x0} : x := x + 1 ; x := x + 2 ⇓ x0",
+        "apply ter_step at 1 with factor x0 + 1",
+    ))
     with pytest.raises(ObligationFailed) as err:
-        derive_termination_cyclic(
-            [parse_fml("x0 >= 0")], state, parse_expr("x0"), [], oracle,
-            [("step", 1, parse_expr("x0 + 1"))],
-        )
+        derive_termination_cyclic(script, oracle)
     assert "grow" in str(err.value)
 
 
 def test_node_ids_outside_the_prover_are_refused(oracle):
-    state = State(parse_prog("while 1 <= 1 do skip end"), parse_config("{n -> 0}"))
-    for bad in (0, -1, 3, "1"):  # 0 and -1 must not address the last nodes
+    for bad in (0, -1, 3):  # 0 and -1 must not address the last nodes
+        script = termination_script(
+            *_SKIP_LOOP, "apply ter_step at 1", f"apply ter_step at {bad}")
         with pytest.raises(KernelError, match="no node"):
-            derive_termination_cyclic(
-                [], state, parse_expr("0"), [], oracle, [("step", 1), ("step", bad)]
-            )
+            derive_termination_cyclic(script, oracle)
 
 
 _COUNTDOWN = ("while n > 0 do n := n - 1 end", "{n -> 2}", "2")
 _SKIP_LOOP = ("while 1 <= 1 do skip end", "{n -> 0}", "0")
 
-
-def _forged_scripts():
-    other = ((), State(parse_prog("skip"), parse_config("{n -> m}")), parse_expr("m"), ())
-    return {
-        "backlink_to_non_ancestor": (
-            _SKIP_LOOP, [("cut", 1, parse_fml("0 <= 0")), ("backlink", 3, 2)]),
-        "bud_differs_from_companion": (
-            _COUNTDOWN, [("step", 1), ("backlink", 2, 1)]),
-        "ter_while_judgment_kept": (_SKIP_LOOP, [("ter", 1)]),
-        "eps_on_non_terminal_program": (_SKIP_LOOP, [("eps", 1)]),
-        "sub_premise_does_not_match": (
-            _SKIP_LOOP, [("sub", 1, {"m": parse_expr("0")}, other)]),
-        "node_left_open": (_SKIP_LOOP, [("step", 1)]),
-        "step_on_closed_node": (
-            _SKIP_LOOP, [("step", 1), ("backlink", 2, 1), ("step", 2)]),
-        "invalid_ter": (_SKIP_LOOP, [("wk_r", 1, (), True), ("ter", 2)]),
-    }
+_FORGED_SCRIPTS = {
+    "backlink_to_non_ancestor": (_SKIP_LOOP, "cut at 1 0 <= 0", "backlink at 3 to 2"),
+    "bud_differs_from_companion": (_COUNTDOWN, "apply ter_step at 1", "backlink at 2 to 1"),
+    "ter_while_judgment_kept": (_SKIP_LOOP, "apply ter at 1"),
+    "eps_on_non_terminal_program": (_SKIP_LOOP, "apply ter_eps at 1"),
+    "sub_premise_does_not_match": (
+        _SKIP_LOOP, "sub at 1 {m := 0} premise . => {n -> m} : skip ⇓ m"),
+    "node_left_open": (_SKIP_LOOP, "apply ter_step at 1"),
+    "step_on_closed_node": (
+        _SKIP_LOOP, "apply ter_step at 1", "backlink at 2 to 1", "apply ter_step at 2"),
+    "invalid_ter": (_SKIP_LOOP, "apply wk_r at 1 with 0", "apply ter at 2"),
+}
 
 
-@pytest.mark.parametrize("name", sorted(_forged_scripts()))
+@pytest.mark.parametrize("name", sorted(_FORGED_SCRIPTS))
 def test_forged_termination_scripts_are_refused(oracle, name):
-    (prog, config, factor), script = _forged_scripts()[name]
-    state = State(parse_prog(prog), parse_config(config))
+    goal, *lines = _FORGED_SCRIPTS[name]
     with pytest.raises((TermError, KernelError, ObligationFailed, NoProgressOnCycle)):
-        derive_termination_cyclic([], state, parse_expr(factor), [], oracle, script)
+        derive_termination_cyclic(termination_script(*goal, *lines), oracle)
 
 
 def test_termination_judgment_is_a_kernel_formula(oracle):
