@@ -22,7 +22,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import parser, script as script_mod, search as search_mod
+from . import parser, script as script_mod
 from .oracle import BoundedOracle, SmtOracle
 from .whilelang import State, run
 
@@ -91,6 +91,8 @@ def cmd_search(args) -> int:
     if args.depth < 1:
         print("depth must be at least 1", file=sys.stderr)
         return 2
+    from . import search as search_mod  # only this command loads the search
+
     try:
         result = search_mod.search(goal, oracle, args.depth, args.path_bound)
         report = [f"verdict: {result.verdict}"]

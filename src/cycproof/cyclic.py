@@ -17,11 +17,9 @@ both ends of a proof edge and compares them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import parser
 from .kernel import ProofGraph
-from .semantics import NotApplicable, Path, counter_example
+from .record import dataclass, field
 from .terms import evaluate
 
 
@@ -326,8 +324,12 @@ def revalidate(graph: ProofGraph, certificate: TraceCertificate) -> bool:
 # ---------------------------------------------------------------------------
 # Path orderings
 # ---------------------------------------------------------------------------
+# These helpers and the probe below are the only users of ``semantics`` here;
+# they import it when called, so a run that never probes does not load it.
 
 def _states_of(tr) -> tuple:
+    from .semantics import Path
+
     if isinstance(tr, Path):
         return tr.states
     return tuple(tr)
@@ -397,6 +399,8 @@ def lemma1_probe(
     a generalization edge the evaluation is composed with the recorded
     bindings.
     """
+    from .semantics import NotApplicable, counter_example
+
     parent = graph.node(parent_id)
     inst = parent.rule_instance
     if inst is None or child_id not in parent.children:

@@ -12,10 +12,10 @@ multiset identity over canonical keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import canon, terms
+from .record import dataclass
 from .terms import BaseFormula, Config, Program, TermError
 
 

@@ -28,8 +28,6 @@ derivations keep the node numbering of the source material.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
 from functools import partial, partialmethod
 
 from . import parser, sep as sepmod
@@ -54,6 +52,7 @@ from .formulas import (
     substitute,
 )
 from .oracle import check_obligation, is_accepting
+from .record import dataclass, field
 from .terms import (
     FALSE,
     TRUE,
@@ -413,6 +412,8 @@ class ProofGraph:
         except TypeError:
             # arguments the rule does not take are a usage error; a TypeError
             # raised inside a rule that accepted its arguments propagates
+            import inspect
+
             try:
                 inspect.signature(handler).bind(node, **args)
             except TypeError as exc:

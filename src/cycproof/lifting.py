@@ -17,7 +17,6 @@ generation rule.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import parser
@@ -41,7 +40,7 @@ from .kernel import (
     TracePair,
     _replace_right,
 )
-from .semantics import Verdict, models
+from .record import dataclass, field
 from .terms import (
     TRUE as _TRUE,
     BaseFormula,
@@ -414,6 +413,8 @@ def default_registry() -> dict:
 
 def sequent_truth(rho: dict, nu: Sequent, path_bound: int = 2_000) -> Verdict:
     """Three-valued truth of a sequent's formula reading under rho."""
+    from .semantics import Verdict, models  # sampling only: imported when used
+
     right = Verdict.FALSE
     for f in nu.left:
         v = models(rho, f, path_bound)
@@ -450,6 +451,8 @@ def soundness_sample(
     Unknown verdicts (path bound hit) skip the sample rather than deciding
     it.  Failures carry the offending evaluation.
     """
+    from .semantics import Verdict
+
     names = sorted(
         set().union(
             *(free_vars(f) for nu in list(premises) + [conclusion] for f in nu.left + nu.right)

@@ -52,12 +52,10 @@ from __future__ import annotations
 
 import ast
 import re
-import subprocess
-import threading
-from dataclasses import dataclass
 from functools import partial
 
 from . import parser
+from .record import dataclass
 from .terms import (
     AndF,
     BaseFormula,
@@ -690,6 +688,8 @@ class SmtOracle:
         if not self.command:
             raise ValueError("empty solver command")
         self.timeout = timeout
+        import threading  # only this oracle uses threads: imported when one is built
+
         self._lock = threading.Lock()
 
     def valid_sequent(self, gamma, delta):
@@ -709,6 +709,8 @@ class SmtOracle:
         """``("sat" | "unsat", output)``, or ``(None, reason)`` when the
         solver did not start, timed out, exited nonzero, answered
         ``unknown`` or printed no verdict."""
+        import subprocess
+
         try:
             with self._lock:
                 proc = subprocess.run(

@@ -133,11 +133,13 @@ _SEPARATORS = (",", "=>", "then", "else", "do")
 
 
 class _Tokens:
-    """The tokens of ``text``, as (kind, text, offset), and a cursor."""
+    """The tokens of ``text`` from offset ``start`` on, as (kind, text,
+    offset), and a cursor; offsets, and so error columns, count from the start
+    of ``text``."""
 
     metavars = False  # template mode: ?name body and @name program holes
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, start: int = 0):
         self.text = text
         self.toks = toks = []
         depth = 0  # counted levels before the next token
@@ -146,7 +148,7 @@ class _Tokens:
         run = 0  # prefix operators just before the next token
         after_value = False  # a "-" next is binary
         deepest = 0
-        for m in _TOKEN_RE.finditer(text):
+        for m in _TOKEN_RE.finditer(text, start):
             kind = m.lastgroup
             if kind == "ws":
                 continue

@@ -1,0 +1,134 @@
+"""Record classes: the part of ``dataclasses`` the package uses.
+
+``@dataclass`` and ``@dataclass(frozen=True)`` give a class whose annotated
+names are its fields, with the ``__init__``, ``__repr__``, ``__eq__`` and
+(frozen) ``__hash__``, ``__setattr__`` and ``__delattr__`` that
+``dataclasses`` generates, statement for statement, so a call costs the
+same.  ``dataclasses`` compiles each method of each class on its own and
+imports ``inspect`` to write docstrings; here the methods that depend on the
+fields come from one compile per field layout, shared by the classes that
+have it, and the frozen guards, which do not, are closures.  Not supported:
+methods of the class's own under those names (they are replaced), ``field``
+options other than ``default_factory``, fields inherited from a record base
+class, ``ClassVar`` annotations, ``__match_args__`` and generated
+docstrings.  A frozen record still takes attributes that are not fields
+through ``object.__setattr__`` (``canon._keep``).
+"""
+
+from __future__ import annotations
+
+
+MISSING = object()  # no default, no default factory
+_HAS_FACTORY = object()  # the __init__ default of a default_factory field
+
+
+class FrozenInstanceError(AttributeError):
+    """Assigning to or deleting a field of a frozen record."""
+
+
+class Field:
+    __slots__ = ("name", "default", "default_factory")
+
+    def __init__(self, default=MISSING, default_factory=MISSING):
+        self.name = ""
+        self.default = default
+        self.default_factory = default_factory
+
+
+def field(*, default_factory) -> Field:
+    return Field(default_factory=default_factory)
+
+
+def fields(record) -> tuple:
+    """The ``Field``s of a record class or instance, in declaration order;
+    ``()`` for anything else."""
+    return getattr(record, "__record_fields__", ())
+
+
+def dataclass(cls=None, /, *, frozen: bool = False):
+    if cls is None:
+        return lambda cls: _build(cls, frozen)
+    return _build(cls, frozen)
+
+
+def _build(cls, frozen: bool):
+    own = cls.__dict__
+    env = {"__builtins_object": object, "_HAS_FACTORY": _HAS_FACTORY}
+    flds, params, inits = [], ["self"], []
+    for name in own.get("__annotations__", {}):
+        f = own.get(name, MISSING)
+        if not isinstance(f, Field):
+            f = Field(default=f)
+        f.name = name
+        flds.append(f)
+        value = name
+        if f.default_factory is not MISSING:
+            delattr(cls, name)
+            env[f"_factory_{name}"] = f.default_factory
+            params.append(f"{name}=_HAS_FACTORY")
+            value = f"_factory_{name}() if {name} is _HAS_FACTORY else {name}"
+        elif f.default is not MISSING:
+            env[f"_dflt_{name}"] = f.default
+            params.append(f"{name}=_dflt_{name}")
+        else:
+            params.append(name)
+        inits.append(f"    __builtins_object.__setattr__(self, {name!r}, {value})" if frozen
+                     else f"    self.{name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        inits.append("    self.__post_init__()")
+    names = tuple(f.name for f in flds)
+    this = "".join(f"self.{n}," for n in names)
+    other = "".join(f"other.{n}," for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    src = [
+        f"def __create__({', '.join(env)}):",
+        f"  def __init__({', '.join(params)}):", *(inits or ["    pass"]),
+        "  def __repr__(self):",
+        f"    return self.__class__.__qualname__ + f\"({shown})\"",
+        "  def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"      return ({this}) == ({other})",
+        "    return NotImplemented",
+    ]
+    if frozen:
+        src += ["  def __hash__(self):", f"    return hash(({this}))"]
+    src.append("  return __init__, __repr__, __eq__" + (", __hash__" if frozen else ""))
+    src = "\n".join(src)
+    create = _CREATORS.get(src)
+    if create is None:
+        ns: dict = {}
+        exec(src, {}, ns)
+        create = _CREATORS[src] = ns["__create__"]
+    made = create(**env)
+    if frozen:
+        made += _frozen_guards(cls, names)
+    for fn in made:
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+        setattr(cls, fn.__name__, fn)
+    if not frozen:
+        cls.__hash__ = None  # a mutable record is not hashable, as in dataclasses
+    cls.__record_fields__ = tuple(flds)
+    return cls
+
+
+# generated source -> the function that makes its methods, so records with
+# the same fields and defaults share one compile; a pure memo, written once
+# per field layout
+_CREATORS: dict = {}
+
+
+def _frozen_guards(cls, names: tuple) -> tuple:
+    """The ``__setattr__`` and ``__delattr__`` ``dataclasses`` generates for
+    a frozen class, as closures: their code does not depend on the fields."""
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    return __setattr__, __delattr__

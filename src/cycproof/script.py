@@ -27,12 +27,12 @@ factor <expr>]``, ``apply ter_eps`` and ``apply ter_base``, which reads the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path as FsPath
 
 from . import cyclic, lifting, parser
 from .kernel import KernelError, ProofGraph
 from .oracle import BoundedValid
+from .record import dataclass, field, fields
 from .terms import TermError, While
 from .whilelang import (
     CaseSplitNeeded,
@@ -83,11 +83,12 @@ class RunReport:
 
 
 def script_lines(text: str) -> list:
-    """(line number, line) for each line that is not blank or a comment."""
+    """(line number, line) for each line that is not blank or a comment,
+    without its trailing blanks."""
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
+        line = raw.rstrip()
+        if line and not line.lstrip().startswith("#"):
             out.append((i, line))
     return out
 
@@ -126,8 +127,14 @@ class Replayer:
         self.registry = lifting.default_registry()
         self.qed_seen = False
         self.certificate = None
+        self._line = ""  # the line being run, without its trailing blanks
 
     # -- helpers -------------------------------------------------------------
+
+    def _reader(self, remainder: str) -> parser.Reader:
+        """A reader of ``remainder``, the end of the line being run, whose
+        error columns count from the start of the line."""
+        return parser.Reader(self._line, len(self._line) - len(remainder))
 
     def _target_node(self, explicit: int | None) -> int:
         if explicit is not None:
@@ -145,8 +152,8 @@ class Replayer:
             node = stack.pop()
             if isinstance(node, While):
                 out.append(node)
-            if is_dataclass(node):
-                stack += reversed([getattr(node, f.name) for f in fields(node)])
+            if node_fields := fields(node):
+                stack += reversed([getattr(node, f.name) for f in node_fields])
             elif isinstance(node, tuple):
                 stack += reversed(node)
         return out
@@ -202,7 +209,7 @@ class Replayer:
         if term is None:
             tokens = iter(remainder.split())
         else:
-            reader = parser.Reader(remainder)
+            reader = self._reader(remainder)
             tokens = iter(lambda: reader.next()[1], "")
         for tok in tokens:
             if tok in _INT_ARGS:
@@ -221,7 +228,7 @@ class Replayer:
     def cmd_sub(self, rest: str):
         node, remainder = _take_at(rest)
         node = self._target_node(node)
-        reader = parser.Reader(remainder)
+        reader = self._reader(remainder)
         bindings = reader.update()
         reader.expect("premise")
         premise = reader.sequent()
@@ -231,7 +238,7 @@ class Replayer:
     def cmd_cut(self, rest: str):
         node, remainder = _take_at(rest)
         node = self._target_node(node)
-        reader = parser.Reader(remainder)
+        reader = self._reader(remainder)
         fml = reader.dlp()
         split = reader.accept("split")
         reader.end()
@@ -253,7 +260,7 @@ class Replayer:
         if len(tokens) < 2 or tokens[0] != "while":
             raise ScriptError("annotate syntax: annotate while <index> invariant <fml> factor <expr>")
         index = _int(tokens[1], "annotate while")
-        reader = parser.Reader(tokens[2] if len(tokens) > 2 else "")
+        reader = self._reader(tokens[2] if len(tokens) > 2 else "")
         reader.expect("invariant")
         invariant = reader.fml()
         reader.expect("factor")
@@ -280,7 +287,7 @@ class Replayer:
             word, *spec = tokens[5].split(None, 1)
             if word != "witness":
                 raise ScriptError(f"lift: unexpected {word!r} after the class")
-            reader = parser.Reader(spec[0] if spec else "")
+            reader = self._reader(spec[0] if spec else "")
             reader.expect("fwd")
             fwd = lifting.transformer_from_updates(reader.update())
             bwd = lifting.transformer_from_updates(reader.update()) if reader.accept("bwd") else fwd
@@ -319,7 +326,8 @@ class Replayer:
     def step(self, line: str) -> None:
         """Run one script line.  Raises ``ScriptError``, or the error of the
         kernel, parser or prover that refused the line."""
-        head, _, rest = line.partition(" ")
+        self._line = line = line.rstrip()
+        head, _, rest = line.lstrip().partition(" ")
         handler = _COMMANDS.get(head)
         if handler is None:
             raise ScriptError(f"unknown command {head!r}")

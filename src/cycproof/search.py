@@ -11,20 +11,20 @@ depth instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cyclic, lifting, parser
 from .formulas import DBase, Sequent, formulas_equal, sequents_equal
 from .kernel import LABEL_REWRITES, MATCHERS, KernelError, ProofGraph
 from .oracle import BoundedValid
+from .record import dataclass
 from .terms import TermError
 from .whilelang import CaseSplitNeeded, ObligationFailed
 
 
 class DepthExhausted(Exception):
-    def __init__(self, node_id: int):
+    def __init__(self, node_id: int, ter_failure: str = ""):
         super().__init__(f"depth exhausted at node {node_id}")
         self.node_id = node_id
+        self.ter_failure = ter_failure  # why ter did not close the node, if tried
 
 
 @dataclass
@@ -73,9 +73,10 @@ def search(goal: Sequent, oracle, depth: int, path_bound: int = 10_000) -> Searc
         try:
             _close_or_step(graph, node_id, budget, lines)
         except DepthExhausted as exc:
-            return SearchResult(
-                graph, "\n".join(lines), "Stuck", f"DepthExhausted at node {exc.node_id}"
-            )
+            note = f"DepthExhausted at node {exc.node_id}"
+            if exc.ter_failure:
+                note += f"; {exc.ter_failure}"
+            return SearchResult(graph, "\n".join(lines), "Stuck", note)
         except (KernelError, TermError) as exc:
             # a rule the goal's shape selected cannot apply (a heap command
             # under a While-domain step, say): the search ends without a proof
@@ -107,13 +108,15 @@ def _apply(graph: ProofGraph, node_id: int, rule: str, lines: list, **args) -> l
 def _close_or_step(graph: ProofGraph, node_id: int, budget: dict, lines: list) -> None:
     nu = graph.node(node_id).sequent
 
-    # 1. closure: ter on base-only sequents
+    # 1. closure: ter on base-only sequents; a refusal is reported if the
+    # node later exhausts its depth
+    ter_failure = ""
     if nu.is_base_only():
         try:
             _apply(graph, node_id, "ter", lines)
             return
-        except ObligationFailed:
-            pass
+        except ObligationFailed as exc:
+            ter_failure = str(exc)
 
     # 2. closure: axiom
     for i, f in enumerate(nu.left):
@@ -141,7 +144,7 @@ def _close_or_step(graph: ProofGraph, node_id: int, budget: dict, lines: list) -
     # 5. symbolic execution (consumes depth); terminal programs were
     # rewritten by box_eps above
     if budget.get(node_id, 0) <= 0:
-        raise DepthExhausted(node_id)
+        raise DepthExhausted(node_id, ter_failure)
     for occ, f in enumerate(nu.right):
         rule = next((r for r in ("box", "diamond") if MATCHERS[r](f)), None)
         if rule is None:
@@ -153,4 +156,4 @@ def _close_or_step(graph: ProofGraph, node_id: int, budget: dict, lines: list) -
             lines.append(f"cut at {node_id} {parser.fml_src(exc.guard)}")
         _inherit(budget, node_id, children, cost=1)
         return
-    raise DepthExhausted(node_id)
+    raise DepthExhausted(node_id, ter_failure)

@@ -15,7 +15,6 @@ by the multiset suffix relation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .formulas import (
     BAnd,
@@ -32,6 +31,7 @@ from .formulas import (
     Sequent,
     formula_key,
 )
+from .record import dataclass
 from .terms import (
     Config,
     Epsilon,

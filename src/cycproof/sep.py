@@ -12,9 +12,9 @@ requirement that new cells be fresh for the current heap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from .record import dataclass
 from .terms import (
     BaseFormula,
     Expr,

@@ -18,8 +18,9 @@ substitution that would smuggle a free variable under such a binder raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
+
+from .record import dataclass
 
 
 class TermError(Exception):

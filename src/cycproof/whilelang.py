@@ -22,11 +22,10 @@ cycle must cross a strict decrease of the factor ``e``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import parser
 from .formulas import DTer, Sequent, base_formulas
 from .oracle import Obligation, OracleUnavailable, check_obligation, is_accepting
+from .record import dataclass, field
 from .terms import (
     EPSILON,
     AndF,

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -24,6 +23,7 @@ from cycproof.parser import (
     prog_src,
     sequent_src,
 )
+from cycproof.record import fields
 from cycproof.terms import (
     EPSILON,
     SKIP,
@@ -356,8 +356,8 @@ def _same_tree(a, b) -> bool:
         a, b = pairs.pop()
         if type(a) is not type(b):
             return False
-        if dataclasses.is_dataclass(a):
-            pairs.extend((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+        if a_fields := fields(a):
+            pairs.extend((getattr(a, f.name), getattr(b, f.name)) for f in a_fields)
         elif isinstance(a, tuple):
             if len(a) != len(b):
                 return False

@@ -137,6 +137,24 @@ def test_malformed_script_line_is_stuck_at_its_line(text, tmp_path):
     assert report.message.endswith(f"(script line {text.count(chr(10)) + 1})"), report.message
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("sub at 1 {m := } premise . => x <= 0", "}"),
+    ("cut at 1 (x <= 0 split", "split"),
+    ("annotate while 1 invariant n >= 0 factor )", ")"),
+    ("lift p from proj.rule class standard witness fwd {x := ]}", "]"),
+    ("apply le at 1 with target x <= )", ")"),
+    ("apply ter_step at 1 with factor * 2", "*"),
+])
+def test_parse_error_column_counts_from_the_start_of_the_script_line(line, bad, tmp_path):
+    # the line is indented: its leading blanks count too
+    (tmp_path / "proj.rule").write_text(_TEMPLATES["proj.rule"])
+    text = f"{_LOOP_GOAL}\n  {line}\nqed\n"
+    _, report = script_mod.replay(text, BoundedOracle(-50, 50), base_dir=tmp_path)
+    column = 2 + line.index(bad) + 1
+    assert report.message.startswith("ParseError: "), report.message
+    assert report.message.endswith(f"(line 1, column {column}) (script line 2)"), report.message
+
+
 # ---------------------------------------------------------------------------
 # Search
 # ---------------------------------------------------------------------------
@@ -181,6 +199,18 @@ def test_search_does_not_invent_generalizations(oracle):
     result = search(goal, oracle, depth=3)
     assert not result.proved
     assert "DepthExhausted" in result.message
+
+
+def test_search_names_why_ter_did_not_close_an_exhausted_node(oracle):
+    # ter is tried first and refused (the grid is too large to scan); the
+    # node then has no step to take, and the note says why ter failed
+    wide = " + ".join(f"x{i}" for i in range(21))
+    result = search(parse_sequent(f". => {wide} <= 0 -> x0 <= 1"), oracle, depth=8)
+    assert result.verdict == "Stuck"
+    assert result.message.startswith("DepthExhausted at node 2; ter obligation failed: "), \
+        result.message
+    assert ": unknown (" in result.message
+    assert result.message.endswith("grid points exceed the bounded-search cap) at node 2")
 
 
 def test_search_cuts_on_undecided_guards(oracle):
