@@ -8,11 +8,12 @@ The parser refuses input nested past its caps with a ParseError (exit 2 for
 a goal), whatever the stack, so parsing raises no ``RecursionError``; the
 handlers for one around the parse stay as a safeguard.  Terms nest deeper
 than any parser cap once symbolic execution has built them (a store value
-``n - 1 - ... - 1`` after 1500 loop steps), and the term functions recurse
+``x + 1 + ... + 1`` after 1500 loop steps), and most term functions recurse
 once per level: there a ``RecursionError`` ends the run ``Stuck`` (exit 1),
 which is sound because ``Stuck`` never accepts.  The report and the dump are
 built in full before anything is printed or written, so an overflow leaves
-no half-written output.
+no half-written output.  A negative ``--path-bound`` or ``--bound`` and a
+``--depth`` below 1 are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -53,7 +54,16 @@ def _add_common(sub):
     sub.add_argument("--dump", help="write the proof-graph s-expression to a file")
 
 
+def _negative(what: str, value: int) -> bool:
+    """Whether ``value`` is negative, reported as a usage error when it is."""
+    if value < 0:
+        print(f"{what} must be at least 0", file=sys.stderr)
+    return value < 0
+
+
 def cmd_check(args) -> int:
+    if _negative("path bound", args.path_bound):
+        return 2
     try:
         text = Path(args.script).read_text()
     except OSError as exc:
@@ -91,6 +101,8 @@ def cmd_search(args) -> int:
     if args.depth < 1:
         print("depth must be at least 1", file=sys.stderr)
         return 2
+    if _negative("path bound", args.path_bound):
+        return 2
     from . import search as search_mod  # only this command loads the search
 
     try:
@@ -126,6 +138,8 @@ def _stuck_on_overflow(exc: RecursionError) -> int:
 
 
 def cmd_eval(args) -> int:
+    if _negative("bound", args.bound):
+        return 2
     try:
         prog = parser.parse_prog(Path(args.program).read_text().strip())
         config = parser.parse_config(args.config)

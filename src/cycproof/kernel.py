@@ -255,7 +255,7 @@ MATCHERS = {
     "le": lambda f: isinstance(f, DBase),
     "sigma_star": _is_heap_star,
     "sigma_frm": _is_heap_star,
-    # the lifts that lifting.default_registry pre-registers
+    # the lifts that default_registry pre-registers
     "sigma_seq": lambda f: _labeled(BBox)(f) and isinstance(f.body.prog, Seq),
     "sigma_gen": _labeled(BBox),  # the one formula on each side
     "ter_step": lambda f: isinstance(f, DTer) and not isinstance(f.prog, Epsilon),
@@ -876,3 +876,27 @@ class ProofGraph:
 
 def new_proof(goal: Sequent, oracle=None, extra_rules=None) -> ProofGraph:
     return ProofGraph(goal, oracle=oracle, extra_rules=extra_rules)
+
+
+# -- the pre-registered lifts ----------------------------------------------------
+#
+# Each handler lives in ``lifting`` and is imported at its first call, so a
+# run that applies neither lift does not load that module.  The stand-ins
+# take the handlers' parameters, so ``apply_rule`` reports arguments a lift
+# does not take as it does for a catalog rule.
+
+def _sigma_seq(graph: ProofGraph, node: Node, occ: int | None = None) -> RuleInstance:
+    from .lifting import _sigma_seq_handler
+
+    return _sigma_seq_handler(graph, node, occ)
+
+
+def _sigma_gen(graph: ProofGraph, node: Node) -> RuleInstance:
+    from .lifting import _sigma_gen_handler
+
+    return _sigma_gen_handler(graph, node)
+
+
+def default_registry() -> dict:
+    """The pre-registered lifted rules for the While domain."""
+    return {"sigma_seq": _sigma_seq, "sigma_gen": _sigma_gen}

@@ -11,7 +11,8 @@ its evidence mode, and certificates can report it.
 
 Two lifts ship pre-registered with a structural argument and need no
 sampling at use sites: the box-over-sequencing rewrite and the modality
-generation rule.
+generation rule.  ``kernel.default_registry`` registers them, and this
+module is imported at the first call of either.
 """
 
 from __future__ import annotations
@@ -400,11 +401,6 @@ def _sigma_gen_handler(graph: ProofGraph, node: Node) -> RuleInstance:
         "sigma_gen", nu, (premise,), {"evidence": "builtin-argument"},
         ((TracePair(0, 0),),),
     )
-
-
-def default_registry() -> dict:
-    """The pre-registered lifted rules for the While domain."""
-    return {"sigma_seq": _sigma_seq_handler, "sigma_gen": _sigma_gen_handler}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ it is ``Unknown`` unless another group decides it.
 
 A total obligation (every divisor a nonzero literal) is read as its
 literals: an axiom (one literal on both sides), a closed literal false on the
-left or true on the right, or a closed sequent is decided without a scan.
+left or true on the right (read from the value its nodes keep, see
+``_closed_value``), or a closed sequent is decided without a scan.
 The remaining literals fall into independent groups, which share no free
 variable (constraint independence, as in KLEE).  The sequent's test is the
 conjunction of its groups' tests, so its counterexamples are the product of
@@ -161,7 +162,7 @@ class BoundedOracle:
         if literals is None:
             names = sorted(set().union(*(free_vars(f) for f in gamma + delta)))
         else:
-            names, left, right = literals
+            names, left, right, decided = literals
         width = self.hi - self.lo + 1
         total = width ** len(names)
         if total > self.max_points:
@@ -177,6 +178,8 @@ class BoundedOracle:
                 return Unknown(f"evaluation error: {exc}")
             return BoundedValid() if values is None else Invalid(tuple(zip(names, values)))
         # no evaluation can raise, so only the literals matter, in any order
+        if decided:
+            return BoundedValid()  # a closed literal false on the left or true on the right
         if not left.keys().isdisjoint(right):
             return BoundedValid()  # the axiom: one literal on both sides
         kept = []
@@ -185,7 +188,7 @@ class BoundedOracle:
                 if free:
                     kept.append((side, key, phi, free))
                 elif eval_bool({}, phi, (qlo, qhi)).value == side:
-                    return BoundedValid()  # false on the left, true on the right
+                    return BoundedValid()  # a closed quantifier, decided the same way
         witness = {}
         unscanned = 0  # free variables of a group too wide to scan
         for group in _independent_groups(kept):
@@ -240,8 +243,80 @@ class BoundedOracle:
 # when it is not total, under an attribute name that is not a dataclass field
 # (the pattern of ``canon._keep``), so a guard's path condition is read once
 # and not again at every later obligation that carries it.
+#
+# A literal without variables or quantifiers is not keyed at all: it is
+# decided by its value, which every ``<=``, ``!``, ``&&`` and arithmetic node
+# keeps the same way (see ``_closed_value``).  Symbolic execution of a ground
+# loop builds each store value on the last one (``n - 1 - 1 - ...``), so a
+# guard's literal shares all but its top nodes with earlier guards, and its
+# value costs those top nodes only.  ``forall`` keeps no value: it ranges over
+# the oracle's quantifier range, which is not a property of the node, so a
+# closed quantified literal is keyed and evaluated at each call.  A closed
+# literal that sits on both sides is never needed as an axiom: its value,
+# false or true, decides the sequent from one of the two sides.
 
 _LITERAL = "_oracle_literal"
+_VALUE = "_oracle_value"
+_UNSET = object()  # the lookup default for a node that keeps no value yet
+
+
+def _known(t):
+    """The value ``t`` keeps, ``None`` when it has none, ``_UNSET`` when it
+    has not been computed."""
+    cls = type(t)
+    if cls is Lit:
+        return t.value
+    if cls is BinOp or cls is Le or cls is AndF or cls is NotF:
+        return getattr(t, _VALUE, _UNSET)
+    return None  # a variable, a quantifier, or not a base-formula node
+
+
+def _closed_value(phi):
+    """The value of ``phi`` (``bool`` for a formula, ``int`` for an
+    expression) when it has no variable, no quantifier and no division by
+    anything but a nonzero literal, else ``None``; computed bottom-up with
+    an explicit stack and kept on each node it visits."""
+    value = _known(phi)
+    if value is not _UNSET:
+        return value
+    todo = [phi]
+    while todo:
+        t = todo[-1]
+        cls = type(t)
+        if cls is NotF:
+            body = _known(t.body)
+            if body is _UNSET:
+                todo.append(t.body)
+                continue
+            value = None if body is None else not body
+        else:
+            left = _known(t.left)
+            if left is _UNSET:
+                todo.append(t.left)
+                continue
+            right = None if left is None else _known(t.right)
+            if right is _UNSET:
+                todo.append(t.right)
+                continue
+            if right is None:
+                value = None
+            elif cls is Le:
+                value = left <= right
+            elif cls is AndF:
+                value = left and right
+            elif t.op == "+":
+                value = left + right
+            elif t.op == "-":
+                value = left - right
+            elif t.op == "*":
+                value = left * right
+            elif type(t.right) is Lit and right != 0:
+                value = truncated_div(left, right)
+            else:
+                value = None  # not total: the divisor is not a nonzero literal
+        object.__setattr__(t, _VALUE, value)  # the term classes are frozen
+        todo.pop()
+    return value
 
 
 def _literal(phi):
@@ -292,12 +367,15 @@ def _literal(phi):
 
 
 def _total_literals(gamma: tuple, delta: tuple):
-    """``(names, left, right)`` for the sequent ``gamma => delta``: its free
-    variables sorted, and the literals of each side as a dict from a
-    literal's key to ``(literal, free)``, in order of first occurrence;
-    ``None`` when the sequent is not total."""
+    """``(names, left, right, decided)`` for the sequent ``gamma => delta``:
+    its free variables sorted, the literals of each side that have a
+    variable or a quantifier as a dict from a literal's key to ``(literal,
+    free)``, in order of first occurrence, and whether a literal decided by
+    its value is false on the left or true on the right; ``None`` when the
+    sequent is not total."""
     names = set()
     sides = ({}, {})
+    decided = False
     todo = [(f, 1) for f in reversed(delta)] + [(f, 0) for f in reversed(gamma)]
     while todo:
         phi, side = todo.pop()
@@ -306,13 +384,19 @@ def _total_literals(gamma: tuple, delta: tuple):
         elif type(phi) is AndF and side == 0:
             todo += ((phi.right, 0), (phi.left, 0))
         else:
-            found = _literal(phi)
+            found = getattr(phi, _LITERAL, None)  # read first: most literals are met again
+            if found is None:
+                value = _closed_value(phi)
+                if type(value) is bool:  # an int is an expression, which _literal refuses
+                    decided = decided or value == side
+                    continue
+                found = _literal(phi)
             if not found:
                 return None
             key, free = found
             names |= free
             sides[side].setdefault(key, (phi, free))
-    return sorted(names), *sides
+    return sorted(names), *sides, decided
 
 
 def _independent_groups(kept: list) -> list:

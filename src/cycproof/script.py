@@ -29,8 +29,8 @@ from __future__ import annotations
 import time
 from pathlib import Path as FsPath
 
-from . import cyclic, lifting, parser
-from .kernel import KernelError, ProofGraph
+from . import cyclic, parser
+from .kernel import KernelError, ProofGraph, default_registry
 from .oracle import BoundedValid
 from .record import dataclass, field, fields
 from .terms import TermError, While
@@ -124,7 +124,7 @@ class Replayer:
         self.base_dir = base_dir or FsPath(".")
         self.graph: ProofGraph | None = None
         self.annotations = LoopAnnotations()
-        self.registry = lifting.default_registry()
+        self.registry = default_registry()
         self.qed_seen = False
         self.certificate = None
         self._line = ""  # the line being run, without its trailing blanks
@@ -272,6 +272,8 @@ class Replayer:
         self.annotations.annotate(whiles[index - 1], invariant, factor)
 
     def cmd_lift(self, rest: str):
+        from . import lifting  # only a lift line loads the template machinery
+
         tokens = rest.split(None, 5)
         if len(tokens) < 5 or tokens[1] != "from":
             raise ScriptError(

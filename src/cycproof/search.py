@@ -7,13 +7,25 @@ boxes), then spend depth on symbolic execution steps.  An undecidable guard
 reported by the transition derivation is handled by cutting on it.  The
 search never invents generalizations, so goals that need one exhaust their
 depth instead.
+
+Only a step whose sequent key was seen before walks up its branch, so the
+work of every other step does not grow with the depth of its branch.  The
+open goals are a heap of node ids, taken lowest first.  A backlink's
+companion is the nearest ancestor with the same sequent key, found through
+a dict from each key to the nodes stepped with it: a node whose key is new
+needs no ancestor at all, and the walk up from one whose key was seen stops
+at the first ancestor in that key's set (see ``_companion``).  Closed guards
+are decided from values kept on the term nodes (see
+``oracle._closed_value``).
 """
 
 from __future__ import annotations
 
-from . import cyclic, lifting, parser
-from .formulas import DBase, Sequent, formulas_equal, sequents_equal
-from .kernel import LABEL_REWRITES, MATCHERS, KernelError, ProofGraph
+from heapq import heappop, heappush
+
+from . import cyclic, parser
+from .formulas import DBase, Sequent, formulas_equal
+from .kernel import LABEL_REWRITES, MATCHERS, KernelError, ProofGraph, default_registry
 from .oracle import BoundedValid
 from .record import dataclass
 from .terms import TermError
@@ -60,18 +72,17 @@ def search(goal: Sequent, oracle, depth: int, path_bound: int = 10_000) -> Searc
     """Prove ``goal`` within ``depth`` symbolic steps per branch."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    graph = ProofGraph(goal, oracle=oracle, extra_rules=lifting.default_registry(),
+    graph = ProofGraph(goal, oracle=oracle, extra_rules=default_registry(),
                        path_bound=path_bound)
     lines = [f"goal {parser.sequent_src(goal)}"]
     budget = {graph.root: depth}
+    seen: dict = {}  # a sequent key -> the ids of the nodes stepped with it
+    frontier = [graph.root]  # the open goals, as a heap of ids
 
-    while True:
-        goals = graph.open_goals()
-        if not goals:
-            break
-        node_id = goals[0]
+    while frontier:
+        node_id = heappop(frontier)
         try:
-            _close_or_step(graph, node_id, budget, lines)
+            _close_or_step(graph, node_id, budget, lines, seen)
         except DepthExhausted as exc:
             note = f"DepthExhausted at node {exc.node_id}"
             if exc.ter_failure:
@@ -83,6 +94,8 @@ def search(goal: Sequent, oracle, depth: int, path_bound: int = 10_000) -> Searc
             return SearchResult(
                 graph, "\n".join(lines), "Stuck", f"{type(exc).__name__}: {exc}"
             )
+        for child in graph.nodes[node_id].children:
+            heappush(frontier, child)
 
     lines.append("qed")
     certificate = cyclic.check_cyclic(graph)
@@ -105,7 +118,20 @@ def _apply(graph: ProofGraph, node_id: int, rule: str, lines: list, **args) -> l
     return children
 
 
-def _close_or_step(graph: ProofGraph, node_id: int, budget: dict, lines: list) -> None:
+def _companion(graph: ProofGraph, node_id: int, same: set):
+    """The nearest ancestor of ``node_id`` in ``same``, the nodes stepped so
+    far with its sequent key, or ``None``.  Every ancestor reached the
+    backlink check, so only a key seen before needs the walk; and since such
+    an ancestor would have closed any later node of its key on its branch,
+    the first ancestor found in ``same`` is the one an ancestor-by-ancestor
+    comparison finds."""
+    if not same:
+        return None
+    return next((a for a in graph.ancestors(node_id) if a in same), None)
+
+
+def _close_or_step(graph: ProofGraph, node_id: int, budget: dict, lines: list,
+                   seen: dict) -> None:
     nu = graph.node(node_id).sequent
 
     # 1. closure: ter on base-only sequents; a refusal is reported if the
@@ -125,21 +151,24 @@ def _close_or_step(graph: ProofGraph, node_id: int, budget: dict, lines: list) -
                 _apply(graph, node_id, "ax", lines, left=i, right=j)
                 return
 
-    # 3. closure: backlink to an identical ancestor
-    for ancestor in graph.ancestors(node_id):
-        if sequents_equal(nu, graph.node(ancestor).sequent):
-            graph.link_bud(node_id, ancestor)
-            lines.append(f"backlink at {node_id} to {ancestor}")
-            return
+    # 3. closure: backlink to the nearest identical ancestor (a key is
+    # hashed once: a tuple does not keep its hash)
+    same = seen.setdefault(nu.key, set())
+    ancestor = _companion(graph, node_id, same)
+    if ancestor is not None:
+        graph.link_bud(node_id, ancestor)
+        lines.append(f"backlink at {node_id} to {ancestor}")
+        return
+    same.add(node_id)
 
     # 4. label and propositional normalization (free)
     for side, rules in _NORMALIZERS:
         for occ, f in enumerate(getattr(nu, side)):
-            rule = next((r for r in rules if MATCHERS[r](f)), None)
-            if rule is not None:
-                args = {"occ": occ, "side": side} if rule in LABEL_REWRITES else {"occ": occ}
-                _inherit(budget, node_id, _apply(graph, node_id, rule, lines, **args))
-                return
+            for rule in rules:
+                if MATCHERS[rule](f):
+                    args = {"occ": occ, "side": side} if rule in LABEL_REWRITES else {"occ": occ}
+                    _inherit(budget, node_id, _apply(graph, node_id, rule, lines, **args))
+                    return
 
     # 5. symbolic execution (consumes depth); terminal programs were
     # rewritten by box_eps above

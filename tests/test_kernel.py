@@ -209,8 +209,7 @@ def test_rule_catalog_is_closed(oracle):
 
 
 def test_only_open_goals_take_a_rule(oracle):
-    from cycproof.kernel import CATALOG, KernelError
-    from cycproof.lifting import default_registry
+    from cycproof.kernel import CATALOG, KernelError, default_registry
 
     lifts = default_registry()
     g = ProofGraph(parse_sequent("x <= 0 => x <= 0"), oracle=oracle, extra_rules=lifts)
@@ -223,6 +222,18 @@ def test_only_open_goals_take_a_rule(oracle):
         with pytest.raises(KernelError, match="unknown rule"):
             g.apply_rule(node_id, "made_up_rule")
     assert len(g.nodes) == 2
+
+
+def test_pre_registered_lifts_refuse_arguments_they_do_not_take(oracle):
+    from cycproof.kernel import KernelError, default_registry
+
+    goal = parse_sequent(". => {x -> 0} : [x := 1 ; x := 2] (x >= 2)")
+    g = ProofGraph(goal, oracle=oracle, extra_rules=default_registry())
+    with pytest.raises(KernelError, match="rule sigma_gen: got an unexpected keyword"):
+        g.apply_rule(1, "sigma_gen", occ=0)
+    with pytest.raises(KernelError, match="rule sigma_seq: got an unexpected keyword"):
+        g.apply_rule(1, "sigma_seq", side="right")
+    assert len(g.apply_rule(1, "sigma_seq", occ=0)) == 1
 
 
 def test_dump_golden():

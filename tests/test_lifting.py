@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from cycproof.formulas import BBase, BBox, Sequent
-from cycproof.kernel import ProofGraph, SideConditionFailed
+from cycproof.kernel import ProofGraph, SideConditionFailed, default_registry
 from cycproof.lifting import (
     ClassMismatch,
     FreenessNotEstablished,
@@ -11,7 +11,6 @@ from cycproof.lifting import (
     MBody,
     MProg,
     check_freeness,
-    default_registry,
     lift_rule,
     se_sample,
     soundness_sample,

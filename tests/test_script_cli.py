@@ -390,15 +390,16 @@ def test_inputs_deeper_than_the_stack_end_in_a_verdict(tmp_path):
     # each overflowed the stack with a RecursionError traceback: a program
     # of 499 statements whose last one holds a 499-term sum, 300 quantifiers,
     # 1200 boxes in a row, runs of 150 "!" between boxes, and a store value
-    # 1500 levels deep built by symbolic execution; all but the last are
-    # refused as they are parsed
+    # 1500 levels deep built by symbolic execution over a free variable; all
+    # but the last are refused as they are parsed
     seq = " ; ".join(["x := 1"] * 499 + ["x := x" + " + 1" * 499])
     goals = {
         "seq_and_sum": (f". => {{x -> 0}} : [{seq}] x >= 0", 3),
         "foralls": (". => " + "forall y . " * 300 + "x <= 0", 3),
         "boxes": (". => {x -> 0} : " + "[x := 1] " * 1200 + "x >= 0", 3),
         "negated_boxes": (". => {x -> 0} : " + ("!" * 150 + "[x := 1] ") * 8 + "x <= 0", 3),
-        "deep_store": (". => {n -> 1500} : [while n > 0 do n := n - 1 end] (n == 0)", 4000),
+        "deep_store": (". => {n -> 1500, s -> x} : "
+                       "[while n > 0 do s := s + 1 ; n := n - 1 end] (s == x + 1500)", 4000),
     }
     codes = {}
     for name, (text, depth) in goals.items():
@@ -428,6 +429,20 @@ def test_inputs_deeper_than_the_stack_end_in_a_verdict(tmp_path):
     assert run.stdout.startswith("verdict: Stuck\nnote: ParseError:"), run.stdout
     assert "nested deeper than 160" in run.stdout.splitlines()[1]
     assert "(script line 1)" in run.stdout.splitlines()[1]
+
+    # a ground store value n - 1 - ... - 1 as deep occurs only in closed
+    # guards, each decided from the values its nodes keep, so nothing
+    # recurses over the whole term (this ended Stuck with a RecursionError)
+    dump = tmp_path / "ground_store.dump"
+    emitted = tmp_path / "ground_store.dlp"
+    run = _cli("search", str(FIXTURES / "deep_store.goal"), "--depth", "4000",
+               "--dump", str(dump), "--emit", str(emitted))
+    assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr[-300:]
+    assert run.stdout.startswith("verdict: ProvedBounded\n")
+    assert dump.read_text().count("(node ") == 1504
+    replay = _cli("check", str(emitted))
+    assert replay.returncode == 0, replay.stderr[-300:]
+    assert replay.stdout.startswith("verdict: ProvedBounded\nnodes: 1504  backlinks: 0\n")
 
 
 def test_emitted_script_for_the_longest_printable_chain_replays(tmp_path, capsys):
@@ -522,6 +537,54 @@ def test_termination_fixture_dump_reads_back(tmp_path, capsys):
     assert len(nodes) == 19 and replayer.graph.backlinks == {18: 2}
     for node_id, text in nodes:
         assert parse_sequent(text).key == replayer.graph.node(int(node_id)).sequent.key
+
+
+_LOADS_LIFTING = """
+import contextlib, io, sys
+from cycproof.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "cycproof.lifting" in sys.modules)
+"""
+
+
+def test_a_run_without_lifts_does_not_load_lifting(tmp_path):
+    goal = tmp_path / "goal.txt"
+    goal.write_text(". => {x -> 0} : [x := x + 1 ; x := x + 1] (x >= 2)")
+    script = tmp_path / "seq.dlp"
+    script.write_text(f"goal {goal.read_text()}\napply sigma_seq at 1\n")
+    for argv, expected in (
+        (["check", str(FIXTURES / "table4.dlp")], "0 False"),
+        (["search", str(goal), "--depth", "4"], "0 False"),
+        (["check", str(script)], "1 True"),  # a pre-registered lift loads it
+    ):
+        done = subprocess.run([sys.executable, "-c", _LOADS_LIFTING, *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.strip() == expected, (argv, done.stdout, done.stderr[-300:])
+
+
+def test_negative_bounds_are_usage_errors(tmp_path, capsys):
+    goal = tmp_path / "goal.txt"
+    goal.write_text(". => {x -> 0} : [x := x + 1] (x >= 1)")
+    prog = tmp_path / "prog.txt"
+    prog.write_text("x := x + 1")
+    script = str(FIXTURES / "table4.dlp")
+    for argv, message in (
+        (["check", script, "--path-bound", "-3"], "path bound must be at least 0"),
+        (["search", str(goal), "--depth", "3", "--path-bound", "-3"],
+         "path bound must be at least 0"),
+        (["search", str(goal), "--depth", "0"], "depth must be at least 1"),
+        (["eval", str(prog), "--config", "{x -> 0}", "--bound", "-1"],
+         "bound must be at least 0"),
+    ):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert not out and err == message + "\n", (argv, out, err)
+    # zero is a bound: eval stops at the first state, a search goes on
+    assert cli.main(["eval", str(prog), "--config", "{x -> 0}", "--bound", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0: (x := x + 1, {x -> 0})",
+                                                    "exit flag: bound"]
+    assert cli.main(["search", str(goal), "--depth", "3", "--path-bound", "0"]) == 0
 
 
 def test_cli_eval_prints_steps_and_exit_status(tmp_path, capsys):
