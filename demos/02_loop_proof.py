@@ -10,8 +10,8 @@ very same edges, which is the well-foundedness argument in executable form.
 from pathlib import Path
 
 from cycproof import script as script_mod
-from cycproof.cyclic import lemma1_probe
 from cycproof.oracle import BoundedOracle
+from cycproof.semantics import lemma1_probe
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "table4.dlp"
 

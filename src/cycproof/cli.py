@@ -12,8 +12,8 @@ than any parser cap once symbolic execution has built them (a store value
 once per level: there a ``RecursionError`` ends the run ``Stuck`` (exit 1),
 which is sound because ``Stuck`` never accepts.  The report and the dump are
 built in full before anything is printed or written, so an overflow leaves
-no half-written output.  A negative ``--path-bound`` or ``--bound`` and a
-``--depth`` below 1 are usage errors (exit 2).
+no half-written output.  A negative ``check --path-bound`` or ``eval
+--bound`` and a ``search --depth`` below 1 are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ def _make_oracle(spec: str):
 def _add_common(sub):
     sub.add_argument("--oracle", default="bounded:-50..50",
                      help=_ORACLE_FORMS)
-    sub.add_argument("--path-bound", type=int, default=10_000)
     sub.add_argument("--dump", help="write the proof-graph s-expression to a file")
 
 
@@ -101,12 +100,10 @@ def cmd_search(args) -> int:
     if args.depth < 1:
         print("depth must be at least 1", file=sys.stderr)
         return 2
-    if _negative("path bound", args.path_bound):
-        return 2
     from . import search as search_mod  # only this command loads the search
 
     try:
-        result = search_mod.search(goal, oracle, args.depth, args.path_bound)
+        result = search_mod.search(goal, oracle, args.depth)
         report = [f"verdict: {result.verdict}"]
         if result.message:
             report.append(f"note: {result.message}")
@@ -168,6 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = subs.add_parser("check", help="replay a proof script")
     p_check.add_argument("script")
+    p_check.add_argument("--path-bound", type=int, default=10_000)
     _add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 

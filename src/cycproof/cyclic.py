@@ -1,4 +1,4 @@
-"""Cyclic-preproof acceptance and the path-multiset ordering.
+"""Cyclic-preproof acceptance.
 
 Acceptance asks whether every infinite derivation path through a closed
 proof graph carries a trace with infinitely many progress edges.  On a
@@ -8,19 +8,12 @@ idempotent self-loop summaries: the graph is accepted exactly when each of
 them relates some occurrence to itself with progress.  Composition keeps,
 per occurrence pair, whether some interleaving path progresses, which is
 the usual max composition of size-change graphs.
-
-The module also houses the well-founded machinery the soundness story rests
-on: the proper-suffix relation on finite paths, the multiset suffix ordering
-on finite path sets, and a probe that materializes counter-example sets on
-both ends of a proof edge and compares them.
 """
 
 from __future__ import annotations
 
-from . import parser
 from .kernel import ProofGraph
 from .record import dataclass, field
-from .terms import evaluate
 
 
 class OpenGoals(Exception):
@@ -92,7 +85,6 @@ class CycleWitness:
 class TraceCertificate:
     accepted: bool
     witnesses: list = field(default_factory=list)
-    reject_path: list = field(default_factory=list)  # finite prefix + cycle nodes
     reject_cycle: list = field(default_factory=list)
     reject_relation: Relation = frozenset()
 
@@ -124,13 +116,8 @@ def check_cyclic(graph: ProofGraph) -> TraceCertificate:
     companions, segments = companion_segments(graph.backlinks, graph.ancestors, edge_lookup)
     failure = closure_reject(segments, companions)
     if failure is not None:
-        node, rel, path = failure
-        return TraceCertificate(
-            accepted=False,
-            reject_path=_tree_path(graph, node),
-            reject_cycle=path,
-            reject_relation=rel,
-        )
+        _, rel, path = failure
+        return TraceCertificate(accepted=False, reject_cycle=path, reject_relation=rel)
 
     witnesses = [
         _cycle_witness(graph, edge_lookup, bud, companion)
@@ -282,153 +269,3 @@ def _locate_progress(rels, cycle, laps, occurrence) -> tuple:
             progress_at = (full_nodes[prev[0]], prev[1])
         state = prev
     return progress_at
-
-
-def revalidate(graph: ProofGraph, certificate: TraceCertificate) -> bool:
-    """Re-check a certificate by direct edge traversal."""
-    tg = TraceGraph.of(graph)
-    lookup = {(u, v): rel for u, v, rel, _ in tg.edges}
-    if certificate.accepted:
-        for w in certificate.witnesses:
-            rels = [
-                lookup[(w.cycle_nodes[i], w.cycle_nodes[i + 1])]
-                for i in range(len(w.cycle_nodes) - 1)
-            ]
-            loop = rels[0]
-            for rel in rels[1:]:
-                loop = compose(loop, rel)
-            power = loop
-            for _ in range(w.laps - 1):
-                power = compose(power, loop)
-            if not any(s == d and p and s == w.occurrence for s, d, p in power):
-                return False
-        return True
-    rels = [
-        lookup[(certificate.reject_cycle[i], certificate.reject_cycle[i + 1])]
-        for i in range(len(certificate.reject_cycle) - 1)
-    ]
-    loop = rels[0]
-    for rel in rels[1:]:
-        loop = compose(loop, rel)
-    # certificate stores an idempotent composition of this cycle
-    power = loop
-    seen = set()
-    while power not in seen:
-        seen.add(power)
-        if power == certificate.reject_relation:
-            return not any(s == d and p for s, d, p in certificate.reject_relation)
-        power = compose(power, loop)
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Path orderings
-# ---------------------------------------------------------------------------
-# These helpers and the probe below are the only users of ``semantics`` here;
-# they import it when called, so a run that never probes does not load it.
-
-def _states_of(tr) -> tuple:
-    from .semantics import Path
-
-    if isinstance(tr, Path):
-        return tr.states
-    return tuple(tr)
-
-
-def proper_suffix(tr1, tr2) -> bool:
-    """True when ``tr2`` is a proper suffix of ``tr1``, state for state."""
-    s1 = _states_of(tr1)
-    s2 = _states_of(tr2)
-    return len(s2) < len(s1) and s1[len(s1) - len(s2):] == s2
-
-
-def mult_le(c1, c2) -> bool:
-    """The multiset suffix ordering on finite sets of finite paths.
-
-    Reflexive closure included: true when the sets are equal, or when the
-    first set arises from the second by replacing (or removing) one or more
-    members, each replacement being a proper suffix of the member it
-    replaces.  With sets this is exactly: something was removed, and every
-    element only in the first set is a proper suffix of some element only
-    in the second.
-    """
-    s1 = frozenset(_states_of(t) for t in c1)
-    s2 = frozenset(_states_of(t) for t in c2)
-    if s1 == s2:
-        return True
-    removed = s2 - s1
-    added = s1 - s2
-    if not removed:
-        return False
-    return all(any(proper_suffix(old, new) for old in removed) for new in added)
-
-
-def mult_lt(c1, c2) -> bool:
-    s1 = frozenset(_states_of(t) for t in c1)
-    s2 = frozenset(_states_of(t) for t in c2)
-    return s1 != s2 and mult_le(c1, c2)
-
-
-# ---------------------------------------------------------------------------
-# Counter-example ordering probe
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OrderingReport:
-    applicable: bool
-    holds: bool = False
-    strict: bool = False
-    parent_paths: frozenset = frozenset()
-    child_paths: frozenset = frozenset()
-    reason: str = ""
-
-
-def lemma1_probe(
-    graph: ProofGraph,
-    parent_id: int,
-    child_id: int,
-    occurrence: int,
-    rho: dict,
-    path_bound: int = 10_000,
-) -> OrderingReport:
-    """Compare counter-example sets across one proof edge.
-
-    Follows the trace pair starting at ``occurrence`` in the parent node and
-    reports whether the child's counter-example set sits at-or-below the
-    parent's in the multiset suffix ordering (and whether strictly).  Across
-    a generalization edge the evaluation is composed with the recorded
-    bindings.
-    """
-    from .semantics import NotApplicable, counter_example
-
-    parent = graph.node(parent_id)
-    inst = parent.rule_instance
-    if inst is None or child_id not in parent.children:
-        raise OpenGoals(f"{parent_id} -> {child_id} is not a rule edge")
-    premise_index = parent.children.index(child_id)
-    pair = next(
-        (p for p in inst.trace_pairs[premise_index] if p.src == occurrence), None
-    )
-    if pair is None:
-        return OrderingReport(False, reason="occurrence has no trace pair on this edge")
-    child = graph.node(child_id)
-    tau = parent.sequent.right[occurrence]
-    tau_child = child.sequent.right[pair.dst]
-
-    rho_child = dict(rho)
-    if inst.rule == "sub":
-        bindings = {
-            name: parser.parse_expr(src) for name, src in inst.args["bindings"].items()
-        }
-        for name, expr in bindings.items():
-            rho_child[name] = evaluate(rho, expr)
-
-    ct_parent = counter_example(rho, tau, parent.sequent, path_bound)
-    ct_child = counter_example(rho_child, tau_child, child.sequent, path_bound)
-    if isinstance(ct_parent, NotApplicable) or isinstance(ct_child, NotApplicable):
-        return OrderingReport(False, reason="evaluation fails a left side")
-    holds = mult_le(ct_child.paths, ct_parent.paths)
-    strict = mult_lt(ct_child.paths, ct_parent.paths)
-    return OrderingReport(
-        True, holds, strict, ct_parent.paths, ct_child.paths
-    )

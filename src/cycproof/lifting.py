@@ -6,8 +6,9 @@ axiom it suffices that every evaluation of the labeled formula is mirrored
 by some evaluation of the plain one ("standard"); a rule with premises needs
 the mirroring in both directions ("free").  Those conditions are semantic
 and undecidable in general, so registration takes executable evaluation
-transformers as witnesses and samples them; a lifted rule therefore carries
-its evidence mode, and certificates can report it.
+transformers as witnesses and samples them at each application; the rule
+args of that application record ``"evidence": "sampled-witness"``, so the
+dump says the lift rests on sampling.
 
 Two lifts ship pre-registered with a structural argument and need no
 sampling at use sites: the box-over-sequencing rewrite and the modality
@@ -268,7 +269,6 @@ class LiftedRule:
     conclusion: TemplateSequent
     config_class: str  # "free" | "standard"
     witness: tuple | None = None  # (forward, backward) transformers
-    evidence: str = "sampled-witness"
 
     def __post_init__(self) -> None:
         if self.config_class not in ("free", "standard"):
@@ -310,23 +310,20 @@ def _apply_lifted(node: Node, rule: LiftedRule, samples: int) -> RuleInstance:
             raise SideConditionFailed(f"{rule.name}: labels must agree")
         if not _match_body(pattern, formula.body, bindings):
             raise SideConditionFailed(f"{rule.name}: template does not match")
-    if rule.evidence == "sampled-witness":
-        if rule.witness is None:
-            raise FreenessNotEstablished(
-                f"{rule.name}: no witness transformers registered"
-            )
-        formulas = _evaluable_instances(rule, bindings)
-        fwd, bwd = rule.witness
-        if rule.config_class == "standard":
-            bwd = fwd  # condition 2 is not required; reuse to keep the call total
-        report = check_freeness(sigma, formulas, fwd, bwd, samples=samples)
-        relevant = (
-            report.cond1_failures
-            if rule.config_class == "standard"
-            else report.cond1_failures + report.cond2_failures
-        )
-        if relevant:
-            raise FreenessNotEstablished(str(report))
+    if rule.witness is None:
+        raise FreenessNotEstablished(f"{rule.name}: no witness transformers registered")
+    formulas = _evaluable_instances(rule, bindings)
+    fwd, bwd = rule.witness
+    if rule.config_class == "standard":
+        bwd = fwd  # condition 2 is not required; reuse to keep the call total
+    report = check_freeness(sigma, formulas, fwd, bwd, samples=samples)
+    relevant = (
+        report.cond1_failures
+        if rule.config_class == "standard"
+        else report.cond1_failures + report.cond2_failures
+    )
+    if relevant:
+        raise FreenessNotEstablished(str(report))
     premises = []
     pairs = []
     for pleft, pright in rule.premises:
@@ -343,7 +340,7 @@ def _apply_lifted(node: Node, rule: LiftedRule, samples: int) -> RuleInstance:
         rule.name,
         nu,
         tuple(premises),
-        {"lifted": rule.name, "evidence": rule.evidence},
+        {"lifted": rule.name, "evidence": "sampled-witness"},
         tuple(pairs),
     )
 
@@ -401,79 +398,3 @@ def _sigma_gen_handler(graph: ProofGraph, node: Node) -> RuleInstance:
         "sigma_gen", nu, (premise,), {"evidence": "builtin-argument"},
         ((TracePair(0, 0),),),
     )
-
-
-# ---------------------------------------------------------------------------
-# Premises-imply-conclusion sampling
-# ---------------------------------------------------------------------------
-
-def sequent_truth(rho: dict, nu: Sequent, path_bound: int = 2_000) -> Verdict:
-    """Three-valued truth of a sequent's formula reading under rho."""
-    from .semantics import Verdict, models  # sampling only: imported when used
-
-    right = Verdict.FALSE
-    for f in nu.left:
-        v = models(rho, f, path_bound)
-        if v is Verdict.FALSE:
-            return Verdict.TRUE
-        if v is Verdict.UNKNOWN:
-            return Verdict.UNKNOWN
-    for f in nu.right:
-        v = models(rho, f, path_bound)
-        if v is Verdict.TRUE:
-            return Verdict.TRUE
-        if v is Verdict.UNKNOWN:
-            right = Verdict.UNKNOWN
-    return right
-
-
-@dataclass
-class SoundnessSample:
-    checked: int
-    skipped: int
-    failures: list
-
-
-def soundness_sample(
-    premises,
-    conclusion: Sequent,
-    samples: int = 200,
-    seed: int = 0,
-    value_range=(-10, 10),
-    path_bound: int = 2_000,
-) -> SoundnessSample:
-    """Sample evaluations: whenever every premise holds, the conclusion must.
-
-    Unknown verdicts (path bound hit) skip the sample rather than deciding
-    it.  Failures carry the offending evaluation.
-    """
-    from .semantics import Verdict
-
-    names = sorted(
-        set().union(
-            *(free_vars(f) for nu in list(premises) + [conclusion] for f in nu.left + nu.right)
-        )
-        if (list(premises) or conclusion.left or conclusion.right)
-        else set()
-    )
-    rng = random.Random(seed)
-    lo, hi = value_range
-    checked = skipped = 0
-    failures = []
-    for _ in range(samples):
-        rho = {x: rng.randint(lo, hi) for x in names}
-        verdicts = [sequent_truth(rho, p, path_bound) for p in premises]
-        if any(v is Verdict.UNKNOWN for v in verdicts):
-            skipped += 1
-            continue
-        if any(v is Verdict.FALSE for v in verdicts):
-            checked += 1
-            continue
-        conclusion_v = sequent_truth(rho, conclusion, path_bound)
-        if conclusion_v is Verdict.UNKNOWN:
-            skipped += 1
-            continue
-        checked += 1
-        if conclusion_v is Verdict.FALSE:
-            failures.append(rho)
-    return SoundnessSample(checked, skipped, failures)

@@ -68,12 +68,11 @@ _NORMALIZERS = (
 )
 
 
-def search(goal: Sequent, oracle, depth: int, path_bound: int = 10_000) -> SearchResult:
+def search(goal: Sequent, oracle, depth: int) -> SearchResult:
     """Prove ``goal`` within ``depth`` symbolic steps per branch."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    graph = ProofGraph(goal, oracle=oracle, extra_rules=default_registry(),
-                       path_bound=path_bound)
+    graph = ProofGraph(goal, oracle=oracle, extra_rules=default_registry())
     lines = [f"goal {parser.sequent_src(goal)}"]
     budget = {graph.root: depth}
     seen: dict = {}  # a sequent key -> the ids of the nodes stepped with it

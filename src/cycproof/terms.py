@@ -593,9 +593,3 @@ def fold(t: Term) -> Term:
     if isinstance(t, Config):
         return Config(tuple((x, fold(e)) for x, e in t.entries), stack=t.stack)
     raise TermError(f"fold: not a term: {t!r}")
-
-
-def eval_term(rho: Evaluation, t: Term) -> Term:
-    """rho(t): substitute integer literals for free variables, then fold."""
-    bindings = {x: Lit(v) for x, v in rho.items()}
-    return fold(substitute(t, bindings, frozenset(bindings)))

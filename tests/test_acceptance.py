@@ -23,20 +23,9 @@ from conftest import (
     wp_cyclic_script,
 )
 from cycproof import script as script_mod
-from cycproof.cyclic import (
-    TraceGraph,
-    check_cyclic,
-    lemma1_probe,
-    mult_le,
-    mult_lt,
-    proper_suffix,
-)
+from cycproof.cyclic import TraceGraph, check_cyclic
 from cycproof.formulas import Sequent
-from cycproof.lifting import (
-    check_freeness,
-    soundness_sample,
-    transformer_from_updates,
-)
+from cycproof.lifting import check_freeness, transformer_from_updates
 from cycproof.oracle import BoundedOracle
 from cycproof.parser import (
     parse_config,
@@ -46,9 +35,19 @@ from cycproof.parser import (
     parse_prog,
     parse_sequent,
 )
-from cycproof.semantics import Verdict, counter_example, models
+from cycproof.semantics import (
+    Verdict,
+    counter_example,
+    eval_term,
+    lemma1_probe,
+    models,
+    mult_le,
+    mult_lt,
+    proper_suffix,
+    soundness_sample,
+)
 from cycproof.sep import Allocator, PointsTo, SAnd, SepState, Star, sep_app, sep_run
-from cycproof.terms import DivisionByZero, Lit, Var, eval_term, evaluate, substitute
+from cycproof.terms import DivisionByZero, Lit, Var, evaluate, substitute
 from cycproof.whilelang import (
     CaseSplitNeeded,
     NoProgressOnCycle,

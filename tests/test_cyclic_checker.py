@@ -4,10 +4,11 @@ import pytest
 
 from conftest import FIXTURES
 from cycproof import script as script_mod
-from cycproof.cyclic import OpenGoals, check_cyclic, lemma1_probe, revalidate
+from cycproof.cyclic import OpenGoals, check_cyclic
 from cycproof.kernel import new_proof
 from cycproof.oracle import BoundedOracle
 from cycproof.parser import parse_dlp, parse_sequent
+from cycproof.semantics import lemma1_probe, revalidate
 
 
 @pytest.fixture

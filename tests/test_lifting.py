@@ -13,7 +13,6 @@ from cycproof.lifting import (
     check_freeness,
     lift_rule,
     se_sample,
-    soundness_sample,
     transformer_from_updates,
 )
 from cycproof.parser import (
@@ -24,6 +23,7 @@ from cycproof.parser import (
     parse_sequent,
     parse_template_sequent,
 )
+from cycproof.semantics import soundness_sample
 from cycproof.terms import Seq
 
 

@@ -11,8 +11,8 @@ import pytest
 
 from conftest import FIXTURES
 from cycproof import script as script_mod
-from cycproof.lifting import soundness_sample
 from cycproof.oracle import BoundedOracle
+from cycproof.semantics import soundness_sample
 
 
 def _instances(graph):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from cycproof.cyclic import mult_le, mult_lt, proper_suffix
+from cycproof.semantics import mult_le, mult_lt, proper_suffix
 
 # paths here are plain state tuples; the ordering is agnostic to what a
 # state is, and the production code feeds it evaluated program states

@@ -8,6 +8,7 @@ from conftest import random_config, random_expr, random_fml
 from cycproof.canon import expr_key, formula_key, terms_equal
 from cycproof.formulas import substitute as fsubstitute
 from cycproof.parser import parse_config, parse_expr, parse_fml, parse_prog, parse_sequent
+from cycproof.semantics import eval_term
 from cycproof.terms import (
     AndF,
     BinOp,
@@ -25,7 +26,6 @@ from cycproof.terms import (
     apply_stack_config,
     bound_vars,
     eval_bool,
-    eval_term,
     evaluate,
     free_vars,
     fresh_name,
