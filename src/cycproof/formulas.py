@@ -139,27 +139,38 @@ class Sequent:
 # Canonical keys
 # ---------------------------------------------------------------------------
 
+# Both keys are kept on the node they describe, as ``canon`` keeps its keys
+# (``canon._keep``), so a formula met again, as at each ``ax`` check of
+# ``search``, is keyed once.
+
+_KEY = "_dlp_key"  # body_key, formula_key
+
+
 def body_key(b: Body) -> tuple:
     # Negation/conjunction keys over purely base operands normalize to the
     # base-formula connective, so the two representations get one identity.
+    key = getattr(b, _KEY, None)
+    if key is not None:
+        return key
     if isinstance(b, BBase):
-        return ("base", canon.formula_key(b.fml))
-    if isinstance(b, BNot):
+        key = ("base", canon.formula_key(b.fml))
+    elif isinstance(b, BNot):
         k = body_key(b.body)
-        if k[0] == "base":
-            return ("base", ("not", k[1]))
-        return ("not", k)
-    if isinstance(b, BAnd):
+        key = ("base", ("not", k[1])) if k[0] == "base" else ("not", k)
+    elif isinstance(b, BAnd):
         k1 = body_key(b.left)
         k2 = body_key(b.right)
         if k1[0] == "base" and k2[0] == "base":
-            return ("base", ("and", k1[1], k2[1]))
-        return ("and", k1, k2)
-    if isinstance(b, BBox):
-        return ("box", canon.program_key(b.prog), body_key(b.body))
-    if isinstance(b, BDia):
-        return ("dia", canon.program_key(b.prog), body_key(b.body))
-    raise TermError(f"body_key: not a body: {b!r}")
+            key = ("base", ("and", k1[1], k2[1]))
+        else:
+            key = ("and", k1, k2)
+    elif isinstance(b, BBox):
+        key = ("box", canon.program_key(b.prog), body_key(b.body))
+    elif isinstance(b, BDia):
+        key = ("dia", canon.program_key(b.prog), body_key(b.body))
+    else:
+        raise TermError(f"body_key: not a body: {b!r}")
+    return canon._keep(b, _KEY, key)
 
 
 def _label_key(label) -> tuple:
@@ -172,25 +183,29 @@ def _label_key(label) -> tuple:
 
 
 def formula_key(f: DlpFormula) -> tuple:
+    key = getattr(f, _KEY, None)
+    if key is not None:
+        return key
     if isinstance(f, DBase):
-        return ("base", canon.formula_key(f.fml))
-    if isinstance(f, DLabeled):
-        return ("labeled", _label_key(f.label), body_key(f.body))
-    if isinstance(f, DNot):
+        key = ("base", canon.formula_key(f.fml))
+    elif isinstance(f, DLabeled):
+        key = ("labeled", _label_key(f.label), body_key(f.body))
+    elif isinstance(f, DNot):
         k = formula_key(f.arg)
-        if k[0] == "base":
-            return ("base", ("not", k[1]))
-        return ("not", k)
-    if isinstance(f, DAnd):
+        key = ("base", ("not", k[1])) if k[0] == "base" else ("not", k)
+    elif isinstance(f, DAnd):
         k1 = formula_key(f.left)
         k2 = formula_key(f.right)
         if k1[0] == "base" and k2[0] == "base":
-            return ("base", ("and", k1[1], k2[1]))
-        return ("and", k1, k2)
-    if isinstance(f, DTer):
+            key = ("base", ("and", k1[1], k2[1]))
+        else:
+            key = ("and", k1, k2)
+    elif isinstance(f, DTer):
         factor = () if f.factor is None else canon.expr_key(f.factor)
-        return ("ter", canon.config_key(f.label), canon.program_key(f.prog), factor)
-    raise TermError(f"formula_key: not a formula: {f!r}")
+        key = ("ter", canon.config_key(f.label), canon.program_key(f.prog), factor)
+    else:
+        raise TermError(f"formula_key: not a formula: {f!r}")
+    return canon._keep(f, _KEY, key)
 
 
 def sequent_key(nu: Sequent) -> tuple:

@@ -8,7 +8,8 @@ checked on the full box before anything else, so a sequent too large to scan
 is ``Unknown`` however it would be decided.  A scan nests one loop per free
 variable, and CPython compiles at most 20 nested loops, so an obligation that
 is not total, or a group (below), with more free variables is not scanned:
-it is ``Unknown`` unless another group decides it.
+it is ``Unknown`` unless another group decides it, and the reason names the
+widest such group, whatever the order of the formulas.
 
 A total obligation (every divisor a nonzero literal) is read as its
 literals: an axiom (one literal on both sides), a closed literal false on the
@@ -33,6 +34,20 @@ largest subterm over outer variables only is computed once, before the
 loops that do not change it, into a temporary shared by equal subterms.
 The loops still visit the grid in the same order and skip only points that
 a literal already decides, so the first counterexample is unchanged.
+
+The instance also keeps the verdict of each total sequent that no axiom or
+closed literal decides, in a dict from the sequent's literal keys (a
+frozenset per side) to the verdict, for as long as it lives, and answers
+the same sets again from it without grouping or scanning (a query cache,
+as in KLEE): in ``search`` each case split derives the step again from the
+loop head, so the same guards are asked again.  The sets are enough.  A
+key is its literal's whole structure, free names included; the closed
+literals left out of it do not decide the sequent, so they cannot change
+its verdict; the names, the groups, each group's first counterexample and
+the widest group too wide to scan all follow from the sets, whatever the
+order or the repeats of the formulas; and the box and the quantifier range
+are the instance's own.  A sequent that is not total is never kept: which
+division by zero it meets first depends on the order of its formulas.
 
 Any other obligation is compiled as it stands into one Python loop nest over
 the box (see ``_compile_scan``) that evaluates what ``terms.eval_bool``
@@ -154,6 +169,7 @@ class BoundedOracle:
             raise ValueError("empty quantifier range")
         self.max_points = max_points
         self._scans: dict = {}  # group shape -> compiled scan (see _group_scan)
+        self._verdicts: dict = {}  # a total sequent's literal key sets -> its verdict
 
     def valid_sequent(self, gamma, delta):
         gamma = tuple(gamma)
@@ -182,19 +198,28 @@ class BoundedOracle:
             return BoundedValid()  # a closed literal false on the left or true on the right
         if not left.keys().isdisjoint(right):
             return BoundedValid()  # the axiom: one literal on both sides
+        asked = frozenset(left), frozenset(right)
+        verdict = self._verdicts.get(asked)
+        if verdict is None:
+            verdict = self._verdicts[asked] = self._decide(names, left, right, span, qspan)
+        return verdict
+
+    def _decide(self, names: list, left: dict, right: dict, span: range, qspan: range):
+        """The verdict of a total sequent that no axiom or closed literal
+        decides, from its literals (see ``_total_literals``)."""
         kept = []
         for side, found in enumerate((left, right)):
             for key, (phi, free) in found.items():
                 if free:
                     kept.append((side, key, phi, free))
-                elif eval_bool({}, phi, (qlo, qhi)).value == side:
+                elif eval_bool({}, phi, self.quantifier_range).value == side:
                     return BoundedValid()  # a closed quantifier, decided the same way
         witness = {}
         unscanned = 0  # free variables of a group too wide to scan
         for group in _independent_groups(kept):
             group_names, scan = self._group_scan(group)
             if scan is None:
-                unscanned = len(group_names)
+                unscanned = max(unscanned, len(group_names))  # the widest, whatever the order
                 continue
             values = scan(span, qspan)
             if values is None:

@@ -579,6 +579,15 @@ def test_a_scan_is_compiled_for_at_most_twenty_variables(count, decided):
     assert isinstance(out, BoundedValid)
 
 
+def test_the_unscannable_reason_names_the_widest_group_in_any_order():
+    # one sequent, one ledger text: the reason does not follow formula order
+    a = parse_fml(" + ".join(f"a{i}" for i in range(21)) + " <= 0")
+    b = parse_fml(" + ".join(f"b{i}" for i in range(22)) + " <= 0")
+    widest = Unknown("22 free variables exceed the scan's 20 nested loops")
+    for delta in ([a, b], [b, a]):
+        assert BoundedOracle(0, 0).valid_sequent([], delta) == widest
+
+
 @pytest.mark.parametrize("command", ["check", "search"])
 def test_goals_past_twenty_variables_end_in_a_verdict(command, tmp_path, capsys):
     from cycproof import cli
