@@ -60,10 +60,10 @@ class TraceGraph:
                 for child, pairs in zip(node.children, inst.trace_pairs):
                     rel = _normalize((p.src, p.dst, p.progress) for p in pairs)
                     edges.append((node.id, child, rel, inst.rule))
-            elif node.backlink is not None:
+            elif node.id in graph.backlinks:
                 pairs = graph.backlink_pairs(node.id)
                 rel = _normalize((p.src, p.dst, False) for p in pairs)
-                edges.append((node.id, node.backlink, rel, "backlink"))
+                edges.append((node.id, graph.backlinks[node.id], rel, "backlink"))
         return TraceGraph(edges)
 
 

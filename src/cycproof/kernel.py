@@ -9,7 +9,7 @@ occurrences; those maps are what the cyclic checker later stitches into
 derivation traces.  Context occurrences map by identity and never progress.
 A box step always marks its target pair as progress; a diamond step
 progresses only when a termination judgment for the successor state is
-attached.
+derived, and its obligations join the step's.
 
 Termination is itself a judgment of the calculus: ``σ : α ⇓ e`` says that
 from ``σ`` the program ``α`` terminates, with the factor ``e`` (an
@@ -24,6 +24,10 @@ Derived rules (imp_r, or_l, le, the cut variant that splits a conjunction
 on the left premise) stand for several primitive applications but record
 one visible edge whose trace pairs are the composition, so replayed
 derivations keep the node numbering of the source material.
+
+The While domain's two built-in lifts, ``sigma_seq`` and ``sigma_gen``, are
+kernel rules with a structural argument; templates a script lifts
+(``lifting``) reach the graph through ``extra_rules``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 from functools import partial, partialmethod
 
 from . import parser, sep as sepmod
+from .canon import program_key
 from .formulas import (
     BAnd,
     BBase,
@@ -45,6 +50,7 @@ from .formulas import (
     DTer,
     Sequent,
     base_formulas,
+    body_free_vars,
     formula_key,
     formulas_equal,
     sequent_diff,
@@ -65,6 +71,7 @@ from .terms import (
     Lit,
     NotF,
     Seq,
+    Var,
     apply_config,
     apply_stack_config,
     ge,
@@ -73,7 +80,6 @@ from .terms import (
 from .whilelang import (
     LoopAnnotations,
     State,
-    TerminationJudgment,
     derive_termination_structural,
     derive_transitions,
     require_accepted,
@@ -108,7 +114,7 @@ PRIMITIVE_RULES = frozenset(
     }
 )
 DERIVED_RULES = frozenset({"imp_r", "or_l", "le"})
-DOMAIN_RULES = frozenset({"sigma_star", "sigma_frm"})
+DOMAIN_RULES = frozenset({"sigma_star", "sigma_frm", "sigma_seq", "sigma_gen"})
 CATALOG = PRIMITIVE_RULES | DERIVED_RULES | DOMAIN_RULES
 # rule -> name of its handler method, built once: a name formatted per call
 # would be a new string each time, and CPython's method cache keeps those
@@ -131,7 +137,6 @@ class RuleInstance:
     trace_pairs: tuple  # one tuple of TracePair per premise
     obligations: list = field(default_factory=list)
     consumed: tuple = ()  # right occurrences a premise intentionally drops
-    termination: TerminationJudgment | None = None
 
 
 @dataclass
@@ -141,7 +146,6 @@ class Node:
     parent: int | None
     rule_instance: RuleInstance | None = None
     children: tuple = ()
-    backlink: int | None = None
 
 
 # --- pattern helpers over both representations of ¬ and ∧ -------------------
@@ -255,7 +259,7 @@ MATCHERS = {
     "le": lambda f: isinstance(f, DBase),
     "sigma_star": _is_heap_star,
     "sigma_frm": _is_heap_star,
-    # the lifts that default_registry pre-registers
+    # the built-in lifts
     "sigma_seq": lambda f: _labeled(BBox)(f) and isinstance(f.body.prog, Seq),
     "sigma_gen": _labeled(BBox),  # the one formula on each side
     "ter_step": lambda f: isinstance(f, DTer) and not isinstance(f.prog, Epsilon),
@@ -331,7 +335,7 @@ class ProofGraph:
         return sorted(
             n.id
             for n in self.nodes.values()
-            if n.rule_instance is None and n.backlink is None
+            if n.rule_instance is None and n.id not in self.backlinks
         )
 
     def ancestors(self, node_id: int):
@@ -366,7 +370,7 @@ class ProofGraph:
 
     def _require_open(self, node_id: int) -> Node:
         node = self.node(node_id)
-        if node.rule_instance is not None or node.backlink is not None:
+        if node.rule_instance is not None or node_id in self.backlinks:
             raise KernelError(f"node {node_id} is not an open goal")
         return node
 
@@ -481,7 +485,6 @@ class ProofGraph:
             {"occ": occ, "choice": choice, "progress": termination is not None},
             (pairs,),
             obligations,
-            termination=termination,
         )
 
     def _rule_ter(self, node: Node) -> RuleInstance:
@@ -547,10 +550,7 @@ class ProofGraph:
             gamma, State(target.prog, target.label), delta, self.oracle,
             annotations=annotations, path_bound=self.path_bound,
         )
-        return RuleInstance(
-            "ter_base", nu, (), {"occ": occ}, (), judgment.obligations,
-            termination=judgment,
-        )
+        return RuleInstance("ter_base", nu, (), {"occ": occ}, (), judgment.obligations)
 
     def _rule_ax(self, node: Node, left: int | None = None,
                  right: int | None = None) -> RuleInstance:
@@ -728,24 +728,22 @@ class ProofGraph:
 
     # -- separation-logic rules ----------------------------------------------------
 
-    def _rule_sigma_star(self, node: Node, h1: dict | None = None,
-                         h2: dict | None = None, h1_addrs=None, h2_addrs=None,
+    def _rule_sigma_star(self, node: Node, h1_addrs=(), h2_addrs=(),
                          occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(nu.right, occ, MATCHERS["sigma_star"], "a separating conjunction")
         f: DLabeled = nu.right[occ]
         state: sepmod.SepState = f.label
         star: sepmod.Star = f.body.fml
-        if h1 is None or h2 is None:
-            heap = state.heap_map()
-            try:
-                h1 = {a: heap[a] for a in (h1_addrs or [])}
-                h2 = {a: heap[a] for a in (h2_addrs or [])}
-            except KeyError as exc:
-                raise SideConditionFailed(f"address {exc} is not in the heap")
+        heap = state.heap_map()
+        try:
+            h1 = {a: heap[a] for a in h1_addrs}
+            h2 = {a: heap[a] for a in h2_addrs}
+        except KeyError as exc:
+            raise SideConditionFailed(f"address {exc} is not in the heap")
         merged = dict(h1)
         merged.update(h2)
-        if merged != state.heap_map() or len(merged) != len(h1) + len(h2):
+        if merged != heap or len(merged) != len(h1) + len(h2):
             raise SideConditionFailed("h1 and h2 must split the heap exactly")
         ok = sepmod.disjoint(h1, h2)
         premises, pairs = _unzip([
@@ -781,6 +779,57 @@ class ProofGraph:
         premise, pairs = _replace_right(nu, occ, DLabeled(state, BBase(star.left)))
         return RuleInstance("sigma_frm", nu, (premise,), {"occ": occ}, (pairs,))
 
+    # -- built-in lifts ----------------------------------------------------------
+
+    def _rule_sigma_seq(self, node: Node, occ: int | None = None) -> RuleInstance:
+        """Box over sequencing: proves σ:[α;β]φ from σ:[α][β]φ."""
+        nu = node.sequent
+        occ = self._occurrence(nu.right, occ, MATCHERS["sigma_seq"], "a boxed sequence")
+        target: DLabeled = nu.right[occ]
+        seq: Seq = target.body.prog
+        premise, pairs = _replace_right(
+            nu, occ, DLabeled(target.label, BBox(seq.first, BBox(seq.second, target.body.body)))
+        )
+        return RuleInstance(
+            "sigma_seq", nu, (premise,), {"occ": occ, "evidence": "builtin-argument"},
+            (pairs,),
+        )
+
+    def _rule_sigma_gen(self, node: Node) -> RuleInstance:
+        """Modality generation: σ:[α]φ ⇒ σ:[α]ψ from σ:φ ⇒ σ:ψ.  The premise
+        must be φ ⇒ ψ at every state, so σ must rename variables apart: a
+        store whose values are distinct variables, none free in a body
+        outside the store's domain."""
+        nu = node.sequent
+        if len(nu.left) != 1 or len(nu.right) != 1:
+            raise SideConditionFailed("sigma_gen applies to one-formula sides")
+        lhs, rhs = nu.left[0], nu.right[0]
+        if not (MATCHERS["sigma_gen"](lhs) and MATCHERS["sigma_gen"](rhs)):
+            raise SideConditionFailed("sigma_gen expects boxed formulas on both sides")
+        if formula_key(DLabeled(lhs.label, BBase(TRUE))) != formula_key(
+            DLabeled(rhs.label, BBase(TRUE))
+        ):
+            raise SideConditionFailed("sigma_gen: labels must agree")
+        if program_key(lhs.body.prog) != program_key(rhs.body.prog):
+            raise SideConditionFailed("sigma_gen: programs must agree")
+        sigma = lhs.label
+        if not isinstance(sigma, Config) or sigma.stack:
+            raise SideConditionFailed("sigma_gen needs a store label")
+        values = {e.name for _, e in sigma.entries if isinstance(e, Var)}
+        outside = (body_free_vars(lhs.body) | body_free_vars(rhs.body)) - sigma.domain()
+        if len(values) < len(sigma.entries) or values & outside:
+            raise SideConditionFailed(
+                f"sigma_gen: {parser.config_src(sigma)} does not rename variables apart"
+            )
+        premise = Sequent(
+            (DLabeled(lhs.label, lhs.body.body),),
+            (DLabeled(rhs.label, rhs.body.body),),
+        )
+        return RuleInstance(
+            "sigma_gen", nu, (premise,), {"evidence": "builtin-argument"},
+            ((TracePair(0, 0),),),
+        )
+
     # -- backlinks --------------------------------------------------------------
 
     def link_bud(self, bud_id: int, companion_id: int) -> None:
@@ -796,7 +845,6 @@ class ProofGraph:
                 f"bud {bud_id} differs from companion {companion_id} "
                 f"on the {side} side at {detail}"
             )
-        bud.backlink = companion_id
         self.backlinks[bud_id] = companion_id
 
     def backlink_pairs(self, bud_id: int) -> tuple:
@@ -840,15 +888,13 @@ class ProofGraph:
                 parent = self.node(node.parent)
                 if node.id not in parent.children:
                     raise KernelError(f"node {node.id} detached from parent")
-            if node.backlink is not None:
-                if node.backlink not in set(self.ancestors(node.id)):
-                    raise KernelError(f"backlink {node.id} -> {node.backlink} not to an ancestor")
-                if not sequents_equal(
-                    node.sequent, self.node(node.backlink).sequent
-                ):
-                    raise KernelError(f"backlink {node.id} sequent mismatch")
             if node.rule_instance is not None:
                 self._validate_instance(node)
+        for bud, companion in self.backlinks.items():
+            if companion not in set(self.ancestors(bud)):
+                raise KernelError(f"backlink {bud} -> {companion} not to an ancestor")
+            if not sequents_equal(self.node(bud).sequent, self.node(companion).sequent):
+                raise KernelError(f"backlink {bud} sequent mismatch")
 
     # -- dump -----------------------------------------------------------------------
 
@@ -862,7 +908,7 @@ class ProofGraph:
                 args = node.rule_instance.args
                 arg_txt = " ".join(f"{k} {args[k]}" for k in sorted(args))
                 rule = f"(rule {node.rule_instance.rule}" + (f" {arg_txt})" if arg_txt else ")")
-            elif node.backlink is not None:
+            elif node_id in self.backlinks:
                 rule = "(rule backlink)"
             else:
                 rule = "(open)"
@@ -876,27 +922,3 @@ class ProofGraph:
 
 def new_proof(goal: Sequent, oracle=None, extra_rules=None) -> ProofGraph:
     return ProofGraph(goal, oracle=oracle, extra_rules=extra_rules)
-
-
-# -- the pre-registered lifts ----------------------------------------------------
-#
-# Each handler lives in ``lifting`` and is imported at its first call, so a
-# run that applies neither lift does not load that module.  The stand-ins
-# take the handlers' parameters, so ``apply_rule`` reports arguments a lift
-# does not take as it does for a catalog rule.
-
-def _sigma_seq(graph: ProofGraph, node: Node, occ: int | None = None) -> RuleInstance:
-    from .lifting import _sigma_seq_handler
-
-    return _sigma_seq_handler(graph, node, occ)
-
-
-def _sigma_gen(graph: ProofGraph, node: Node) -> RuleInstance:
-    from .lifting import _sigma_gen_handler
-
-    return _sigma_gen_handler(graph, node)
-
-
-def default_registry() -> dict:
-    """The pre-registered lifted rules for the While domain."""
-    return {"sigma_seq": _sigma_seq, "sigma_gen": _sigma_gen}

@@ -10,10 +10,10 @@ transformers as witnesses and samples them at each application; the rule
 args of that application record ``"evidence": "sampled-witness"``, so the
 dump says the lift rests on sampling.
 
-Two lifts ship pre-registered with a structural argument and need no
-sampling at use sites: the box-over-sequencing rewrite and the modality
-generation rule.  ``kernel.default_registry`` registers them, and this
-module is imported at the first call of either.
+The two built-in lifts of the While domain, ``sigma_seq`` and
+``sigma_gen``, rest on a structural argument and are kernel rules; this
+module holds only the lifts a script registers with ``lift``, and is
+imported by the first such line.
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ from .formulas import (
     free_vars,
 )
 from .kernel import (
-    MATCHERS,
     KernelError,
     Node,
     ProofGraph,
     RuleInstance,
     SideConditionFailed,
     TracePair,
-    _replace_right,
 )
 from .record import dataclass, field
 from .terms import (
@@ -353,48 +351,3 @@ def _evaluable_instances(rule: LiftedRule, bindings: dict) -> list:
             if isinstance(body, BBase) and isinstance(body.fml, BaseFormula):
                 out.append(body.fml)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Built-in lifts for the While domain
-# ---------------------------------------------------------------------------
-
-def _sigma_seq_handler(graph: ProofGraph, node: Node, occ: int | None = None) -> RuleInstance:
-    """Box over sequencing: proves sigma:[a;b]phi from sigma:[a][b]phi."""
-    nu = node.sequent
-    occ = graph._occurrence(nu.right, occ, MATCHERS["sigma_seq"], "a boxed sequence")
-    target: DLabeled = nu.right[occ]
-    seq: Seq = target.body.prog
-    premise, pairs = _replace_right(
-        nu, occ, DLabeled(target.label, BBox(seq.first, BBox(seq.second, target.body.body)))
-    )
-    return RuleInstance(
-        "sigma_seq", nu, (premise,), {"occ": occ, "evidence": "builtin-argument"},
-        (pairs,),
-    )
-
-
-def _sigma_gen_handler(graph: ProofGraph, node: Node) -> RuleInstance:
-    """Modality generation: sigma:[a]phi => sigma:[a]psi from sigma:phi => sigma:psi."""
-    nu = node.sequent
-    if len(nu.left) != 1 or len(nu.right) != 1:
-        raise SideConditionFailed("sigma_gen applies to one-formula sides")
-    lhs, rhs = nu.left[0], nu.right[0]
-    if not (MATCHERS["sigma_gen"](lhs) and MATCHERS["sigma_gen"](rhs)):
-        raise SideConditionFailed("sigma_gen expects boxed formulas on both sides")
-    from . import canon
-
-    if formula_key(DLabeled(lhs.label, BBase(_TRUE))) != formula_key(
-        DLabeled(rhs.label, BBase(_TRUE))
-    ):
-        raise SideConditionFailed("sigma_gen: labels must agree")
-    if canon.program_key(lhs.body.prog) != canon.program_key(rhs.body.prog):
-        raise SideConditionFailed("sigma_gen: programs must agree")
-    premise = Sequent(
-        (DLabeled(lhs.label, lhs.body.body),),
-        (DLabeled(rhs.label, rhs.body.body),),
-    )
-    return RuleInstance(
-        "sigma_gen", nu, (premise,), {"evidence": "builtin-argument"},
-        ((TracePair(0, 0),),),
-    )

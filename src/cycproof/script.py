@@ -30,7 +30,7 @@ import time
 from pathlib import Path as FsPath
 
 from . import cyclic, parser
-from .kernel import KernelError, ProofGraph, default_registry
+from .kernel import KernelError, ProofGraph
 from .oracle import BoundedValid
 from .record import dataclass, field, fields
 from .terms import TermError, While
@@ -124,7 +124,7 @@ class Replayer:
         self.base_dir = base_dir or FsPath(".")
         self.graph: ProofGraph | None = None
         self.annotations = LoopAnnotations()
-        self.registry = default_registry()
+        self.registry: dict = {}  # the script's `lift` rules
         self.qed_seen = False
         self.certificate = None
         self._line = ""  # the line being run, without its trailing blanks

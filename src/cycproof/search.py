@@ -25,7 +25,7 @@ from heapq import heappop, heappush
 
 from . import cyclic, parser
 from .formulas import DBase, Sequent, formulas_equal
-from .kernel import LABEL_REWRITES, MATCHERS, KernelError, ProofGraph, default_registry
+from .kernel import LABEL_REWRITES, MATCHERS, KernelError, ProofGraph
 from .oracle import BoundedValid
 from .record import dataclass
 from .terms import TermError
@@ -72,7 +72,7 @@ def search(goal: Sequent, oracle, depth: int) -> SearchResult:
     """Prove ``goal`` within ``depth`` symbolic steps per branch."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    graph = ProofGraph(goal, oracle=oracle, extra_rules=default_registry())
+    graph = ProofGraph(goal, oracle=oracle)
     lines = [f"goal {parser.sequent_src(goal)}"]
     budget = {graph.root: depth}
     seen: dict = {}  # a sequent key -> the ids of the nodes stepped with it

@@ -164,7 +164,6 @@ class Transition:
     source: State
     target: State
     rule: str
-    justification: tuple
     obligations: list = field(default_factory=list)
 
     def describe(self) -> str:
@@ -200,18 +199,18 @@ def derive_transitions(gamma, state: State, delta, oracle) -> list:
         raise WellDefinednessError("no transitions leave the terminal program")
     if isinstance(p, Assign):
         target = State(EPSILON, sigma.set(p.target, apply_config(sigma, p.expr)))
-        return [Transition(state, target, "x:=e", ("x:=e",))]
+        return [Transition(state, target, "x:=e")]
     if isinstance(p, Skip):
-        return [Transition(state, State(EPSILON, sigma), "skip", ("skip",))]
+        return [Transition(state, State(EPSILON, sigma), "skip")]
     if isinstance(p, Seq):
         out = []
         for t in derive_transitions(gamma, State(p.first, sigma), delta, oracle):
             if isinstance(t.target.program, Epsilon):
                 tgt = State(p.second, t.target.config)
-                out.append(Transition(state, tgt, ";ε", (";ε", t.justification), t.obligations))
+                out.append(Transition(state, tgt, ";ε", t.obligations))
             else:
                 tgt = State(Seq(t.target.program, p.second), t.target.config)
-                out.append(Transition(state, tgt, ";", (";", t.justification), t.obligations))
+                out.append(Transition(state, tgt, ";", t.obligations))
         return out
     if isinstance(p, If):
         applied = apply_config(sigma, p.guard)
@@ -220,27 +219,21 @@ def derive_transitions(gamma, state: State, delta, oracle) -> list:
         rule = "ite-1" if value else "ite-2"
         out = []
         for t in derive_transitions(gamma, State(branch, sigma), delta, oracle):
-            out.append(
-                Transition(state, t.target, rule, (rule, t.justification), [ob] + t.obligations)
-            )
+            out.append(Transition(state, t.target, rule, [ob] + t.obligations))
         return out
     if isinstance(p, While):
         applied = apply_config(sigma, p.guard)
         value, ob = _decide_guard(gamma, applied, delta, oracle)
         if not value:
-            return [Transition(state, State(EPSILON, sigma), "wh2", ("wh2",), [ob])]
+            return [Transition(state, State(EPSILON, sigma), "wh2", [ob])]
         out = []
         for t in derive_transitions(gamma, State(p.body, sigma), delta, oracle):
             if isinstance(t.target.program, Epsilon):
                 tgt = State(p, t.target.config)
-                out.append(
-                    Transition(state, tgt, "wh1ε", ("wh1ε", t.justification), [ob] + t.obligations)
-                )
+                out.append(Transition(state, tgt, "wh1ε", [ob] + t.obligations))
             else:
                 tgt = State(Seq(t.target.program, p), t.target.config)
-                out.append(
-                    Transition(state, tgt, "wh1", ("wh1", t.justification), [ob] + t.obligations)
-                )
+                out.append(Transition(state, tgt, "wh1", [ob] + t.obligations))
         return out
     raise TermError(f"derive_transitions: not a While-domain program: {p!r}")
 

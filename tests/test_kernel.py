@@ -166,7 +166,7 @@ def test_diamond_progress_attaches_termination(oracle):
     ann = LoopAnnotations((parse_fml("n >= 0"), parse_expr("n")))
     (child,) = g.apply_rule(1, "diamond", progress=True, annotations=ann)
     inst = g.node(1).rule_instance
-    assert inst.termination is not None
+    assert inst.args["progress"] is True
     (pairs,) = inst.trace_pairs
     assert any(p.progress for p in pairs)
     # without the certificate the edge stays non-progressive
@@ -174,6 +174,9 @@ def test_diamond_progress_attaches_termination(oracle):
     g2.apply_rule(1, "diamond")
     (pairs2,) = g2.node(1).rule_instance.trace_pairs
     assert not any(p.progress for p in pairs2)
+    # the termination judgment's obligations join the step's
+    step = g2.node(1).rule_instance.obligations
+    assert inst.obligations[:len(step)] == step and len(inst.obligations) > len(step)
 
 
 def test_dump_is_deterministic(oracle):
@@ -209,14 +212,13 @@ def test_rule_catalog_is_closed(oracle):
 
 
 def test_only_open_goals_take_a_rule(oracle):
-    from cycproof.kernel import CATALOG, KernelError, default_registry
+    from cycproof.kernel import CATALOG, KernelError
 
-    lifts = default_registry()
-    g = ProofGraph(parse_sequent("x <= 0 => x <= 0"), oracle=oracle, extra_rules=lifts)
+    g = ProofGraph(parse_sequent("x <= 0 => x <= 0"), oracle=oracle)
     g.apply_rule(1, "wk_l", occs=[])  # the premise repeats the conclusion
     g.link_bud(2, 1)
     for node_id in (1, 2):  # a closed node and a back-linked bud
-        for rule in sorted(CATALOG) + sorted(lifts):
+        for rule in sorted(CATALOG):
             with pytest.raises(KernelError, match=f"node {node_id} is not an open goal"):
                 g.apply_rule(node_id, rule)
         with pytest.raises(KernelError, match="unknown rule"):
@@ -225,10 +227,10 @@ def test_only_open_goals_take_a_rule(oracle):
 
 
 def test_pre_registered_lifts_refuse_arguments_they_do_not_take(oracle):
-    from cycproof.kernel import KernelError, default_registry
+    from cycproof.kernel import KernelError
 
     goal = parse_sequent(". => {x -> 0} : [x := 1 ; x := 2] (x >= 2)")
-    g = ProofGraph(goal, oracle=oracle, extra_rules=default_registry())
+    g = ProofGraph(goal, oracle=oracle)
     with pytest.raises(KernelError, match="rule sigma_gen: got an unexpected keyword"):
         g.apply_rule(1, "sigma_gen", occ=0)
     with pytest.raises(KernelError, match="rule sigma_seq: got an unexpected keyword"):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from cycproof.formulas import BBase, BBox, Sequent
-from cycproof.kernel import ProofGraph, SideConditionFailed, default_registry
+from cycproof.kernel import ProofGraph, SideConditionFailed
 from cycproof.lifting import (
     ClassMismatch,
     FreenessNotEstablished,
@@ -86,7 +86,7 @@ def test_lifted_axiom_registration_and_use(oracle):
     # unlabeled axiom: phi && psi => phi, lifted over a standard sigma
     template = parse_template_sequent("?a && ?b => ?a")
     rule = LiftedRule("sigma_proj", (), template, "standard", witness=(FWD, BWD))
-    registry = lift_rule(rule, default_registry())
+    registry = lift_rule(rule, {})
     goal = parse_sequent("{x -> x + 1} : (x <= 3 && x >= 0) => {x -> x + 1} : x <= 3")
     g = ProofGraph(goal, oracle=oracle, extra_rules=registry)
     g.apply_rule(1, "sigma_proj")
@@ -96,7 +96,7 @@ def test_lifted_axiom_registration_and_use(oracle):
 def test_lifted_rule_without_witness_is_refused(oracle):
     template = parse_template_sequent("?a && ?b => ?a")
     rule = LiftedRule("no_witness", (), template, "standard", witness=None)
-    registry = lift_rule(rule, default_registry())
+    registry = lift_rule(rule, {})
     goal = parse_sequent("{x -> x + 1} : (x <= 3 && x >= 0) => {x -> x + 1} : x <= 3")
     g = ProofGraph(goal, oracle=oracle, extra_rules=registry)
     with pytest.raises(FreenessNotEstablished):
@@ -107,7 +107,7 @@ def test_lifted_rule_with_failing_witness_is_refused(oracle):
     template = parse_template_sequent("?a && ?b => ?a")
     rule = LiftedRule("bad_witness", (), template, "standard",
                       witness=(transformer_from_updates({"x": parse_expr("0")}),) * 2)
-    registry = lift_rule(rule, default_registry())
+    registry = lift_rule(rule, {})
     goal = parse_sequent("{x -> x + 1} : (x <= 3 && x >= 0) => {x -> x + 1} : x <= 3")
     g = ProofGraph(goal, oracle=oracle, extra_rules=registry)
     with pytest.raises(FreenessNotEstablished):
@@ -120,7 +120,7 @@ def test_lifted_rule_with_failing_witness_is_refused(oracle):
 
 def test_sigma_seq_rewrites_the_box(oracle):
     goal = parse_sequent("v >= 0 => {x -> v} : [x := x + 1 ; x := x * 2] (x >= 2)")
-    g = ProofGraph(goal, oracle=oracle, extra_rules=default_registry())
+    g = ProofGraph(goal, oracle=oracle)
     (child,) = g.apply_rule(1, "sigma_seq")
     out = g.node(child).sequent.right[0]
     assert isinstance(out.body, BBox) and isinstance(out.body.body, BBox)
@@ -131,7 +131,7 @@ def test_sigma_gen_drops_the_shared_box(oracle):
     goal = parse_sequent(
         "{x -> v} : [x := x + 1] (x >= 1) => {x -> v} : [x := x + 1] (x >= 0)"
     )
-    g = ProofGraph(goal, oracle=oracle, extra_rules=default_registry())
+    g = ProofGraph(goal, oracle=oracle)
     (child,) = g.apply_rule(1, "sigma_gen")
     assert g.node(child).sequent == parse_sequent("{x -> v} : x >= 1 => {x -> v} : x >= 0")
 
@@ -140,7 +140,7 @@ def test_sigma_gen_requires_matching_programs(oracle):
     goal = parse_sequent(
         "{x -> v} : [x := x + 1] (x >= 1) => {x -> v} : [x := x + 2] (x >= 0)"
     )
-    g = ProofGraph(goal, oracle=oracle, extra_rules=default_registry())
+    g = ProofGraph(goal, oracle=oracle)
     with pytest.raises(SideConditionFailed):
         g.apply_rule(1, "sigma_gen")
 
@@ -158,6 +158,73 @@ def test_builtin_instances_pass_soundness_sampling():
     gen_premise = parse_sequent("{x -> v} : x >= 1 => {x -> v} : x >= 0")
     out2 = soundness_sample([gen_premise], gen_conclusion, samples=200)
     assert out2.checked > 0 and not out2.failures
+
+    # sigma_gen under random store labels.  Generalization preserves
+    # validity, not truth at one point, so an instance is sampled only when
+    # its premise holds at every sample
+    import random
+
+    rng = random.Random(11)
+    values = ("v", "w", "x", "y", "0", "1", "v + 1")
+    programs = ("x := 1", "x := x + 1", "y := x")
+    bodies = ("x >= 1", "0 >= 1", "x <= y", "y <= x", "x >= 0")
+    applied = refused = 0
+    for _ in range(400):
+        names = rng.sample(("x", "y"), rng.randint(1, 2))
+        label = "{" + ", ".join(f"{x} -> {rng.choice(values)}" for x in names) + "}"
+        prog = rng.choice(programs)
+        phi, psi = rng.choice(bodies), rng.choice(bodies)
+        goal = parse_sequent(f"{label} : [{prog}] ({phi}) => {label} : [{prog}] ({psi})")
+        g = ProofGraph(goal)
+        try:
+            (child,) = g.apply_rule(1, "sigma_gen")
+        except SideConditionFailed:
+            refused += 1
+            continue
+        premise = g.node(child).sequent
+        if soundness_sample([], premise, samples=60).failures:
+            continue
+        applied += 1
+        out3 = soundness_sample([premise], goal, samples=60)
+        assert not out3.failures, (str(goal), out3.failures[:3])
+    assert applied > 10 and refused > 10, (applied, refused)
+
+
+SIGMA_GEN_COUNTEREXAMPLE = """
+goal {x -> 0} : [x := 1] (x >= 1) => {x -> 0} : [x := 1] (0 >= 1)
+apply sigma_gen at 1
+apply int at 2 with occ 0 side left
+apply int at 3 with occ 0 side right
+apply ax at 4
+qed
+"""
+
+
+def test_sigma_gen_needs_a_label_that_renames_variables_apart(oracle):
+    # the premise {x -> 0} : x >= 1 => {x -> 0} : 0 >= 1 is valid, the goal is
+    # false: generalization needs the premise at every state, not at x = 0
+    from cycproof import script as script_mod
+    from cycproof.semantics import Verdict, sequent_truth
+
+    goal = parse_sequent(SIGMA_GEN_COUNTEREXAMPLE.split("\n")[1][len("goal "):])
+    assert sequent_truth({}, goal) is Verdict.FALSE
+    _, report = script_mod.replay(SIGMA_GEN_COUNTEREXAMPLE, oracle)
+    assert report.verdict == "Stuck"
+    assert report.message.startswith("SideConditionFailed: sigma_gen")
+    assert report.message.endswith("(script line 3)")
+    for label, body in (
+        ("{x -> y}", "x <= y"),          # y is free outside the store's domain
+        ("{x -> v, y -> v}", "x <= y"),  # two variables renamed to one
+        ("{x -> v + 1}", "x >= 1"),      # a value that is no variable
+        ("{x -> v | y -> w}", "x >= 1"),  # a stack
+    ):
+        g = ProofGraph(parse_sequent(f"{label} : [x := 1] ({body}) => {label} : [x := 1] ({body})"))
+        with pytest.raises(SideConditionFailed, match="sigma_gen"):
+            g.apply_rule(1, "sigma_gen")
+    # a swap renames apart
+    g = ProofGraph(parse_sequent("{x -> y, y -> x} : [x := 1] (x <= y) => "
+                                 "{x -> y, y -> x} : [x := 1] (x <= y)"))
+    assert len(g.apply_rule(1, "sigma_gen")) == 1
 
 
 def test_sigma_seq_semantic_check_sampled():

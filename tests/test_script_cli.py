@@ -559,11 +559,19 @@ def test_a_run_without_lifts_does_not_load_lifting(tmp_path):
     goal.write_text(". => {x -> 0} : [x := x + 1 ; x := x + 1] (x >= 2)")
     script = tmp_path / "seq.dlp"
     script.write_text(f"goal {goal.read_text()}\napply sigma_seq at 1\n")
+    (tmp_path / "proj.rule").write_text("conclusion ?a && ?b => ?a\n")
+    lifted = tmp_path / "lift.dlp"
+    lifted.write_text(
+        "goal {x -> x + 1} : (x <= 3 && x >= 0) => {x -> x + 1} : x <= 3\n"
+        "lift proj from proj.rule class standard witness fwd {x := x + 1}\n"
+        "apply proj at 1\nqed\n")
     for argv, code, extra in (
         (["check", str(FIXTURES / "table4.dlp")], "0", []),
         (["search", str(goal), "--depth", "4"], "0", ["cycproof.search"]),
-        # a pre-registered lift loads it
-        (["check", str(script)], "1", ["cycproof.lifting"]),
+        # the built-in lifts are kernel rules
+        (["check", str(script)], "1", []),
+        # a lift line loads it
+        (["check", str(lifted)], "0", ["cycproof.lifting"]),
     ):
         done = subprocess.run([sys.executable, "-c", _LOADS_LIFTING, *argv],
                               capture_output=True, text=True, timeout=120)
