@@ -1,8 +1,13 @@
 """Batch front end: check scripts, search goals, run programs.
 
 Exit status is 0 for Proved/ProvedBounded, 1 for Rejected/Stuck, 2 for
-usage or parse errors.  Every verdict is printed together with its oracle
-obligation ledger.
+usage or parse errors, and 141 (``BROKEN_PIPE``, 128 + SIGPIPE, as a shell
+reports a command that SIGPIPE ended) when the reader of standard output
+closes it early, as ``head`` does: then the rest of the output is dropped,
+without a traceback.  Every verdict is printed together with its oracle
+obligation ledger.  Files are read and written as UTF-8; a script, goal or
+program that cannot be read or decoded, and a ``--dump`` or ``--emit`` file
+that cannot be written (after the report is printed), are usage errors.
 
 The parser refuses input nested past its caps with a ParseError (exit 2 for
 a goal), whatever the stack, so parsing raises no ``RecursionError``; the
@@ -19,6 +24,7 @@ no half-written output.  A negative ``check --path-bound`` or ``eval
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -28,6 +34,7 @@ from .oracle import BoundedOracle, SmtOracle
 from .whilelang import State, run
 
 
+BROKEN_PIPE = 141
 _ORACLE_FORMS = "bounded, bounded:<lo>..<hi> (integers, lo <= hi) or smt:<command>"
 _RANGE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 
@@ -53,6 +60,21 @@ def _add_common(sub):
     sub.add_argument("--dump", help="write the proof-graph s-expression to a file")
 
 
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _write(path: str, text: str) -> bool:
+    """Writes ``text`` and a newline to ``path``; False, with a usage message,
+    when it cannot."""
+    try:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _negative(what: str, value: int) -> bool:
     """Whether ``value`` is negative, reported as a usage error when it is."""
     if value < 0:
@@ -64,8 +86,8 @@ def cmd_check(args) -> int:
     if _negative("path bound", args.path_bound):
         return 2
     try:
-        text = Path(args.script).read_text()
-    except OSError as exc:
+        text = _read(args.script)
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read script: {exc}", file=sys.stderr)
         return 2
     try:
@@ -81,15 +103,15 @@ def cmd_check(args) -> int:
     except RecursionError as exc:
         return _stuck_on_overflow(exc)
     print(rendered)
-    if args.dump and report.dump:
-        Path(args.dump).write_text(report.dump + "\n")
+    if args.dump and report.dump and not _write(args.dump, report.dump):
+        return 2
     return 0 if report.succeeded else 1
 
 
 def cmd_search(args) -> int:
     try:
-        goal = parser.parse_sequent(Path(args.goal).read_text().strip())
-    except (OSError, parser.ParseError, RecursionError) as exc:
+        goal = parser.parse_sequent(_read(args.goal).strip())
+    except (OSError, UnicodeDecodeError, parser.ParseError, RecursionError) as exc:
         print(f"cannot load goal: {exc}", file=sys.stderr)
         return 2
     try:
@@ -117,14 +139,15 @@ def cmd_search(args) -> int:
         return _stuck_on_overflow(exc)
     print("\n".join(report))
     if args.emit:
-        Path(args.emit).write_text(result.script + "\n")
+        if not _write(args.emit, result.script):
+            return 2
         print(f"script written to {args.emit}")
     else:
         print("script:")
         for line in result.script.splitlines():
             print(f"  {line}")
-    if dump is not None:
-        Path(args.dump).write_text(dump + "\n")
+    if dump is not None and not _write(args.dump, dump):
+        return 2
     return 0 if result.proved else 1
 
 
@@ -138,9 +161,9 @@ def cmd_eval(args) -> int:
     if _negative("bound", args.bound):
         return 2
     try:
-        prog = parser.parse_prog(Path(args.program).read_text().strip())
+        prog = parser.parse_prog(_read(args.program).strip())
         config = parser.parse_config(args.config)
-    except (OSError, parser.ParseError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, parser.ParseError, RecursionError) as exc:
         print(f"cannot load program: {exc}", file=sys.stderr)
         return 2
     state = State(prog, config)
@@ -193,7 +216,15 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the "Note on SIGPIPE" in the documentation of ``signal``: send the
+        # output still buffered to the null device, so that exit flushes it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer, recursive-descent parsers, and printers.
+"""Concrete syntax: tokenizer, a precedence-climbing parser, and printers.
 
 Grammar (whitespace-insensitive)::
 
@@ -22,10 +22,13 @@ Grammar (whitespace-insensitive)::
 
 Derived connectives normalize to the core on the way in; the printers emit
 only core connectives plus the relation sugar that reparses to the same
-tree, so ``parse(print(t)) == t``.  After ``config ":"`` the body is tried
-first and the termination judgment only where no body parses.  Proof
-scripts read the terms of a line with a ``Reader``, one token stream per
-line, each term ending where its production does.
+tree, so ``parse(print(t)) == t``.  Each term is read in one pass, by
+precedence climbing (Pratt, POPL 1973): a "(" is read once, and its contents
+decide its sort.  After ``config ":"`` the next tokens decide between a body
+and a judgment: a program word or ``IDENT ":="`` starts a program, "[" a box
+if it holds a program.  Proof scripts read the terms of a line with a
+``Reader``, one token stream per line, each term ending where its
+production does.
 
 Every input ends in a tree or a ParseError, whatever the caller's stack, and
 every accepted tree reads back once printed (dumps and emitted scripts are
@@ -33,11 +36,12 @@ printed sequents).  Two caps make it so:
 
 - Nesting (MAX_NESTING): at each token, the open brackets ("(", "[", "{", and
   "if" or "while" up to its "end"), the ``forall`` binders in scope and the
-  run of prefix "!" or "-" before it.  The parser recurses at most four frames
-  per counted level and reads everything else in loops, so the tokenizer's
-  count bounds its stack.  The same count of the text the printers would
-  write is measured on the parsed tree, because a printed form can nest
-  deeper than its input: "a || b" prints as "!(!(a) && !(b))".
+  run of prefix "!" or "-" before it.  The parser recurses at most three
+  frames per counted level and reads runs and chains in loops, so the count
+  bounds its stack.  A token opens at most one level, so only a text of
+  more than MAX_NESTING tokens is counted.  The same count of the text the
+  printers would write is measured on the parsed tree, because a printed
+  form can nest deeper than its input: "a || b" prints as "!(!(a) && !(b))".
 - Depth (MAX_DEPTH): the parsed tree's height.  The term functions (printers,
   canonical forms, evaluation) recurse once per level, and a long sequence,
   sum or conjunction is read in a loop but builds a deep tree.
@@ -48,6 +52,7 @@ A printed tree parses to the same tree, so it passes both caps again.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from . import sep as _sep
 from .formulas import (
@@ -91,10 +96,8 @@ from .terms import (
     eq,
     ge,
     gt,
-    imp_f,
     lt,
     ne,
-    or_f,
 )
 
 
@@ -105,21 +108,27 @@ class ParseError(Exception):
         self.col = col
 
 
+# a token and the blanks before it, the token in the group; a character that
+# starts no token matches "\S" alone, with an empty group
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
-  | (?P<op>:=|<=|>=|==|!=|=>|->|&&|\|\||[-+*/(){}\[\],;:.<>!|?@]|ε|⇓)
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
+    r"\s*(?:([A-Za-z_][A-Za-z0-9_]*'*|[(){}\[\],;.+*/?@ε⇓]|\d+|[:<>=!]=|=>|->|&&|\|\||[-:<>!|])"
+    r"|\S)"
 )
 
 KEYWORDS = {
     "if", "then", "else", "end", "while", "do", "forall",
     "skip", "true", "false", "cons", "dispose", "eps",
 }
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+
+def _is_name(tok: str) -> bool:
+    return tok[:1] in _NAME_START and tok not in KEYWORDS
+
+
+def _starts_expr(tok: str) -> bool:
+    return tok == "(" or tok == "-" or tok.isdecimal() or _is_name(tok)
+
 
 # The caps (see the module docstring).  A binder's scope, in the count, ends
 # where the bracket around it closes or at a separator; a bracket or binder
@@ -132,250 +141,171 @@ _CLOSING = (")", "]", "}", "end")
 _SEPARATORS = (",", "=>", "then", "else", "do")
 
 
+def _fail(text: str, message: str, offset: int):
+    raise ParseError(message, text.count("\n", 0, offset) + 1,
+                     offset - text.rfind("\n", 0, offset))
+
+
+def _nesting(text: str, start: int = 0, cap: int | None = None) -> int:
+    """The nesting count of ``text`` from offset ``start`` on: the most levels
+    open at any token.  A ParseError at the first character that starts no
+    token, or, given ``cap``, at the token where the count first passes it."""
+    depth = 0  # counted levels before the next token
+    inside = 0  # depth just inside the innermost open bracket
+    outer = []  # (depth, inside) around each open bracket
+    run = 0  # prefix operators just before the next token
+    prev = ""  # the token before: after a value, "-" is binary
+    deepest = 0
+    for m in _TOKEN_RE.finditer(text, start):
+        chunk = m.group(1)
+        if chunk == "!" or chunk == "-" and not (
+                prev == ")" or prev.isdecimal() or _is_name(prev)):
+            run += 1
+            if depth + run > deepest:
+                deepest = depth + run
+        else:
+            if chunk in _OPENING:
+                level = depth + (run or 1)
+                if chunk != "forall":
+                    outer.append((depth, inside))
+                    inside = level
+                depth = level
+                if depth > deepest:
+                    deepest = depth
+            elif chunk in _CLOSING:
+                if outer:
+                    depth, inside = outer.pop()
+            elif chunk in _SEPARATORS:
+                depth = inside
+            elif not chunk:
+                _fail(text, f"unexpected character {text[m.end() - 1]!r}", m.end() - 1)
+            run = 0
+        if cap is not None and deepest > cap:
+            _fail(text, "brackets, binders and prefix operators nested deeper than "
+                  f"{cap}", m.start(1))
+        prev = chunk
+    return deepest
+
+
 class _Tokens:
-    """The tokens of ``text`` from offset ``start`` on, as (kind, text,
-    offset), and a cursor; offsets, and so error columns, count from the start
-    of ``text``."""
+    """The tokens of ``text`` from offset ``start`` on, ending in "" for the
+    end of input, and a cursor; error columns count from the start of
+    ``text``."""
 
     metavars = False  # template mode: ?name body and @name program holes
 
     def __init__(self, text: str, start: int = 0):
         self.text = text
-        self.toks = toks = []
-        depth = 0  # counted levels before the next token
-        inside = 0  # depth just inside the innermost open bracket
-        outer = []  # (depth, inside) around each open bracket
-        run = 0  # prefix operators just before the next token
-        after_value = False  # a "-" next is binary
-        deepest = 0
-        for m in _TOKEN_RE.finditer(text, start):
-            kind = m.lastgroup
-            if kind == "ws":
-                continue
-            chunk = m.group()
-            if chunk == "!" or chunk == "-" and not after_value:
-                run += 1
-                if depth + run > deepest:
-                    deepest = depth + run
-            else:
-                if kind == "ident" and chunk in KEYWORDS:
-                    kind = "kw"
-                if chunk in _OPENING:
-                    level = depth + (run or 1)
-                    if chunk != "forall":
-                        outer.append((depth, inside))
-                        inside = level
-                    depth = level
-                    if depth > deepest:
-                        deepest = depth
-                elif chunk in _CLOSING:
-                    if outer:
-                        depth, inside = outer.pop()
-                elif chunk in _SEPARATORS:
-                    depth = inside
-                elif kind == "bad":
-                    self.fail(f"unexpected character {chunk!r}", m.start())
-                run = 0
-            if deepest > MAX_NESTING:
-                self.fail("brackets, binders and prefix operators nested deeper than "
-                          f"{MAX_NESTING}", m.start())
-            after_value = kind == "int" or kind == "ident" or chunk == ")"
-            toks.append((kind, chunk, m.start()))
+        self.start = start
+        toks = _TOKEN_RE.findall(text, start)
+        if len(toks) > MAX_NESTING or not all(toks):
+            _nesting(text, start, MAX_NESTING)
+        toks.append("")
+        self.toks = toks
         self.pos = 0
-        self.deepest = deepest
-        self.failed: dict = {}  # (rule, position) -> the ParseError it raised there
+        self._offsets = None  # of each token, found when an error needs them
 
-    def fail(self, message: str, offset: int):
-        text = self.text
-        raise ParseError(message, text.count("\n", 0, offset) + 1,
-                         offset - text.rfind("\n", 0, offset))
+    def offset(self, index: int) -> int:
+        if self._offsets is None:
+            found = _TOKEN_RE.finditer(self.text, self.start)
+            self._offsets = [m.start(1) for m in found] + [len(self.text)]
+        return self._offsets[index]
 
-    def peek(self):
-        if self.pos < len(self.toks):
-            return self.toks[self.pos]
-        return ("eof", "", len(self.text))
+    def fail(self, message: str, at: int | None = None):
+        """A ParseError at token ``at``, by default the next one."""
+        _fail(self.text, message, self.offset(self.pos if at is None else at))
 
     def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def at(self, value: str) -> bool:
-        return self.peek()[1] == value
+        """The next token as (kind, text, offset), and the cursor past it."""
+        tok, at = self.toks[self.pos], self.offset(self.pos)
+        self.pos += tok != ""
+        return ("eof" if not tok else "int" if tok.isdecimal() else "op"
+                if tok[0] not in _NAME_START else "kw" if tok in KEYWORDS else "ident", tok, at)
 
     def accept(self, value: str) -> bool:
-        if self.at(value):
+        if self.toks[self.pos] == value:
             self.pos += 1
             return True
         return False
 
     def expect(self, value: str):
-        _, chunk, offset = self.peek()
-        if chunk != value:
-            self.fail(f"expected {value!r}, found {chunk or 'end of input'!r}", offset)
+        tok = self.toks[self.pos]
+        if tok != value:
+            self.fail(f"expected {value!r}, found {tok or 'end of input'!r}")
         self.pos += 1
 
     def error(self, message: str):
-        _, chunk, offset = self.peek()
-        self.fail(f"{message} (found {chunk or 'end of input'!r})", offset)
+        self.fail(f"{message} (found {self.toks[self.pos] or 'end of input'!r})")
 
     def end(self) -> None:
-        if self.peek()[0] != "eof":
+        if self.toks[self.pos]:
             self.error("trailing input")
 
     def name(self, message: str) -> str:
         """The identifier next, or a ParseError with ``message``."""
-        kind, chunk, offset = self.next()
-        if kind != "ident":
-            self.fail(message, offset)
-        return chunk
+        tok = self.toks[self.pos]
+        if not _is_name(tok):
+            self.fail(message)
+        self.pos += 1
+        return tok
+
+
+# Binding powers, loosest first: an operator applies where the context's power
+# is below its own, and its operands are read at its own power ("->", which
+# associates to the right, in a loop).
+
+_IMPLIES, _OR, _AND, _NOT, _RELATION, _SUM, _PRODUCT = range(1, 8)
+_ARITHMETIC = {"+": _SUM, "-": _SUM, "*": _PRODUCT, "/": _PRODUCT}
+_RELATIONS = {"<=": Le, "<": lt, "==": eq, "!=": ne, ">=": ge, ">": gt}
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
-def _remembers_failure(rule):
-    """``rule``, which at a token position where it already failed fails
-    again at once, with the same error.  A parenthesis is tried first as a
-    relation or base formula and then as a bracketed formula, and a relation
-    first reads an expression; without this every level would parse the
-    levels inside it again, cubic in the nesting."""
-
-    def attempt(ts: _Tokens):
-        start = ts.pos
-        failure = ts.failed.get((rule, start))
-        if failure is not None:
-            raise failure.with_traceback(None)
-        try:
-            return rule(ts)
-        except ParseError as exc:
-            ts.failed[(rule, start)] = exc
-            raise
-
-    return attempt
-
-
-@_remembers_failure
-def _expr(ts: _Tokens) -> Expr:
-    node = _expr_mul(ts)
-    while ts.peek()[1] in ("+", "-"):
-        op = ts.next()[1]
-        node = BinOp(op, node, _expr_mul(ts))
-    return node
-
-
-def _expr_mul(ts: _Tokens) -> Expr:
-    node = _expr_atom(ts)
-    while ts.peek()[1] in ("*", "/"):
-        op = ts.next()[1]
-        node = BinOp(op, node, _expr_atom(ts))
-    return node
-
-
-def _expr_atom(ts: _Tokens) -> Expr:
-    kind, chunk, _ = ts.peek()
-    minus = 0
-    while chunk == "-":  # read in a loop, as "!" is
-        ts.next()
-        minus += 1
-        kind, chunk, _ = ts.peek()
-    if kind == "int":
-        ts.next()
-        node = Lit(int(chunk))
-    elif kind == "ident":
-        ts.next()
-        node = Var(chunk)
-    elif chunk == "(":
-        ts.next()
-        node = _expr(ts)
-        ts.expect(")")
-    else:
-        ts.error("expected an expression")
-    for _ in range(minus):
-        node = Lit(-node.value) if isinstance(node, Lit) else BinOp("-", Lit(0), node)
-    return node
-
-
-_RELATIONS = {"<=": Le, "<": lt, "==": eq, "!=": ne, ">=": ge, ">": gt}
-
-
-@_remembers_failure
-def _relation(ts: _Tokens) -> BaseFormula:
-    left = _expr(ts)
-    make = _RELATIONS.get(ts.peek()[1])
-    if make is None:
-        ts.error("expected a relation")
-    ts.next()
-    return make(left, _expr(ts))
-
-
-# ---------------------------------------------------------------------------
-# Base formulas and labeled formulas
-# ---------------------------------------------------------------------------
-
-def _connectives(ts: _Tokens, atom, not_, and_):
-    """``->`` over ``||`` over ``&&`` over prefix ``!``, all in loops, over
-    ``atom``; the derived connectives built from ``not_`` and ``and_``.  Each
-    bracket level costs the frames of ``atom`` and of its caller here."""
-    parts = []  # the operands of "->", which associates to the right
+def _expr(ts: _Tokens, min_bp: int = 0, left: Expr | None = None) -> Expr:
+    """An expression whose operators bind tighter than ``min_bp``; given
+    ``left``, the operators that follow it."""
+    toks = ts.toks
+    pos = ts.pos
+    if left is None:
+        tok = toks[pos]
+        if tok[:1] in _NAME_START and tok not in KEYWORDS:
+            left = Var(tok)
+            pos += 1
+        elif tok.isdecimal():
+            left = Lit(int(tok))
+            pos += 1
+        elif tok == "(":
+            ts.pos = pos + 1
+            left = _expr(ts)
+            ts.expect(")")
+            pos = ts.pos
+        elif tok == "-":  # a run of "-", read in a loop, over one operand
+            start = pos
+            while toks[pos] == "-":
+                pos += 1
+            ts.pos = pos
+            left = _expr(ts, _PRODUCT)
+            for _ in range(pos - start):
+                left = Lit(-left.value) if type(left) is Lit else BinOp("-", Lit(0), left)
+            pos = ts.pos
+        else:
+            ts.error("expected an expression")
     while True:
-        disjunction = None
-        while True:
-            conjunction = None
-            while True:
-                negations = 0
-                while ts.accept("!"):
-                    negations += 1
-                node = atom(ts)
-                for _ in range(negations):
-                    node = not_(node)
-                conjunction = node if conjunction is None else and_(conjunction, node)
-                if not ts.accept("&&"):
-                    break
-            disjunction = conjunction if disjunction is None else not_(
-                and_(not_(disjunction), not_(conjunction)))
-            if not ts.accept("||"):
-                break
-        parts.append(disjunction)
-        if not ts.accept("->"):
-            break
-    node = parts.pop()
-    while parts:
-        node = not_(and_(parts.pop(), not_(node)))
-    return node
+        op = toks[pos]
+        bp = _ARITHMETIC.get(op)
+        if bp is None or bp <= min_bp:
+            ts.pos = pos
+            return left
+        ts.pos = pos + 1
+        left = BinOp(op, left, _expr(ts, bp))
+        pos = ts.pos
 
 
-def _fml(ts: _Tokens) -> BaseFormula:
-    return _connectives(ts, _fml_atom, NotF, AndF)
-
-
-@_remembers_failure
-def _fml_atom(ts: _Tokens) -> BaseFormula:
-    chunk = ts.peek()[1]
-    if chunk == "forall":
-        ts.next()
-        name = ts.name("expected a variable after forall")
-        ts.expect(".")
-        return Forall(name, _fml(ts))
-    if chunk == "true":
-        ts.next()
-        return TRUE
-    if chunk == "false":
-        ts.next()
-        return FALSE
-    if chunk == "(":
-        save = ts.pos
-        try:
-            return _relation(ts)
-        except ParseError:
-            ts.pos = save
-        ts.next()
-        node = _fml(ts)
-        ts.expect(")")
-        return node
-    return _relation(ts)
-
+# ---------------------------------------------------------------------------
+# Formulas: base formulas, labeled formulas and bodies
+# ---------------------------------------------------------------------------
 
 # A connective over purely base operands collapses into the base-formula
 # connective, so modality-free bodies and formulas stay one atom.
@@ -392,54 +322,199 @@ def _d_and(a: DlpFormula, b: DlpFormula) -> DlpFormula:
     return DAnd(a, b)
 
 
-def _dlp(ts: _Tokens) -> DlpFormula:
-    return _connectives(ts, _dlp_atom, _d_not, _d_and)
+def _b_not(b: Body) -> Body:
+    if isinstance(b, BBase):
+        return BBase(NotF(b.fml))
+    return BNot(b)
 
 
-def _dlp_atom(ts: _Tokens) -> DlpFormula:
-    chunk = ts.peek()[1]
-    if chunk == "{":
-        start = ts.peek()[2]
-        sigma = _config(ts)
-        ts.expect(":")
-        save = ts.pos
+def _b_and(a: Body, b: Body) -> Body:
+    if isinstance(a, BBase) and isinstance(b, BBase):
+        return BBase(AndF(a.fml, b.fml))
+    return BAnd(a, b)
+
+
+class _Sort:
+    """The formulas of one context: what wraps a base formula, the connectives'
+    constructors, and the binding power of "||" (bodies bind it as "&&")."""
+
+    def __init__(self, wrap, not_, and_, or_bp: int):
+        self.wrap, self.not_, self.and_, self.or_bp = wrap, not_, and_, or_bp
+
+
+_FML = _Sort(None, NotF, AndF, _OR)
+_DLP = _Sort(DBase, _d_not, _d_and, _OR)
+_BODY = _Sort(BBase, _b_not, _b_and, _AND)
+_FORMULA_STARTS = frozenset(("!", "[", "<", "(", "{", "forall", "true", "false", "?"))
+
+
+def _formula(ts: _Tokens, sort: _Sort, min_bp: int = 0, bracketed: bool = False):
+    """A formula of ``sort`` whose connectives bind tighter than ``min_bp``;
+    as the contents of a bracket, also an expression that no relation
+    follows."""
+    toks = ts.toks
+    tok = toks[ts.pos]
+    if tok not in _FORMULA_STARTS:  # an expression, and the relation after it
+        node = _connectives(ts, sort, _expr(ts), min_bp)
+    else:
+        prefixes = []  # a run of "!" and modalities, read in a loop, applied innermost first
+        while tok == "!" or sort is _BODY and (tok == "[" or tok == "<"):
+            ts.pos += 1
+            if tok == "!":
+                prefixes.append(None)
+            else:
+                prog = _prog(ts)
+                ts.expect("]" if tok == "[" else ">")
+                prefixes.append((BBox if tok == "[" else BDia, prog))
+            tok = toks[ts.pos]
+        if tok == "(":
+            ts.pos += 1
+            node = _close(ts, _formula(ts, sort, 0, True))
+        elif tok == "{" and sort is _DLP:
+            node = _labeled(ts)
+        elif tok == "forall" or tok == "true" or tok == "false":
+            ts.pos += 1
+            if tok == "forall":
+                name = ts.name("expected a variable after forall")
+                ts.expect(".")
+                node = Forall(name, _formula(ts, _FML))
+            else:
+                node = TRUE if tok == "true" else FALSE
+            if sort.wrap:
+                node = sort.wrap(node)
+        elif tok == "?" and sort is _BODY and ts.metavars:
+            from .lifting import MBody
+
+            ts.pos += 1
+            node = MBody(ts.name("expected a metavariable name after ?"))
+        else:
+            node = _expr(ts)
+        if prefixes:
+            node = _connectives(ts, sort, node, _NOT)
+            if isinstance(node, Expr):
+                ts.error("expected a relation")
+            while prefixes:
+                prefix = prefixes.pop()
+                node = sort.not_(node) if prefix is None else prefix[0](prefix[1], node)
+        node = _connectives(ts, sort, node, min_bp)
+    if isinstance(node, Expr) and not bracketed:
+        ts.error("expected a relation")
+    return node
+
+
+def _close(ts: _Tokens, inside):
+    """``inside``, the contents of a bracket, and the ")" after them; an
+    expression that something else follows lacks its relation."""
+    if ts.toks[ts.pos] != ")" and isinstance(inside, Expr):
+        ts.error("expected a relation")
+    ts.expect(")")
+    return inside
+
+
+def _connectives(ts: _Tokens, sort: _Sort, left, min_bp: int):
+    """``left`` and the operators after it that bind tighter than
+    ``min_bp``: arithmetic and a relation after an expression, then the
+    connectives, which build the derived ones from ``not_`` and ``and_``."""
+    toks = ts.toks
+    if isinstance(left, Expr):
+        tok = toks[ts.pos]
+        if tok in _ARITHMETIC:
+            left = _expr(ts, 0, left)
+            tok = toks[ts.pos]
+        make = _RELATIONS.get(tok)
+        if make is None:
+            return left
+        ts.pos += 1
+        left = make(left, _expr(ts))
+        if sort.wrap:
+            left = sort.wrap(left)
+    while True:
+        tok = toks[ts.pos]
+        if tok == "&&" and min_bp < _AND:
+            ts.pos += 1
+            left = sort.and_(left, _formula(ts, sort, _AND))
+        elif tok == "||" and min_bp < sort.or_bp:
+            ts.pos += 1
+            not_ = sort.not_
+            left = not_(sort.and_(not_(left), not_(_formula(ts, sort, sort.or_bp))))
+        elif tok == "->" and min_bp < _IMPLIES:
+            parts = [left]
+            while ts.accept("->"):
+                parts.append(_formula(ts, sort, _IMPLIES))
+            left = parts.pop()
+            not_, and_ = sort.not_, sort.and_
+            while parts:
+                left = not_(and_(parts.pop(), not_(left)))
+        else:
+            return left
+
+
+def _labeled(ts: _Tokens) -> DlpFormula:
+    start = ts.pos
+    sigma = _config(ts)
+    ts.expect(":")
+    part = _labeled_part(ts, _NOT)
+    if isinstance(part, Program):
+        ts.expect("⇓")
+        factor = _expr(ts) if _starts_expr(ts.toks[ts.pos]) else None
         try:
-            return DLabeled(sigma, _body_atom(ts))
-        except ParseError as exc:
-            ts.pos = save
-            failure = exc
-        try:
-            prog = _prog(ts)
-            ts.expect("⇓")
-        except ParseError as exc:  # the error of the parse that got further
-            farther = max(failure, exc, key=lambda e: (e.line, e.col))
-            raise farther.with_traceback(None) from None
-        kind, chunk, _ = ts.peek()
-        factor = _expr(ts) if kind in ("int", "ident") or chunk in ("(", "-") else None
-        try:
-            return DTer(sigma, prog, factor)
+            return DTer(sigma, part, factor)
         except TermError as exc:  # the factor is not in the label
             ts.fail(str(exc), start)
-    if chunk == "(":
-        save = ts.pos
-        try:
-            return DBase(_fml_atom(ts))
-        except ParseError:
-            ts.pos = save
-        ts.next()
-        node = _dlp(ts)
+    if isinstance(part, Expr):
+        ts.error("expected a relation")
+    return DLabeled(sigma, part)
+
+
+def _labeled_part(ts: _Tokens, min_bp: int):
+    """After a label's ":", a body atom or a termination judgment's program;
+    inside a bracket there, a body whose connectives bind tighter than
+    ``min_bp``, a program, or an expression.  The first tokens decide."""
+    tok = ts.toks[ts.pos]
+    if tok == "(":
+        ts.pos += 1
+        node = _close(ts, _labeled_part(ts, 0))
+        if isinstance(node, Program):
+            return _prog(ts, node)
+        return _connectives(ts, _BODY, node, min_bp)
+    if tok == "[":
+        ts.pos += 1
+        inner = _prog_or_address(ts)
+        ts.expect("]")
+        if isinstance(inner, Program):
+            return _connectives(ts, _BODY, BBox(inner, _formula(ts, _BODY, _NOT)), min_bp)
+        ts.expect(":=")
+        return _prog(ts, _sep.HeapWrite(inner, _expr(ts)))
+    if tok in _PROGRAM_WORDS or _is_name(tok) and ts.toks[ts.pos + 1] == ":=":
+        return _prog(ts)
+    return _formula(ts, _BODY, min_bp, True)
+
+
+def _prog_or_address(ts: _Tokens):
+    """Inside a "[" right after a label's ":": a program, whose box a body
+    follows, or an expression, the address of a heap write."""
+    tok = ts.toks[ts.pos]
+    if tok == "(":
+        ts.pos += 1
+        inner = _prog_or_address(ts)
         ts.expect(")")
-        return node
-    return DBase(_fml_atom(ts))
+        return _prog(ts, inner) if isinstance(inner, Program) else _expr(ts, 0, inner)
+    if _starts_expr(tok) and ts.toks[ts.pos + 1] != ":=":
+        return _expr(ts)
+    return _prog(ts)
 
 
 # ---------------------------------------------------------------------------
 # Programs
 # ---------------------------------------------------------------------------
 
-def _prog(ts: _Tokens) -> Program:
-    # ``;`` associates to the right; built in a loop, not one call per ``;``
-    parts = [_prog_atom(ts)]
+_PROGRAM_WORDS = ("skip", "ε", "eps", "if", "while", "dispose")
+
+
+def _prog(ts: _Tokens, first: Program | None = None) -> Program:
+    """A program; given ``first``, the programs ";" joins to it.  ";"
+    associates to the right, built in a loop, not one call per ";"."""
+    parts = [_prog_atom(ts) if first is None else first]
     while ts.accept(";"):
         parts.append(_prog_atom(ts))
     node = parts.pop()
@@ -448,67 +523,63 @@ def _prog(ts: _Tokens) -> Program:
     return node
 
 
+def _enclosed(ts: _Tokens, opening: str, closing: str) -> Expr:
+    ts.expect(opening)
+    e = _expr(ts)
+    ts.expect(closing)
+    return e
+
+
 def _prog_atom(ts: _Tokens) -> Program:
-    kind, chunk, offset = ts.peek()
-    if ts.metavars and chunk == "@":
+    tok = ts.toks[ts.pos]
+    if ts.metavars and tok == "@":
         from .lifting import MProg
 
-        ts.next()
+        ts.pos += 1
         return MProg(ts.name("expected a metavariable name after @"))
-    if chunk == "(":
-        ts.next()
+    if tok == "(":
+        ts.pos += 1
         node = _prog(ts)
         ts.expect(")")
         return node
-    if chunk == "skip":
-        ts.next()
+    if tok == "skip":
+        ts.pos += 1
         return SKIP
-    if chunk in ("ε", "eps"):
-        ts.next()
+    if tok == "ε" or tok == "eps":
+        ts.pos += 1
         return EPSILON
-    if chunk == "if":
-        ts.next()
-        guard = _fml(ts)
+    if tok == "if":
+        ts.pos += 1
+        guard = _formula(ts, _FML)
         ts.expect("then")
         then = _prog(ts)
         ts.expect("else")
         orelse = _prog(ts)
         ts.expect("end")
         return If(guard, then, orelse)
-    if chunk == "while":
-        ts.next()
-        guard = _fml(ts)
+    if tok == "while":
+        ts.pos += 1
+        guard = _formula(ts, _FML)
         ts.expect("do")
         body = _prog(ts)
         ts.expect("end")
         return While(guard, body)
-    if chunk == "dispose":
-        ts.next()
-        ts.expect("(")
-        e = _expr(ts)
-        ts.expect(")")
-        return _sep.Dispose(e)
-    if chunk == "[":
-        ts.next()
-        addr = _expr(ts)
-        ts.expect("]")
+    if tok == "dispose":
+        ts.pos += 1
+        return _sep.Dispose(_enclosed(ts, "(", ")"))
+    if tok == "[":
+        addr = _enclosed(ts, "[", "]")
         ts.expect(":=")
         return _sep.HeapWrite(addr, _expr(ts))
-    if kind == "ident":
-        ts.next()
+    if _is_name(tok):
+        ts.pos += 1
         ts.expect(":=")
-        if ts.at("cons"):
-            ts.next()
-            ts.expect("(")
-            e = _expr(ts)
-            ts.expect(")")
-            return _sep.Alloc(chunk, e)
-        if ts.accept("["):
-            e = _expr(ts)
-            ts.expect("]")
-            return _sep.HeapRead(chunk, e)
-        return Assign(chunk, _expr(ts))
-    ts.fail(f"expected a program, found {chunk!r}", offset)
+        if ts.accept("cons"):
+            return _sep.Alloc(tok, _enclosed(ts, "(", ")"))
+        if ts.toks[ts.pos] == "[":
+            return _sep.HeapRead(tok, _enclosed(ts, "[", "]"))
+        return Assign(tok, _expr(ts))
+    ts.fail(f"expected a program, found {tok!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -516,22 +587,20 @@ def _prog_atom(ts: _Tokens) -> Program:
 # ---------------------------------------------------------------------------
 
 def _config(ts: _Tokens) -> Config:
-    start = ts.peek()[2]
+    start = ts.pos
     ts.expect("{")
     entries = []
     stack = False
-    if not ts.at("}"):
+    if not ts.accept("}"):
         while True:
             name = ts.name("expected a variable in configuration")
             ts.expect("->")
             entries.append((name, _expr(ts)))
-            if ts.accept(","):
-                continue
             if ts.accept("|"):
                 stack = True
-                continue
-            break
-    ts.expect("}")
+            elif not ts.accept(","):
+                break
+        ts.expect("}")
     try:
         return Config(tuple(entries), stack=stack)
     except TermError as exc:  # a store maps a variable twice
@@ -545,90 +614,20 @@ def _update(ts: _Tokens) -> dict:
     while not ts.accept("}"):
         if out:
             ts.expect(",")
-        offset = ts.peek()[2]
+        at = ts.pos
         name = ts.name("expected a variable in an update")
         if name in out:
-            ts.fail(f"update binds {name} twice", offset)
+            ts.fail(f"update binds {name} twice", at)
         ts.expect(":=")
         out[name] = _expr(ts)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Bodies and sequents
+# Sequents
 # ---------------------------------------------------------------------------
 
-def _b_not(b: Body) -> Body:
-    if isinstance(b, BBase):
-        return BBase(NotF(b.fml))
-    return BNot(b)
-
-
-def _b_and(a: Body, b: Body) -> Body:
-    if isinstance(a, BBase) and isinstance(b, BBase):
-        return BBase(AndF(a.fml, b.fml))
-    return BAnd(a, b)
-
-
-def _body_atom(ts: _Tokens) -> Body:
-    # a run of "!" and modalities is read in a loop and applied innermost first
-    prefixes = []
-    while True:
-        chunk = ts.peek()[1]
-        if chunk == "!":
-            ts.next()
-            prefixes.append(None)
-        elif chunk == "[" or chunk == "<":
-            ts.next()
-            prog = _prog(ts)
-            ts.expect("]" if chunk == "[" else ">")
-            prefixes.append((BBox if chunk == "[" else BDia, prog))
-        else:
-            break
-    node = None
-    if ts.metavars and chunk == "?":
-        from .lifting import MBody
-
-        ts.next()
-        node = MBody(ts.name("expected a metavariable name after ?"))
-    elif chunk == "(":
-        save = ts.pos
-        ts.next()
-        try:
-            node = _body_compound(ts)
-            ts.expect(")")
-        except ParseError:
-            ts.pos = save
-            node = None
-    if node is None:
-        node = BBase(_fml_atom(ts))
-    while prefixes:
-        prefix = prefixes.pop()
-        node = _b_not(node) if prefix is None else prefix[0](prefix[1], node)
-    return node
-
-
-def _body_compound(ts: _Tokens) -> Body:
-    # "&&" and "||" bind alike here, from the left; "->" to the right
-    parts = [_body_and(ts)]
-    while ts.accept("->"):
-        parts.append(_body_and(ts))
-    node = parts.pop()
-    while parts:
-        node = _b_not(_b_and(parts.pop(), _b_not(node)))
-    return node
-
-
-def _body_and(ts: _Tokens) -> Body:
-    node = _body_atom(ts)
-    while True:
-        if ts.accept("&&"):
-            node = _b_and(node, _body_atom(ts))
-        elif ts.accept("||"):
-            right = _body_atom(ts)
-            node = _b_not(_b_and(_b_not(node), _b_not(right)))
-        else:
-            return node
+_fml, _dlp, _body = (partial(_formula, sort=sort) for sort in (_FML, _DLP, _BODY))
 
 
 def _sequent(ts: _Tokens) -> Sequent:
@@ -639,9 +638,7 @@ def _sequent(ts: _Tokens) -> Sequent:
 
 
 def _formula_list(ts: _Tokens, formula) -> tuple:
-    if ts.accept("."):
-        return ()
-    if ts.at("=>") or ts.peek()[0] == "eof":
+    if ts.accept(".") or ts.toks[ts.pos] in ("=>", ""):
         return ()
     out = [formula(ts)]
     while ts.accept(","):
@@ -832,9 +829,9 @@ def parse_template_sequent(text: str) -> tuple:
     """
     ts = _Tokens(text)
     ts.metavars = True
-    left = _formula_list(ts, _body_compound)
+    left = _formula_list(ts, _body)
     ts.expect("=>")
-    right = _formula_list(ts, _body_compound)
+    right = _formula_list(ts, _body)
     return _finish(ts, (left, right))
 
 

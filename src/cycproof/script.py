@@ -30,7 +30,7 @@ import time
 from pathlib import Path as FsPath
 
 from . import cyclic, parser
-from .kernel import KernelError, ProofGraph
+from .kernel import CATALOG, KernelError, ProofGraph
 from .oracle import BoundedValid
 from .record import dataclass, field, fields
 from .terms import TermError, While
@@ -280,6 +280,8 @@ class Replayer:
                 "lift syntax: lift <name> from <file> class free|standard witness ..."
             )
         name = tokens[0]
+        if name in CATALOG:
+            raise ScriptError(f"lift: {name!r} names a kernel rule, which `apply {name}` would run")
         template_path = self.base_dir / tokens[2]
         if tokens[3] != "class":
             raise ScriptError("lift needs `class free|standard`")
@@ -298,9 +300,10 @@ class Replayer:
         premises = []
         conclusion = None
         try:
-            template = template_path.read_text()
-        except OSError as exc:
-            raise ScriptError(f"cannot read template {tokens[2]!r}: {exc.strerror}") from None
+            template = template_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise ScriptError(f"cannot read template {tokens[2]!r}: {reason}") from None
         for raw in template.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):

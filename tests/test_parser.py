@@ -465,7 +465,7 @@ def test_printed_nesting_walk_counts_as_the_tokenizer(oracle, table4_text):
     # tree's printed text: on generated terms, some negated up to the cap and
     # past it, on parsed near-cap inputs, and on the table4 replay's sequents
     from cycproof import script as script_mod
-    from cycproof.parser import MAX_NESTING, _measure, _Tokens
+    from cycproof.parser import MAX_NESTING, _measure, _nesting
 
     rng = random.Random(23)
     cases = []
@@ -499,9 +499,8 @@ def test_printed_nesting_walk_counts_as_the_tokenizer(oracle, table4_text):
     for tree, src in cases:
         text = src(tree)
         nesting = _measure(tree)[1]
-        try:
-            counted = _Tokens(text).deepest
-        except ParseError:
+        counted = _nesting(text)
+        if counted > MAX_NESTING:
             assert nesting > MAX_NESTING, text
             past += 1
             continue
@@ -509,27 +508,86 @@ def test_printed_nesting_walk_counts_as_the_tokenizer(oracle, table4_text):
     assert past
 
 
-def test_parenthesis_retries_grow_linearly_with_nesting(monkeypatch):
-    # each "(" is tried as a relation or base formula before it is read as a
-    # bracket; a position that failed once is not parsed again
+def test_each_token_is_read_once(monkeypatch):
+    # the cursor only moves forward, one token at a time: no bracket or label
+    # is read again, at any nesting
     from cycproof import parser
 
-    calls = []
-    real = parser._fml_atom
-    monkeypatch.setattr(parser, "_fml_atom", lambda ts: calls.append(ts.pos) or real(ts))
+    moves = []
 
-    def fml_atom_calls(depth: int) -> int:
-        calls.clear()
-        parse_sequent(". => " + "(" * depth + "{x -> 0} : [x := 1] x >= 0" + ")" * depth)
-        return len(calls)
+    class Cursor:  # ``pos`` of a token stream, recording each value it takes
+        def __get__(self, ts, owner):
+            return ts.__dict__["_pos"]
 
-    small, medium, large = (fml_atom_calls(depth) for depth in (20, 40, 80))
-    assert large - medium == 2 * (medium - small)
-    assert large <= 3 * 80
-    # the error for bad input is the one the first attempt raised
+        def __set__(self, ts, value):
+            moves.append(value)
+            ts.__dict__["_pos"] = value
+
+    monkeypatch.setattr(parser._Tokens, "pos", Cursor(), raising=False)
+    labeled = "{x -> 0} : [x := 1] x >= 0"  # 14 tokens
+    for depth in (20, 40, 80):
+        moves.clear()
+        parse_sequent(". => " + "(" * depth + labeled + ")" * depth)
+        assert moves == list(range(2 + 2 * depth + 14 + 1)), depth
+    # the error for bad input names the first token that cannot be read
     with pytest.raises(ParseError) as err:
-        parse_sequent(". => " + "(" * 30 + "{x -> 0} : [x := 1] x >= 0" + ")" * 29)
+        parse_sequent(". => " + "(" * 30 + labeled + ")" * 29)
     assert str(err.value) == "expected ')', found 'end of input' (line 1, column 91)"
+
+
+def test_decision_points_read_as_pinned():
+    # a bracket's sort, a label's body or judgment, the label's and the
+    # connectives' binding, and template holes: the tree or error each gives
+    from cycproof.formulas import DTer
+    from cycproof.lifting import MBody, MProg
+    from cycproof.sep import HeapWrite
+    from cycproof.terms import Config
+
+    x, y, v = Var("x"), Var("y"), Var("v")
+    zero, one, two = Lit(0), Lit(1), Lit(2)
+    at_0, at_v = Config((("x", zero),)), Config((("x", v),))
+
+    def or_(a, b):
+        return NotF(AndF(NotF(a), NotF(b)))
+
+    trees = [
+        (parse_fml, "(x + 1) <= y", Le(BinOp("+", x, one), y)),
+        (parse_fml, "((x)) <= 1", Le(x, one)),
+        (parse_fml, "((x <= 1))", Le(x, one)),
+        (parse_fml, "-(x) <= 1", Le(BinOp("-", zero, x), one)),
+        (parse_fml, "!(x <= 0) && (y <= 1)", AndF(NotF(Le(x, zero)), Le(y, one))),
+        # after a label, "[" holds a program (a box) or an address (a heap
+        # write), and "(" a body or a program
+        (parse_dlp, "{x -> 0} : [x := 1] x >= 0",
+         DLabeled(at_0, BBox(Assign("x", one), BBase(Le(zero, x))))),
+        (parse_dlp, "{x -> v} : [x] := 1 ⇓ v", DTer(at_v, HeapWrite(x, one), v)),
+        (parse_dlp, "{x -> v} : (x := 1 ; x := 2) ⇓ v",
+         DTer(at_v, Seq(Assign("x", one), Assign("x", two)), v)),
+        # the label binds tighter than "&&"
+        (parse_dlp, "{x -> 0} : x <= 1 && y <= 2",
+         DAnd(DLabeled(at_0, BBase(Le(x, one))), DBase(Le(y, two)))),
+        # bodies bind "&&" and "||" alike, from the left; formulas do not
+        (parse_dlp, "{x -> 0} : (x >= 0 && x <= 1 || x >= 2)",
+         DLabeled(at_0, BBase(or_(AndF(Le(zero, x), Le(x, one)), Le(two, x))))),
+        (parse_dlp, "{x -> 0} : (x <= 0 || x <= 1 && x <= 2)",
+         DLabeled(at_0, BBase(AndF(or_(Le(x, zero), Le(x, one)), Le(x, two))))),
+        (parse_fml, "x <= 0 || x <= 1 && x <= 2",
+         or_(Le(x, zero), AndF(Le(x, one), Le(x, two)))),
+        (parse_template_sequent, "?a && [@p] ?b => <@p> !?a",
+         ((BAnd(MBody("a"), BBox(MProg("p"), MBody("b"))),),
+          (BDia(MProg("p"), BNot(MBody("a"))),))),
+    ]
+    for parse, text, tree in trees:
+        assert parse(text) == tree, text
+    for text, message in [
+        ("{x -> 0} : x := 1 ⇓",
+         "a judgment on a non-terminal program needs a factor (line 1, column 1)"),
+        ("{x -> v} : (x := 1 ; x := 2) ⇓ w",
+         "the factor must occur inside the configuration (line 1, column 1)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_dlp(text)
+        assert str(err.value) == message, text
 
 
 def test_shared_subterms_print_the_same_under_every_parent():

@@ -32,7 +32,7 @@ from cycproof.parser import (  # noqa: E402
     MAX_NESTING,
     ParseError,
     _measure,
-    _Tokens,
+    _nesting,
     parse_sequent,
     sequent_src,
 )
@@ -82,7 +82,7 @@ def test_trees_near_the_caps_read_back_or_are_refused(nu):
         assert "nested deeper than" in str(err.value)
         return
     text = _from_deeper(100, lambda: sequent_src(nu))
-    assert _Tokens(text).deepest == nesting
+    assert _nesting(text) == nesting
     assert _same_tree(_from_deeper(100, lambda: parse_sequent(text)), nu)
 
 

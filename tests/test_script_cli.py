@@ -618,3 +618,63 @@ def test_cli_eval_prints_steps_and_exit_status(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("evaluation error:")
     assert run("x := ", "--config", "{n -> 0}") == 2
     assert capsys.readouterr().err.startswith("cannot load program:")
+
+
+@pytest.mark.parametrize("name", ["box", "sigma_gen"])
+def test_a_lift_named_after_a_kernel_rule_is_stuck_at_its_line(name, tmp_path):
+    # `apply <name>` would run the kernel's rule, not the lifted one
+    (tmp_path / "proj.rule").write_text(_TEMPLATES["proj.rule"])
+    text = (f"{_PROJ_GOAL}\nlift {name} from proj.rule class standard witness fwd {{x := x}}\n"
+            f"apply {name} at 1\nqed\n")
+    _, report = script_mod.replay(text, BoundedOracle(-50, 50), base_dir=tmp_path)
+    assert report.verdict == "Stuck"
+    assert report.message == (f"lift: {name!r} names a kernel rule, which `apply {name}` "
+                              "would run (script line 2)"), report.message
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly(tmp_path):
+    goal = tmp_path / "goal.txt"
+    goal.write_text(". => {x -> 0} : [x := x + 1 ; x := x + 1] (x == 2)\n")
+    for args in (["check", str(FIXTURES / "table4.dlp")], ["search", str(goal), "--depth", "8"]):
+        run = subprocess.Popen([sys.executable, "-m", "cycproof.cli", *args],
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        run.stdout.close()  # before the report is written
+        err = run.stderr.read().decode()
+        assert run.wait(timeout=120) == cli.BROKEN_PIPE, (args, err[-300:])
+        assert "Traceback" not in err and "Error" not in err, (args, err[-300:])
+
+
+@pytest.mark.parametrize("command, message", [
+    (["check"], "cannot read script: "),
+    (["search", "--depth", "3"], "cannot load goal: "),
+    (["eval", "--config", "{x -> 0}"], "cannot load program: "),
+])
+def test_an_input_file_that_is_not_utf8_is_a_usage_error(command, message, tmp_path):
+    undecodable = tmp_path / "latin.txt"
+    undecodable.write_bytes(b"\xff\xfe\x00goal")
+    run = _cli(command[0], str(undecodable), *command[1:])
+    assert run.returncode == 2 and not run.stdout, run.stdout
+    assert run.stderr.startswith(message) and "Traceback" not in run.stderr, run.stderr
+
+
+def test_a_template_that_is_not_utf8_is_stuck_at_its_lift_line(tmp_path):
+    (tmp_path / "latin.rule").write_bytes(b"conclusion ?a => ?a \xe9\n")
+    _, report = script_mod.replay(f"{_PROJ_GOAL}\nlift p from latin.rule class standard\nqed\n",
+                                  BoundedOracle(-50, 50), base_dir=tmp_path)
+    assert report.verdict == "Stuck"
+    assert report.message.startswith("cannot read template 'latin.rule': 'utf-8' codec")
+    assert report.message.endswith("(script line 2)"), report.message
+
+
+@pytest.mark.parametrize("command, option, name", [
+    ("check", "--dump", "d.txt"), ("search", "--emit", "e.dlp"), ("search", "--dump", "d.txt"),
+])
+def test_an_output_file_that_cannot_be_written_is_a_usage_error(command, option, name, tmp_path):
+    # after the report is printed
+    goal = tmp_path / "goal.txt"
+    goal.write_text(". => {x -> 0} : [x := x + 1] (x == 1)\n")
+    target = tmp_path / "no-such-dir" / name
+    args = [str(FIXTURES / "table4.dlp")] if command == "check" else [str(goal), "--depth", "5"]
+    run = _cli(command, *args, option, str(target))
+    assert run.returncode == 2 and run.stdout.startswith("verdict: "), run.stdout
+    assert run.stderr == f"cannot write {target}: No such file or directory\n", run.stderr
