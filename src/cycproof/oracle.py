@@ -31,9 +31,13 @@ a path condition carried by many guards is read once.  Since no literal of
 a group can raise, the scan may evaluate them in any order: each literal is
 tested in the outermost loop that binds all its free variables, and each
 largest subterm over outer variables only is computed once, before the
-loops that do not change it, into a temporary shared by equal subterms.
-The loops still visit the grid in the same order and skip only points that
-a literal already decides, so the first counterexample is unchanged.
+loops that do not change it, into a temporary shared by equal subterms.  A
+literal linear in that loop's variable (bounds propagation, as in Apt,
+*Principles of Constraint Programming*, 2003) is no test at all but a bound
+on the loop's range: ``0 <= v - m, v - m <= 0`` leaves one ``v``, ``v = m``,
+where the box holds it.  The loops still visit the grid in the same order
+and skip only points that a literal already decides, so the first
+counterexample is unchanged.
 
 The instance also keeps the verdict of each total sequent that no axiom or
 closed literal decides, in a dict from the sequent's literal keys (a
@@ -468,11 +472,12 @@ def _independent_groups(kept: list) -> list:
 #
 # The body of the loop over ``_v<i>`` is *level* i, and the function's body
 # before the first loop is level -1.  A test sits at one level, as
-# ``<its Gamma joined by and> and not (<its Delta joined by or>)``, and the
-# rest of the level's body runs only where it holds, so a point that fails
-# it skips the whole rest of that iteration; the innermost level returns the
-# point.  An obligation that is not total is tested in one piece at the
-# innermost level, with nothing computed ahead:
+# ``<its Gamma joined by and> and not (<its Delta joined by or>)``, either
+# half left out when it has no member, and the rest of the level's body runs
+# only where it holds, so a point that fails it skips the whole rest of that
+# iteration; the innermost level returns the point.  An obligation that is
+# not total is tested in one piece at the innermost level, with nothing
+# computed ahead:
 #
 #     def _scan(_span, _qspan):
 #         for _v0 in _span:
@@ -495,22 +500,44 @@ def _independent_groups(kept: list) -> list:
 # once at that level, into a temporary ``_h<k>`` assigned after the level's
 # own test; a hoisted subterm hoists its own shallower subterms the same way.
 # For ``0 <= v - m, v - m <= 0 => w + 6 * ((2 * v - m + 1) * m / 2) <= ...``
-# over ``m, v, w``:
+# over ``m, v, w``, with every literal a test, that gives:
 #
 #         for _v0 in _span:
 #             for _v1 in _span:
-#                 if 0 <= _v1 - _v0 and _v1 - _v0 <= 0 and not False:
+#                 if 0 <= _v1 - _v0 and _v1 - _v0 <= 0:
 #                     _h0 = 6 * _tdiv((2 * _v1 - _v0 + 1) * _v0, 2)
 #                     for _v2 in _span:
-#                         if True and not (_v2 + _h0 <= ...):
+#                         if not _v2 + _h0 <= ...:
 #                             return (_v0, _v1, _v2)
 #
-# The loops and their order are unchanged, and a test skips only points
-# where some literal already decides the group's test, so the first point
-# returned is the one the ordered scan returns.  Structurally equal subterms
-# share one temporary: a subterm's key is its operators and constants with
-# each variable replaced by its generated name, which is its rank or its
-# quantifier depth, so no user name and no printed text enters the key.
+# A literal at level i whose ``right - left`` is ``c * _v<i> + r``, with a
+# nonzero integer ``c`` and ``r`` over outer variables only (``_linear``),
+# keeps the values of ``_v<i>`` on one side of ``-r / c``: a Gamma literal
+# those where it holds, ``c * _v<i> + r >= 0``, and a Delta literal those
+# where it fails, ``c * _v<i> + r <= -1``.  It is then no test but a bound,
+# rounded inwards exactly with ``//``, on the loop's range, which becomes
+# ``range(max(_span[0], <lower bounds>), min(_span[-1], <upper bounds>) +
+# 1)``, computed where the loop starts.  A Delta ``&&`` fails where any of
+# its conjuncts fails, so ``&&`` of half-lines in one direction is the one
+# half-line of the weakest of their bounds, through ``max`` or ``min``; in
+# both directions it is no interval and stays a test, as do a ``forall`` and
+# a literal not linear in its loop's variable, or in which it cancels.  The
+# example above becomes:
+#
+#         for _v0 in _span:
+#             for _v1 in range(max(_span[0], _v0), min(_span[-1], _v0) + 1):
+#                 _h0 = 6 * _tdiv((2 * _v1 - _v0 + 1) * _v0, 2)
+#                 for _v2 in _span:
+#                     if not _v2 + _h0 <= ...:
+#                         return (_v0, _v1, _v2)
+#
+# The loops and their order are unchanged, and a test or a bound skips only
+# points where some literal already decides the group's test, so the first
+# point returned is the one the ordered scan returns.  Structurally equal
+# subterms share one temporary: a subterm's key is its operators and
+# constants with each variable replaced by its generated name, which is its
+# rank or its quantifier depth, so no user name and no printed text enters
+# the key.
 #
 # Since free names become ``_v<i>`` by their rank and bound names ``_b<d>`` by
 # their depth, the code depends only on the group's shape, which
@@ -599,12 +626,140 @@ def _fml_ast(phi, scope: dict, depth: int, term) -> ast.expr:
     raise TermError(f"eval_bool: not a base formula: {phi!r}")
 
 
-def _join(op, values: list, empty: bool) -> ast.expr:
-    if not values:
-        return ast.Constant(empty, **_AT)
-    if len(values) == 1:
-        return values[0]
-    return ast.BoolOp(op, values, **_AT)
+def _join(op, values: list) -> ast.expr:
+    return values[0] if len(values) == 1 else ast.BoolOp(op, values, **_AT)
+
+
+def _mentions(e, var: str) -> bool:
+    """Whether the expression ``e`` has the variable ``var``."""
+    todo = [e]
+    while todo:
+        t = todo.pop()
+        if type(t) is BinOp:
+            todo += (t.right, t.left)
+        elif type(t) is Var and t.name == var:
+            return True
+    return False
+
+
+def _linear(phi: Le, var: str):
+    """``(c, parts, const)`` when ``phi.right - phi.left`` is ``c * var +
+    sum(k * t for k, t in parts) + const``, with integers ``c``, ``k`` and
+    ``const`` and subterms ``t`` that do not mention ``var``; ``None`` when
+    it is not linear in ``var`` with a constant coefficient.  Read with an
+    explicit stack, as ``_literal`` reads, and a variable's parts merged."""
+    c, const, named, rest = 0, 0, {}, []
+    todo = [(phi.left, -1), (phi.right, 1)]
+    while todo:
+        t, k = todo.pop()
+        cls = type(t)
+        if cls is Lit:
+            const += k * t.value
+        elif cls is Var:
+            if t.name == var:
+                c += k
+            else:
+                named[t.name] = named.get(t.name, (0, t))[0] + k, t
+        elif t.op == "+" or t.op == "-":
+            todo += ((t.right, k if t.op == "+" else -k), (t.left, k))
+        elif t.op == "*" and type(t.left) is Lit:
+            todo.append((t.right, k * t.left.value))
+        elif t.op == "*" and type(t.right) is Lit:
+            todo.append((t.left, k * t.right.value))
+        elif _mentions(t, var):
+            return None  # var times a variable, or var under a division
+        else:
+            rest.append((k, t))
+    return c, [*named.values(), *rest], const
+
+
+def _half_line(phi, var: str, side: int):
+    """``(upper, forms)`` when the literal ``phi`` of a total group, on
+    ``side``, keeps (holds on the left, fails on the right) exactly the
+    values of ``var`` up to a bound (``upper``) or from one; ``None``
+    otherwise.  Each of ``forms`` is a linear form ``(c, parts, const)``
+    (see ``_linear``), all with ``c`` of one sign, and the values kept are
+    those where some form is at least 0: a Delta ``&&`` fails where any
+    conjunct fails.  A ``forall`` is never read."""
+    conjuncts, todo = [], [phi]
+    while todo:
+        t = todo.pop()
+        if type(t) is AndF and side == 1:
+            todo += (t.right, t.left)
+        else:
+            conjuncts.append(t)
+    forms = []
+    for t in conjuncts:
+        found = type(t) is Le and _linear(t, var)
+        if not found or not found[0]:
+            return None
+        c, parts, const = found
+        if side == 1:  # a Delta literal is kept where it fails: -d - 1 >= 0
+            c, parts, const = -c, [(-k, e) for k, e in parts], -1 - const
+        forms.append((c, parts, const))
+    upper = forms[0][0] < 0
+    if any((c < 0) != upper for c, _, _ in forms):
+        return None  # half-lines in both directions: their union is no interval
+    return upper, forms
+
+
+def _sum_ast(parts: list, const: int, code) -> ast.expr:
+    """The code of ``sum(k * t for k, t in parts) + const``."""
+    node = None
+    for k, t in parts:
+        if k == 0:
+            continue
+        term = code(t)
+        if abs(k) != 1:
+            term = ast.BinOp(ast.Constant(abs(k), **_AT), ast.Mult(), term, **_AT)
+        if node is None:
+            node = term if k > 0 else ast.UnaryOp(ast.USub(), term, **_AT)
+        else:
+            node = ast.BinOp(node, ast.Add() if k > 0 else ast.Sub(), term, **_AT)
+    if node is None:
+        return ast.Constant(const, **_AT)
+    if const:
+        step = ast.Add() if const > 0 else ast.Sub()
+        node = ast.BinOp(node, step, ast.Constant(abs(const), **_AT), **_AT)
+    return node
+
+
+def _bound_ast(upper: bool, forms: list, code) -> ast.expr:
+    """The code of the bound on ``var`` from ``_half_line``: where ``c * var
+    + r >= 0``, ``var >= ceil(-r / c)`` for ``c > 0`` and ``var <= floor(r /
+    -c)`` for ``c < 0``, exact with ``//``; the largest upper bound or the
+    least lower one of several forms."""
+    bounds = []
+    for c, parts, const in forms:
+        if c == 1:
+            bound = _sum_ast([(-k, t) for k, t in parts], -const, code)
+        elif c == -1:
+            bound = _sum_ast(parts, const, code)
+        else:
+            bound = ast.BinOp(_sum_ast(parts, const, code), ast.FloorDiv(),
+                              ast.Constant(abs(c), **_AT), **_AT)
+            if c > 0:  # ceil(-r / c) = -(r // c)
+                bound = ast.UnaryOp(ast.USub(), bound, **_AT)
+        bounds.append(bound)
+    if len(bounds) == 1:
+        return bounds[0]
+    return ast.Call(_name("max" if upper else "min"), bounds, [], **_AT)
+
+
+def _subscript(name: str, index: int) -> ast.expr:
+    return ast.Subscript(_name(name), ast.Constant(index, **_AT), ast.Load(), **_AT)
+
+
+def _loop_range(lows: list, highs: list) -> ast.expr:
+    """The values a loop visits: ``_span``, or the part of it within
+    ``lows`` and ``highs``, in the same order."""
+    if not lows and not highs:
+        return _name("_span")
+    lo, hi = _subscript("_span", 0), _subscript("_span", -1)
+    start = ast.Call(_name("max"), [lo, *lows], [], **_AT) if lows else lo
+    stop = ast.Call(_name("min"), [hi, *highs], [], **_AT) if highs else hi
+    stop = ast.BinOp(stop, ast.Add(), ast.Constant(1, **_AT), **_AT)
+    return ast.Call(_name("range"), [start, stop], [], **_AT)
 
 
 def _compile_scan(names: list, gamma: tuple, delta: tuple, total: bool = False):
@@ -613,15 +768,22 @@ def _compile_scan(names: list, gamma: tuple, delta: tuple, total: bool = False):
     ``span``) at which every member of ``gamma`` holds and none of ``delta``
     does, or ``None``; bounded quantifiers range over ``qspan``.  With
     ``total``, the members are literals of a total group (see ``_literal``),
-    each tested at its own level with its subterms placed ahead of it."""
+    each tested at its own level with its subterms placed ahead of it, or
+    bounding that level's loop when it is linear in the loop's variable."""
     scope = {x: f"_v{i}" for i, x in enumerate(names)}
     rank = {x: i for i, x in enumerate(names)}
     temporaries = _Temporaries(len(names))
     tests = [([], []) for _ in range(len(names) + 1)]  # level -1, 0, 1, ...
+    bounds = [([], []) for _ in names]  # each loop's lower and upper bounds
     for side, formulas in enumerate((gamma, delta)):
         for phi in formulas:
             if total:
                 level = here = max(rank[x] for x in _literal(phi)[1])
+                found = _half_line(phi, names[level], side)
+                if found is not None:  # a bound, computed where the loop starts
+                    code = partial(temporaries.term, scope=scope, here=level - 1)
+                    bounds[level][found[0]].append(_bound_ast(*found, code))
+                    continue
             else:
                 level, here = len(names) - 1, -1  # nothing computed ahead
             term = partial(temporaries.term, here=here)
@@ -631,12 +793,13 @@ def _compile_scan(names: list, gamma: tuple, delta: tuple, total: bool = False):
     for level in reversed(range(-1, len(names))):
         body = temporaries.assigns[level + 1] + body
         holds, fails = tests[level + 1]
-        if holds or fails:
-            holds = _join(ast.And(), holds, True)
-            fails = ast.UnaryOp(ast.Not(), _join(ast.Or(), fails, False), **_AT)
-            body = [ast.If(ast.BoolOp(ast.And(), [holds, fails], **_AT), body, [], **_AT)]
+        if fails:
+            holds = holds + [ast.UnaryOp(ast.Not(), _join(ast.Or(), fails), **_AT)]
+        if holds:
+            body = [ast.If(_join(ast.And(), holds), body, [], **_AT)]
         if level >= 0:
-            body = [ast.For(_name(f"_v{level}", ast.Store), _name("_span"), body, [], **_AT)]
+            body = [ast.For(_name(f"_v{level}", ast.Store), _loop_range(*bounds[level]),
+                            body, [], **_AT)]
     params = ast.arguments([], [ast.arg("_span", **_AT), ast.arg("_qspan", **_AT)],
                            None, [], [], None, [])
     scan = ast.FunctionDef("_scan", params, body, [], None, **_AT)

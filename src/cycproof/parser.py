@@ -579,7 +579,7 @@ def _prog_atom(ts: _Tokens) -> Program:
         if ts.toks[ts.pos] == "[":
             return _sep.HeapRead(tok, _enclosed(ts, "[", "]"))
         return Assign(tok, _expr(ts))
-    ts.fail(f"expected a program, found {tok!r}")
+    ts.fail(f"expected a program, found {tok or 'end of input'!r}")
 
 
 # ---------------------------------------------------------------------------

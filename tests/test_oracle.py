@@ -201,6 +201,13 @@ def _placement(tree) -> list:
         loop, body = body[0].target.id, body[0].body
 
 
+def _ranges(tree) -> list:
+    """The source of what each loop of a compiled scan iterates over, from
+    the outermost loop in."""
+    loops = [n for n in ast.walk(tree) if isinstance(n, ast.For)]
+    return [ast.unparse(loop.iter) for loop in loops]
+
+
 def test_total_groups_test_each_literal_where_its_variables_are_bound(monkeypatch):
     trees = []
 
@@ -210,29 +217,38 @@ def test_total_groups_test_each_literal_where_its_variables_are_bound(monkeypatc
 
     monkeypatch.setattr(oracle_module, "compile", spy, raising=False)
     oracle = BoundedOracle(-3, 3)
-    # m, v, w in that order: Gamma binds at v, and the polynomials over m and
+    # m, v, w in that order: Gamma binds at v, where its two literals are
+    # linear in v and narrow v's loop to v = m, and the polynomials over m and
     # v are computed once per (m, v), not at each w
     gamma = [parse_fml("0 <= v - m"), parse_fml("v - m <= 0")]
     delta = [parse_fml("w + 2 + 6 * (((2 * v - m + 1) * m) / 2) <= w + 2 + 6 * (((v + 1) * v) / 2)")]
     assert oracle.valid_sequent(gamma, delta) == BoundedValid()
-    assert _placement(trees.pop()) == [
+    tree = trees.pop()
+    assert _placement(tree) == [
         (None, [], []),
         ("_v0", [], []),
-        ("_v1", ["_v0", "_v1"], ["_h0 = 6 * _tdiv((2 * _v1 - _v0 + 1) * _v0, 2)",
-                                 "_h1 = 6 * _tdiv((_v1 + 1) * _v1, 2)"]),
+        ("_v1", [], ["_h0 = 6 * _tdiv((2 * _v1 - _v0 + 1) * _v0, 2)",
+                     "_h1 = 6 * _tdiv((_v1 + 1) * _v1, 2)"]),
         ("_v2", ["_h0", "_h1", "_v2"], []),
     ]
+    assert _ranges(tree) == ["_span", "range(max(_span[0], _v0), min(_span[-1], _v0) + 1)",
+                             "_span"]
     # a subterm over no variable is computed before the loops, and one in a
     # quantifier's body that mentions its variable stays in the body
     out = oracle.valid_sequent([parse_fml("forall q . q * a + b * b <= a * a + 7 * 3")],
                                [parse_fml("a * a <= b + q")])
     assert isinstance(out, Invalid)
-    assert _placement(trees.pop()) == [
+    tree = trees.pop()
+    assert _placement(tree) == [
         (None, [], ["_h0 = 7 * 3"]),
         ("_v0", [], ["_h1 = _v0 * _v0 + _h0", "_h2 = _v0 * _v0"]),
         ("_v1", ["_b0", "_h1", "_qspan", "_v0", "_v1", "all"], []),
-        ("_v2", ["_h2", "_v1", "_v2"], []),
+        ("_v2", [], []),
     ]
+    # the forall stays a test; a * a <= b + q on the right is linear in q and
+    # fails where q <= a * a - b - 1, which bounds q's loop instead
+    assert _ranges(tree) == ["_span", "_span",
+                             "range(_span[0], min(_span[-1], -_v1 + _h2 - 1) + 1)"]
     # an obligation that is not total keeps one test, in the innermost loop
     out = oracle.valid_sequent([parse_fml("a / b <= 1")], [parse_fml("a * a <= b")])
     assert out == Invalid((("a", -3), ("b", -3)))

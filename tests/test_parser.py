@@ -535,6 +535,17 @@ def test_each_token_is_read_once(monkeypatch):
     assert str(err.value) == "expected ')', found 'end of input' (line 1, column 91)"
 
 
+def test_a_missing_program_names_the_end_of_input():
+    # as every other parse error does, not as the empty token
+    for text, column in (("x := 1 ;", 9), ("while x <= 0 do", 16), ("", 1)):
+        with pytest.raises(ParseError) as err:
+            parse_prog(text)
+        assert str(err.value) == (
+            f"expected a program, found 'end of input' (line 1, column {column})")
+    with pytest.raises(ParseError, match="expected a program, found '\\)'"):
+        parse_prog("x := 1 ; )")
+
+
 def test_decision_points_read_as_pinned():
     # a bracket's sort, a label's body or judgment, the label's and the
     # connectives' binding, and template holes: the tree or error each gives
