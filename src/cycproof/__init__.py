@@ -17,11 +17,11 @@ _EXPORTS = {
         "formulas_equal", "sequents_equal"), "formulas"),
     **dict.fromkeys(("ProofGraph", "RuleInstance", "TracePair", "new_proof"), "kernel"),
     **dict.fromkeys((
-        "BoundedOracle", "BoundedValid", "Invalid", "SmtOracle", "Unknown", "Valid"),
-        "oracle"),
+        "BoundedOracle", "BoundedValid", "Invalid", "Unknown", "Valid"), "oracle"),
     **dict.fromkeys((
         "parse_config", "parse_dlp", "parse_expr", "parse_fml", "parse_prog",
         "parse_sequent"), "parser"),
+    "SmtOracle": "smt",
     **dict.fromkeys((
         "CounterExample", "Path", "Verdict", "counter_example", "models"), "semantics"),
     **dict.fromkeys((

@@ -24,9 +24,15 @@ of one kind never hold values of different types at the first position where
 they differ.  Monomials, polynomial keys, stores and the sides of a sequent
 are therefore sorted by Python's own tuple order, without printing anything.
 
-Known limit: two occurrences of the same opaque division atom cancel, so
-``x/y <= x/y`` and ``0 <= 0`` get one key even though the former faults at
-``y = 0``.  All equalities used by the kernel compare total values only.
+Known hole: a key forgets divisions that may fault.  Two occurrences of
+the same opaque division atom cancel, so ``x/y <= x/y`` and ``0 <= 0`` get
+one key even though the former faults at ``y = 0``, and a product with a
+zero factor drops its atoms, so ``1 <= x / y + 0 * (z / w)`` gets the key of
+``1 <= x / y``.  The kernel compares such keys (``ax``, ``sub``, backlinks),
+so it can prove a sequent that both oracles refuse:
+``1 <= x / y => 1 <= x / y + 0 * (z / w)`` ends ``Proved`` under ``ax``.
+ROADMAP item 1 plans the repair (keys that carry their possibly-zero
+divisors).
 """
 
 from __future__ import annotations

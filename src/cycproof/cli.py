@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import parser, script as script_mod
-from .oracle import BoundedOracle, SmtOracle
+from .oracle import BoundedOracle
 from .whilelang import State, run
 
 
@@ -50,6 +50,8 @@ def _make_oracle(spec: str):
         if found and int(found[1]) <= int(found[2]):
             return BoundedOracle(int(found[1]), int(found[2]))
     elif kind == "smt" and rest.split():
+        from .smt import SmtOracle  # only an smt: run loads the SMT-LIB back end
+
         return SmtOracle(rest)
     raise ValueError(f"bad oracle spec {spec!r}; use {_ORACLE_FORMS}")
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from functools import partial, partialmethod
 
-from . import parser, sep as sepmod
+from . import parser
 from .canon import program_key
 from .formulas import (
     BAnd,
@@ -205,11 +205,13 @@ def _interpret(label, fml):
         if label.stack:
             return apply_stack_config(label, fml)
         return apply_config(label, fml)
-    if isinstance(label, sepmod.SepState):
-        if isinstance(fml, sepmod.SepFormula):
-            value = sepmod.sep_app(label, fml)
+    from . import sep  # a heap label: only a heap run loads the heap domain
+
+    if isinstance(label, sep.SepState):
+        if isinstance(fml, sep.SepFormula):
+            value = sep.sep_app(label, fml)
         else:
-            value = sepmod.sep_app(label, sepmod.SBase(fml))
+            value = sep.sep_app(label, sep.SBase(fml))
         return TRUE if value else FALSE
     raise SideConditionFailed(f"no interpretation for label {label!r}")
 
@@ -231,11 +233,14 @@ def _is_terminal_modality(f) -> bool:
 
 
 def _is_heap_star(f) -> bool:
+    if not isinstance(f, DLabeled) or isinstance(f.label, Config):
+        return False
+    from . import sep  # a heap label, as in _interpret
+
     return (
-        isinstance(f, DLabeled)
-        and isinstance(f.label, sepmod.SepState)
+        isinstance(f.label, sep.SepState)
         and isinstance(f.body, BBase)
-        and isinstance(f.body.fml, sepmod.Star)
+        and isinstance(f.body.fml, sep.Star)
     )
 
 
@@ -732,9 +737,11 @@ class ProofGraph:
                          occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(nu.right, occ, MATCHERS["sigma_star"], "a separating conjunction")
+        from . import sep  # loaded: the occurrence has a heap label
+
         f: DLabeled = nu.right[occ]
-        state: sepmod.SepState = f.label
-        star: sepmod.Star = f.body.fml
+        state: sep.SepState = f.label
+        star: sep.Star = f.body.fml
         heap = state.heap_map()
         try:
             h1 = {a: heap[a] for a in h1_addrs}
@@ -745,7 +752,7 @@ class ProofGraph:
         merged.update(h2)
         if merged != heap or len(merged) != len(h1) + len(h2):
             raise SideConditionFailed("h1 and h2 must split the heap exactly")
-        ok = sepmod.disjoint(h1, h2)
+        ok = sep.disjoint(h1, h2)
         premises, pairs = _unzip([
             _replace_right(nu, occ, part)
             for part in (
@@ -763,13 +770,15 @@ class ProofGraph:
     def _rule_sigma_frm(self, node: Node, occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ = self._occurrence(nu.right, occ, MATCHERS["sigma_frm"], "a separating conjunction")
+        from . import sep  # loaded: the occurrence has a heap label
+
         f: DLabeled = nu.right[occ]
-        state: sepmod.SepState = f.label
-        star: sepmod.Star = f.body.fml
+        state: sep.SepState = f.label
+        star: sep.Star = f.body.fml
         store = state.store_map()
         heap_dom = set(state.heap_map())
         offenders = sorted(
-            x for x in sepmod.sep_formula_vars(star.right)
+            x for x in sep.sep_formula_vars(star.right)
             if store.get(x) in heap_dom
         )
         if offenders:

@@ -52,9 +52,9 @@ A printed tree parses to the same tree, so it passes both caps again.
 from __future__ import annotations
 
 import re
+import sys
 from functools import partial
 
-from . import sep as _sep
 from .formulas import (
     BAnd,
     BBase,
@@ -484,7 +484,7 @@ def _labeled_part(ts: _Tokens, min_bp: int):
         if isinstance(inner, Program):
             return _connectives(ts, _BODY, BBox(inner, _formula(ts, _BODY, _NOT)), min_bp)
         ts.expect(":=")
-        return _prog(ts, _sep.HeapWrite(inner, _expr(ts)))
+        return _prog(ts, _heap().HeapWrite(inner, _expr(ts)))
     if tok in _PROGRAM_WORDS or _is_name(tok) and ts.toks[ts.pos + 1] == ":=":
         return _prog(ts)
     return _formula(ts, _BODY, min_bp, True)
@@ -509,6 +509,16 @@ def _prog_or_address(ts: _Tokens):
 # ---------------------------------------------------------------------------
 
 _PROGRAM_WORDS = ("skip", "ε", "eps", "if", "while", "dispose")
+# the heap domain's module: no heap statement exists before it is loaded
+_HEAP = f"{__package__}.sep"
+
+
+def _heap():
+    """The heap domain, loaded by the first heap statement read or printed,
+    so that a While-only run never loads it."""
+    from . import sep
+
+    return sep
 
 
 def _prog(ts: _Tokens, first: Program | None = None) -> Program:
@@ -566,18 +576,18 @@ def _prog_atom(ts: _Tokens) -> Program:
         return While(guard, body)
     if tok == "dispose":
         ts.pos += 1
-        return _sep.Dispose(_enclosed(ts, "(", ")"))
+        return _heap().Dispose(_enclosed(ts, "(", ")"))
     if tok == "[":
         addr = _enclosed(ts, "[", "]")
         ts.expect(":=")
-        return _sep.HeapWrite(addr, _expr(ts))
+        return _heap().HeapWrite(addr, _expr(ts))
     if _is_name(tok):
         ts.pos += 1
         ts.expect(":=")
         if ts.accept("cons"):
-            return _sep.Alloc(tok, _enclosed(ts, "(", ")"))
+            return _heap().Alloc(tok, _enclosed(ts, "(", ")"))
         if ts.toks[ts.pos] == "[":
-            return _sep.HeapRead(tok, _enclosed(ts, "[", "]"))
+            return _heap().HeapRead(tok, _enclosed(ts, "[", "]"))
         return Assign(tok, _expr(ts))
     ts.fail(f"expected a program, found {tok or 'end of input'!r}")
 
@@ -671,6 +681,7 @@ def _measure(root) -> tuple:
     just before it.  The rules follow the printers below.
     """
     height = nesting = 0
+    heap = sys.modules.get(_HEAP)
     stack = [(root, 1, 0, 0, 0)]
     push = stack.append
     while stack:
@@ -761,16 +772,18 @@ def _measure(root) -> tuple:
             n += 1
             push((node.guard, d, n, 0, 0))
             push((node.body, d, n, 0, 0))
-        elif cls is _sep.HeapWrite:  # "[addr] := expr"
-            push((node.addr, d, n + 1, 0, 0))
-            push((node.expr, d, n, 0, 0))
-        elif cls is _sep.HeapRead or cls is _sep.Dispose:  # "x := [addr]", "dispose(addr)"
-            push((node.addr, d, n + 1, 0, 0))
-        elif cls is _sep.Alloc:  # "x := cons(expr)"
-            push((node.expr, d, n + 1, 0, 0))
         elif cls is Sequent or cls is tuple:  # its parts, printed apart
             for part in (node.left + node.right if cls is Sequent else node):
                 push((part, d - 1, 0, 0, 0))
+        elif heap is None:  # a leaf
+            pass
+        elif cls is heap.HeapWrite:  # "[addr] := expr"
+            push((node.addr, d, n + 1, 0, 0))
+            push((node.expr, d, n, 0, 0))
+        elif cls is heap.HeapRead or cls is heap.Dispose:  # "x := [addr]", "dispose(addr)"
+            push((node.addr, d, n + 1, 0, 0))
+        elif cls is heap.Alloc:  # "x := cons(expr)"
+            push((node.expr, d, n + 1, 0, 0))
         if n > nesting:
             nesting = n
     return height, nesting
@@ -908,17 +921,22 @@ def prog_src(p: Program) -> str:
         s = "skip"
     elif isinstance(p, Epsilon):
         s = "ε"
-    elif isinstance(p, _sep.Alloc):
-        s = f"{p.target} := cons({expr_src(p.expr)})"
-    elif isinstance(p, _sep.HeapRead):
-        s = f"{p.target} := [{expr_src(p.addr)}]"
-    elif isinstance(p, _sep.HeapWrite):
-        s = f"[{expr_src(p.addr)}] := {expr_src(p.expr)}"
-    elif isinstance(p, _sep.Dispose):
-        s = f"dispose({expr_src(p.addr)})"
     else:
-        raise TypeError(f"not a program: {p!r}")
+        s = _heap_src(p)
     return _keep_src(p, s)
+
+
+def _heap_src(p: Program) -> str:
+    heap = _heap()
+    if isinstance(p, heap.Alloc):
+        return f"{p.target} := cons({expr_src(p.expr)})"
+    if isinstance(p, heap.HeapRead):
+        return f"{p.target} := [{expr_src(p.addr)}]"
+    if isinstance(p, heap.HeapWrite):
+        return f"[{expr_src(p.addr)}] := {expr_src(p.expr)}"
+    if isinstance(p, heap.Dispose):
+        return f"dispose({expr_src(p.addr)})"
+    raise TypeError(f"not a program: {p!r}")
 
 
 def config_src(sigma: Config) -> str:

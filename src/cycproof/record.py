@@ -3,19 +3,27 @@
 ``@dataclass`` and ``@dataclass(frozen=True)`` give a class whose annotated
 names are its fields, with the ``__init__``, ``__repr__``, ``__eq__`` and
 (frozen) ``__hash__``, ``__setattr__`` and ``__delattr__`` that
-``dataclasses`` generates, statement for statement, so a call costs the
-same.  ``dataclasses`` compiles each method of each class on its own and
-imports ``inspect`` to write docstrings; here the methods that depend on the
-fields come from one compile per field layout, shared by the classes that
-have it, and the frozen guards, which do not, are closures.  Not supported:
-methods of the class's own under those names (they are replaced), ``field``
-options other than ``default_factory``, fields inherited from a record base
-class, ``ClassVar`` annotations, ``__match_args__`` and generated
-docstrings.  A frozen record still takes attributes that are not fields
-through ``object.__setattr__`` (``canon._keep``).
+``dataclasses`` generates.  The ``__init__`` is the generated one statement
+for statement, so a call costs the same: it is compiled once per field
+layout and shared by the classes that have it.  The other methods are
+closures, so a class costs no compile beyond its ``__init__``:
+``__repr__``, ``__eq__`` and ``__hash__`` read the field values as one tuple
+(a 1-tuple for one field, ``()`` for none) through ``operator.attrgetter``
+and print, compare and hash that tuple as the generated code does, so every
+hash value, and every set and dict order, is the one ``dataclasses`` gives;
+the frozen guards do not depend on the fields.  ``dataclasses`` compiles
+each method of each class on its own and imports ``inspect`` to write
+docstrings.  Not supported: methods of the class's own under those names
+(they are replaced), ``field`` options other than ``default_factory``,
+fields inherited from a record base class, ``ClassVar`` annotations,
+``__match_args__`` and generated docstrings.  A frozen record still takes
+attributes that are not fields through ``object.__setattr__``
+(``canon._keep``).
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 MISSING = object()  # no default, no default factory
@@ -77,29 +85,17 @@ def _build(cls, frozen: bool):
     if hasattr(cls, "__post_init__"):
         inits.append("    self.__post_init__()")
     names = tuple(f.name for f in flds)
-    this = "".join(f"self.{n}," for n in names)
-    other = "".join(f"other.{n}," for n in names)
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    src = [
+    src = "\n".join([
         f"def __create__({', '.join(env)}):",
         f"  def __init__({', '.join(params)}):", *(inits or ["    pass"]),
-        "  def __repr__(self):",
-        f"    return self.__class__.__qualname__ + f\"({shown})\"",
-        "  def __eq__(self, other):",
-        "    if other.__class__ is self.__class__:",
-        f"      return ({this}) == ({other})",
-        "    return NotImplemented",
-    ]
-    if frozen:
-        src += ["  def __hash__(self):", f"    return hash(({this}))"]
-    src.append("  return __init__, __repr__, __eq__" + (", __hash__" if frozen else ""))
-    src = "\n".join(src)
+        "  return __init__",
+    ])
     create = _CREATORS.get(src)
     if create is None:
         ns: dict = {}
         exec(src, {}, ns)
         create = _CREATORS[src] = ns["__create__"]
-    made = create(**env)
+    made = (create(**env), *_value_methods(names, frozen))
     if frozen:
         made += _frozen_guards(cls, names)
     for fn in made:
@@ -111,10 +107,37 @@ def _build(cls, frozen: bool):
     return cls
 
 
-# generated source -> the function that makes its methods, so records with
-# the same fields and defaults share one compile; a pure memo, written once
-# per field layout
+# generated source -> the function that makes its ``__init__``, so records
+# with the same fields and defaults share one compile; a pure memo, written
+# once per field layout
 _CREATORS: dict = {}
+
+
+def _value_methods(names: tuple, frozen: bool) -> tuple:
+    """``__repr__``, ``__eq__`` and, when frozen, ``__hash__``, as closures
+    over the tuple of field values ``(self.a, self.b, ...)`` that the code
+    ``dataclasses`` generates builds."""
+    if len(names) > 1:
+        values = attrgetter(*names)
+    elif names:
+        value = attrgetter(*names)
+        values = lambda self: (value(self),)
+    else:
+        values = lambda self: ()
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    return (__repr__, __eq__, __hash__) if frozen else (__repr__, __eq__)
 
 
 def _frozen_guards(cls, names: tuple) -> tuple:

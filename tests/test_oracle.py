@@ -14,12 +14,11 @@ from cycproof.oracle import (
     BoundedOracle,
     BoundedValid,
     Invalid,
-    SmtOracle,
     Unknown,
     Valid,
-    emit_smtlib,
 )
 from cycproof.parser import fml_src, parse_expr, parse_fml
+from cycproof.smt import SmtOracle, emit_smtlib
 from cycproof.terms import (
     AndF,
     BinOp,

@@ -154,6 +154,22 @@ def test_record_class_behaves_like_its_dataclasses_twin(cls, twin):
             setattr(x2, "attribute_that_is_not_a_field", 1)
 
 
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+def test_equality_and_hash_are_those_of_the_field_tuple(cls):
+    # the tuple dataclasses builds: a 1-tuple for one field, () for none, so
+    # hash values, and set and dict orders, are the ones dataclasses gives
+    def values(r) -> tuple:
+        return tuple(getattr(r, f.name) for f in record.fields(cls))
+
+    a, b, _ = _args(cls, "cycproof")
+    x, x2, y = cls(*a), cls(*a), cls(*b)
+    for p, q in ((x, x2), (x, y), (y, x), (y, y)):
+        assert (p == q, p != q) == (values(p) == values(q), values(p) != values(q))
+    if cls.__hash__ is not None:
+        for r in (x, y):
+            assert hash(r) == hash(values(r))
+
+
 def test_a_frozen_record_keeps_attributes_that_are_not_fields():
     # canon._keep stores keys on frozen terms; == and hash ignore them
     from cycproof.terms import Lit
@@ -208,8 +224,8 @@ print(sorted(name for name in sys.argv[2:] if name in sys.modules))
 
 
 def test_importing_the_command_line_loads_only_what_check_runs():
-    unwanted = ["dataclasses", "inspect", "subprocess", "threading",
-                "cycproof.search", "cycproof.semantics"]
+    unwanted = ["ast", "dataclasses", "inspect", "subprocess", "threading",
+                "cycproof.search", "cycproof.semantics", "cycproof.sep", "cycproof.smt"]
     done = subprocess.run([sys.executable, "-I", "-S", "-c", _LOADED, str(SRC), *unwanted],
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"

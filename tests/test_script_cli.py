@@ -542,16 +542,18 @@ def test_termination_fixture_dump_reads_back(tmp_path, capsys):
 _LOADS_LIFTING = """
 import contextlib, io, sys
 from cycproof.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
     code = main(sys.argv[1:])
-print(code, " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "cycproof")))
+print(code, " ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("ast", "cycproof"))))
+print(out.getvalue(), end="")
 """
 
-# the trusted base: what a verdict of `check` runs (semantics, lifting and
-# search stay out)
+# the trusted base: what a verdict of `check` runs (semantics, lifting,
+# search, the heap domain and the SMT back end stay out, and so does `ast`)
 _TRUSTED = ["cycproof"] + [f"cycproof.{name}" for name in (
     "canon", "cli", "cyclic", "formulas", "kernel", "oracle", "parser", "record",
-    "script", "sep", "terms", "whilelang")]
+    "script", "terms", "whilelang")]
 
 
 def test_a_run_without_lifts_does_not_load_lifting(tmp_path):
@@ -565,18 +567,37 @@ def test_a_run_without_lifts_does_not_load_lifting(tmp_path):
         "goal {x -> x + 1} : (x <= 3 && x >= 0) => {x -> x + 1} : x <= 3\n"
         "lift proj from proj.rule class standard witness fwd {x := x + 1}\n"
         "apply proj at 1\nqed\n")
-    for argv, code, extra in (
-        (["check", str(FIXTURES / "table4.dlp")], "0", []),
-        (["search", str(goal), "--depth", "4"], "0", ["cycproof.search"]),
+    heap = tmp_path / "heap.txt"
+    heap.write_text(". => {h -> 0} : [x := cons(1) ; [x] := 2] (x >= 0)")
+    for argv, code, extra, report in (
+        # compiles three scans, without `ast`
+        (["check", str(FIXTURES / "table4.dlp")], "0", [], None),
+        (["search", str(goal), "--depth", "4"], "0", ["cycproof.search"], None),
         # the built-in lifts are kernel rules
-        (["check", str(script)], "1", []),
+        (["check", str(script)], "1", [], None),
         # a lift line loads it
-        (["check", str(lifted)], "0", ["cycproof.lifting"]),
+        (["check", str(lifted)], "0", ["cycproof.lifting"], None),
+        # a heap statement loads the heap domain
+        (["search", str(heap), "--depth", "4"], "1", ["cycproof.search", "cycproof.sep"],
+         ["verdict: Stuck",
+          "note: TermError: derive_transitions: not a While-domain program: "
+          "Alloc(target='x', expr=Lit(value=1))",
+          "oracle obligations:", "  none", "script:",
+          "  goal . => {h -> 0} : [x := cons(1) ; [x] := 2] 0 <= x"]),
+        # an smt: oracle loads the SMT-LIB back end
+        (["check", str(FIXTURES / "table4.dlp"),
+          "--oracle", f"smt:{sys.executable} -c print('unknown')"], "1", ["cycproof.smt"],
+         ["verdict: Stuck",
+          "note: CaseSplitNeeded: undecided guard: !(v - m <= 0) (script line 12)",
+          "nodes: 7  backlinks: 0", "oracle obligations:", "  none"]),
     ):
         done = subprocess.run([sys.executable, "-c", _LOADS_LIFTING, *argv],
                               capture_output=True, text=True, timeout=120)
-        assert done.stdout.split() == [code, *sorted(_TRUSTED + extra)], \
+        loaded, _, printed = done.stdout.partition("\n")
+        assert loaded.split() == [code, *sorted(_TRUSTED + extra)], \
             (argv, done.stdout, done.stderr[-300:])
+        if report is not None:
+            assert printed.splitlines()[:len(report)] == report, (argv, printed)
 
 
 def test_negative_bounds_are_usage_errors(tmp_path, capsys):

@@ -14,15 +14,9 @@ from itertools import product
 
 from test_oracle import _differential_cases
 from cycproof import cli
-from cycproof.oracle import (
-    BoundedOracle,
-    Invalid,
-    SmtOracle,
-    Valid,
-    emit_smtlib,
-    is_accepting,
-)
+from cycproof.oracle import BoundedOracle, Invalid, Valid, is_accepting
 from cycproof.parser import parse_fml
+from cycproof.smt import SmtOracle, emit_smtlib
 from cycproof.terms import TermError
 
 _TOKEN = re.compile(r"\(|\)|\|[^|]*\||[^\s()|]+")
