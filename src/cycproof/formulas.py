@@ -99,6 +99,18 @@ class DTer(DlpFormula):
             raise TermError("the factor must occur inside the configuration")
 
 
+# Holes of the rule templates that ``lift`` reads (``?name`` and ``@name``).
+
+@dataclass(frozen=True)
+class MBody:
+    name: str
+
+
+@dataclass(frozen=True)
+class MProg:
+    name: str
+
+
 def d_or(a: DlpFormula, b: DlpFormula) -> DlpFormula:
     return DNot(DAnd(DNot(a), DNot(b)))
 

@@ -27,6 +27,8 @@ from .formulas import (
     BBox,
     Body,
     DLabeled,
+    MBody,
+    MProg,
     Sequent,
     body_key,
     formula_key,
@@ -167,16 +169,6 @@ def _first_failing(rho, sigma, rho2, formulas):
 # ---------------------------------------------------------------------------
 # Rule templates and registration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MProg:
-    name: str
-
-
-@dataclass(frozen=True)
-class MBody:
-    name: str
-
 
 TemplateSequent = tuple  # (left bodies, right bodies); members Body / MBody / composites
 

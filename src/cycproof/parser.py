@@ -32,21 +32,30 @@ production does.
 
 Every input ends in a tree or a ParseError, whatever the caller's stack, and
 every accepted tree reads back once printed (dumps and emitted scripts are
-printed sequents).  Two caps make it so:
+printed sequents).  Two caps make it so, in three checks made in this order:
 
-- Nesting (MAX_NESTING): at each token, the open brackets ("(", "[", "{", and
-  "if" or "while" up to its "end"), the ``forall`` binders in scope and the
-  run of prefix "!" or "-" before it.  The parser recurses at most three
-  frames per counted level and reads runs and chains in loops, so the count
-  bounds its stack.  A token opens at most one level, so only a text of
-  more than MAX_NESTING tokens is counted.  The same count of the text the
-  printers would write is measured on the parsed tree, because a printed
-  form can nest deeper than its input: "a || b" prints as "!(!(a) && !(b))".
-- Depth (MAX_DEPTH): the parsed tree's height.  The term functions (printers,
-  canonical forms, evaluation) recurse once per level, and a long sequence,
-  sum or conjunction is read in a loop but builds a deep tree.
+1. Nesting of the input (MAX_NESTING): at each token, the open brackets ("(",
+   "[", "{", and "if" or "while" up to its "end"), the ``forall`` binders in
+   scope and the run of prefix "!" or "-" before it.  The parser recurses at
+   most three frames per counted level and reads runs and chains in loops,
+   so the count bounds its stack.  A token opens at most one level, so only
+   a text of more than MAX_NESTING tokens is counted.
+2. Depth (MAX_DEPTH): the parsed tree's height.  The term functions
+   (printers, canonical forms, evaluation) recurse once per level, and a
+   long sequence, sum or conjunction is read in a loop but builds a deep
+   tree.  This bound is what makes printing the tree safe.
+3. Nesting once printed (MAX_NESTING): the same count of the text the
+   printers write for the tree, because a printed form can nest deeper than
+   its input: "a || b" prints as "!(!(a) && !(b))".  Only a tree taller than
+   MAX_NESTING is printed and counted, because a printed tree opens at most
+   one level per node on its deepest path.  Every level is a bracket, an
+   "if" or "while", a ``forall`` binder or a prefix "!" or "-" that one node
+   prints.  The only nodes that print two, a ``forall`` bracketed as an "&&"
+   operand and a negative literal bracketed as the right operand of "*" or
+   "/", sit below the top of their "&&" chain or arithmetic expression,
+   which is printed unbracketed and opens none.
 
-A printed tree parses to the same tree, so it passes both caps again.
+A printed tree parses to the same tree, so it passes the caps again.
 """
 
 from __future__ import annotations
@@ -68,6 +77,8 @@ from .formulas import (
     DNot,
     DlpFormula,
     DTer,
+    MBody,
+    MProg,
     Sequent,
 )
 from .terms import (
@@ -383,8 +394,6 @@ def _formula(ts: _Tokens, sort: _Sort, min_bp: int = 0, bracketed: bool = False)
             if sort.wrap:
                 node = sort.wrap(node)
         elif tok == "?" and sort is _BODY and ts.metavars:
-            from .lifting import MBody
-
             ts.pos += 1
             node = MBody(ts.name("expected a metavariable name after ?"))
         else:
@@ -543,8 +552,6 @@ def _enclosed(ts: _Tokens, opening: str, closing: str) -> Expr:
 def _prog_atom(ts: _Tokens) -> Program:
     tok = ts.toks[ts.pos]
     if ts.metavars and tok == "@":
-        from .lifting import MProg
-
         ts.pos += 1
         return MProg(ts.name("expected a metavariable name after @"))
     if tok == "(":
@@ -662,131 +669,100 @@ def _finish(ts: _Tokens, node):
 
 
 def _capped(node):
-    """``node``, or a ParseError when it passes a cap (see the module docstring)."""
-    depth, nesting = _measure(node)
-    if nesting > MAX_NESTING:
-        raise ParseError(f"formula nested deeper than {MAX_NESTING} once printed", 1, 1)
-    if depth > MAX_DEPTH:
+    """``node``, or a ParseError when it passes a cap (see the module
+    docstring): its height first, then, for a tree taller than MAX_NESTING
+    only, the nesting count of its printed text."""
+    height = _height(node)
+    if height > MAX_DEPTH:
         raise ParseError(f"terms nested deeper than {MAX_DEPTH} levels", 1, 1)
+    if height > MAX_NESTING and _nesting(_printed(node)) > MAX_NESTING:
+        raise ParseError(f"formula nested deeper than {MAX_NESTING} once printed", 1, 1)
     return node
 
 
-def _measure(root) -> tuple:
-    """The height of ``root`` (a term, a sequent, or a tuple of terms), and
-    the tokenizer's nesting count of the text the printers write for it.
-
-    One top-down walk with an explicit stack.  An entry is a node, its depth,
-    the count before its first token, its printer ``level`` (the context that
-    decides its outer brackets), and how many prefix operators are printed
-    just before it.  The rules follow the printers below.
-    """
-    height = nesting = 0
-    heap = sys.modules.get(_HEAP)
-    stack = [(root, 1, 0, 0, 0)]
+def _height(root) -> int:
+    """The height of ``root``: a term, or a sequent or tuple, whose parts add
+    no level.  One walk with an explicit stack of (node, depth)."""
+    height = 0
+    heap = sys.modules.get(_HEAP)  # no heap node exists before it is loaded
+    stack = [(root, 1)]
     push = stack.append
     while stack:
-        node, d, n, level, run = stack.pop()
+        node, d = stack.pop()
         if d > height:
             height = d
         d += 1
         cls = type(node)
-        if cls is Var:
+        if cls is Var or cls is Lit:
             continue
-        if cls is BinOp:  # "left op right", bracketed above its precedence
-            prec = 1 if node.op in "+-" else 2
-            if level > prec:
-                n += run or 1
-                run = 0
-            push((node.left, d, n, prec, run))
-            push((node.right, d, n, prec + 1, 0))
-        elif cls is Lit:
-            if node.value < 0:  # "-k", bracketed at level 3
-                if level >= 3:
-                    n += run or 1
-                    run = 0
-                n += run + 1
-        elif cls is Le:
-            if level > 1:
-                n += run or 1
-                run = 0
-            push((node.left, d, n, 0, run))
-            push((node.right, d, n, 0, 0))
-        elif cls is NotF or cls is DNot:  # "!(arg)": one level
-            n += run + 1
-            push((node.body if cls is NotF else node.arg, d, n, 0, 0))
-        elif cls is AndF or cls is DAnd:
-            if level > 2:
-                n += run or 1
-                run = 0
-            push((node.left, d, n, 2, run))
-            push((node.right, d, n, 3, 0))
-        elif cls is Forall:  # "forall v . body", bracketed at level 1
-            if level > 0:
-                n += run or 1
-                run = 0
-            n += run or 1
-            push((node.body, d, n, 0, 0))
-        elif cls is DBase:
-            push((node.fml, d, n, level, run))
-        elif cls is DLabeled or cls is DTer:  # "label : body", "label : prog ⇓ e"
-            if level > 0:  # bracketed at level 1
-                n += run or 1
-                run = 0
-            push((node.label, d, n, 0, run))
-            for part in (node.body,) if cls is DLabeled else (node.prog, node.factor):
-                if part is not None:
-                    push((part, d, n, 0, 0))
-        elif cls is Config:  # "{x -> e, ...}"
-            n += run or 1
+        if cls is BinOp or cls is Le or cls is AndF or cls is DAnd or cls is BAnd:
+            push((node.left, d))
+            push((node.right, d))
+        elif cls is NotF or cls is BNot or cls is Forall:
+            push((node.body, d))
+        elif cls is DNot:
+            push((node.arg, d))
+        elif cls is DBase or cls is BBase:
+            push((node.fml, d))
+        elif cls is DLabeled:
+            push((node.label, d))
+            push((node.body, d))
+        elif cls is DTer:
+            push((node.label, d))
+            push((node.prog, d))
+            if node.factor is not None:
+                push((node.factor, d))
+        elif cls is Config:
             for _, e in node.entries:
-                push((e, d, n, 0, 0))
-        elif cls is BBase:  # bare if a "<=", else "(fml)"
-            if type(node.fml) is Le:
-                push((node.fml, d, n, 0, run))
-            else:
-                push((node.fml, d, n + (run or 1), 0, 0))
-        elif cls is BNot:  # "!body"
-            push((node.body, d, n, 0, run + 1))
-            n += run + 1
-        elif cls is BAnd:  # "(left && right)"
-            n += run or 1
-            push((node.left, d, n, 0, 0))
-            push((node.right, d, n, 0, 0))
-        elif cls is BBox:  # "[prog] body"
-            push((node.prog, d, n + (run or 1), 0, 0))
-            push((node.body, d, n, 0, 0))
-        elif cls is BDia:  # "<prog> body": "<" is no bracket
-            push((node.prog, d, n, 0, 0))
-            push((node.body, d, n, 0, 0))
+                push((e, d))
+        elif cls is BBox or cls is BDia:
+            push((node.prog, d))
+            push((node.body, d))
         elif cls is Assign:
-            push((node.expr, d, n, 0, 0))
-        elif cls is Seq:  # "first ; second", "(first) ; second" for a Seq
-            push((node.first, d, n + (type(node.first) is Seq), 0, 0))
-            push((node.second, d, n, 0, 0))
-        elif cls is If:  # "if", "then" and "else" start one level in
-            n += 1
-            push((node.guard, d, n, 0, 0))
-            push((node.then, d, n, 0, 0))
-            push((node.orelse, d, n, 0, 0))
+            push((node.expr, d))
+        elif cls is Seq:
+            push((node.first, d))
+            push((node.second, d))
+        elif cls is If:
+            push((node.guard, d))
+            push((node.then, d))
+            push((node.orelse, d))
         elif cls is While:
-            n += 1
-            push((node.guard, d, n, 0, 0))
-            push((node.body, d, n, 0, 0))
-        elif cls is Sequent or cls is tuple:  # its parts, printed apart
+            push((node.guard, d))
+            push((node.body, d))
+        elif cls is Sequent or cls is tuple:
             for part in (node.left + node.right if cls is Sequent else node):
-                push((part, d - 1, 0, 0, 0))
+                push((part, d - 1))
         elif heap is None:  # a leaf
             pass
-        elif cls is heap.HeapWrite:  # "[addr] := expr"
-            push((node.addr, d, n + 1, 0, 0))
-            push((node.expr, d, n, 0, 0))
-        elif cls is heap.HeapRead or cls is heap.Dispose:  # "x := [addr]", "dispose(addr)"
-            push((node.addr, d, n + 1, 0, 0))
-        elif cls is heap.Alloc:  # "x := cons(expr)"
-            push((node.expr, d, n + 1, 0, 0))
-        if n > nesting:
-            nesting = n
-    return height, nesting
+        elif cls is heap.HeapWrite:
+            push((node.addr, d))
+            push((node.expr, d))
+        elif cls is heap.HeapRead or cls is heap.Dispose:
+            push((node.addr, d))
+        elif cls is heap.Alloc:
+            push((node.expr, d))
+    return height
+
+
+def _printed(node) -> str:
+    """The text the printers write for ``node``; the parts of a tuple joined
+    by ", ", a separator, so that each is counted as if printed apart."""
+    if isinstance(node, tuple):
+        return ", ".join(map(_printed, node))
+    if isinstance(node, Sequent):
+        return sequent_src(node)
+    if isinstance(node, DlpFormula):
+        return dlp_src(node)
+    if isinstance(node, (Body, MBody)):
+        return body_src(node)
+    if isinstance(node, BaseFormula):
+        return fml_src(node)
+    if isinstance(node, Expr):
+        return expr_src(node)
+    if isinstance(node, Config):
+        return config_src(node)
+    return prog_src(node)
 
 
 def parse_expr(text: str) -> Expr:
@@ -921,6 +897,8 @@ def prog_src(p: Program) -> str:
         s = "skip"
     elif isinstance(p, Epsilon):
         s = "ε"
+    elif isinstance(p, MProg):
+        s = f"@{p.name}"
     else:
         s = _heap_src(p)
     return _keep_src(p, s)
@@ -946,6 +924,8 @@ def config_src(sigma: Config) -> str:
 
 
 def body_src(b: Body) -> str:
+    if isinstance(b, MBody):
+        return f"?{b.name}"
     if isinstance(b, BBase):
         if isinstance(b.fml, (Le,)):
             return fml_src(b.fml)

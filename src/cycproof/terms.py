@@ -129,14 +129,6 @@ def ne(a: Expr, b: Expr) -> BaseFormula:
     return NotF(eq(a, b))
 
 
-def or_f(a: BaseFormula, b: BaseFormula) -> BaseFormula:
-    return NotF(AndF(NotF(a), NotF(b)))
-
-
-def imp_f(a: BaseFormula, b: BaseFormula) -> BaseFormula:
-    return NotF(AndF(a, NotF(b)))
-
-
 TRUE = Le(Lit(0), Lit(0))
 FALSE = NotF(TRUE)
 
@@ -311,38 +303,19 @@ def bound_vars(t: Term) -> frozenset:
     raise TermError(f"bound_vars: defined on programs and configurations, got {t!r}")
 
 
-def all_vars(t: Term) -> frozenset:
+def all_vars(t: Expr | BaseFormula) -> frozenset:
     """Every variable name occurring anywhere in ``t`` (free or bound)."""
     if isinstance(t, Lit):
         return frozenset()
     if isinstance(t, Var):
         return frozenset((t.name,))
-    if isinstance(t, BinOp):
-        return all_vars(t.left) | all_vars(t.right)
-    if isinstance(t, Le):
+    if isinstance(t, (BinOp, Le, AndF)):
         return all_vars(t.left) | all_vars(t.right)
     if isinstance(t, NotF):
         return all_vars(t.body)
-    if isinstance(t, AndF):
-        return all_vars(t.left) | all_vars(t.right)
     if isinstance(t, Forall):
         return all_vars(t.body) | {t.var}
-    if isinstance(t, Assign):
-        return all_vars(t.expr) | {t.target}
-    if isinstance(t, Seq):
-        return all_vars(t.first) | all_vars(t.second)
-    if isinstance(t, If):
-        return all_vars(t.guard) | all_vars(t.then) | all_vars(t.orelse)
-    if isinstance(t, While):
-        return all_vars(t.guard) | all_vars(t.body)
-    if isinstance(t, (Skip, Epsilon)):
-        return frozenset()
-    if isinstance(t, Config):
-        out: frozenset = frozenset()
-        for x, e in t.entries:
-            out |= all_vars(e) | {x}
-        return out
-    raise TermError(f"all_vars: not a term: {t!r}")
+    raise TermError(f"all_vars: not an expression or base formula: {t!r}")
 
 
 def fresh_name(base: str, taken: frozenset) -> str:

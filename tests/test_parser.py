@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import random_config, random_expr, random_fml, wp_cyclic_script
-from cycproof.formulas import BAnd, BBase, BBox, BDia, BNot, DAnd, DBase, DLabeled, DNot, Sequent
+from conftest import random_config, random_expr, random_fml
+from cycproof.formulas import BAnd, BBase, BBox, BDia, BNot, DAnd, DBase, DLabeled, DNot
 from cycproof.parser import (
     ParseError,
     body_src,
@@ -27,7 +30,6 @@ from cycproof.record import fields
 from cycproof.terms import (
     EPSILON,
     SKIP,
-    TRUE,
     AndF,
     Assign,
     BinOp,
@@ -404,6 +406,11 @@ def _nesting_forms():
         ("fml", lambda n: " -> ".join(["x <= 0"] * n), N // 2 + 1, N),
         ("sequent", lambda n: ". => " + " -> ".join([labeled] * n), N // 2, N),
         ("template", lambda n: ". => " + " -> ".join(["[x := 1] x >= 0"] * n), N // 2 + 1, N),
+        ("template", lambda n: ". => " + "!" * n + "?a", N, N),
+        ("template", lambda n: ". => " + " || ".join(["[@p] ?a"] * n), N // 2 + 1, N),
+        # 78 "||" print 156 levels, a box one, each "if" one, and the "[" or
+        # "(" around a heap statement's bare address one
+        *(("sequent", lambda n, s=s: _heap_goal(s, n, 78), N - 158, N) for s in _HEAP_STATEMENTS),
         ("fml", lambda n: "!forall q . " * n + "x <= q", N // 2, N),
         # chains read in loops that build deep trees
         ("expr", lambda n: "x" + " + 1" * n, D - 1, D),
@@ -437,75 +444,48 @@ def test_every_nesting_form_meets_its_cap():
     assert len(parse_config("{" + many + "}").entries) == 1000
 
 
-def _random_body(rng: random.Random, depth: int):
-    # the plain constructors: the walk must follow the printers on any tree
-    if depth == 0 or rng.random() < 0.3:
-        return BBase(random_fml(rng, NAMES, 2))
-    kind = rng.randrange(4)
-    if kind == 0:
-        return BNot(_random_body(rng, depth - 1))
-    if kind == 1:
-        return BAnd(_random_body(rng, depth - 1), _random_body(rng, depth - 1))
-    return (BBox if kind == 2 else BDia)(random_prog(rng, 2), _random_body(rng, depth - 1))
+_HEAP_STATEMENTS = ["x := [y]", "[y] := 1", "x := cons(y)", "dispose(y)"]
 
 
-def _random_dlp(rng: random.Random, depth: int):
-    roll = rng.random()
-    if depth == 0 or roll < 0.3:
-        return DLabeled(random_config(rng, NAMES), _random_body(rng, 3))
-    if roll < 0.45:
-        return DBase(random_fml(rng, NAMES, 2))
-    if roll < 0.7:
-        return DNot(_random_dlp(rng, depth - 1))
-    return DAnd(_random_dlp(rng, depth - 1), _random_dlp(rng, depth - 1))
+def _heap_goal(statement: str, ifs: int, ors: int) -> str:
+    """A goal whose printed form nests deepest at ``statement``'s bare
+    address: the statement in ``ifs`` conditionals in a box, the first of
+    ``ors + 1`` operands of "||"."""
+    prog = "if 0 <= 0 then " * ifs + statement + " else skip end" * ifs
+    return ". => " + " || ".join([f"{{h -> 0}} : [{prog}] x >= 0"] + ["x <= 0"] * ors)
 
 
-def test_printed_nesting_walk_counts_as_the_tokenizer(oracle, table4_text):
-    # the nesting the walk measures on a tree is the tokenizer's count of the
-    # tree's printed text: on generated terms, some negated up to the cap and
-    # past it, on parsed near-cap inputs, and on the table4 replay's sequents
-    from cycproof import script as script_mod
-    from cycproof.parser import MAX_NESTING, _measure, _nesting
+def test_a_goal_deeper_once_printed_is_refused_at_load():
+    # 79 "||" print 158 levels, and the box, the "if" and the "[" around the
+    # heap read's bare address one each; accepted, its search would emit a
+    # script that check cannot read
+    with pytest.raises(ParseError) as err:
+        parse_sequent(_heap_goal("x := [y]", 1, 79))
+    assert "nested deeper than 160 once printed" in str(err.value)
 
-    rng = random.Random(23)
-    cases = []
-    for _ in range(300):
-        negated = random_fml(rng, NAMES)
-        for _ in range(rng.choice([0, 0, 150, 158, 159, 160])):
-            negated = NotF(negated)
-        sides = ([_random_dlp(rng, 3) for _ in range(rng.randrange(3))] for _ in range(2))
-        cases += [(random_expr(rng, NAMES), expr_src), (random_fml(rng, NAMES), fml_src),
-                  (negated, fml_src), (random_prog(rng), prog_src),
-                  (random_config(rng, NAMES), config_src),
-                  (Sequent(*map(tuple, sides)), sequent_src)]
-    near = random.Random(17)
-    for _ in range(200):
-        try:
-            cases.append((parse_sequent(_near_the_cap(near, near.randint(1, 3)) + " => ."),
-                          sequent_src))
-        except ParseError:
-            pass
-    replayer, _ = script_mod.replay(table4_text, oracle)
-    cases += [(node.sequent, sequent_src) for node in replayer.graph.nodes.values()]
-    replayer, _ = script_mod.replay(wp_cyclic_script(), oracle)
-    for node in replayer.graph.nodes.values():  # termination judgments
-        judgment = node.sequent.right[0]
-        cases += [(node.sequent, sequent_src), (DAnd(DBase(TRUE), judgment), dlp_src)]
-        cases += [(_negated(judgment, k), dlp_src) for k in (1, 157, 158, 159)]
-    heap = ["x := cons(-3) ; [x * -2] := -1 ; y := [0 - x] ; dispose(x - -1)",
-            "while !(x <= 0) do [x] := x * (y - 1) ; y := cons((x)) end"]
-    cases += [(parse_prog(text), prog_src) for text in heap]
-    past = 0
-    for tree, src in cases:
-        text = src(tree)
-        nesting = _measure(tree)[1]
-        counted = _nesting(text)
-        if counted > MAX_NESTING:
-            assert nesting > MAX_NESTING, text
-            past += 1
-            continue
-        assert nesting == counted, text
-    assert past
+
+def test_a_tree_past_both_caps_names_the_depth_cap():
+    # the height is checked first, since it is what makes printing safe
+    from cycproof.parser import MAX_DEPTH
+
+    with pytest.raises(ParseError, match=f"terms nested deeper than {MAX_DEPTH} levels"):
+        parse_fml(" || ".join(["x <= 0"] * 200))
+
+
+_LOADED = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from cycproof.parser import parse_template_sequent
+parse_template_sequent("?a && [@p] ?b => <@p> !?a")
+print(sorted(name for name in ("cycproof.lifting", "cycproof.kernel") if name in sys.modules))
+"""
+
+
+def test_reading_a_template_loads_neither_lifting_nor_the_kernel():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", _LOADED, str(src)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_each_token_is_read_once(monkeypatch):
@@ -549,8 +529,7 @@ def test_a_missing_program_names_the_end_of_input():
 def test_decision_points_read_as_pinned():
     # a bracket's sort, a label's body or judgment, the label's and the
     # connectives' binding, and template holes: the tree or error each gives
-    from cycproof.formulas import DTer
-    from cycproof.lifting import MBody, MProg
+    from cycproof.formulas import DTer, MBody, MProg
     from cycproof.sep import HeapWrite
     from cycproof.terms import Config
 
@@ -587,9 +566,14 @@ def test_decision_points_read_as_pinned():
         (parse_template_sequent, "?a && [@p] ?b => <@p> !?a",
          ((BAnd(MBody("a"), BBox(MProg("p"), MBody("b"))),),
           (BDia(MProg("p"), BNot(MBody("a"))),))),
+        (parse_template_sequent, "!(x <= 0 && ?a), [@p ; x := 1] !!?b => .",
+         ((BNot(BAnd(BBase(Le(x, zero)), MBody("a"))),
+           BBox(Seq(MProg("p"), Assign("x", one)), BNot(BNot(MBody("b"))))), ())),
     ]
     for parse, text, tree in trees:
         assert parse(text) == tree, text
+        if parse is parse_template_sequent:  # and a printed template reads back
+            assert parse(_template_src(tree)) == tree, text
     for text, message in [
         ("{x -> 0} : x := 1 ⇓",
          "a judgment on a non-terminal program needs a factor (line 1, column 1)"),

@@ -6,6 +6,11 @@ until the result lands at MAX_NESTING or MAX_DEPTH or just past it, and
 placed in a formula, a label's body or a loop guard.  Each tree is refused, or
 its printed form reads back as the same tree, from 100 frames deep.
 
+The parser prints and counts only a tree taller than MAX_NESTING, which is
+sound if no printed tree nests deeper than its height.  Towers of every node
+kind, each kind repeated in runs, are built bottom-up, and the printed
+nesting of each tree on the way is at most its height.
+
 Scripts and goals are the ``table4`` proof and its goal with lines dropped,
 repeated or swapped and characters dropped, inserted or repeated.  Each replay
 and each ``search`` ends in a verdict or a usage error, never in an exception.
@@ -23,20 +28,51 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import FIXTURES, random_fml  # noqa: E402
+from conftest import FIXTURES, random_expr, random_fml  # noqa: E402
 from cycproof import cli, script  # noqa: E402
-from cycproof.formulas import BBase, BBox, DBase, DLabeled, Sequent  # noqa: E402
+from cycproof.formulas import (  # noqa: E402
+    BAnd,
+    BBase,
+    BBox,
+    BDia,
+    BNot,
+    DAnd,
+    DBase,
+    DLabeled,
+    DNot,
+    DTer,
+    Sequent,
+)
 from cycproof.oracle import BoundedOracle  # noqa: E402
 from cycproof.parser import (  # noqa: E402
     MAX_DEPTH,
     MAX_NESTING,
     ParseError,
-    _measure,
+    _height,
     _nesting,
+    _printed,
+    dlp_src,
     parse_sequent,
     sequent_src,
 )
-from cycproof.terms import SKIP, TRUE, AndF, Assign, Config, Le, Lit, NotF, Var, While  # noqa: E402
+from cycproof.sep import Alloc, Dispose, HeapRead, HeapWrite  # noqa: E402
+from cycproof.terms import (  # noqa: E402
+    EPSILON,
+    SKIP,
+    TRUE,
+    AndF,
+    Assign,
+    BinOp,
+    Config,
+    Forall,
+    If,
+    Le,
+    Lit,
+    NotF,
+    Seq,
+    Var,
+    While,
+)
 from test_parser import _from_deeper, _same_tree  # noqa: E402
 
 # a fixed sequence of examples, so the tier-1 run is the same every time
@@ -62,11 +98,11 @@ def trees_near_the_caps(draw):
     where = draw(st.sampled_from(["formula", "body", "guard"]))
     past = draw(st.integers(-3, 1))  # how far past the cap it lands
     fml = random_fml(rng, NAMES, rng.randint(0, 3))
-    if draw(st.booleans()):  # towards MAX_NESTING
-        for _ in range(MAX_NESTING + past - _measure(_place(where, fml))[1]):
+    if draw(st.booleans()):  # towards MAX_NESTING; each negation prints "!(" more
+        for _ in range(MAX_NESTING + past - _nesting(dlp_src(_place(where, fml)))):
             fml = NotF(fml)
     else:  # towards MAX_DEPTH
-        for _ in range(MAX_DEPTH + past - _measure(_place(where, fml))[0]):
+        for _ in range(MAX_DEPTH + past - _height(_place(where, fml))):
             fml = AndF(fml, Le(Var("x"), Lit(0)))
     return Sequent((), (_place(where, fml),))
 
@@ -74,16 +110,101 @@ def trees_near_the_caps(draw):
 @settings(settings.get_profile("parser-caps"))
 @given(trees_near_the_caps())
 def test_trees_near_the_caps_read_back_or_are_refused(nu):
-    height, nesting = _measure(nu)
-    if height > MAX_DEPTH or nesting > MAX_NESTING:
-        text = sequent_src(nu)
+    text = _from_deeper(100, lambda: sequent_src(nu))
+    if _height(nu) > MAX_DEPTH or _nesting(text) > MAX_NESTING:
         with pytest.raises(ParseError) as err:
             _from_deeper(100, lambda: parse_sequent(text))
         assert "nested deeper than" in str(err.value)
         return
-    text = _from_deeper(100, lambda: sequent_src(nu))
-    assert _nesting(text) == nesting
     assert _same_tree(_from_deeper(100, lambda: parse_sequent(text)), nu)
+
+
+# Towers: (sort of the child, sort of the result, the node over a child).
+# The sides are small trees; ``_side`` gives one of each sort.
+
+def _side(rng, sort: str):
+    if sort == "expr":
+        return random_expr(rng, NAMES, 1)
+    if sort == "fml":
+        return random_fml(rng, NAMES, 1)
+    if sort == "prog":
+        return rng.choice([SKIP, EPSILON, Assign("x", Lit(1)), HeapWrite(Var("y"), Lit(1))])
+    if sort == "body":
+        return BBase(random_fml(rng, NAMES, 1))
+    return DBase(random_fml(rng, NAMES, 1))
+
+
+_ONE = Config((("n", Var("v")),))
+_WRAPPERS = [
+    ("expr", "expr", lambda r, c: BinOp(r.choice("+-*/"), c, _side(r, "expr"))),
+    ("expr", "expr", lambda r, c: BinOp(r.choice("+-*/"), _side(r, "expr"), c)),
+    ("expr", "fml", lambda r, c: Le(c, _side(r, "expr"))),
+    ("expr", "fml", lambda r, c: Le(_side(r, "expr"), c)),
+    ("expr", "prog", lambda r, c: Assign("x", c)),
+    ("expr", "prog", lambda r, c: Alloc("x", c)),
+    ("expr", "prog", lambda r, c: HeapRead("x", c)),
+    ("expr", "prog", lambda r, c: HeapWrite(c, _side(r, "expr"))),
+    ("expr", "prog", lambda r, c: HeapWrite(_side(r, "expr"), c)),
+    ("expr", "prog", lambda r, c: Dispose(c)),
+    ("expr", "config", lambda r, c: Config((("x", _side(r, "expr")), ("y", c)),
+                                           stack=r.random() < 0.5)),
+    ("fml", "fml", lambda r, c: NotF(c)),
+    ("fml", "fml", lambda r, c: Forall(r.choice(NAMES), c)),
+    ("fml", "fml", lambda r, c: AndF(c, _side(r, "fml"))),
+    ("fml", "fml", lambda r, c: AndF(_side(r, "fml"), c)),
+    ("fml", "fml", lambda r, c: AndF(Forall("q", c), _side(r, "fml"))),  # "(forall"
+    ("fml", "fml", lambda r, c: AndF(_side(r, "fml"), Forall("q", c))),
+    ("fml", "prog", lambda r, c: If(c, _side(r, "prog"), _side(r, "prog"))),
+    ("fml", "prog", lambda r, c: While(c, _side(r, "prog"))),
+    ("fml", "body", lambda r, c: BBase(c)),
+    ("fml", "dlp", lambda r, c: DBase(c)),
+    ("prog", "prog", lambda r, c: Seq(c, _side(r, "prog"))),
+    ("prog", "prog", lambda r, c: Seq(_side(r, "prog"), c)),
+    ("prog", "prog", lambda r, c: If(_side(r, "fml"), c, _side(r, "prog"))),
+    ("prog", "prog", lambda r, c: If(_side(r, "fml"), _side(r, "prog"), c)),
+    ("prog", "prog", lambda r, c: While(_side(r, "fml"), c)),
+    ("prog", "body", lambda r, c: BBox(c, _side(r, "body"))),
+    ("prog", "body", lambda r, c: BDia(c, _side(r, "body"))),
+    ("prog", "dlp", lambda r, c: DTer(_ONE, c, Var("v"))),
+    ("config", "dlp", lambda r, c: DLabeled(c, _side(r, "body"))),
+    ("config", "dlp", lambda r, c: DTer(c, r.choice([SKIP, EPSILON]), c.entries[1][1])),
+    ("body", "body", lambda r, c: BNot(c)),
+    ("body", "body", lambda r, c: BAnd(c, _side(r, "body"))),
+    ("body", "body", lambda r, c: BAnd(_side(r, "body"), c)),
+    ("body", "body", lambda r, c: BBox(_side(r, "prog"), c)),
+    ("body", "body", lambda r, c: BDia(_side(r, "prog"), c)),
+    ("body", "dlp", lambda r, c: DLabeled(_ONE, c)),
+    ("dlp", "dlp", lambda r, c: DNot(c)),
+    ("dlp", "dlp", lambda r, c: DAnd(c, _side(r, "dlp"))),
+    ("dlp", "dlp", lambda r, c: DAnd(_side(r, "dlp"), c)),
+]
+# the leaves: a bare variable, an address for the heap statements, and a
+# negative literal under "*" or "/", printed "(-k)"
+_LEAVES = [lambda r: Var(r.choice(NAMES)), lambda r: Lit(r.randint(-3, 3)),
+           lambda r: BinOp(r.choice("*/"), _side(r, "expr"), Lit(-r.randint(1, 3)))]
+
+
+def _towers(rng):
+    """The trees of one tower, bottom-up: a leaf, then runs of one kind of
+    node over the tree so far, and a sequent over a tower that ends in a
+    formula."""
+    tree, sort = rng.choice(_LEAVES)(rng), "expr"
+    out = [tree]
+    for _ in range(rng.randint(1, 12)):
+        into, made, wrap = rng.choice([w for w in _WRAPPERS if w[0] == sort])
+        for _ in range(rng.randint(1, 12) if made == sort else 1):
+            tree, sort = wrap(rng, tree), made
+            out.append(tree)
+    if sort == "dlp":
+        out.append(Sequent((_side(rng, "dlp"),) * rng.randint(0, 1), (tree,)))
+    return out
+
+
+@settings(settings.get_profile("parser-caps"))
+@given(st.randoms(use_true_random=False))
+def test_no_printed_tree_nests_deeper_than_its_height(rng):
+    for tree in _towers(rng):
+        assert _nesting(_printed(tree)) <= _height(tree), _printed(tree)
 
 
 _PIECES = ["(", ")", "[", "]", "{", "}", "<", ">", "!", "-", "+", "*", "/", ";", ":", ",",
