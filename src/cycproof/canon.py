@@ -28,11 +28,12 @@ Known hole: a key forgets divisions that may fault.  Two occurrences of
 the same opaque division atom cancel, so ``x/y <= x/y`` and ``0 <= 0`` get
 one key even though the former faults at ``y = 0``, and a product with a
 zero factor drops its atoms, so ``1 <= x / y + 0 * (z / w)`` gets the key of
-``1 <= x / y``.  The kernel compares such keys (``ax``, ``sub``, backlinks),
-so it can prove a sequent that both oracles refuse:
-``1 <= x / y => 1 <= x / y + 0 * (z / w)`` ends ``Proved`` under ``ax``.
-ROADMAP item 1 plans the repair (keys that carry their possibly-zero
-divisors).
+``1 <= x / y``.  ``ax`` matches no formula that holds a division by
+anything but a nonzero literal (``kernel.ax_pair``), so
+``1 <= x / y => 1 <= x / y + 0 * (z / w)`` ends ``Stuck`` under it.  But
+``sub`` and back-links still compare such keys, so they can still take a
+formula that may fault for one that cannot.  ROADMAP item 1 plans the
+repair (keys that carry their possibly-zero divisors).
 """
 
 from __future__ import annotations

@@ -58,12 +58,13 @@ from .formulas import (
     substitute,
 )
 from .oracle import check_obligation, is_accepting
-from .record import dataclass, field
+from .record import dataclass, field, walk
 from .terms import (
     FALSE,
     TRUE,
     AndF,
     BaseFormula,
+    BinOp,
     Config,
     Epsilon,
     Expr,
@@ -306,6 +307,30 @@ def _replace_left(nu: Sequent, occ: int, *formulas) -> tuple:
 def _unzip(built) -> tuple:
     """(premises, trace pairs) of a sequence of (premise, pairs)."""
     return tuple(premise for premise, _ in built), tuple(pairs for _, pairs in built)
+
+
+def ax_pair(nu: Sequent, lefts=None, rights=None) -> tuple | None:
+    """The first pair ``(i, j)``, left-major, of a left occurrence in
+    ``lefts`` and a right one in ``rights`` (every occurrence of the side,
+    when not given) that have one canonical key and may not fault.  A key
+    forgets a division that may fault (see ``canon``), and an oracle reads
+    a sequent that may divide by zero as not valid, so a formula that holds
+    a division by anything but a nonzero literal closes no goal."""
+    lefts = range(len(nu.left)) if lefts is None else lefts
+    rights = range(len(nu.right)) if rights is None else rights
+    for i in lefts:
+        key = formula_key(nu.left[i])
+        for j in rights:
+            if (formula_key(nu.right[j]) == key
+                    and not (_may_fault(nu.left[i]) or _may_fault(nu.right[j]))):
+                return i, j
+    return None
+
+
+def _may_fault(f) -> bool:
+    return any(type(node) is BinOp and node.op == "/"
+               and not (type(node.right) is Lit and node.right.value)
+               for node in walk(f))
 
 
 def _require_in_range(side: tuple, occs, rule: str) -> None:
@@ -566,8 +591,7 @@ class ProofGraph:
         rights = range(len(nu.right)) if right is None else (right,)
         _require_in_range(nu.left, lefts, "ax")
         _require_in_range(nu.right, rights, "ax")
-        found = next(((i, j) for i in lefts for j in rights
-                      if formulas_equal(nu.left[i], nu.right[j])), None)
+        found = ax_pair(nu, lefts, rights)
         if found is None:
             raise SideConditionFailed("no matching formula pair for ax")
         return RuleInstance("ax", nu, (), {"left": found[0], "right": found[1]}, ())

@@ -21,10 +21,11 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from . import parser
+from . import canon, parser
 from .formulas import (
+    BAnd,
     BBase,
-    BBox,
+    BNot,
     Body,
     DLabeled,
     MBody,
@@ -42,13 +43,13 @@ from .kernel import (
     SideConditionFailed,
     TracePair,
 )
-from .record import dataclass, field
+from .record import dataclass, field, values, walk
 from .terms import (
     TRUE as _TRUE,
+    AndF,
     BaseFormula,
     Config,
-    Program,
-    Seq,
+    NotF,
     apply_config,
     eval_bool,
 )
@@ -173,77 +174,49 @@ def _first_failing(rho, sigma, rho2, formulas):
 TemplateSequent = tuple  # (left bodies, right bodies); members Body / MBody / composites
 
 
-def _match_body(pattern, body, bindings: dict) -> bool:
-    if isinstance(pattern, MBody):
-        if pattern.name in bindings:
-            return body_key(bindings[pattern.name]) == body_key(body)
-        bindings[pattern.name] = body
-        return True
-    if isinstance(pattern, BBox) and isinstance(body, BBox):
-        return _match_prog(pattern.prog, body.prog, bindings) and _match_body(
-            pattern.body, body.body, bindings
-        )
+_HOLES = (MBody, MProg)
+# the connectives the parser collapses into a base formula over base operands
+_BUILD = {BNot: parser._b_not, BAnd: parser._b_and}
+
+
+def _key(part) -> tuple:
+    """The canonical key of a template part without holes."""
+    return body_key(part) if isinstance(part, Body) else canon.term_key(part)
+
+
+def _match(pattern, term, bindings: dict) -> bool:
+    """Whether ``term``, a body or a program, is an instance of ``pattern``,
+    binding its holes in ``bindings``.  A part without holes matches by
+    canonical key; one with holes matches part by part, through its fields."""
+    if isinstance(pattern, _HOLES):
+        bound = bindings.setdefault(pattern.name, term)
+        return bound is term or _key(bound) == _key(term)
+    if not any(isinstance(node, _HOLES) for node in walk(pattern)):
+        return _key(pattern) == _key(term)
     # a modality-free body collapses its connectives into the base formula,
-    # so structural patterns look through that representation
-    from .formulas import BAnd, BNot
-    from .terms import AndF, NotF
-
-    if isinstance(pattern, BAnd):
-        if isinstance(body, BAnd):
-            return _match_body(pattern.left, body.left, bindings) and _match_body(
-                pattern.right, body.right, bindings
-            )
-        if isinstance(body, BBase) and isinstance(body.fml, AndF):
-            return _match_body(
-                pattern.left, BBase(body.fml.left), bindings
-            ) and _match_body(pattern.right, BBase(body.fml.right), bindings)
-        return False
-    if isinstance(pattern, BNot):
-        if isinstance(body, BNot):
-            return _match_body(pattern.body, body.body, bindings)
-        if isinstance(body, BBase) and isinstance(body.fml, NotF):
-            return _match_body(pattern.body, BBase(body.fml.body), bindings)
-        return False
-    if isinstance(pattern, BBase) and isinstance(body, BBase):
-        return body_key(pattern) == body_key(body)
-    return type(pattern) is type(body) and body_key(pattern) == body_key(body)
+    # so "!" and "&&" patterns look through that representation
+    if isinstance(term, BBase):
+        fml = term.fml
+        if isinstance(pattern, BNot) and isinstance(fml, NotF):
+            term = BNot(BBase(fml.body))
+        elif isinstance(pattern, BAnd) and isinstance(fml, AndF):
+            term = BAnd(BBase(fml.left), BBase(fml.right))
+    return type(pattern) is type(term) and all(
+        _match(p, t, bindings) for p, t in zip(values(pattern), values(term))
+    )
 
 
-def _match_prog(pattern, prog, bindings: dict) -> bool:
-    from . import canon
-
-    if isinstance(pattern, MProg):
-        if pattern.name in bindings:
-            return canon.program_key(bindings[pattern.name]) == canon.program_key(prog)
-        bindings[pattern.name] = prog
-        return True
-    if isinstance(pattern, Seq) and isinstance(prog, Seq):
-        return _match_prog(pattern.first, prog.first, bindings) and _match_prog(
-            pattern.second, prog.second, bindings
-        )
-    return canon.program_key(pattern) == canon.program_key(prog)
-
-
-def _instantiate_body(pattern, bindings: dict) -> Body:
-    if isinstance(pattern, MBody):
+def _instantiate(pattern, bindings: dict):
+    """``pattern`` with its holes replaced by their bindings; a part without
+    holes is returned as it is, and a connective is built as the parser
+    builds it."""
+    if isinstance(pattern, _HOLES):
         return bindings[pattern.name]
-    if isinstance(pattern, BBox):
-        return BBox(
-            _instantiate_prog(pattern.prog, bindings),
-            _instantiate_body(pattern.body, bindings),
-        )
-    return pattern
-
-
-def _instantiate_prog(pattern, bindings: dict) -> Program:
-    if isinstance(pattern, MProg):
-        return bindings[pattern.name]
-    if isinstance(pattern, Seq):
-        return Seq(
-            _instantiate_prog(pattern.first, bindings),
-            _instantiate_prog(pattern.second, bindings),
-        )
-    return pattern
+    parts = values(pattern)
+    made = tuple(_instantiate(part, bindings) for part in parts)
+    if made == parts:  # no holes
+        return pattern
+    return _BUILD.get(type(pattern), type(pattern))(*made)
 
 
 @dataclass
@@ -298,7 +271,7 @@ def _apply_lifted(node: Node, rule: LiftedRule, samples: int) -> RuleInstance:
             DLabeled(formula.label, BBase(_TRUE))
         ):
             raise SideConditionFailed(f"{rule.name}: labels must agree")
-        if not _match_body(pattern, formula.body, bindings):
+        if not _match(pattern, formula.body, bindings):
             raise SideConditionFailed(f"{rule.name}: template does not match")
     if rule.witness is None:
         raise FreenessNotEstablished(f"{rule.name}: no witness transformers registered")
@@ -317,8 +290,8 @@ def _apply_lifted(node: Node, rule: LiftedRule, samples: int) -> RuleInstance:
     premises = []
     pairs = []
     for pleft, pright in rule.premises:
-        left = tuple(DLabeled(sigma, _instantiate_body(p, bindings)) for p in pleft)
-        right = tuple(DLabeled(sigma, _instantiate_body(p, bindings)) for p in pright)
+        left = tuple(DLabeled(sigma, _instantiate(p, bindings)) for p in pleft)
+        right = tuple(DLabeled(sigma, _instantiate(p, bindings)) for p in pright)
         premises.append(Sequent(left, right))
         pairs.append(
             tuple(
@@ -339,7 +312,7 @@ def _evaluable_instances(rule: LiftedRule, bindings: dict) -> list:
     out = []
     for side_pair in (rule.conclusion, *rule.premises):
         for pattern in side_pair[0] + side_pair[1]:
-            body = _instantiate_body(pattern, bindings)
+            body = _instantiate(pattern, bindings)
             if isinstance(body, BBase) and isinstance(body.fml, BaseFormula):
                 out.append(body.fml)
     return out

@@ -40,10 +40,11 @@ printed sequents).  Two caps make it so, in three checks made in this order:
    most three frames per counted level and reads runs and chains in loops,
    so the count bounds its stack.  A token opens at most one level, so only
    a text of more than MAX_NESTING tokens is counted.
-2. Depth (MAX_DEPTH): the parsed tree's height.  The term functions
-   (printers, canonical forms, evaluation) recurse once per level, and a
-   long sequence, sum or conjunction is read in a loop but builds a deep
-   tree.  This bound is what makes printing the tree safe.
+2. Depth (MAX_DEPTH): the parsed tree's height, over each record's fields
+   (``record.height``); a sequent or a tuple adds no level.  The term
+   functions (printers, canonical forms, evaluation) recurse once per
+   level, and a long sequence, sum or conjunction is read in a loop but
+   builds a deep tree.  This bound is what makes printing the tree safe.
 3. Nesting once printed (MAX_NESTING): the same count of the text the
    printers write for the tree, because a printed form can nest deeper than
    its input: "a || b" prints as "!(!(a) && !(b))".  Only a tree taller than
@@ -61,9 +62,9 @@ A printed tree parses to the same tree, so it passes the caps again.
 from __future__ import annotations
 
 import re
-import sys
 from functools import partial
 
+from . import record
 from .formulas import (
     BAnd,
     BBase,
@@ -518,8 +519,6 @@ def _prog_or_address(ts: _Tokens):
 # ---------------------------------------------------------------------------
 
 _PROGRAM_WORDS = ("skip", "ε", "eps", "if", "while", "dispose")
-# the heap domain's module: no heap statement exists before it is loaded
-_HEAP = f"{__package__}.sep"
 
 
 def _heap():
@@ -682,67 +681,8 @@ def _capped(node):
 
 def _height(root) -> int:
     """The height of ``root``: a term, or a sequent or tuple, whose parts add
-    no level.  One walk with an explicit stack of (node, depth)."""
-    height = 0
-    heap = sys.modules.get(_HEAP)  # no heap node exists before it is loaded
-    stack = [(root, 1)]
-    push = stack.append
-    while stack:
-        node, d = stack.pop()
-        if d > height:
-            height = d
-        d += 1
-        cls = type(node)
-        if cls is Var or cls is Lit:
-            continue
-        if cls is BinOp or cls is Le or cls is AndF or cls is DAnd or cls is BAnd:
-            push((node.left, d))
-            push((node.right, d))
-        elif cls is NotF or cls is BNot or cls is Forall:
-            push((node.body, d))
-        elif cls is DNot:
-            push((node.arg, d))
-        elif cls is DBase or cls is BBase:
-            push((node.fml, d))
-        elif cls is DLabeled:
-            push((node.label, d))
-            push((node.body, d))
-        elif cls is DTer:
-            push((node.label, d))
-            push((node.prog, d))
-            if node.factor is not None:
-                push((node.factor, d))
-        elif cls is Config:
-            for _, e in node.entries:
-                push((e, d))
-        elif cls is BBox or cls is BDia:
-            push((node.prog, d))
-            push((node.body, d))
-        elif cls is Assign:
-            push((node.expr, d))
-        elif cls is Seq:
-            push((node.first, d))
-            push((node.second, d))
-        elif cls is If:
-            push((node.guard, d))
-            push((node.then, d))
-            push((node.orelse, d))
-        elif cls is While:
-            push((node.guard, d))
-            push((node.body, d))
-        elif cls is Sequent or cls is tuple:
-            for part in (node.left + node.right if cls is Sequent else node):
-                push((part, d - 1))
-        elif heap is None:  # a leaf
-            pass
-        elif cls is heap.HeapWrite:
-            push((node.addr, d))
-            push((node.expr, d))
-        elif cls is heap.HeapRead or cls is heap.Dispose:
-            push((node.addr, d))
-        elif cls is heap.Alloc:
-            push((node.expr, d))
-    return height
+    no level; each record's parts are its fields."""
+    return record.height(root.left + root.right if type(root) is Sequent else root)
 
 
 def _printed(node) -> str:

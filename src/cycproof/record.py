@@ -19,6 +19,10 @@ fields inherited from a record base class, ``ClassVar`` annotations,
 ``__match_args__`` and generated docstrings.  A frozen record still takes
 attributes that are not fields through ``object.__setattr__``
 (``canon._keep``).
+
+``walk`` and ``height`` reach the records a term is made of through their
+fields, so a function that only needs a term's parts (its height, its
+``while`` statements, its divisions) lists no class of it.
 """
 
 from __future__ import annotations
@@ -51,6 +55,54 @@ def fields(record) -> tuple:
     """The ``Field``s of a record class or instance, in declaration order;
     ``()`` for anything else."""
     return getattr(record, "__record_fields__", ())
+
+
+def values(record) -> tuple:
+    """The field values of a record, in declaration order; ``()`` for
+    anything else."""
+    get = _VALUES.get(type(record))
+    return () if get is None else get(record)
+
+
+def walk(root):
+    """Each record reached from ``root`` through fields and tuples, in
+    preorder, left to right; a value that is neither a record nor a tuple is
+    not visited."""
+    stack = [root]
+    pop, push = stack.pop, stack.extend
+    getter = _VALUES.get
+    while stack:
+        node = pop()
+        get = getter(type(node))
+        if get is not None:
+            yield node
+            push(get(node)[::-1])
+        elif type(node) is tuple:
+            push(node[::-1])
+
+
+def height(root) -> int:
+    """The number of levels of records in ``root``, at least 1: ``root`` is
+    on the first, a record's parts on the level below it, and a tuple's
+    elements on the tuple's own level.  Read level by level, so that no
+    value is visited twice and no depth is kept per value."""
+    levels = 0
+    level = [root]
+    getter = _VALUES.get
+    while level:
+        below: list = []
+        extend = below.extend
+        records = False
+        for node in level:  # grows by the elements of its tuples
+            get = getter(type(node))
+            if get is not None:
+                records = True
+                extend(get(node))
+            elif type(node) is tuple:
+                level.extend(node)
+        levels += records
+        level = below
+    return levels or 1
 
 
 def dataclass(cls=None, /, *, frozen: bool = False):
@@ -95,7 +147,8 @@ def _build(cls, frozen: bool):
         ns: dict = {}
         exec(src, {}, ns)
         create = _CREATORS[src] = ns["__create__"]
-    made = (create(**env), *_value_methods(names, frozen))
+    get = _VALUES[cls] = _values(names)
+    made = (create(**env), *_value_methods(get, names, frozen))
     if frozen:
         made += _frozen_guards(cls, names)
     for fn in made:
@@ -111,19 +164,25 @@ def _build(cls, frozen: bool):
 # with the same fields and defaults share one compile; a pure memo, written
 # once per field layout
 _CREATORS: dict = {}
+# record class -> the function that reads its field values as one tuple,
+# written once per class, when it is built
+_VALUES: dict = {}
 
 
-def _value_methods(names: tuple, frozen: bool) -> tuple:
-    """``__repr__``, ``__eq__`` and, when frozen, ``__hash__``, as closures
-    over the tuple of field values ``(self.a, self.b, ...)`` that the code
-    ``dataclasses`` generates builds."""
+def _values(names: tuple):
+    """The function that reads the tuple of field values ``(self.a,
+    self.b, ...)`` that the code ``dataclasses`` generates builds."""
     if len(names) > 1:
-        values = attrgetter(*names)
-    elif names:
+        return attrgetter(*names)
+    if names:
         value = attrgetter(*names)
-        values = lambda self: (value(self),)
-    else:
-        values = lambda self: ()
+        return lambda self: (value(self),)
+    return lambda self: ()
+
+
+def _value_methods(values, names: tuple, frozen: bool) -> tuple:
+    """``__repr__``, ``__eq__`` and, when frozen, ``__hash__``, as closures
+    over the tuple of field values that ``values`` reads."""
 
     def __repr__(self):
         shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, values(self)))

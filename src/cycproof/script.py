@@ -32,7 +32,7 @@ from pathlib import Path as FsPath
 from . import cyclic, parser
 from .kernel import CATALOG, KernelError, ProofGraph
 from .oracle import BoundedValid
-from .record import dataclass, field, fields
+from .record import dataclass, field, walk
 from .terms import TermError, While
 from .whilelang import (
     CaseSplitNeeded,
@@ -146,17 +146,8 @@ class Replayer:
 
     def _whiles_in_goal(self) -> list:
         """While statements of the root goal, in preorder, left to right."""
-        out: list = []
-        stack = [self.graph.node(self.graph.root).sequent]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, While):
-                out.append(node)
-            if node_fields := fields(node):
-                stack += reversed([getattr(node, f.name) for f in node_fields])
-            elif isinstance(node, tuple):
-                stack += reversed(node)
-        return out
+        goal = self.graph.node(self.graph.root).sequent
+        return [node for node in walk(goal) if isinstance(node, While)]
 
     # -- commands --------------------------------------------------------------
 

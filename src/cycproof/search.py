@@ -24,8 +24,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from . import cyclic, parser
-from .formulas import DBase, Sequent, formulas_equal
-from .kernel import LABEL_REWRITES, MATCHERS, KernelError, ProofGraph
+from .formulas import DBase, Sequent
+from .kernel import LABEL_REWRITES, MATCHERS, KernelError, ProofGraph, ax_pair
 from .oracle import BoundedValid
 from .record import dataclass
 from .terms import TermError
@@ -144,11 +144,10 @@ def _close_or_step(graph: ProofGraph, node_id: int, budget: dict, lines: list,
             ter_failure = str(exc)
 
     # 2. closure: axiom
-    for i, f in enumerate(nu.left):
-        for j, g in enumerate(nu.right):
-            if formulas_equal(f, g):
-                _apply(graph, node_id, "ax", lines, left=i, right=j)
-                return
+    pair = ax_pair(nu)
+    if pair is not None:
+        _apply(graph, node_id, "ax", lines, left=pair[0], right=pair[1])
+        return
 
     # 3. closure: backlink to the nearest identical ancestor (a key is
     # hashed once: a tuple does not keep its hash)

@@ -24,7 +24,7 @@ from cycproof.parser import (
     parse_template_sequent,
 )
 from cycproof.semantics import soundness_sample
-from cycproof.terms import Seq
+from cycproof.terms import NotF, Seq
 
 
 SHIFT = parse_config("{x -> x + 1}")
@@ -276,3 +276,66 @@ qed
     broken = text.replace("bwd {x := x - 1}", "bwd {x := 0}")
     _, report = script_mod.replay(broken, oracle, base_dir=tmp_path)
     assert report.verdict == "Stuck" and "FreenessNotEstablished" in report.message
+
+
+# ---------------------------------------------------------------------------
+# Holes under every construct
+# ---------------------------------------------------------------------------
+
+def _lift_and_apply(tmp_path, oracle, rule: str, goal: str, fwd: str = "x"):
+    """Replays ``goal``, a lift of the template ``rule`` over a free label
+    with the witness ``fwd {x := <fwd>} bwd {x := x}``, and its application."""
+    (tmp_path / "t.rule").write_text(rule)
+    from cycproof import script as script_mod
+
+    text = (f"goal {goal}\nlift t from t.rule class free witness "
+            f"fwd {{x := {fwd}}} bwd {{x := x}}\napply t at 1\n")
+    return script_mod.replay(text, oracle, base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("template, body", [
+    ("?a && ?b", "(x >= 1 && x >= -1)"),
+    ("!?b", "!(x <= 2)"),
+    ("!(?a && [@p] ?b)", "!(x <= 0 && [x := 1] x >= 1)"),
+    ("[@p] ?a", "[x := x + 1] x >= 1"),
+    ("<@p> ?a", "<x := x + 1> x >= 1"),
+    ("[@p ; @q] ?a", "[x := x + 1 ; x := x - 1] x >= 1"),
+    ("[if x <= 0 then @p else @q end] ?a", "[if x <= 0 then x := 1 else skip end] x >= 1"),
+    ("[while x <= 0 do @p end] ?a", "[while x <= 0 do x := x + 1 end] x >= 1"),
+], ids=["and", "not", "not-and-box", "box", "diamond", "seq", "if", "while"])
+def test_holes_match_and_instantiate_under_every_construct(template, body, tmp_path, oracle):
+    # the premise repeats the conclusion, so it is the goal, built as parsed
+    goal = f"{{x -> x}} : x >= 1 => {{x -> x}} : {body}"
+    replayer, report = _lift_and_apply(
+        tmp_path, oracle, f"premise ?c => {template}\nconclusion ?c => {template}\n", goal)
+    assert report.message == "script ended without qed"
+    assert replayer.graph.node(2).sequent == parse_sequent(goal)
+    assert "?" not in report.dump and "@" not in report.dump
+    args = replayer.graph.node(1).rule_instance.args
+    assert args == {"lifted": "t", "evidence": "sampled-witness"}
+
+
+def test_a_negated_hole_is_instantiated_as_parsed_and_sampled(tmp_path, oracle):
+    rule = "premise ?a => !?b\nconclusion ?a => !?b\n"
+    goal = "{x -> x} : x <= 3 => {x -> x} : !(x <= 2)"
+    replayer, report = _lift_and_apply(tmp_path, oracle, rule, goal)
+    premise = replayer.graph.node(2).sequent
+    assert premise.right[0].body == BBase(NotF(parse_fml("x <= 2")))
+    assert "?" not in report.dump
+    # freeness sampling reads the negation: a witness that moves x breaks
+    # condition 1 on it alone, since y <= 3 does not read x
+    _, report = _lift_and_apply(tmp_path, oracle, rule, goal.replace("x <= 3", "y <= 3"),
+                                fwd="x + 5")
+    assert report.verdict == "Stuck" and "FreenessNotEstablished" in report.message
+    assert "on !(x <= 2)" in report.message
+
+
+def test_a_hole_bound_twice_matches_equal_parts_only(tmp_path, oracle):
+    rule = "conclusion ?c => [@p ; @p] ?a\n"
+    same = "{x -> x} : x >= 1 => {x -> x} : [x := x + 1 ; x := 1 + x] x >= 1"
+    _, report = _lift_and_apply(tmp_path, oracle, rule, same)
+    assert report.message == "script ended without qed"  # equal modulo arithmetic
+    _, report = _lift_and_apply(tmp_path, oracle, rule, same.replace("1 + x", "x + 2"))
+    assert report.verdict == "Stuck" and "template does not match" in report.message
+    _, report = _lift_and_apply(tmp_path, oracle, rule, same.replace("[", "<").replace("]", ">"))
+    assert report.verdict == "Stuck" and "template does not match" in report.message

@@ -11,6 +11,9 @@ sound if no printed tree nests deeper than its height.  Towers of every node
 kind, each kind repeated in runs, are built bottom-up, and the printed
 nesting of each tree on the way is at most its height.
 
+The same towers check ``_height`` against its definition, written here
+recursively: 1 plus the tallest of a node's record-field parts.
+
 Scripts and goals are the ``table4`` proof and its goal with lines dropped,
 repeated or swapped and characters dropped, inserted or repeated.  Each replay
 and each ``search`` ends in a verdict or a usage error, never in an exception.
@@ -55,6 +58,7 @@ from cycproof.parser import (  # noqa: E402
     parse_sequent,
     sequent_src,
 )
+from cycproof.record import fields  # noqa: E402
 from cycproof.sep import Alloc, Dispose, HeapRead, HeapWrite  # noqa: E402
 from cycproof.terms import (  # noqa: E402
     EPSILON,
@@ -205,6 +209,37 @@ def _towers(rng):
 def test_no_printed_tree_nests_deeper_than_its_height(rng):
     for tree in _towers(rng):
         assert _nesting(_printed(tree)) <= _height(tree), _printed(tree)
+
+
+def _reference_height(value) -> int:
+    """1 plus the largest height among a node's parts: its record fields,
+    and the records in its tuple fields.  A sequent or a tuple adds no
+    level, and a name, a number, a flag or an absent factor is no part."""
+    if isinstance(value, Sequent):
+        value = value.left + value.right
+    if isinstance(value, tuple):
+        return max(map(_reference_height, value), default=0)
+    if value is None or isinstance(value, (str, int)):
+        return 0
+    return 1 + max((_reference_height(getattr(value, f.name)) for f in fields(value)),
+                   default=0)
+
+
+# a budget of about 2 s: 70 towers, each tree of each tower measured
+settings.register_profile("height-reference", derandomize=True, database=None,
+                          max_examples=70, deadline=None)
+
+
+@settings(settings.get_profile("height-reference"))
+@given(st.randoms(use_true_random=False))
+def test_height_is_one_more_than_the_tallest_part(rng):
+    # towers hold formulas, labeled formulas, programs with heap statements,
+    # stores and stacks, and end in sequents
+    for tree in _towers(rng):
+        assert _height(tree) == _reference_height(tree), _printed(tree)
+        if not isinstance(tree, Sequent):  # a sequent is read whole, never as a part
+            pair = (tree, (_side(rng, "expr"),))
+            assert _height(pair) == _reference_height(pair), _printed(tree)
 
 
 _PIECES = ["(", ")", "[", "]", "{", "}", "<", ">", "!", "-", "+", "*", "/", ";", ":", ",",

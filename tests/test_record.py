@@ -43,8 +43,11 @@ def twin(tmp_path_factory):
     root = tmp_path_factory.mktemp("twin")
     shutil.copytree(SRC / "cycproof", root / TWIN,
                     ignore=shutil.ignore_patterns("__pycache__"))
+    # the walks over records' fields are no part of ``dataclasses`` and are
+    # not compared: the twin imports them, unused, so that its modules load
     (root / TWIN / "record.py").write_text(
-        "from dataclasses import MISSING, dataclass, field, fields\n")
+        "from dataclasses import MISSING, dataclass, field, fields\n"
+        "from cycproof.record import height, values, walk\n")
     sys.path.insert(0, str(root))
     try:
         yield lambda cls: getattr(importlib.import_module(

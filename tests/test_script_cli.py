@@ -525,6 +525,24 @@ def test_ax_with_one_occurrence_searches_only_the_other_side():
     assert report.verdict == "Proved" and "(rule ax left 1 right 0)" in report.dump
 
 
+# each ended Proved while ax compared canonical keys alone: a key forgets a
+# division that may fault, and both oracles read these sequents as not valid
+@pytest.mark.parametrize("goal", [
+    "0 <= 0 => x / y <= x / y",                 # x / y - x / y cancels
+    "1 <= x / y => 1 <= x / y + 0 * (z / w)",   # a zero factor drops z / w
+    "x / y >= 0 => x / y >= 0",                 # the same formula on each side
+])
+def test_ax_refuses_a_formula_that_may_divide_by_zero(goal, oracle):
+    _, report = _replay(f"goal {goal}\napply ax\nqed")
+    assert report.verdict == "Stuck"
+    assert report.message == "SideConditionFailed: no matching formula pair for ax (script line 2)"
+    assert search(parse_sequent(goal), oracle, depth=2).verdict == "Stuck"
+    # a division by a nonzero literal cannot fault
+    literal = goal.replace("/ y", "/ 2").replace("/ w", "/ -3")
+    _, report = _replay(f"goal {literal}\napply ax\nqed")
+    assert report.verdict == "Proved", report.message
+
+
 def test_termination_fixture_dump_reads_back(tmp_path, capsys):
     import re
 
