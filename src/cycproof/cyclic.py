@@ -13,6 +13,7 @@ the usual max composition of size-change graphs.
 from __future__ import annotations
 
 from .kernel import ProofGraph
+from .oracle import BoundedValid
 from .record import dataclass, field
 
 
@@ -94,6 +95,17 @@ class TraceCertificate:
             return "\n".join(lines) if lines else "no cycles: finite proof tree"
         cyc = " -> ".join(str(n) for n in self.reject_cycle)
         return f"rejected: cycle {cyc} admits no progressive trace"
+
+
+def verdict(graph: ProofGraph, certificate: TraceCertificate) -> str:
+    """The verdict on a closed graph: ``Rejected`` unless the certificate
+    accepts it; then ``ProvedBounded`` when an obligation was decided only
+    on the oracle's bounded box, else ``Proved``."""
+    if not certificate.accepted:
+        return "Rejected"
+    if any(isinstance(ob.verdict, BoundedValid) for ob in graph.obligations()):
+        return "ProvedBounded"
+    return "Proved"
 
 
 def check_cyclic(graph: ProofGraph) -> TraceCertificate:

@@ -8,6 +8,10 @@ so rules can match on it; its semantics is the dual of the box.
 Sequent sides are stored as ordered tuples so rule applications can address
 occurrences by index, but identity (backlinks, rule side conditions) is
 multiset identity over canonical keys.
+
+Free variables and substitution are ``terms.free_vars`` and
+``terms.substitute``, re-exported: each class here is entered in their table
+where it is defined.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from functools import cached_property
 
 from . import canon, terms
 from .record import dataclass
-from .terms import BaseFormula, Config, Program, TermError
+from .terms import BaseFormula, Config, Program, TermError, binder, term
+from .terms import free_vars, substitute  # noqa: F401 - re-exported: one walk for every sort
 
 
 class DlpFormula:
@@ -27,56 +32,73 @@ class Body:
     __slots__ = ()
 
 
+def _under_label(part: str):
+    """A label binds its domain, the variables it maps, in the field
+    ``part``, and is free itself.  Its names cannot be renamed, so a
+    substitution that it would capture raises ``CaptureError``."""
+    return binder(part, lambda f: f.label.domain(), "{0} under a label")
+
+
+@term
 @dataclass(frozen=True)
 class BBase(Body):
     fml: BaseFormula
 
 
+@term
 @dataclass(frozen=True)
 class BNot(Body):
     body: Body
 
 
+@term
 @dataclass(frozen=True)
 class BAnd(Body):
     left: Body
     right: Body
 
 
+@term
 @dataclass(frozen=True)
 class BBox(Body):
     prog: Program
     body: Body
 
 
+@term
 @dataclass(frozen=True)
 class BDia(Body):
     prog: Program
     body: Body
 
 
+@term
 @dataclass(frozen=True)
 class DBase(DlpFormula):
     fml: BaseFormula
 
 
+@_under_label("body")
 @dataclass(frozen=True)
 class DLabeled(DlpFormula):
     label: object  # Config, or another domain's configuration (e.g. SepState)
     body: Body
 
 
+@term
 @dataclass(frozen=True)
 class DNot(DlpFormula):
     arg: DlpFormula
 
 
+@term
 @dataclass(frozen=True)
 class DAnd(DlpFormula):
     left: DlpFormula
     right: DlpFormula
 
 
+@_under_label("prog")
 @dataclass(frozen=True)
 class DTer(DlpFormula):
     """The termination judgment ``label : prog ⇓ factor``.
@@ -127,6 +149,7 @@ def diamond(sigma: Config, prog: Program, fml: BaseFormula) -> DlpFormula:
     return DLabeled(sigma, BDia(prog, BBase(fml)))
 
 
+@term
 @dataclass(frozen=True)
 class Sequent:
     left: tuple = ()
@@ -252,147 +275,6 @@ def sequent_diff(a: Sequent, b: Sequent):
                 if formula_key(y) in ykeys:
                     return side, y
     return None
-
-
-# ---------------------------------------------------------------------------
-# Free variables and substitution
-# ---------------------------------------------------------------------------
-
-def body_free_vars(b: Body) -> frozenset:
-    if isinstance(b, BBase):
-        if not isinstance(b.fml, terms.BaseFormula):
-            from .sep import sep_formula_vars
-
-            return sep_formula_vars(b.fml)
-        return terms.free_vars(b.fml)
-    if isinstance(b, BNot):
-        return body_free_vars(b.body)
-    if isinstance(b, BAnd):
-        return body_free_vars(b.left) | body_free_vars(b.right)
-    if isinstance(b, (BBox, BDia)):
-        return terms.free_vars(b.prog) | body_free_vars(b.body)
-    raise TermError(f"body_free_vars: not a body: {b!r}")
-
-
-def free_vars(f) -> frozenset:
-    """Free variables of a labeled formula, plain formula, or term.
-
-    A configuration's mappings bind the variables of the labeled body but
-    the mapped expressions themselves are always free.
-    """
-    if isinstance(f, DBase):
-        return terms.free_vars(f.fml)
-    if isinstance(f, DLabeled):
-        if not isinstance(f.label, Config):
-            # concrete foreign labels (store-heap states) are closed and
-            # bind exactly their store variables
-            bound = frozenset(x for x, _ in getattr(f.label, "store", ()))
-            return body_free_vars(f.body) - bound
-        label_fv = terms.free_vars(f.label)
-        bound = terms.bound_vars(f.label)
-        return label_fv | (body_free_vars(f.body) - bound)
-    if isinstance(f, DNot):
-        return free_vars(f.arg)
-    if isinstance(f, DAnd):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Sequent):
-        out: frozenset = frozenset()
-        for g in f.left + f.right:
-            out |= free_vars(g)
-        return out
-    if isinstance(f, DTer):
-        label_fv = terms.free_vars(f.label)
-        prog_fv = terms.free_vars(f.prog) - terms.bound_vars(f.label)
-        factor_fv = frozenset() if f.factor is None else terms.free_vars(f.factor)
-        return label_fv | prog_fv | factor_fv
-    return terms.free_vars(f)
-
-
-def substitute_body(b: Body, bindings, scope) -> Body:
-    # like ``terms.substitute``, an unchanged node is returned itself
-    if isinstance(b, BBase):
-        fml = terms.substitute(b.fml, bindings, scope)
-        return b if fml is b.fml else BBase(fml)
-    if isinstance(b, BNot):
-        body = substitute_body(b.body, bindings, scope)
-        return b if body is b.body else BNot(body)
-    if isinstance(b, BAnd):
-        left = substitute_body(b.left, bindings, scope)
-        right = substitute_body(b.right, bindings, scope)
-        if left is b.left and right is b.right:
-            return b
-        return BAnd(left, right)
-    if isinstance(b, (BBox, BDia)):
-        prog = terms.substitute(b.prog, bindings, scope)
-        body = substitute_body(b.body, bindings, scope)
-        if prog is b.prog and body is b.body:
-            return b
-        return type(b)(prog, body)
-    raise TermError(f"substitute_body: not a body: {b!r}")
-
-
-def substitute(f, bindings, scope=None):
-    """Substitution extended to labeled formulas and sequents.
-
-    Under a label the scope shrinks by the configuration's bound variables;
-    a replacement whose free variables include one of those would be
-    captured, which raises ``CaptureError`` (the binder is not renamable).
-    A formula or sequent that the substitution leaves unchanged is returned
-    itself.
-    """
-    if scope is None:
-        scope = frozenset(bindings)
-    scope = frozenset(scope)
-    if isinstance(f, DBase):
-        fml = terms.substitute(f.fml, bindings, scope)
-        return f if fml is f.fml else DBase(fml)
-    if isinstance(f, DLabeled):
-        if not isinstance(f.label, Config):
-            raise TermError("substitution over non-store labels is not defined")
-        inner = _scope_under(f.label, bindings, scope, body_free_vars(f.body))
-        label = terms.substitute(f.label, bindings, scope)
-        body = substitute_body(f.body, bindings, inner)
-        if label is f.label and body is f.body:
-            return f
-        return DLabeled(label, body)
-    if isinstance(f, DNot):
-        arg = substitute(f.arg, bindings, scope)
-        return f if arg is f.arg else DNot(arg)
-    if isinstance(f, DAnd):
-        left = substitute(f.left, bindings, scope)
-        right = substitute(f.right, bindings, scope)
-        if left is f.left and right is f.right:
-            return f
-        return DAnd(left, right)
-    if isinstance(f, Sequent):
-        left = tuple(substitute(g, bindings, scope) for g in f.left)
-        right = tuple(substitute(g, bindings, scope) for g in f.right)
-        if all(g is h for g, h in zip(left + right, f.left + f.right)):
-            return f
-        return Sequent(left, right)
-    if isinstance(f, DTer):
-        inner = _scope_under(f.label, bindings, scope, terms.free_vars(f.prog))
-        label = terms.substitute(f.label, bindings, scope)
-        prog = terms.substitute(f.prog, bindings, inner)
-        factor = None if f.factor is None else terms.substitute(f.factor, bindings, scope)
-        if label is f.label and prog is f.prog and factor is f.factor:
-            return f
-        return DTer(label, prog, factor)
-    return terms.substitute(f, bindings, scope)
-
-
-def _scope_under(label: Config, bindings, scope: frozenset, names: frozenset) -> frozenset:
-    """The substitution scope under ``label``, which binds its store
-    variables; ``CaptureError`` when a replacement for one of ``names``
-    would be captured there."""
-    inner = scope - terms.bound_vars(label)
-    for x in inner & frozenset(bindings) & names:
-        clash = terms.free_vars(bindings[x]) & terms.bound_vars(label)
-        if clash:
-            raise terms.CaptureError(
-                f"substituting {x} would capture {sorted(clash)} under a label"
-            )
-    return inner
 
 
 def base_formulas(side: tuple) -> list:

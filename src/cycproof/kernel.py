@@ -50,12 +50,10 @@ from .formulas import (
     DTer,
     Sequent,
     base_formulas,
-    body_free_vars,
     formula_key,
     formulas_equal,
     sequent_diff,
     sequents_equal,
-    substitute,
 )
 from .oracle import check_obligation, is_accepting
 from .record import dataclass, field, walk
@@ -75,8 +73,10 @@ from .terms import (
     Var,
     apply_config,
     apply_stack_config,
+    free_vars,
     ge,
     lt,
+    substitute,
 )
 from .whilelang import (
     LoopAnnotations,
@@ -316,21 +316,26 @@ def ax_pair(nu: Sequent, lefts=None, rights=None) -> tuple | None:
     forgets a division that may fault (see ``canon``), and an oracle reads
     a sequent that may divide by zero as not valid, so a formula that holds
     a division by anything but a nonzero literal closes no goal."""
+    return next(((i, j) for i, j, division in _equal_pairs(nu, lefts, rights)
+                 if division is None), None)
+
+
+def _equal_pairs(nu: Sequent, lefts=None, rights=None):
+    """Each pair ``(i, j, division)`` of occurrences with one canonical key,
+    left-major, with the first division in them that may fault, or None."""
     lefts = range(len(nu.left)) if lefts is None else lefts
     rights = range(len(nu.right)) if rights is None else rights
     for i in lefts:
         key = formula_key(nu.left[i])
         for j in rights:
-            if (formula_key(nu.right[j]) == key
-                    and not (_may_fault(nu.left[i]) or _may_fault(nu.right[j]))):
-                return i, j
-    return None
+            if formula_key(nu.right[j]) == key:
+                yield i, j, _faulting_division(nu.left[i]) or _faulting_division(nu.right[j])
 
 
-def _may_fault(f) -> bool:
-    return any(type(node) is BinOp and node.op == "/"
-               and not (type(node.right) is Lit and node.right.value)
-               for node in walk(f))
+def _faulting_division(f):
+    """The first division in ``f`` by anything but a nonzero literal."""
+    return next((node for node in walk(f) if type(node) is BinOp and node.op == "/"
+                 and not (type(node.right) is Lit and node.right.value)), None)
 
 
 def _require_in_range(side: tuple, occs, rule: str) -> None:
@@ -593,7 +598,10 @@ class ProofGraph:
         _require_in_range(nu.right, rights, "ax")
         found = ax_pair(nu, lefts, rights)
         if found is None:
-            raise SideConditionFailed("no matching formula pair for ax")
+            # a pair with one key refused for a division: name the division
+            refused = next((d for _, _, d in _equal_pairs(nu, lefts, rights)), None)
+            note = "" if refused is None else f": {parser.expr_src(refused)} may divide by zero"
+            raise SideConditionFailed("no matching formula pair for ax" + note)
         return RuleInstance("ax", nu, (), {"left": found[0], "right": found[1]}, ())
 
     def _labeled_rewrite(self, node: Node, occ: int | None = None,
@@ -802,7 +810,7 @@ class ProofGraph:
         store = state.store_map()
         heap_dom = set(state.heap_map())
         offenders = sorted(
-            x for x in sep.sep_formula_vars(star.right)
+            x for x in free_vars(star.right)
             if store.get(x) in heap_dom
         )
         if offenders:
@@ -849,7 +857,7 @@ class ProofGraph:
         if not isinstance(sigma, Config) or sigma.stack:
             raise SideConditionFailed("sigma_gen needs a store label")
         values = {e.name for _, e in sigma.entries if isinstance(e, Var)}
-        outside = (body_free_vars(lhs.body) | body_free_vars(rhs.body)) - sigma.domain()
+        outside = (free_vars(lhs.body) | free_vars(rhs.body)) - sigma.domain()
         if len(values) < len(sigma.entries) or values & outside:
             raise SideConditionFailed(
                 f"sigma_gen: {parser.config_src(sigma)} does not rename variables apart"

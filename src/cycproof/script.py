@@ -31,7 +31,6 @@ from pathlib import Path as FsPath
 
 from . import cyclic, parser
 from .kernel import CATALOG, KernelError, ProofGraph
-from .oracle import BoundedValid
 from .record import dataclass, field, walk
 from .terms import TermError, While
 from .whilelang import (
@@ -370,15 +369,10 @@ class Replayer:
             report.verdict = "Stuck"
         else:
             self.certificate = cyclic.check_cyclic(self.graph)
+            report.verdict = cyclic.verdict(self.graph, self.certificate)
             if self.certificate.accepted:
-                bounded = any(
-                    isinstance(ob.verdict, BoundedValid)
-                    for ob in self.graph.obligations()
-                )
-                report.verdict = "ProvedBounded" if bounded else "Proved"
                 report.trace_report = self.certificate.report()
             else:
-                report.verdict = "Rejected"
                 report.message = self.certificate.report()
         self._finish(report, started)
         return report

@@ -26,7 +26,6 @@ from heapq import heappop, heappush
 from . import cyclic, parser
 from .formulas import DBase, Sequent
 from .kernel import LABEL_REWRITES, MATCHERS, KernelError, ProofGraph, ax_pair
-from .oracle import BoundedValid
 from .record import dataclass
 from .terms import TermError
 from .whilelang import CaseSplitNeeded, ObligationFailed
@@ -98,10 +97,8 @@ def search(goal: Sequent, oracle, depth: int) -> SearchResult:
 
     lines.append("qed")
     certificate = cyclic.check_cyclic(graph)
-    if not certificate.accepted:
-        return SearchResult(graph, "\n".join(lines), "Rejected", certificate.report())
-    bounded = any(isinstance(ob.verdict, BoundedValid) for ob in graph.obligations())
-    return SearchResult(graph, "\n".join(lines), "ProvedBounded" if bounded else "Proved")
+    message = "" if certificate.accepted else certificate.report()
+    return SearchResult(graph, "\n".join(lines), cyclic.verdict(graph, certificate), message)
 
 
 def _inherit(budget, node_id, children, cost=0):

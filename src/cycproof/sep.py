@@ -20,9 +20,10 @@ from .terms import (
     Expr,
     Program,
     TermError,
+    closed,
     eval_bool,
     evaluate,
-    free_vars,
+    term,
 )
 
 
@@ -38,9 +39,14 @@ class HeapTooLarge(SepError):
     """Split enumeration refused: the heap exceeds the split bound."""
 
 
+@closed("substitution over non-store labels is not defined")
 @dataclass(frozen=True)
 class SepState:
-    """A store-heap pair; both components are kept sorted for identity."""
+    """A store-heap pair; both components are kept sorted for identity.
+
+    As the label of a formula it is closed and binds its store's names
+    there (``domain``); a substitution under it is refused.
+    """
 
     store: tuple = ()   # ((name, int), ...)
     heap: tuple = ()    # ((addr, int), ...)
@@ -54,6 +60,9 @@ class SepState:
 
     def store_map(self) -> dict:
         return dict(self.store)
+
+    def domain(self) -> frozenset:
+        return frozenset(x for x, _ in self.store)
 
     def heap_map(self) -> dict:
         return dict(self.heap)
@@ -87,44 +96,37 @@ class SepFormula:
     __slots__ = ()
 
 
+@term
 @dataclass(frozen=True)
 class SBase(SepFormula):
     fml: BaseFormula
 
 
+@term
 @dataclass(frozen=True)
 class PointsTo(SepFormula):
     addr: Expr
     value: Expr
 
 
+@term
 @dataclass(frozen=True)
 class Star(SepFormula):
     left: SepFormula
     right: SepFormula
 
 
+@term
 @dataclass(frozen=True)
 class SNot(SepFormula):
     body: SepFormula
 
 
+@term
 @dataclass(frozen=True)
 class SAnd(SepFormula):
     left: SepFormula
     right: SepFormula
-
-
-def sep_formula_vars(phi: SepFormula) -> frozenset:
-    if isinstance(phi, SBase):
-        return free_vars(phi.fml)
-    if isinstance(phi, PointsTo):
-        return free_vars(phi.addr) | free_vars(phi.value)
-    if isinstance(phi, (Star, SAnd)):
-        return sep_formula_vars(phi.left) | sep_formula_vars(phi.right)
-    if isinstance(phi, SNot):
-        return sep_formula_vars(phi.body)
-    raise TermError(f"not a separation formula: {phi!r}")
 
 
 DEFAULT_SPLIT_BOUND = 16

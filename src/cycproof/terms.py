@@ -14,13 +14,18 @@ configuration mappings also bind, but they are not alpha-renamable (renaming
 an assignment target changes which cell of the store is written), so a
 substitution that would smuggle a free variable under such a binder raises
 ``CaptureError`` instead of silently capturing.
+
+``free_vars`` and ``substitute`` serve every sort of term, here and in
+``formulas`` and ``sep``: they go through a term's fields, and the table
+``TERMS`` names the term classes and the few that bind.
 """
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Mapping, Union
 
-from .record import dataclass
+from .record import dataclass, fields, values, walk
 
 
 class TermError(Exception):
@@ -35,6 +40,44 @@ class CaptureError(TermError):
     """Substitution cannot be made admissible at a non-renamable binder."""
 
 
+# term class -> its binder row.  ``free_vars`` and ``substitute`` walk a
+# term through its fields (``record.values``), and a tuple (a sequent's
+# side, a store's entries) through its elements; a name, number, flag or
+# ``None`` is a leaf.  A class whose row is None binds nothing.  The row
+# ``(i, binds, capture)`` binds the names ``binds(t)`` in field number ``i``.
+# A substitution that such a binder would capture is renamed apart when
+# ``capture`` is None (``Forall``); otherwise it raises ``CaptureError``,
+# whose message ends in ``capture`` formatted with the captured names,
+# sorted.  A string row marks a closed class, over which substitution is
+# refused with that message.  A class that is not a key is no term, and
+# the walks refuse it.  Each class is entered by its decorator, so
+# ``formulas`` and ``sep`` enter theirs where they define them.
+TERMS: dict = {tuple: None}
+
+
+def _enter(cls, row):
+    TERMS[cls] = row
+    return cls
+
+
+def term(cls):
+    """Class decorator: a term class that binds nothing."""
+    return _enter(cls, None)
+
+
+def binder(part: str, binds, capture: str | None = None):
+    """Class decorator: a term class that binds ``binds(t)`` in its field
+    ``part``."""
+    return lambda cls: _enter(
+        cls, ([f.name for f in fields(cls)].index(part), binds, capture))
+
+
+def closed(refusal: str):
+    """Class decorator: a term class without free variables, over which
+    substitution raises ``TermError(refusal)``."""
+    return lambda cls: _enter(cls, refusal)
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -43,16 +86,19 @@ class Expr:
     __slots__ = ()
 
 
+@term
 @dataclass(frozen=True)
 class Lit(Expr):
     value: int
 
 
+@term
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
 
 
+@term
 @dataclass(frozen=True)
 class BinOp(Expr):
     op: str  # one of + - * /
@@ -84,23 +130,27 @@ class BaseFormula:
     __slots__ = ()
 
 
+@term
 @dataclass(frozen=True)
 class Le(BaseFormula):
     left: Expr
     right: Expr
 
 
+@term
 @dataclass(frozen=True)
 class NotF(BaseFormula):
     body: BaseFormula
 
 
+@term
 @dataclass(frozen=True)
 class AndF(BaseFormula):
     left: BaseFormula
     right: BaseFormula
 
 
+@binder("body", lambda t: frozenset((t.var,)))
 @dataclass(frozen=True)
 class Forall(BaseFormula):
     var: str
@@ -141,18 +191,21 @@ class Program:
     __slots__ = ()
 
 
+@binder("expr", lambda t: frozenset((t.target,)), "{0[0]!r} at a non-renamable binder")
 @dataclass(frozen=True)
 class Assign(Program):
     target: str
     expr: Expr
 
 
+@binder("second", lambda t: bound_vars(t.first), "{0} under a sequence binder")
 @dataclass(frozen=True)
 class Seq(Program):
     first: Program
     second: Program
 
 
+@term
 @dataclass(frozen=True)
 class If(Program):
     guard: BaseFormula
@@ -160,17 +213,20 @@ class If(Program):
     orelse: Program
 
 
+@term
 @dataclass(frozen=True)
 class While(Program):
     guard: BaseFormula
     body: Program
 
 
+@term
 @dataclass(frozen=True)
 class Skip(Program):
     """No-op statement; steps to the terminal program in one transition."""
 
 
+@term
 @dataclass(frozen=True)
 class Epsilon(Program):
     """The distinguished terminal program.
@@ -188,6 +244,7 @@ EPSILON = Epsilon()
 # Configurations
 # ---------------------------------------------------------------------------
 
+@term
 @dataclass(frozen=True)
 class Config:
     """Variable store (default) or variable stack (``stack=True``).
@@ -251,40 +308,56 @@ Term = Union[Expr, BaseFormula, Program, Config]
 
 
 # ---------------------------------------------------------------------------
-# Free and binding variables
+# Free and binding variables, and substitution, over every sort
 # ---------------------------------------------------------------------------
 
-def free_vars(t: Term) -> frozenset:
-    if isinstance(t, Lit):
-        return frozenset()
+_LEAVES = frozenset((str, int, bool, type(None)))  # names, values, flags, no factor
+_NO_TERM = object()  # the row of a class that is no term
+
+
+def _rebuilt(t, cls, old: tuple, new: list):
+    """``t`` itself when each new part is the old one itself, so that
+    unchanged subterms keep what is cached on them; else ``t`` built anew
+    from the new parts."""
+    if all(map(is_, new, old)):
+        return t
+    return tuple(new) if cls is tuple else cls(*new)
+
+
+def free_vars(t) -> frozenset:
+    """The variables free in ``t``, a term of any sort or a tuple of them.
+
+    A binder's names are not free in its bound part; a configuration's
+    mapped expressions are free.
+    """
+    out: set = set()
+    _free(t, out)
+    return frozenset(out)
+
+
+def _free(t, out: set) -> None:
     if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, BinOp):
-        return free_vars(t.left) | free_vars(t.right)
-    if isinstance(t, Le):
-        return free_vars(t.left) | free_vars(t.right)
-    if isinstance(t, NotF):
-        return free_vars(t.body)
-    if isinstance(t, AndF):
-        return free_vars(t.left) | free_vars(t.right)
-    if isinstance(t, Forall):
-        return free_vars(t.body) - {t.var}
-    if isinstance(t, Assign):
-        return free_vars(t.expr) - {t.target}
-    if isinstance(t, Seq):
-        return free_vars(t.first) | (free_vars(t.second) - bound_vars(t.first))
-    if isinstance(t, If):
-        return free_vars(t.guard) | free_vars(t.then) | free_vars(t.orelse)
-    if isinstance(t, While):
-        return free_vars(t.guard) | free_vars(t.body)
-    if isinstance(t, (Skip, Epsilon)):
-        return frozenset()
-    if isinstance(t, Config):
-        out: frozenset = frozenset()
-        for _, e in t.entries:
-            out |= free_vars(e)
-        return out
-    raise TermError(f"free_vars: not a term: {t!r}")
+        out.add(t.name)
+    elif isinstance(t, BinOp):
+        _free(t.left, out)
+        _free(t.right, out)
+    elif not isinstance(t, Lit) and type(t) not in _LEAVES:
+        row = TERMS.get(type(t), _NO_TERM)
+        if row is _NO_TERM:
+            raise TermError(f"free_vars: not a term: {t!r}")
+        parts = t if type(t) is tuple else values(t)
+        if type(row) is not tuple:
+            for v in parts:
+                _free(v, out)
+            return
+        i, binds, _ = row
+        for j, v in enumerate(parts):
+            if j == i:
+                inner: set = set()
+                _free(v, inner)
+                out |= inner - binds(t)
+            else:
+                _free(v, out)
 
 
 def bound_vars(t: Term) -> frozenset:
@@ -303,21 +376,6 @@ def bound_vars(t: Term) -> frozenset:
     raise TermError(f"bound_vars: defined on programs and configurations, got {t!r}")
 
 
-def all_vars(t: Expr | BaseFormula) -> frozenset:
-    """Every variable name occurring anywhere in ``t`` (free or bound)."""
-    if isinstance(t, Lit):
-        return frozenset()
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, (BinOp, Le, AndF)):
-        return all_vars(t.left) | all_vars(t.right)
-    if isinstance(t, NotF):
-        return all_vars(t.body)
-    if isinstance(t, Forall):
-        return all_vars(t.body) | {t.var}
-    raise TermError(f"all_vars: not an expression or base formula: {t!r}")
-
-
 def fresh_name(base: str, taken: frozenset) -> str:
     """Deterministic fresh variant: the base name plus the fewest primes."""
     candidate = base + "'"
@@ -326,42 +384,26 @@ def fresh_name(base: str, taken: frozenset) -> str:
     return candidate
 
 
-# ---------------------------------------------------------------------------
-# Substitution
-# ---------------------------------------------------------------------------
-
-def substitute(t: Term, bindings: Mapping[str, Expr], scope: frozenset | None = None) -> Term:
+def substitute(t, bindings: Mapping[str, Expr], scope: frozenset | None = None):
     """Replace each free occurrence of a scope variable by its binding.
 
     ``scope`` defaults to the domain of ``bindings``.  Quantified variables
     are renamed (name + primes) exactly when a replacing expression would be
-    captured; capture at an assignment or configuration binder raises
-    ``CaptureError`` because those binders cannot be renamed.
+    captured; capture at an assignment, sequence or label binder raises
+    ``CaptureError`` because those binders cannot be renamed.  A term that
+    the substitution leaves unchanged is returned itself.
     """
     if scope is None:
         scope = frozenset(bindings)
     return _subst(t, dict(bindings), frozenset(scope))
 
 
-def _relevant(bindings: dict, scope: frozenset, fv: frozenset) -> frozenset:
-    return frozenset(x for x in scope if x in bindings and x in fv)
-
-
-def _check_binder(binder: str, bindings: dict, scope: frozenset, body_fv: frozenset) -> None:
-    for x in _relevant(bindings, scope - {binder}, body_fv):
-        if binder in free_vars(bindings[x]):
-            raise CaptureError(
-                f"substituting {x} would capture {binder!r} at a non-renamable binder"
-            )
-
-
-def _subst(t: Term, bindings: dict, scope: frozenset) -> Term:
-    # a node whose children all come back as the identical objects is
-    # returned itself, so unchanged subterms keep what is cached on them
+def _subst(t, bindings: dict, scope: frozenset):
+    # arithmetic first: most substitutions are on expressions.  No
+    # comprehension here: up to Python 3.11 the locals one reads become
+    # cells, made on every call, so the binder rows are ``_subst_binder``'s
     if isinstance(t, Var):
-        if t.name in scope and t.name in bindings:
-            return bindings[t.name]
-        return t
+        return bindings[t.name] if t.name in scope and t.name in bindings else t
     if isinstance(t, Lit):
         return t
     if isinstance(t, BinOp):
@@ -370,65 +412,57 @@ def _subst(t: Term, bindings: dict, scope: frozenset) -> Term:
         if left is t.left and right is t.right:
             return t
         return BinOp(t.op, left, right)
-    if isinstance(t, (Le, AndF)):
-        left = _subst(t.left, bindings, scope)
-        right = _subst(t.right, bindings, scope)
-        if left is t.left and right is t.right:
-            return t
-        return type(t)(left, right)
-    if isinstance(t, NotF):
-        body = _subst(t.body, bindings, scope)
-        return t if body is t.body else NotF(body)
-    if isinstance(t, Forall):
-        inner_scope = scope - {t.var}
-        relevant = _relevant(bindings, inner_scope, free_vars(t.body))
-        if any(t.var in free_vars(bindings[x]) for x in relevant):
-            taken = all_vars(t.body) | frozenset(scope)
-            for x in relevant:
-                taken |= free_vars(bindings[x])
-            new_var = fresh_name(t.var, taken)
-            renamed = _subst(t.body, {t.var: Var(new_var)}, frozenset((t.var,)))
-            return Forall(new_var, _subst(renamed, bindings, inner_scope))
-        body = _subst(t.body, bindings, inner_scope)
-        return t if body is t.body else Forall(t.var, body)
-    if isinstance(t, Assign):
-        _check_binder(t.target, bindings, scope, free_vars(t.expr))
-        expr = _subst(t.expr, bindings, scope - {t.target})
-        return t if expr is t.expr else Assign(t.target, expr)
-    if isinstance(t, Seq):
-        inner = scope - bound_vars(t.first)
-        for x in _relevant(bindings, inner, free_vars(t.second)):
-            clash = free_vars(bindings[x]) & bound_vars(t.first)
-            if clash:
-                raise CaptureError(
-                    f"substituting {x} would capture {sorted(clash)} under a sequence binder"
-                )
-        first = _subst(t.first, bindings, scope)
-        second = _subst(t.second, bindings, inner)
-        if first is t.first and second is t.second:
-            return t
-        return Seq(first, second)
-    if isinstance(t, If):
-        guard = _subst(t.guard, bindings, scope)
-        then = _subst(t.then, bindings, scope)
-        orelse = _subst(t.orelse, bindings, scope)
-        if guard is t.guard and then is t.then and orelse is t.orelse:
-            return t
-        return If(guard, then, orelse)
-    if isinstance(t, While):
-        guard = _subst(t.guard, bindings, scope)
-        body = _subst(t.body, bindings, scope)
-        if guard is t.guard and body is t.body:
-            return t
-        return While(guard, body)
-    if isinstance(t, (Skip, Epsilon)):
+    cls = type(t)
+    if cls in _LEAVES:
         return t
-    if isinstance(t, Config):
-        entries = tuple((x, _subst(e, bindings, scope)) for x, e in t.entries)
-        if all(new is old for (_, new), (_, old) in zip(entries, t.entries)):
-            return t
-        return Config(entries, stack=t.stack)
-    raise TermError(f"substitute: not a term: {t!r}")
+    row = TERMS.get(cls, _NO_TERM)
+    if row is _NO_TERM:
+        raise TermError(f"substitute: not a term: {t!r}")
+    old = t if cls is tuple else values(t)
+    if row is None:
+        new = []
+        for v in old:
+            new.append(_subst(v, bindings, scope))
+        return _rebuilt(t, cls, old, new)
+    if type(row) is str:
+        raise TermError(row)
+    return _subst_binder(t, cls, old, row, bindings, scope)
+
+
+def _subst_binder(t, cls, old: tuple, row: tuple, bindings: dict, scope: frozenset):
+    """``t`` substituted under its binder row: the scope shrinks by the bound
+    names in the bound part, and a replacement there whose free variables
+    the binder would capture is renamed apart or refused."""
+    i, binds, capture = row
+    bound = binds(t)
+    inner = scope - bound
+    caught = [x for x in inner if x in bindings and not bound.isdisjoint(free_vars(bindings[x]))]
+    if caught:
+        names = free_vars(old[i])
+        caught = sorted(x for x in caught if x in names)
+    if caught:
+        if capture is None:
+            return _renamed(t, bindings, scope, names)
+        for v in old:  # a closed label refuses before its names could capture
+            if type(TERMS.get(type(v))) is str:
+                raise TermError(TERMS[type(v)])
+        x = caught[0]
+        raise CaptureError(f"substituting {x} would capture "
+                           + capture.format(sorted(bound & free_vars(bindings[x]))))
+    return _rebuilt(t, cls, old, [_subst(v, bindings, inner if j == i else scope)
+                                  for j, v in enumerate(old)])
+
+
+def _renamed(t: Forall, bindings: dict, scope: frozenset, names: frozenset) -> Forall:
+    """``t`` substituted, its variable renamed apart from every name in its
+    body, the scope and the replacements for its free variables ``names``."""
+    inner = scope - {t.var}
+    taken = scope.union(
+        {n.var if type(n) is Forall else n.name for n in walk(t.body) if type(n) in (Var, Forall)},
+        *(free_vars(bindings[x]) for x in inner if x in bindings and x in names))
+    var = fresh_name(t.var, taken)
+    body = _subst(t.body, {t.var: Var(var)}, frozenset((t.var,)))
+    return Forall(var, _subst(body, bindings, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -532,37 +566,25 @@ def eval_bool(rho: Evaluation, phi: BaseFormula, quantifier_range=(-50, 50)) -> 
     raise TermError(f"eval_bool: not a base formula: {phi!r}")
 
 
-def fold(t: Term) -> Term:
+def fold(t):
     """Evaluate every closed subexpression down to a literal.
 
     Division by zero in a closed subexpression raises, as evaluation would.
     """
-    if isinstance(t, (Lit, Var)):
+    if isinstance(t, (Var, Lit)):
         return t
     if isinstance(t, BinOp):
         left = fold(t.left)
         right = fold(t.right)
-        if isinstance(left, Lit) and isinstance(right, Lit):
+        if type(left) is Lit and type(right) is Lit:
             return Lit(evaluate({}, BinOp(t.op, left, right)))
+        if left is t.left and right is t.right:
+            return t
         return BinOp(t.op, left, right)
-    if isinstance(t, Le):
-        return Le(fold(t.left), fold(t.right))
-    if isinstance(t, NotF):
-        return NotF(fold(t.body))
-    if isinstance(t, AndF):
-        return AndF(fold(t.left), fold(t.right))
-    if isinstance(t, Forall):
-        return Forall(t.var, fold(t.body))
-    if isinstance(t, Assign):
-        return Assign(t.target, fold(t.expr))
-    if isinstance(t, Seq):
-        return Seq(fold(t.first), fold(t.second))
-    if isinstance(t, If):
-        return If(fold(t.guard), fold(t.then), fold(t.orelse))
-    if isinstance(t, While):
-        return While(fold(t.guard), fold(t.body))
-    if isinstance(t, (Skip, Epsilon)):
+    cls = type(t)
+    if cls in _LEAVES:
         return t
-    if isinstance(t, Config):
-        return Config(tuple((x, fold(e)) for x, e in t.entries), stack=t.stack)
-    raise TermError(f"fold: not a term: {t!r}")
+    if cls not in TERMS:
+        raise TermError(f"fold: not a term: {t!r}")
+    old = t if cls is tuple else values(t)
+    return _rebuilt(t, cls, old, [fold(v) for v in old])

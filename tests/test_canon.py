@@ -48,6 +48,15 @@ def test_exact_division_requires_integrality_everywhere():
     assert terms_equal(parse_expr("m / 2"), parse_expr("m / 2"))
 
 
+def test_an_exact_division_by_a_constant_cancels_its_factor():
+    # 2 * x is even for every integer x, so (2 * x) / 2 keys as x
+    assert expr_key(parse_expr("2 * x / 2")) == expr_key(parse_expr("x"))
+    assert expr_key(parse_expr("(6 * x + 4) / 2")) == expr_key(parse_expr("3 * x + 2"))
+    # the polynomial 2x / 2 is divided by its content, so 2 * x / 2 - x + 1
+    # is the constant 1, and a division by it is no division
+    assert expr_key(parse_expr("y / (2 * x / 2 - x + 1)")) == expr_key(parse_expr("y"))
+
+
 def test_constant_division_truncates():
     assert terms_equal(parse_expr("7 / 2"), parse_expr("3"))
     assert terms_equal(parse_expr("-7 / 2"), parse_expr("-3"))

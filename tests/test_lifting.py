@@ -227,6 +227,29 @@ def test_sigma_gen_needs_a_label_that_renames_variables_apart(oracle):
     assert len(g.apply_rule(1, "sigma_gen")) == 1
 
 
+def test_sigma_gen_needs_a_box_on_both_sides(oracle):
+    from cycproof import script as script_mod
+
+    for goal in ("{x -> v} : [x := x + 1] (x >= 1) => {x -> v} : (x >= 0)",
+                 "{x -> v} : (x >= 1) => {x -> v} : [x := x + 1] (x >= 0)"):
+        _, report = script_mod.replay(f"goal {goal}\napply sigma_gen at 1", oracle)
+        assert report.verdict == "Stuck"
+        assert report.message == ("SideConditionFailed: sigma_gen expects boxed formulas "
+                                  "on both sides (script line 2)")
+
+
+def test_sigma_gen_over_a_heap_program_is_refused_by_the_walk(oracle):
+    # the heap statements are no terms of the While domain: the free-variable
+    # walk of the boxed bodies refuses the allocation
+    from cycproof import script as script_mod
+
+    goal = ("{x -> v} : [x := cons(1)] (x >= 1) => {x -> v} : [x := cons(1)] (x >= 0)")
+    _, report = script_mod.replay(f"goal {goal}\napply sigma_gen at 1", oracle)
+    assert report.verdict == "Stuck"
+    assert report.message == ("TermError: free_vars: not a term: "
+                              "Alloc(target='x', expr=Lit(value=1)) (script line 2)")
+
+
 def test_sigma_seq_semantic_check_sampled():
     # bounded truth of sigma:[a][b]phi implies bounded truth of sigma:[a;b]phi
     import random

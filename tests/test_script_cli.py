@@ -535,6 +535,11 @@ def test_ax_with_one_occurrence_searches_only_the_other_side():
 def test_ax_refuses_a_formula_that_may_divide_by_zero(goal, oracle):
     _, report = _replay(f"goal {goal}\napply ax\nqed")
     assert report.verdict == "Stuck"
+    # the note names the division that refused the pair of equal keys
+    assert report.message == ("SideConditionFailed: no matching formula pair for ax: "
+                              "x / y may divide by zero (script line 2)")
+    # a pair whose keys differ is refused without one
+    _, report = _replay(f"goal {goal} + 1\napply ax\nqed")
     assert report.message == "SideConditionFailed: no matching formula pair for ax (script line 2)"
     assert search(parse_sequent(goal), oracle, depth=2).verdict == "Stuck"
     # a division by a nonzero literal cannot fault

@@ -6,8 +6,22 @@ import pytest
 
 from conftest import random_config, random_expr, random_fml
 from cycproof.canon import expr_key, formula_key, terms_equal
+from cycproof.formulas import (
+    BAnd,
+    BBase,
+    BBox,
+    BDia,
+    BNot,
+    DAnd,
+    DBase,
+    DLabeled,
+    DNot,
+    DTer,
+    Sequent,
+)
 from cycproof.formulas import substitute as fsubstitute
 from cycproof.parser import parse_config, parse_expr, parse_fml, parse_prog, parse_sequent
+from cycproof.record import walk
 from cycproof.semantics import eval_term
 from cycproof.terms import (
     AndF,
@@ -15,13 +29,16 @@ from cycproof.terms import (
     CaptureError,
     Config,
     DivisionByZero,
+    SKIP,
+    TRUE,
     Forall,
+    If,
     Le,
     Lit,
     NotF,
     TermError,
     Var,
-    all_vars,
+    While,
     apply_config,
     apply_stack_config,
     bound_vars,
@@ -230,7 +247,8 @@ def _rebuilt(t, bindings: dict):
     relevant = [e for x, e in inner.items() if x in free_vars(t.body)]
     if not any(t.var in free_vars(e) for e in relevant):
         return Forall(t.var, _rebuilt(t.body, inner))
-    taken = all_vars(t.body) | frozenset(bindings)
+    taken = {n.var if type(n) is Forall else n.name for n in walk(t.body)
+             if type(n) in (Var, Forall)} | frozenset(bindings)
     for e in relevant:
         taken |= free_vars(e)
     renamed = fresh_name(t.var, taken)
@@ -280,3 +298,162 @@ def test_substitution_keeps_untouched_subterms_with_their_keys():
     stepped = sigma.set("s", apply_config(sigma, parse_expr("s + n")))
     assert stepped.get("s").left is sigma.get("s") and stepped.get("s").right is sigma.get("n")
     assert stepped.get("n") is sigma.get("n")
+
+
+# ---------------------------------------------------------------------------
+# The labeled layer: a label binds its domain in the body or program under it
+# ---------------------------------------------------------------------------
+
+OUTER = NAMES + ["w"]  # w is mapped by no label
+
+
+def _loops(rng: random.Random, depth: int = 2):
+    """A program that binds nothing: branches and loops over skip."""
+    if depth == 0 or rng.random() < 0.3:
+        return SKIP
+    if rng.random() < 0.5:
+        return While(random_fml(rng, OUTER, 1), _loops(rng, depth - 1))
+    return If(random_fml(rng, OUTER, 1), _loops(rng, depth - 1), _loops(rng, depth - 1))
+
+
+def _programs(rng: random.Random):
+    from test_parser import random_prog
+
+    return random_prog(rng, 2)
+
+
+def _body(rng: random.Random, prog, depth: int = 2):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return BBase(random_fml(rng, OUTER, 2))
+    if roll < 0.45:
+        return BNot(_body(rng, prog, depth - 1))
+    if roll < 0.6:
+        return BAnd(_body(rng, prog, depth - 1), _body(rng, prog, depth - 1))
+    return (BBox if roll < 0.8 else BDia)(prog(rng), _body(rng, prog, depth - 1))
+
+
+def _labeled(rng: random.Random, prog):
+    """A labeled formula or a termination judgment, under a store over some
+    of ``NAMES``; a judgment's factor is one of its store's values."""
+    label = Config(tuple((x, random_expr(rng, OUTER, 2))
+                         for x in rng.sample(NAMES, rng.randint(1, len(NAMES)))))
+    if rng.random() < 0.3:
+        return DTer(label, prog(rng), rng.choice([e for _, e in label.entries]))
+    return DLabeled(label, _body(rng, prog))
+
+
+def _member(rng: random.Random, prog):
+    roll = rng.random()
+    if roll < 0.2:
+        return DBase(random_fml(rng, OUTER, 2))
+    if roll < 0.3:
+        return DNot(_labeled(rng, prog))
+    if roll < 0.4:
+        return DAnd(_labeled(rng, prog), _member(rng, prog))
+    return _labeled(rng, prog)
+
+
+def _sequent(rng: random.Random, prog) -> Sequent:
+    return Sequent(tuple(_member(rng, prog) for _ in range(rng.randint(0, 2))),
+                   tuple(_member(rng, prog) for _ in range(rng.randint(1, 2))))
+
+
+def _under_label(f):
+    """The part a labeled formula's or a judgment's label binds in."""
+    return f.prog if isinstance(f, DTer) else f.body
+
+
+def test_free_vars_shrink_under_substitution_of_labeled_formulas():
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(300):
+        nu = _sequent(rng, _programs)
+        x, e = rng.choice(OUTER), random_expr(rng, OUTER, 2)
+        try:
+            out = substitute(nu, {x: e})
+        except CaptureError:
+            continue  # a label or an assignment would capture a variable of e
+        assert free_vars(out) <= (free_vars(nu) - {x}) | free_vars(e), (nu, x, e)
+        checked += 1
+    assert checked > 150
+
+
+def test_a_name_the_label_binds_is_never_replaced():
+    rng = random.Random(42)
+    for _ in range(300):
+        f = _labeled(rng, _programs)
+        e = random_expr(rng, OUTER, 2)
+        for x in sorted(f.label.domain()):
+            out = substitute(f, {x: e})
+            assert _under_label(out) is _under_label(f), (f, x, e)
+            assert out.label == substitute(f.label, {x: e})
+
+
+def test_a_label_refuses_exactly_the_substitutions_it_would_capture():
+    # with programs that bind nothing, the label is the only binder that
+    # cannot be renamed: a quantifier under it is renamed apart
+    rng = random.Random(43)
+    raised = kept = 0
+    for _ in range(400):
+        f = _labeled(rng, _loops)
+        domain = f.label.domain()
+        x = rng.choice([n for n in OUTER if n not in domain])
+        e = random_expr(rng, OUTER, 2)
+        captured = sorted(free_vars(e) & domain)
+        if x in free_vars(_under_label(f)) and captured:
+            with pytest.raises(CaptureError) as caught:
+                substitute(f, {x: e})
+            assert str(caught.value) == (
+                f"substituting {x} would capture {captured} under a label")
+            raised += 1
+        else:
+            out = substitute(f, {x: e})
+            assert free_vars(out) <= (free_vars(f) - {x}) | free_vars(e)
+            kept += 1
+    assert raised > 40 and kept > 40
+
+
+def test_labeled_substitution_returns_unchanged_formulas_themselves():
+    rng = random.Random(44)
+    for _ in range(300):
+        nu = _sequent(rng, _programs)
+        e = random_expr(rng, OUTER, 2)
+        assert substitute(nu, {"q": e}) is nu
+        for x in OUTER:
+            if x not in free_vars(nu):
+                assert substitute(nu, {x: e}) is nu, (nu, x)
+        for f in nu.left + nu.right:
+            for x in sorted(free_vars(f)):
+                assert substitute(f, {x: Var(x)}) == f
+
+
+def test_heap_formulas_are_terms_and_a_heap_state_a_closed_label():
+    from cycproof.sep import Alloc, PointsTo, SBase, SepState, Star
+
+    phi = Star(PointsTo(Var("x"), Var("y")), SBase(parse_fml("z <= 0")))
+    assert free_vars(phi) == {"x", "y", "z"}
+    assert substitute(phi, {"y": Lit(1)}) == Star(PointsTo(Var("x"), Lit(1)), phi.right)
+    assert substitute(phi, {"q": Lit(1)}) is phi
+    # a concrete store-heap state is closed and binds its store's names
+    state = SepState.make({"x": 37}, {37: 1})
+    f = DLabeled(state, BBase(phi))
+    assert free_vars(f) == {"y", "z"}
+    with pytest.raises(TermError, match="^substitution over non-store labels is not defined$"):
+        substitute(f, {"y": Lit(0)})
+    # refused also where the state's names would capture the replacement
+    with pytest.raises(TermError, match="^substitution over non-store labels is not defined$"):
+        substitute(f, {"y": Var("x")})
+    # a heap statement is no term of the While domain
+    with pytest.raises(TermError, match=r"^substitute: not a term: Alloc\("):
+        substitute(DLabeled(Config(), BBox(Alloc("x", Lit(1)), BBase(TRUE))), {"x": Lit(0)})
+
+
+def test_template_holes_are_no_terms():
+    from cycproof.formulas import MBody, MProg
+
+    for hole in (MBody("a"), BBox(MProg("p"), BBase(TRUE))):
+        with pytest.raises(TermError, match="^free_vars: not a term: M"):
+            free_vars(hole)
+        with pytest.raises(TermError, match="^substitute: not a term: M"):
+            substitute(hole, {"x": Lit(0)})
