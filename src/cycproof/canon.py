@@ -17,6 +17,17 @@ division agrees with rational division, so the rewrite is sound for the
 truncating evaluator.  Every other division stays an opaque atom keyed by the
 canonical forms of its operands.
 
+``key`` is the one key of every sort of term: programs, bodies, labeled
+formulas, judgments, store-heap states, heap statements and heap formulas.
+It keys a record as its tag and the keys of its fields, by a function
+made for the record's class on first use.  Only three sorts have keys of their own: an
+expression its polynomial's (``expr_key``), a base formula ``formula_key``,
+and a store ``config_key``, whose entries are sorted by name, as a store's
+order means nothing (a stack keeps its order).  A missing factor keys as
+``()``.  ``formula_key`` names the variable bound by the ``i``-th enclosing
+quantifier ``#i``: ``#`` starts no token, so no variable the parser reads
+shares that name.
+
 Keys are made of strs, ints and tuples only, and every variant of a key
 starts with a tag of its own (``"le"``/``"not"``/``"and"``/``"forall"``,
 ``"v"``/``"div"``, ``"store"``/``"stack"``/``"sepstate"``, ...), so two keys
@@ -41,25 +52,20 @@ from __future__ import annotations
 from itertools import product
 from math import gcd, lcm
 
+from .record import fields, getter
 from .terms import (
     AndF,
-    Assign,
     BaseFormula,
     BinOp,
     Config,
-    Epsilon,
     Expr,
     Forall,
-    If,
     Le,
     Lit,
     NotF,
     Program,
-    Seq,
-    Skip,
     TermError,
     Var,
-    While,
     substitute,
     truncated_div,
 )
@@ -198,7 +204,7 @@ def _try_exact_div(p: tuple, c: int) -> tuple | None:
 # level of the term still costs one stack frame.
 
 _POLY = "_canon_poly"  # canon_expr on an Expr
-_KEY = "_canon_key"  # expr_key, formula_key (depth 0), program_key, config_key
+_KEY = "_key"  # key, and formula_key at depth 0
 
 
 def _keep(term, slot: str, value):
@@ -267,35 +273,12 @@ def formula_key(phi: BaseFormula, depth: int = 0) -> tuple:
     elif isinstance(phi, AndF):
         key = ("and", formula_key(phi.left, depth), formula_key(phi.right, depth))
     elif isinstance(phi, Forall):
-        marker = f"__bound{depth}"
+        marker = f"#{depth}"  # no name the parser reads: "#" starts no token
         body = substitute(phi.body, {phi.var: Var(marker)}, frozenset((phi.var,)))
         key = ("forall", formula_key(body, depth + 1))
     else:
         raise TermError(f"formula_key: not a base formula: {phi!r}")
     return _keep(phi, _KEY, key) if depth == 0 else key
-
-
-def program_key(p: Program) -> tuple:
-    key = getattr(p, _KEY, None)
-    if key is not None:
-        return key
-    if isinstance(p, Assign):
-        key = ("assign", p.target, expr_key(p.expr))
-    elif isinstance(p, Seq):
-        key = ("seq", program_key(p.first), program_key(p.second))
-    elif isinstance(p, If):
-        key = ("if", formula_key(p.guard), program_key(p.then), program_key(p.orelse))
-    elif isinstance(p, While):
-        key = ("while", formula_key(p.guard), program_key(p.body))
-    elif isinstance(p, Skip):
-        key = ("skip",)
-    elif isinstance(p, Epsilon):
-        key = ("epsilon",)
-    elif hasattr(p, "canon_key"):
-        key = p.canon_key()
-    else:
-        raise TermError(f"program_key: not a program: {p!r}")
-    return _keep(p, _KEY, key)
 
 
 def config_key(sigma: Config) -> tuple:
@@ -308,6 +291,75 @@ def config_key(sigma: Config) -> tuple:
     else:
         key = ("store", tuple(sorted(entries)))  # names are distinct
     return _keep(sigma, _KEY, key)
+
+
+class _Keyers(dict):
+    """class -> the function that keys its instances.  A record class's
+    is made on its first use (``_record_keyer``) and kept."""
+
+    def __missing__(self, cls):
+        keyer = self[cls] = _record_keyer(cls)
+        return keyer
+
+
+_KEYERS = _Keyers({
+    Lit: expr_key, Var: expr_key, BinOp: expr_key,
+    Le: formula_key, NotF: formula_key, AndF: formula_key, Forall: formula_key,
+    Config: config_key,
+    str: lambda name: name, int: lambda value: value,
+    type(None): lambda _: (),  # a missing factor
+    tuple: lambda parts: tuple(map(key, parts)),
+})
+
+
+def key(t) -> tuple:
+    """The canonical key of ``t``: a term of any sort, or a part of one."""
+    found = getattr(t, _KEY, None)
+    return _KEYERS[type(t)](t) if found is None else found
+
+
+def _record_keyer(cls):
+    """The keyer of the record class ``cls``: its tag, then the keys of its
+    fields.  The tag is the class name in lower case, without the one-letter
+    prefix of a formula sort (``BNot``, ``DNot`` and ``SNot`` are all
+    ``"not"``).  A ``"not"`` or ``"and"`` over operands that key as base
+    formulas keys as that base formula's connective, so the two ways to
+    write it have one identity.  As ``record`` builds ``__init__``, the
+    keyer's code reads each field by name and is compiled once per field
+    layout, so a level of the term costs one stack frame, as above."""
+    if getter(cls) is None:
+        raise TermError(f"key: not a term: {cls.__qualname__}")
+    name = cls.__name__
+    tag = (name[1:] if name[1:2].isupper() else name).lower()
+    parts = [(f"k{i}", f.name) for i, f in enumerate(fields(cls))]
+    made = f"(tag, {''.join(f'{k}, ' for k, _ in parts)})"
+    if tag in ("not", "and"):
+        base = " and ".join(f'{k}[0] == "base"' for k, _ in parts)
+        made = f"(\"base\", (tag, {''.join(f'{k}[1], ' for k, _ in parts)})) if {base} else {made}"
+    src = "\n".join([
+        "def __create__(tag, keyers, _keep, _KEY):",
+        "  def keyer(t):",
+        "    key = getattr(t, _KEY, None)",
+        "    if key is None:",
+        *(f"      {k} = keyers[type(t.{field})](t.{field})" for k, field in parts),
+        f"      key = _keep(t, _KEY, {made})",
+        "    return key",
+        "  return keyer",
+    ])
+    create = _CREATORS.get(src)
+    if create is None:
+        ns: dict = {}
+        exec(src, {}, ns)
+        create = _CREATORS[src] = ns["__create__"]
+    return create(tag, _KEYERS, _keep, _KEY)
+
+
+# generated source -> the function that makes its keyer, so record classes
+# with the same field names share one compile; a pure memo
+_CREATORS: dict = {}
+
+
+program_key = key  # the name whilelang calls, and perfbench/tracing.py patches
 
 
 def term_key(t) -> tuple:

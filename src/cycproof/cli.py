@@ -128,14 +128,7 @@ def cmd_search(args) -> int:
 
     try:
         result = search_mod.search(goal, oracle, args.depth)
-        report = [f"verdict: {result.verdict}"]
-        if result.message:
-            report.append(f"note: {result.message}")
-        report.append("oracle obligations:")
-        obligations = result.graph.obligations()
-        report.extend(f"  {ob.describe()}" for ob in obligations)
-        if not obligations:
-            report.append("  none")
+        report = script_mod.ledger(result.verdict, result.message, result.graph.obligations())
         dump = result.graph.dump() if args.dump else None
     except RecursionError as exc:
         return _stuck_on_overflow(exc)

@@ -97,6 +97,11 @@ class TraceCertificate:
         return f"rejected: cycle {cyc} admits no progressive trace"
 
 
+def succeeded(verdict: str) -> bool:
+    """Whether ``verdict`` accepts the goal: ``Proved`` or ``ProvedBounded``."""
+    return verdict in ("Proved", "ProvedBounded")
+
+
 def verdict(graph: ProofGraph, certificate: TraceCertificate) -> str:
     """The verdict on a closed graph: ``Rejected`` unless the certificate
     accepts it; then ``ProvedBounded`` when an obligation was decided only

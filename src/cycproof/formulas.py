@@ -174,73 +174,11 @@ class Sequent:
 # Canonical keys
 # ---------------------------------------------------------------------------
 
-# Both keys are kept on the node they describe, as ``canon`` keeps its keys
-# (``canon._keep``), so a formula met again, as at each ``ax`` check of
+# A formula's key, and a body's, is ``canon.key``: its tag and its fields'
+# keys, kept on its node, so a formula met again, as at each ``ax`` check of
 # ``search``, is keyed once.
 
-_KEY = "_dlp_key"  # body_key, formula_key
-
-
-def body_key(b: Body) -> tuple:
-    # Negation/conjunction keys over purely base operands normalize to the
-    # base-formula connective, so the two representations get one identity.
-    key = getattr(b, _KEY, None)
-    if key is not None:
-        return key
-    if isinstance(b, BBase):
-        key = ("base", canon.formula_key(b.fml))
-    elif isinstance(b, BNot):
-        k = body_key(b.body)
-        key = ("base", ("not", k[1])) if k[0] == "base" else ("not", k)
-    elif isinstance(b, BAnd):
-        k1 = body_key(b.left)
-        k2 = body_key(b.right)
-        if k1[0] == "base" and k2[0] == "base":
-            key = ("base", ("and", k1[1], k2[1]))
-        else:
-            key = ("and", k1, k2)
-    elif isinstance(b, BBox):
-        key = ("box", canon.program_key(b.prog), body_key(b.body))
-    elif isinstance(b, BDia):
-        key = ("dia", canon.program_key(b.prog), body_key(b.body))
-    else:
-        raise TermError(f"body_key: not a body: {b!r}")
-    return canon._keep(b, _KEY, key)
-
-
-def _label_key(label) -> tuple:
-    if isinstance(label, Config):
-        return canon.config_key(label)
-    key = getattr(label, "canon_key", None)
-    if key is not None:
-        return key()
-    raise TermError(f"unsupported label: {label!r}")
-
-
-def formula_key(f: DlpFormula) -> tuple:
-    key = getattr(f, _KEY, None)
-    if key is not None:
-        return key
-    if isinstance(f, DBase):
-        key = ("base", canon.formula_key(f.fml))
-    elif isinstance(f, DLabeled):
-        key = ("labeled", _label_key(f.label), body_key(f.body))
-    elif isinstance(f, DNot):
-        k = formula_key(f.arg)
-        key = ("base", ("not", k[1])) if k[0] == "base" else ("not", k)
-    elif isinstance(f, DAnd):
-        k1 = formula_key(f.left)
-        k2 = formula_key(f.right)
-        if k1[0] == "base" and k2[0] == "base":
-            key = ("base", ("and", k1[1], k2[1]))
-        else:
-            key = ("and", k1, k2)
-    elif isinstance(f, DTer):
-        factor = () if f.factor is None else canon.expr_key(f.factor)
-        key = ("ter", canon.config_key(f.label), canon.program_key(f.prog), factor)
-    else:
-        raise TermError(f"formula_key: not a formula: {f!r}")
-    return canon._keep(f, _KEY, key)
+body_key = formula_key = canon.key
 
 
 def sequent_key(nu: Sequent) -> tuple:

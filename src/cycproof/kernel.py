@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import partial, partialmethod
 
 from . import parser
-from .canon import program_key
+from .canon import key
 from .formulas import (
     BAnd,
     BBase,
@@ -389,6 +389,9 @@ class ProofGraph:
     # -- mutation -------------------------------------------------------------
 
     def _attach(self, node: Node, instance: RuleInstance) -> list:
+        """Attaches ``instance`` at ``node``, after validating it: a refused
+        instance leaves the graph as it was."""
+        self._validate_instance(node.sequent, instance)
         for ob in instance.obligations:
             if ob.node is None:
                 ob.node = node.id
@@ -400,7 +403,6 @@ class ProofGraph:
             self._next += 1
         node.children = tuple(child_ids)
         node.rule_instance = instance
-        self._validate_instance(node)
         return child_ids
 
     def _require_open(self, node_id: int) -> Node:
@@ -847,11 +849,9 @@ class ProofGraph:
         lhs, rhs = nu.left[0], nu.right[0]
         if not (MATCHERS["sigma_gen"](lhs) and MATCHERS["sigma_gen"](rhs)):
             raise SideConditionFailed("sigma_gen expects boxed formulas on both sides")
-        if formula_key(DLabeled(lhs.label, BBase(TRUE))) != formula_key(
-            DLabeled(rhs.label, BBase(TRUE))
-        ):
+        if key(lhs.label) != key(rhs.label):
             raise SideConditionFailed("sigma_gen: labels must agree")
-        if program_key(lhs.body.prog) != program_key(rhs.body.prog):
+        if key(lhs.body.prog) != key(rhs.body.prog):
             raise SideConditionFailed("sigma_gen: programs must agree")
         sigma = lhs.label
         if not isinstance(sigma, Config) or sigma.stack:
@@ -906,9 +906,8 @@ class ProofGraph:
 
     # -- validation ----------------------------------------------------------------
 
-    def _validate_instance(self, node: Node) -> None:
-        inst = node.rule_instance
-        n_right = len(node.sequent.right)
+    def _validate_instance(self, conclusion: Sequent, inst: RuleInstance) -> None:
+        n_right = len(conclusion.right)
         if len(inst.trace_pairs) != len(inst.premises):
             raise KernelError("trace pairs and premises out of step")
         for premise, pairs in zip(inst.premises, inst.trace_pairs):
@@ -930,7 +929,7 @@ class ProofGraph:
                 if node.id not in parent.children:
                     raise KernelError(f"node {node.id} detached from parent")
             if node.rule_instance is not None:
-                self._validate_instance(node)
+                self._validate_instance(node.sequent, node.rule_instance)
         for bud, companion in self.backlinks.items():
             if companion not in set(self.ancestors(bud)):
                 raise KernelError(f"backlink {bud} -> {companion} not to an ancestor")

@@ -21,18 +21,16 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from . import canon, parser
+from . import parser
+from .canon import key
 from .formulas import (
     BAnd,
     BBase,
     BNot,
-    Body,
     DLabeled,
     MBody,
     MProg,
     Sequent,
-    body_key,
-    formula_key,
     free_vars,
 )
 from .kernel import (
@@ -45,7 +43,6 @@ from .kernel import (
 )
 from .record import dataclass, field, values, walk
 from .terms import (
-    TRUE as _TRUE,
     AndF,
     BaseFormula,
     Config,
@@ -179,20 +176,15 @@ _HOLES = (MBody, MProg)
 _BUILD = {BNot: parser._b_not, BAnd: parser._b_and}
 
 
-def _key(part) -> tuple:
-    """The canonical key of a template part without holes."""
-    return body_key(part) if isinstance(part, Body) else canon.term_key(part)
-
-
 def _match(pattern, term, bindings: dict) -> bool:
     """Whether ``term``, a body or a program, is an instance of ``pattern``,
     binding its holes in ``bindings``.  A part without holes matches by
     canonical key; one with holes matches part by part, through its fields."""
     if isinstance(pattern, _HOLES):
         bound = bindings.setdefault(pattern.name, term)
-        return bound is term or _key(bound) == _key(term)
+        return bound is term or key(bound) == key(term)
     if not any(isinstance(node, _HOLES) for node in walk(pattern)):
-        return _key(pattern) == _key(term)
+        return key(pattern) == key(term)
     # a modality-free body collapses its connectives into the base formula,
     # so "!" and "&&" patterns look through that representation
     if isinstance(term, BBase):
@@ -267,9 +259,7 @@ def _apply_lifted(node: Node, rule: LiftedRule, samples: int) -> RuleInstance:
             raise SideConditionFailed(f"{rule.name}: every formula must be labeled")
         if sigma is None:
             sigma = formula.label
-        elif formula_key(DLabeled(sigma, BBase(_TRUE))) != formula_key(
-            DLabeled(formula.label, BBase(_TRUE))
-        ):
+        elif key(formula.label) != key(sigma):
             raise SideConditionFailed(f"{rule.name}: labels must agree")
         if not _match(pattern, formula.body, bindings):
             raise SideConditionFailed(f"{rule.name}: template does not match")

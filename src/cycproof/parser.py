@@ -227,12 +227,11 @@ class _Tokens:
         """A ParseError at token ``at``, by default the next one."""
         _fail(self.text, message, self.offset(self.pos if at is None else at))
 
-    def next(self):
-        """The next token as (kind, text, offset), and the cursor past it."""
-        tok, at = self.toks[self.pos], self.offset(self.pos)
+    def next(self) -> str:
+        """The next token, "" at the end of input, and the cursor past it."""
+        tok = self.toks[self.pos]
         self.pos += tok != ""
-        return ("eof" if not tok else "int" if tok.isdecimal() else "op"
-                if tok[0] not in _NAME_START else "kw" if tok in KEYWORDS else "ident", tok, at)
+        return tok
 
     def accept(self, value: str) -> bool:
         if self.toks[self.pos] == value:

@@ -64,6 +64,13 @@ def values(record) -> tuple:
     return () if get is None else get(record)
 
 
+def getter(cls):
+    """The function that reads the field values of an instance of the record
+    class ``cls`` as one tuple, as ``values`` does; None for any other
+    class."""
+    return _VALUES.get(cls)
+
+
 def walk(root):
     """Each record reached from ``root`` through fields and tuples, in
     preorder, left to right; a value that is neither a record nor a tuple is

@@ -62,23 +62,27 @@ class RunReport:
 
     @property
     def succeeded(self) -> bool:
-        return self.verdict in ("Proved", "ProvedBounded")
+        return cyclic.succeeded(self.verdict)
 
     def render(self) -> str:
-        lines = [f"verdict: {self.verdict}"]
-        if self.message:
-            lines.append(f"note: {self.message}")
-        lines.append(f"nodes: {self.nodes}  backlinks: {self.backlinks}")
-        lines.append("oracle obligations:")
-        if self.obligations:
-            lines.extend(f"  {ob.describe()}" for ob in self.obligations)
-        else:
-            lines.append("  none")
+        lines = ledger(self.verdict, self.message, self.obligations,
+                       f"nodes: {self.nodes}  backlinks: {self.backlinks}")
         if self.trace_report:
             lines.append("trace report:")
             lines.extend(f"  {line}" for line in self.trace_report.splitlines())
         lines.append(f"elapsed: {self.elapsed:.3f}s")
         return "\n".join(lines)
+
+
+def ledger(verdict: str, message: str, obligations, *between) -> list:
+    """The lines that open a report: the verdict, the note on it if any, the
+    lines ``between``, and the oracle obligation ledger."""
+    lines = [f"verdict: {verdict}"]
+    if message:
+        lines.append(f"note: {message}")
+    lines += [*between, "oracle obligations:"]
+    lines += [f"  {ob.describe()}" for ob in obligations] or ["  none"]
+    return lines
 
 
 def script_lines(text: str) -> list:
@@ -200,7 +204,7 @@ class Replayer:
             tokens = iter(remainder.split())
         else:
             reader = self._reader(remainder)
-            tokens = iter(lambda: reader.next()[1], "")
+            tokens = iter(reader.next, "")
         for tok in tokens:
             if tok in _INT_ARGS:
                 args[tok] = _int(next(tokens, ""), tok)

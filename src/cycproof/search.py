@@ -47,7 +47,7 @@ class SearchResult:
 
     @property
     def proved(self) -> bool:
-        return self.verdict in ("Proved", "ProvedBounded")
+        return cyclic.succeeded(self.verdict)
 
 
 # rewrites applied without consuming depth, in fixed priority order: each

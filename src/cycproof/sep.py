@@ -75,9 +75,6 @@ class SepState:
     def with_heap(self, heap: dict) -> "SepState":
         return SepState.make(self.store_map(), heap)
 
-    def canon_key(self) -> tuple:
-        return ("sepstate", self.store, self.heap)
-
     def __str__(self) -> str:
         store = ", ".join(f"{x}: {v}" for x, v in self.store)
         heap = ", ".join(f"{a}: {v}" for a, v in self.heap) or "empty"
@@ -181,21 +178,11 @@ class Alloc(Program):
     target: str
     expr: Expr
 
-    def canon_key(self) -> tuple:
-        from . import canon
-
-        return ("alloc", self.target, canon.expr_key(self.expr))
-
 
 @dataclass(frozen=True)
 class HeapRead(Program):
     target: str
     addr: Expr
-
-    def canon_key(self) -> tuple:
-        from . import canon
-
-        return ("heapread", self.target, canon.expr_key(self.addr))
 
 
 @dataclass(frozen=True)
@@ -203,20 +190,10 @@ class HeapWrite(Program):
     addr: Expr
     expr: Expr
 
-    def canon_key(self) -> tuple:
-        from . import canon
-
-        return ("heapwrite", canon.expr_key(self.addr), canon.expr_key(self.expr))
-
 
 @dataclass(frozen=True)
 class Dispose(Program):
     addr: Expr
-
-    def canon_key(self) -> tuple:
-        from . import canon
-
-        return ("dispose", canon.expr_key(self.addr))
 
 
 class Allocator:

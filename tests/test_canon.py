@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from conftest import random_expr, random_fml
 from cycproof import canon
 from cycproof.canon import config_key, expr_key, formula_key, program_key, terms_equal
@@ -18,6 +20,7 @@ from cycproof.terms import (
     Le,
     Lit,
     NotF,
+    TermError,
     Var,
     evaluate,
     substitute,
@@ -175,7 +178,7 @@ def _ref_formula_key(phi, depth: int = 0) -> tuple:
         return ("not", _ref_formula_key(phi.body, depth))
     if isinstance(phi, AndF):
         return ("and", _ref_formula_key(phi.left, depth), _ref_formula_key(phi.right, depth))
-    body = substitute(phi.body, {phi.var: Var(f"__bound{depth}")}, frozenset((phi.var,)))
+    body = substitute(phi.body, {phi.var: Var(f"#{depth}")}, frozenset((phi.var,)))
     return ("forall", _ref_formula_key(body, depth + 1))
 
 
@@ -293,3 +296,95 @@ def test_search_canonicalises_each_term_once(monkeypatch):
     large, large_nodes = _polynomial_computations(monkeypatch, 20)
     assert large_nodes > small_nodes
     assert large * small_nodes <= small * large_nodes
+
+
+# ---------------------------------------------------------------------------
+# One key for every sort
+# ---------------------------------------------------------------------------
+
+def _classes(*groups) -> list:
+    """For each group of terms, the set of their keys: one set per group."""
+    return [{canon.key(t) for t in group} for group in groups]
+
+
+def test_a_bound_variable_keys_apart_from_every_name_the_parser_reads():
+    # the marker of a bound variable was once the legal name __bound0, so
+    # the two sides below had one key and ax proved the sequent
+    assert formula_key(parse_fml("forall x . x <= __bound0")) != formula_key(
+        parse_fml("forall y . y <= y"))
+    from cycproof import script as script_mod
+
+    text = "goal forall y . y <= y => forall x . x <= __bound0\napply ax\nqed\n"
+    _, report = script_mod.replay(text, BoundedOracle(-50, 50))
+    assert report.verdict == "Stuck", report.message
+    assert "no matching formula pair for ax" in report.message
+
+
+def test_a_heap_formula_under_a_store_heap_label_has_a_key():
+    from cycproof.formulas import BBase, DLabeled, Sequent, sequents_equal
+    from cycproof.kernel import ProofGraph
+    from cycproof.sep import PointsTo, SBase, SepState, Star
+
+    def labeled(heap, star=True, value=1):
+        cell = PointsTo(Var("x"), Lit(value))
+        body = Star(cell, SBase(parse_fml("0 <= 0"))) if star else cell
+        return DLabeled(SepState.make({"x": 37}, heap), BBase(body))
+
+    star, other_star = labeled({37: 1}), labeled({37: 1})
+    assert other_star is not star
+    classes = _classes([star, other_star], [labeled({37: 1}, star=False)],
+                       [labeled({37: 2})], [labeled({37: 1}, value=2)])
+    assert all(len(c) == 1 for c in classes) and len(set().union(*classes)) == 4
+    goal = Sequent((star,), (other_star,))
+    assert sequents_equal(goal, Sequent((other_star,), (star,)))
+    graph = ProofGraph(goal, oracle=BoundedOracle(-50, 50))
+    assert graph.apply_rule(1, "ax", left=0, right=0) == []
+
+
+def test_a_judgment_keys_its_factor_and_a_missing_one_as_empty():
+    from cycproof.formulas import DTer
+    from cycproof.terms import EPSILON
+
+    sigma = parse_config("{n -> v, m -> w}")
+    with_factor = [DTer(sigma, EPSILON, Var("v")), DTer(parse_config("{m -> w, n -> v}"),
+                                                        EPSILON, Var("v"))]
+    classes = _classes(with_factor, [DTer(sigma, EPSILON, None)],
+                       [DTer(sigma, EPSILON, Var("w"))])
+    assert all(len(c) == 1 for c in classes) and len(set().union(*classes)) == 3
+    assert canon.key(DTer(sigma, EPSILON, None))[-1] == ()
+    # keys of one kind still sort natively
+    assert len(sorted(set().union(*classes))) == 3
+
+
+def test_a_label_keys_a_store_without_its_order_and_a_stack_with_it():
+    from cycproof.formulas import BBase, DLabeled
+
+    def labeled(label: str):
+        return DLabeled(parse_config(label), BBase(parse_fml("a <= b")))
+
+    assert canon.key(labeled("{a -> 1, b -> 2}")) == canon.key(labeled("{b -> 2, a -> 1}"))
+    assert canon.key(labeled("{a -> 1 | b -> 2}")) != canon.key(labeled("{b -> 2 | a -> 1}"))
+
+
+def test_not_and_and_over_base_operands_key_as_the_base_connective():
+    from cycproof.formulas import BAnd, BBase, BBox, BNot, DAnd, DBase, DNot
+    from cycproof.sep import SAnd, SBase, SNot
+
+    a, b = parse_fml("x <= 1"), parse_fml("y <= 2")
+    box = BBox(parse_prog("x := 1"), BBase(a))
+    classes = _classes(
+        [BNot(BBase(a)), BBase(NotF(a))],
+        [BAnd(BBase(a), BBase(b)), BBase(AndF(a, b))],
+        [DNot(DBase(a)), DBase(NotF(a))],
+        [DAnd(DBase(a), DBase(b)), DBase(AndF(a, b))],
+        [SNot(SBase(a)), SBase(NotF(a))],
+        [SAnd(SBase(a), SBase(b)), SBase(AndF(a, b))],
+        [BNot(box)], [BAnd(BBase(a), box)])
+    assert all(len(c) == 1 for c in classes)
+    # a modality stays out of the base connective
+    assert canon.key(BNot(box))[0] == "not" and canon.key(BAnd(BBase(a), box))[0] == "and"
+
+
+def test_a_value_that_is_no_term_has_no_key():
+    with pytest.raises(TermError, match="not a term"):
+        canon.key(object())

@@ -66,7 +66,7 @@ class _Keys:
         if isinstance(f, DLabeled):
             label = f.label
             self.by_kind["label"].append(
-                canon.config_key(label) if isinstance(label, Config) else label.canon_key())
+                canon.config_key(label) if isinstance(label, Config) else canon.key(label))
             self.body(f.body)
         for part in ("arg", "left", "right"):
             if hasattr(f, part):

@@ -362,3 +362,17 @@ def test_a_hole_bound_twice_matches_equal_parts_only(tmp_path, oracle):
     assert report.verdict == "Stuck" and "template does not match" in report.message
     _, report = _lift_and_apply(tmp_path, oracle, rule, same.replace("[", "<").replace("]", ">"))
     assert report.verdict == "Stuck" and "template does not match" in report.message
+
+
+def test_a_refused_instance_leaves_the_goal_open(tmp_path, oracle):
+    # the template drops the right formula without a trace pair for it: the
+    # kernel refuses the instance before it creates a child or closes a node
+    replayer, report = _lift_and_apply(
+        tmp_path, oracle, "premise ?a => .\nconclusion ?a => ?b\n",
+        "{x -> x} : x <= 3 => {x -> x} : x <= 5")
+    assert report.verdict == "Stuck"
+    assert "right occurrences [0] have no trace pair" in report.message
+    graph = replayer.graph
+    assert list(graph.nodes) == [1] and report.nodes == 1
+    assert graph.open_goals() == [1] and graph.node(1).rule_instance is None
+    assert '(node 1 "{x -> x} : x <= 3 => {x -> x} : x <= 5" (open) (children ))' in report.dump

@@ -47,7 +47,7 @@ def twin(tmp_path_factory):
     # not compared: the twin imports them, unused, so that its modules load
     (root / TWIN / "record.py").write_text(
         "from dataclasses import MISSING, dataclass, field, fields\n"
-        "from cycproof.record import height, values, walk\n")
+        "from cycproof.record import getter, height, values, walk\n")
     sys.path.insert(0, str(root))
     try:
         yield lambda cls: getattr(importlib.import_module(
