@@ -9,16 +9,20 @@ obligation ledger.  Files are read and written as UTF-8; a script, goal or
 program that cannot be read or decoded, and a ``--dump`` or ``--emit`` file
 that cannot be written (after the report is printed), are usage errors.
 
-The parser refuses input nested past its caps with a ParseError (exit 2 for
-a goal), whatever the stack, so parsing raises no ``RecursionError``; the
-handlers for one around the parse stay as a safeguard.  Terms nest deeper
-than any parser cap once symbolic execution has built them (a store value
-``x + 1 + ... + 1`` after 1500 loop steps), and most term functions recurse
-once per level: there a ``RecursionError`` ends the run ``Stuck`` (exit 1),
-which is sound because ``Stuck`` never accepts.  The report and the dump are
-built in full before anything is printed or written, so an overflow leaves
-no half-written output.  A negative ``check --path-bound`` or ``eval
---bound`` and a ``search --depth`` below 1 are usage errors (exit 2).
+Every error the checker raises on its input is a ``terms.Refusal``; any
+other exception is a bug and is not caught.  A goal, program or ``--config``
+that does not parse is a usage error; later, a refusal ends ``check`` and
+``search`` ``Stuck`` with its class in the note, and ``eval`` with
+``evaluation error: …`` on stderr and nothing on stdout.  A numeral of more
+digits than ``int`` reads (``sys.get_int_max_str_digits()``) is a
+ParseError.  The parser's caps refuse deep input whatever the stack, but
+symbolic execution builds deeper terms (a store value ``x + 1 + ... + 1``
+after 1500 loop steps), over which most term functions recurse: there a
+``RecursionError`` ends the run as a refusal does, which is sound because
+``Stuck`` never accepts.  Reports, dumps and ``eval``'s lines are built in
+full before anything is printed or written, so no half-written output is
+left.  A negative ``check --path-bound`` or ``eval --bound`` and a
+``search --depth`` below 1 are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from pathlib import Path
 
 from . import parser, script as script_mod
 from .oracle import BoundedOracle
+from .terms import Refusal
 from .whilelang import State, run
 
 
@@ -161,16 +166,15 @@ def cmd_eval(args) -> int:
     except (OSError, UnicodeDecodeError, parser.ParseError, RecursionError) as exc:
         print(f"cannot load program: {exc}", file=sys.stderr)
         return 2
-    state = State(prog, config)
     try:
-        states, done = run(state, args.bound)
-    except Exception as exc:  # division by zero, open guards, ...
+        states, done = run(State(prog, config), args.bound)
+        lines = [f"{i}: {s}" for i, s in enumerate(states)]
+    except (Refusal, RecursionError) as exc:  # division by zero, open guards, ...
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 1
-    for i, s in enumerate(states):
-        print(f"{i}: {s}")
     if not done:
-        print("exit flag: bound")
+        lines.append("exit flag: bound")
+    print("\n".join(lines))
     return 0
 
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 from .kernel import ProofGraph
 from .oracle import BoundedValid
 from .record import dataclass, field
+from .terms import Refusal
 
 
-class OpenGoals(Exception):
+class OpenGoals(Refusal):
     pass
 
 

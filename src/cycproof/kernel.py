@@ -69,6 +69,7 @@ from .terms import (
     Le,
     Lit,
     NotF,
+    Refusal,
     Seq,
     Var,
     apply_config,
@@ -87,7 +88,7 @@ from .whilelang import (
 )
 
 
-class KernelError(Exception):
+class KernelError(Refusal):
     pass
 
 

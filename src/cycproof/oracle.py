@@ -82,6 +82,7 @@ from .terms import (
     Le,
     Lit,
     NotF,
+    Refusal,
     TermError,
     Var,
     eval_bool,
@@ -143,7 +144,7 @@ class Obligation:
         return f"[{self.mode}] {left} => {right} : {self.verdict}{at}"
 
 
-class OracleUnavailable(Exception):
+class OracleUnavailable(Refusal):
     pass
 
 

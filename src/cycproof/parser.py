@@ -62,6 +62,7 @@ A printed tree parses to the same tree, so it passes the caps again.
 from __future__ import annotations
 
 import re
+import sys
 from functools import partial
 
 from . import record
@@ -99,6 +100,7 @@ from .terms import (
     Lit,
     NotF,
     Program,
+    Refusal,
     Seq,
     Skip,
     TRUE,
@@ -113,7 +115,7 @@ from .terms import (
 )
 
 
-class ParseError(Exception):
+class ParseError(Refusal):
     def __init__(self, message: str, line: int = 0, col: int = 0):
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line
@@ -285,7 +287,10 @@ def _expr(ts: _Tokens, min_bp: int = 0, left: Expr | None = None) -> Expr:
             left = Var(tok)
             pos += 1
         elif tok.isdecimal():
-            left = Lit(int(tok))
+            try:
+                left = Lit(int(tok))
+            except ValueError:  # more digits than int() reads
+                ts.fail(f"a numeral of more than {sys.get_int_max_str_digits()} digits", pos)
             pos += 1
         elif tok == "(":
             ts.pos = pos + 1
@@ -784,7 +789,10 @@ def _keep_src(term, text: str) -> str:
 
 def expr_src(e: Expr, level: int = 0) -> str:
     if isinstance(e, Lit):
-        s = str(e.value)
+        try:
+            s = str(e.value)
+        except ValueError:  # more digits than str() writes
+            raise TermError(f"cannot print over {sys.get_int_max_str_digits()} digits") from None
         return f"({s})" if e.value < 0 and level >= 3 else s
     if isinstance(e, Var):
         return e.name

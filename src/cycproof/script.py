@@ -22,7 +22,11 @@ grammar says.  An ``apply`` line whose rule takes no term is never
 tokenized.  Termination proofs are scripts too: ``apply ter_step [with
 factor <expr>]``, ``apply ter_eps`` and ``apply ter_base``, which reads the
 ``annotate`` lines, act on a goal's ``σ : α ⇓ e`` judgment.
-"""
+
+A line that is refused raises a ``terms.Refusal`` (or a ``RecursionError``
+on a term deeper than the stack), and ``Replayer.replay`` ends the run
+``Stuck`` there with the note ``message (script line N)`` for a
+``ScriptError``, ``Class: message (script line N)`` for any other."""
 
 from __future__ import annotations
 
@@ -30,23 +34,14 @@ import time
 from pathlib import Path as FsPath
 
 from . import cyclic, parser
-from .kernel import CATALOG, KernelError, ProofGraph
+from .kernel import CATALOG, ProofGraph
 from .record import dataclass, field, walk
-from .terms import TermError, While
-from .whilelang import (
-    CaseSplitNeeded,
-    LoopAnnotations,
-    MissingAnnotation,
-    NoProgressOnCycle,
-    ObligationFailed,
-)
+from .terms import Refusal, While
+from .whilelang import LoopAnnotations
 
 
-class ScriptError(Exception):
-    def __init__(self, message: str, line_no: int | None = None):
-        at = f" (script line {line_no})" if line_no else ""
-        super().__init__(message + at)
-        self.line_no = line_no
+class ScriptError(Refusal):
+    """A script line the replayer cannot read."""
 
 
 @dataclass
@@ -323,8 +318,8 @@ class Replayer:
     # -- entry -------------------------------------------------------------------
 
     def step(self, line: str) -> None:
-        """Run one script line.  Raises ``ScriptError``, or the error of the
-        kernel, parser or prover that refused the line."""
+        """Run one script line.  Raises ``ScriptError``, or the ``Refusal`` of
+        the kernel, parser or prover that refused the line."""
         self._line = line = line.rstrip()
         head, _, rest = line.lstrip().partition(" ")
         handler = _COMMANDS.get(head)
@@ -337,40 +332,22 @@ class Replayer:
     def replay(self, text: str) -> RunReport:
         started = time.monotonic()
         report = RunReport(verdict="Stuck")
-        try:
-            for line_no, line in script_lines(text):
-                try:
-                    self.step(line)
-                except ScriptError as exc:
-                    raise ScriptError(str(exc), line_no) from None
-                except (
-                    KernelError,
-                    ObligationFailed,
-                    CaseSplitNeeded,
-                    MissingAnnotation,
-                    NoProgressOnCycle,
-                    TermError,
-                    parser.ParseError,
-                    RecursionError,  # a term deeper than the stack allows
-                ) as exc:
-                    raise ScriptError(f"{type(exc).__name__}: {exc}", line_no) from exc
-                if self.qed_seen:
-                    break
-        except ScriptError as exc:
-            report.message = str(exc)
-            report.verdict = "Stuck"
-            self._finish(report, started)
-            return report
+        for line_no, line in script_lines(text):
+            try:
+                self.step(line)
+            except (Refusal, RecursionError) as exc:  # RecursionError: a term deeper than the stack
+                note = str(exc) if isinstance(exc, ScriptError) else f"{type(exc).__name__}: {exc}"
+                report.message = f"{note} (script line {line_no})"
+                self._finish(report, started)
+                return report
+            if self.qed_seen:
+                break
         if self.graph is None:
             report.message = "script never set a goal"
-            self._finish(report, started)
-            return report
-        if not self.qed_seen:
+        elif not self.qed_seen:
             report.message = "script ended without qed"
-            report.verdict = "Stuck"
         elif self.graph.open_goals():
             report.message = f"open goals remain: {self.graph.open_goals()}"
-            report.verdict = "Stuck"
         else:
             self.certificate = cyclic.check_cyclic(self.graph)
             report.verdict = cyclic.verdict(self.graph, self.certificate)

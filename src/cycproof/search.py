@@ -25,13 +25,13 @@ from heapq import heappop, heappush
 
 from . import cyclic, parser
 from .formulas import DBase, Sequent
-from .kernel import LABEL_REWRITES, MATCHERS, KernelError, ProofGraph, ax_pair
+from .kernel import LABEL_REWRITES, MATCHERS, ProofGraph, ax_pair
 from .record import dataclass
-from .terms import TermError
+from .terms import Refusal
 from .whilelang import CaseSplitNeeded, ObligationFailed
 
 
-class DepthExhausted(Exception):
+class DepthExhausted(Refusal):
     def __init__(self, node_id: int, ter_failure: str = ""):
         super().__init__(f"depth exhausted at node {node_id}")
         self.node_id = node_id
@@ -86,12 +86,11 @@ def search(goal: Sequent, oracle, depth: int) -> SearchResult:
             if exc.ter_failure:
                 note += f"; {exc.ter_failure}"
             return SearchResult(graph, "\n".join(lines), "Stuck", note)
-        except (KernelError, TermError) as exc:
+        except Refusal as exc:
             # a rule the goal's shape selected cannot apply (a heap command
             # under a While-domain step, say): the search ends without a proof
-            return SearchResult(
-                graph, "\n".join(lines), "Stuck", f"{type(exc).__name__}: {exc}"
-            )
+            note = f"{type(exc).__name__}: {exc}"
+            return SearchResult(graph, "\n".join(lines), "Stuck", note)
         for child in graph.nodes[node_id].children:
             heappush(frontier, child)
 

@@ -48,6 +48,7 @@ from .terms import (
     Epsilon,
     Evaluation,
     Lit,
+    Refusal,
     Term,
     TermError,
     bound_vars,
@@ -80,7 +81,7 @@ def _kleene_and(a: Verdict, b: Verdict) -> Verdict:
     return Verdict.TRUE
 
 
-class BoundExceeded(Exception):
+class BoundExceeded(Refusal):
     pass
 
 

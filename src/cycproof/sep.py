@@ -19,6 +19,7 @@ from .terms import (
     BaseFormula,
     Expr,
     Program,
+    Refusal,
     TermError,
     closed,
     eval_bool,
@@ -27,7 +28,7 @@ from .terms import (
 )
 
 
-class SepError(Exception):
+class SepError(Refusal):
     pass
 
 

@@ -143,12 +143,11 @@ def _parse_model(text: str) -> tuple:
     whose names may be quoted (``|x'|``) or plain."""
     out = []
     for quoted, plain, raw in _MODEL_RE.findall(text):
-        raw = raw.strip()
-        if raw.startswith("("):
-            value = -int(raw.strip("() -").strip())
-        else:
-            value = int(raw)
-        out.append((quoted or plain, value))
+        try:
+            value = int(raw.strip("() -"))
+        except ValueError:  # more digits than int() reads: unreadable, as is other output
+            continue
+        out.append((quoted or plain, -value if "-" in raw else value))
     return tuple(sorted(out))
 
 

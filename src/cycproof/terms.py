@@ -28,11 +28,15 @@ from typing import Mapping, Union
 from .record import dataclass, fields, values, walk
 
 
-class TermError(Exception):
+class Refusal(Exception):
+    """The base of every error the checker raises on its input."""
+
+
+class TermError(Refusal):
     """Malformed term or unsupported operation on a term."""
 
 
-class DivisionByZero(ArithmeticError):
+class DivisionByZero(Refusal, ArithmeticError):
     """Raised when evaluation divides by zero."""
 
 

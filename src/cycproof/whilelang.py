@@ -39,6 +39,7 @@ from .terms import (
     Lit,
     NotF,
     Program,
+    Refusal,
     Seq,
     Skip,
     TermError,
@@ -60,7 +61,7 @@ class WellDefinednessError(TermError):
     """No transition may leave the terminal program."""
 
 
-class CaseSplitNeeded(Exception):
+class CaseSplitNeeded(Refusal):
     """A branch guard was decidable in neither direction.
 
     Carries the undecided guard so the caller can insert a cut on it.
@@ -71,17 +72,17 @@ class CaseSplitNeeded(Exception):
         self.guard = guard
 
 
-class ObligationFailed(Exception):
+class ObligationFailed(Refusal):
     def __init__(self, message: str, obligation: Obligation | None = None):
         super().__init__(message)
         self.obligation = obligation
 
 
-class MissingAnnotation(Exception):
+class MissingAnnotation(Refusal):
     pass
 
 
-class NoProgressOnCycle(Exception):
+class NoProgressOnCycle(Refusal):
     def __init__(self, cycle):
         super().__init__(f"cycle without strict factor decrease: {list(cycle)}")
         self.cycle = list(cycle)
@@ -426,11 +427,11 @@ def derive_termination_cyclic(script: str, oracle) -> TerminationJudgment:
     """Replay a ``.dlp`` script whose goal holds a judgment ``σ : α ⇓ e`` on
     its right, as a kernel proof, through ``script.Replayer`` line by line.
 
-    A line the kernel, parser or prover refuses raises that error; a line the
-    script language refuses raises ``script.ScriptError``; a proof with open
-    goals raises ``KernelError``, and a cycle without a strict factor
-    decrease raises ``NoProgressOnCycle``.  The judgment's ``gamma`` and
-    ``delta`` are the goal's other base formulas.
+    Each failure raises a ``terms.Refusal``: the error of the line that the
+    kernel, parser, prover or script language refuses, without the line
+    number a replay's note adds; ``KernelError`` for open goals, and
+    ``NoProgressOnCycle`` for a cycle without a strict factor decrease.  The
+    judgment's ``gamma`` and ``delta`` are the goal's other base formulas.
     """
     from . import cyclic, kernel, script as script_mod  # all import this module
 

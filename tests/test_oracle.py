@@ -314,6 +314,22 @@ def test_sat_maps_to_invalid_with_model(tmp_path):
     assert out.witness_map() == {"x": -3, "y": 7}
 
 
+def test_a_model_value_past_the_digit_limit_is_left_out_of_the_witness(tmp_path):
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        pytest.skip("no integer string limit")
+    cmd = _fake_solver(
+        tmp_path,
+        "import sys; sys.stdin.read()\n"
+        "print('sat')\n"
+        f"print('(model (define-fun |x| () Int {'9' * (digits + 1)}) "
+        "(define-fun y () Int (- 7)))')\n",
+    )
+    out = SmtOracle(cmd).valid_sequent([], [parse_fml("x > y")])
+    assert isinstance(out, Invalid)
+    assert out.witness_map() == {"y": -7}
+
+
 def test_unknown_and_garbage_map_to_unknown(tmp_path):
     cmd = _fake_solver(tmp_path, "import sys; sys.stdin.read(); print('unknown')\n")
     assert isinstance(SmtOracle(cmd).valid_sequent([], [parse_fml("x <= x")]), Unknown)
