@@ -41,10 +41,12 @@ one key even though the former faults at ``y = 0``, and a product with a
 zero factor drops its atoms, so ``1 <= x / y + 0 * (z / w)`` gets the key of
 ``1 <= x / y``.  ``ax`` matches no formula that holds a division by
 anything but a nonzero literal (``kernel.ax_pair``), so
-``1 <= x / y => 1 <= x / y + 0 * (z / w)`` ends ``Stuck`` under it.  But
-``sub`` and back-links still compare such keys, so they can still take a
-formula that may fault for one that cannot.  ROADMAP item 1 plans the
-repair (keys that carry their possibly-zero divisors).
+``1 <= x / y => 1 <= x / y + 0 * (z / w)`` ends ``Stuck`` under it.
+``sub`` and back-links refuse to identify two formulas, or two sides,
+whose such divisions differ (``kernel._unmatched_division``), so neither
+takes ``0 <= 0`` for ``x / y <= x / y``.  What stays open is ROADMAP item
+1's repair: keys that carry their possibly-zero divisors, and definedness
+obligations that recover the proofs with ``y != 0`` in the context.
 """
 
 from __future__ import annotations

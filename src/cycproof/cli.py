@@ -21,8 +21,9 @@ after 1500 loop steps), over which most term functions recurse: there a
 ``RecursionError`` ends the run as a refusal does, which is sound because
 ``Stuck`` never accepts.  Reports, dumps and ``eval``'s lines are built in
 full before anything is printed or written, so no half-written output is
-left.  A negative ``check --path-bound`` or ``eval --bound`` and a
-``search --depth`` below 1 are usage errors (exit 2).
+left, and a proof graph is dumped only for ``--dump``.  A negative
+``check --path-bound`` or ``eval --bound`` and a ``search --depth`` below 1
+are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -107,10 +108,11 @@ def cmd_check(args) -> int:
             text, oracle, args.path_bound, base_dir=Path(args.script).parent
         )
         rendered = report.render()
+        dump = replayer.graph.dump() if args.dump and replayer.graph is not None else None
     except RecursionError as exc:
         return _stuck_on_overflow(exc)
     print(rendered)
-    if args.dump and report.dump and not _write(args.dump, report.dump):
+    if dump is not None and not _write(args.dump, dump):
         return 2
     return 0 if report.succeeded else 1
 

@@ -137,9 +137,10 @@ def check_cyclic(graph: ProofGraph) -> TraceCertificate:
         _, rel, path = failure
         return TraceCertificate(accepted=False, reject_cycle=path, reject_relation=rel)
 
+    # a back-link's cycle is the segment that starts at the bud's own companion
     witnesses = [
-        _cycle_witness(graph, edge_lookup, bud, companion)
-        for bud, companion in sorted(graph.backlinks.items())
+        _cycle_witness(edge_lookup, rel, path)
+        for start, companion, rel, path in segments if start == companion
     ]
     return TraceCertificate(accepted=True, witnesses=witnesses)
 
@@ -209,25 +210,11 @@ def closure_reject(segments, companions):
     return None
 
 
-def _tree_path(graph: ProofGraph, node_id: int) -> list:
-    out = [node_id]
-    for ancestor in graph.ancestors(node_id):
-        out.append(ancestor)
-    return list(reversed(out))
-
-
-def _cycle_of(graph: ProofGraph, bud: int, companion: int) -> list:
-    down = _tree_path(graph, bud)
-    start = down.index(companion)
-    return down[start:] + [companion]
-
-
-def _cycle_witness(graph: ProofGraph, edge_lookup, bud: int, companion: int) -> CycleWitness:
-    cycle = _cycle_of(graph, bud, companion)
+def _cycle_witness(edge_lookup, loop: Relation, cycle: list) -> CycleWitness:
+    """The witness of the cycle ``cycle`` (companion .. bud, companion),
+    whose composed relation is ``loop``."""
+    companion, bud = cycle[0], cycle[-2]
     rels = [edge_lookup[(cycle[i], cycle[i + 1])] for i in range(len(cycle) - 1)]
-    loop = rels[0]
-    for rel in rels[1:]:
-        loop = compose(loop, rel)
     # Find the least number of laps whose composition shows a progressive
     # self-pair; bounded because relation powers eventually repeat.
     seen = []

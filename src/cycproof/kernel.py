@@ -17,8 +17,12 @@ expression inside ``σ``) as its measure.  ``ter_step`` takes the one
 transition of ``α``, and the factor may not grow across it; the judgment's
 trace progresses only where the factor strictly decreases.  ``ter_eps``
 closes a judgment on the terminal program, and ``ter_base`` closes one
-through the structural, annotation-driven prover.  Cyclic termination
-proofs are ordinary proof graphs, checked by the same trace closure.
+through the structural, annotation-driven prover, as ``diamond … progress``
+does, with the loop annotations the graph holds (``ProofGraph.annotations``).
+Cyclic termination proofs are ordinary proof graphs, checked by the same
+trace closure.  A key forgets a division that may fault (see ``canon``), so
+``ax`` closes no pair that holds one, and ``sub`` and back-links identify
+two formulas or sides only when they hold the same such divisions.
 
 Derived rules (imp_r, or_l, le, the cut variant that splits a conjunction
 on the left premise) stand for several primitive applications but record
@@ -35,7 +39,7 @@ from __future__ import annotations
 from functools import partial, partialmethod
 
 from . import parser
-from .canon import key
+from .canon import expr_key, key
 from .formulas import (
     BAnd,
     BBase,
@@ -330,13 +334,34 @@ def _equal_pairs(nu: Sequent, lefts=None, rights=None):
         key = formula_key(nu.left[i])
         for j in rights:
             if formula_key(nu.right[j]) == key:
-                yield i, j, _faulting_division(nu.left[i]) or _faulting_division(nu.right[j])
+                yield i, j, next(iter(_faulting_divisions((nu.left[i], nu.right[j]))), None)
 
 
-def _faulting_division(f):
-    """The first division in ``f`` by anything but a nonzero literal."""
-    return next((node for node in walk(f) if type(node) is BinOp and node.op == "/"
-                 and not (type(node.right) is Lit and node.right.value)), None)
+_NO_DIVISION = "_no_division"  # kept on a record that holds no division that may fault
+
+
+def _faulting_divisions(t) -> list:
+    """Each division in ``t`` by anything but a nonzero literal, in preorder.
+    When there is none, each record walked is marked, and later walks pass
+    over it, so a part that many sequents share is read once."""
+    seen = list(walk(t, skip=lambda node: hasattr(node, _NO_DIVISION)))
+    found = [node for node in seen if type(node) is BinOp and node.op == "/"
+             and not (type(node.right) is Lit and node.right.value)]
+    if not found:
+        for node in seen:
+            object.__setattr__(node, _NO_DIVISION, True)  # the term classes are frozen
+    return found
+
+
+def _unmatched_division(a, b):
+    """A division that may fault that ``a`` and ``b`` (terms, or tuples of
+    them) do not hold equally often by canonical key, or None."""
+    in_a, in_b = _faulting_divisions(a), _faulting_divisions(b)
+    keys_a, keys_b = [expr_key(d) for d in in_a], [expr_key(d) for d in in_b]
+    if sorted(keys_a) == sorted(keys_b):
+        return None
+    return next(d for d, k in zip(in_a + in_b, keys_a + keys_b)
+                if keys_a.count(k) != keys_b.count(k))
 
 
 def _require_in_range(side: tuple, occs, rule: str) -> None:
@@ -359,6 +384,7 @@ class ProofGraph:
         # shared by reference: rules registered after construction (script
         # `lift` commands) become available to this graph
         self.extra_rules = extra_rules if extra_rules is not None else {}
+        self.annotations = LoopAnnotations()  # what a script's `annotate` lines give
 
     # -- access ---------------------------------------------------------------
 
@@ -489,7 +515,6 @@ class ProofGraph:
         occ: int | None = None,
         choice: int = 0,
         progress: bool = False,
-        annotations: LoopAnnotations | None = None,
     ) -> RuleInstance:
         nu = node.sequent
         occ, target, gamma, delta = self._context(nu, occ, "diamond", "a diamond formula")
@@ -506,8 +531,7 @@ class ProofGraph:
         termination = None
         if progress:
             termination = derive_termination_structural(
-                gamma, t.target, delta, self.oracle, annotations=annotations,
-                path_bound=self.path_bound,
+                gamma, t.target, delta, self.oracle, self.annotations, self.path_bound,
             )
         premise, pairs = _replace_right(
             nu, occ, DLabeled(t.target.config, BDia(t.target.program, target.body.body)),
@@ -578,15 +602,14 @@ class ProofGraph:
         )
         return RuleInstance("ter_eps", nu, (), {"occ": occ}, ())
 
-    def _rule_ter_base(self, node: Node, annotations: LoopAnnotations | None = None,
-                       occ: int | None = None) -> RuleInstance:
+    def _rule_ter_base(self, node: Node, occ: int | None = None) -> RuleInstance:
         nu = node.sequent
         occ, target, gamma, delta = self._context(
             nu, occ, "ter_base", "a termination judgment"
         )
         judgment = derive_termination_structural(
             gamma, State(target.prog, target.label), delta, self.oracle,
-            annotations=annotations, path_bound=self.path_bound,
+            self.annotations, self.path_bound,
         )
         return RuleInstance("ter_base", nu, (), {"occ": occ}, (), judgment.obligations)
 
@@ -635,6 +658,12 @@ class ProofGraph:
                     raise SideConditionFailed(
                         f"sub: substituted premise differs at {side}[{i}]: "
                         f"{parser.dlp_src(image)} vs {parser.dlp_src(c)}"
+                    )
+                division = _unmatched_division(image, c)
+                if division is not None:
+                    raise SideConditionFailed(
+                        f"sub: substituted premise differs at {side}[{i}]: "
+                        f"{parser.expr_src(division)} may divide by zero"
                     )
         pairs = _same_positions(len(nu.right))
         binding_src = {x: parser.expr_src(e) for x, e in sorted(bindings.items())}
@@ -875,19 +904,29 @@ class ProofGraph:
     # -- backlinks --------------------------------------------------------------
 
     def link_bud(self, bud_id: int, companion_id: int) -> None:
-        bud = self._require_open(bud_id)
-        companion = self.node(companion_id)
+        self._require_open(bud_id)
+        self._check_link(bud_id, companion_id)
+        self.backlinks[bud_id] = companion_id
+
+    def _check_link(self, bud_id: int, companion_id: int) -> None:
+        """Refuses a back-link to anything but a proper ancestor whose sequent
+        is the bud's: one key, and the same divisions that may fault."""
+        bud, companion = self.node(bud_id).sequent, self.node(companion_id).sequent
         if companion_id not in set(self.ancestors(bud_id)):
             raise NotAncestor(f"node {companion_id} is not a proper ancestor of {bud_id}")
-        if not sequents_equal(bud.sequent, companion.sequent):
-            diff = sequent_diff(bud.sequent, companion.sequent)
+        if not sequents_equal(bud, companion):
+            diff = sequent_diff(bud, companion)
             side, fml = diff if diff else ("?", None)
             detail = parser.dlp_src(fml) if fml is not None else "?"
-            raise SequentMismatch(
-                f"bud {bud_id} differs from companion {companion_id} "
-                f"on the {side} side at {detail}"
-            )
-        self.backlinks[bud_id] = companion_id
+            raise SequentMismatch(f"bud {bud_id} differs from companion {companion_id} "
+                                  f"on the {side} side at {detail}")
+        for side in ("left", "right"):
+            division = _unmatched_division(getattr(bud, side), getattr(companion, side))
+            if division is not None:
+                raise SequentMismatch(
+                    f"bud {bud_id} differs from companion {companion_id} on the {side} "
+                    f"side: {parser.expr_src(division)} may divide by zero"
+                )
 
     def backlink_pairs(self, bud_id: int) -> tuple:
         """Identity map on right occurrences across a backlink, by key."""
@@ -932,10 +971,7 @@ class ProofGraph:
             if node.rule_instance is not None:
                 self._validate_instance(node.sequent, node.rule_instance)
         for bud, companion in self.backlinks.items():
-            if companion not in set(self.ancestors(bud)):
-                raise KernelError(f"backlink {bud} -> {companion} not to an ancestor")
-            if not sequents_equal(self.node(bud).sequent, self.node(companion).sequent):
-                raise KernelError(f"backlink {bud} sequent mismatch")
+            self._check_link(bud, companion)
 
     # -- dump -----------------------------------------------------------------------
 

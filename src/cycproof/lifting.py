@@ -82,8 +82,8 @@ def transformer_from_updates(updates: dict) -> Transformer:
 def se_sample(rho: dict, sigma: Config, rho2: dict, formulas, quantifier_range=(-50, 50)) -> bool:
     """One same-effect check: rho satisfies sigma:phi iff rho2 satisfies phi."""
     for phi in formulas:
-        labeled = eval_bool(rho, apply_config(sigma, phi), quantifier_range).value
-        plain = eval_bool(rho2, phi, quantifier_range).value
+        labeled = eval_bool(rho, apply_config(sigma, phi), quantifier_range)
+        plain = eval_bool(rho2, phi, quantifier_range)
         if labeled != plain:
             return False
     return True
@@ -158,8 +158,8 @@ def check_freeness(
 
 def _first_failing(rho, sigma, rho2, formulas):
     for phi in formulas:
-        labeled = eval_bool(rho, apply_config(sigma, phi)).value
-        if labeled != eval_bool(rho2, phi).value:
+        labeled = eval_bool(rho, apply_config(sigma, phi))
+        if labeled != eval_bool(rho2, phi):
             return phi
     return formulas[0] if formulas else None
 

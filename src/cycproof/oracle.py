@@ -214,7 +214,7 @@ class BoundedOracle:
             for key, (phi, free) in found.items():
                 if free:
                     kept.append((side, key, phi, free))
-                elif eval_bool({}, phi, self.quantifier_range).value == side:
+                elif eval_bool({}, phi, self.quantifier_range) == side:
                     return BoundedValid()  # a closed quantifier, decided the same way
         witness = {}
         unscanned = 0  # free variables of a group too wide to scan

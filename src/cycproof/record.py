@@ -71,10 +71,10 @@ def getter(cls):
     return _VALUES.get(cls)
 
 
-def walk(root):
+def walk(root, skip=None):
     """Each record reached from ``root`` through fields and tuples, in
     preorder, left to right; a value that is neither a record nor a tuple is
-    not visited."""
+    not visited, nor is a record for which ``skip`` is true, or its parts."""
     stack = [root]
     pop, push = stack.pop, stack.extend
     getter = _VALUES.get
@@ -82,6 +82,8 @@ def walk(root):
         node = pop()
         get = getter(type(node))
         if get is not None:
+            if skip is not None and skip(node):
+                continue
             yield node
             push(get(node)[::-1])
         elif type(node) is tuple:

@@ -20,13 +20,15 @@ words; its terms, and the words between and after them, are read by one
 ``parser.Reader`` over the rest of the line, so each term ends where the
 grammar says.  An ``apply`` line whose rule takes no term is never
 tokenized.  Termination proofs are scripts too: ``apply ter_step [with
-factor <expr>]``, ``apply ter_eps`` and ``apply ter_base``, which reads the
-``annotate`` lines, act on a goal's ``σ : α ⇓ e`` judgment.
+factor <expr>]``, ``apply ter_eps`` and ``apply ter_base`` act on a goal's
+``σ : α ⇓ e`` judgment.  ``annotate`` lines write the proof graph's loop
+annotations, which ``ter_base`` and ``diamond … with progress`` read.
 
 A line that is refused raises a ``terms.Refusal`` (or a ``RecursionError``
 on a term deeper than the stack), and ``Replayer.replay`` ends the run
 ``Stuck`` there with the note ``message (script line N)`` for a
-``ScriptError``, ``Class: message (script line N)`` for any other."""
+``ScriptError``, ``Class: message (script line N)`` for any other.  The
+proof graph stays on the ``Replayer``, whose caller dumps it if asked."""
 
 from __future__ import annotations
 
@@ -37,7 +39,6 @@ from . import cyclic, parser
 from .kernel import CATALOG, ProofGraph
 from .record import dataclass, field, walk
 from .terms import Refusal, While
-from .whilelang import LoopAnnotations
 
 
 class ScriptError(Refusal):
@@ -52,7 +53,6 @@ class RunReport:
     backlinks: int = 0
     obligations: list = field(default_factory=list)
     trace_report: str = ""
-    dump: str = ""
     elapsed: float = 0.0
 
     @property
@@ -121,7 +121,6 @@ class Replayer:
         self.path_bound = path_bound
         self.base_dir = base_dir or FsPath(".")
         self.graph: ProofGraph | None = None
-        self.annotations = LoopAnnotations()
         self.registry: dict = {}  # the script's `lift` rules
         self.qed_seen = False
         self.certificate = None
@@ -169,8 +168,6 @@ class Replayer:
         if remainder.split(None, 1)[:1] == ["with"]:
             remainder = remainder[len("with"):]
         args = self._apply_args(rule, remainder.strip())
-        if rule == "ter_base":
-            args["annotations"] = self.annotations
         self.graph.apply_rule(node, rule, **args)
 
     def _apply_args(self, rule: str, remainder: str) -> dict:
@@ -209,7 +206,6 @@ class Replayer:
                 args["side"] = next(tokens, "")
             elif tok == "progress":
                 args["progress"] = True
-                args["annotations"] = self.annotations
             else:
                 raise ScriptError(f"unexpected argument {tok!r} for rule {rule}")
         return args
@@ -258,7 +254,7 @@ class Replayer:
         whiles = self._whiles_in_goal()
         if not (1 <= index <= len(whiles)):
             raise ScriptError(f"no while statement #{index} in the goal (found {len(whiles)})")
-        self.annotations.annotate(whiles[index - 1], invariant, factor)
+        self.graph.annotations.annotate(whiles[index - 1], invariant, factor)
 
     def cmd_lift(self, rest: str):
         from . import lifting  # only a lift line loads the template machinery
@@ -363,7 +359,6 @@ class Replayer:
             report.nodes = len(self.graph.nodes)
             report.backlinks = len(self.graph.backlinks)
             report.obligations = self.graph.obligations()
-            report.dump = self.graph.dump()
         report.elapsed = time.monotonic() - started
 
 

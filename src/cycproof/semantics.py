@@ -155,7 +155,7 @@ def models(
     if path_bound < 1:
         raise ValueError("path bound must be at least 1")
     if isinstance(phi, DBase):
-        return Verdict.TRUE if eval_bool(rho, phi.fml, quantifier_range).value else Verdict.FALSE
+        return Verdict.TRUE if eval_bool(rho, phi.fml, quantifier_range) else Verdict.FALSE
     if isinstance(phi, DNot):
         return models(rho, phi.arg, path_bound, quantifier_range).negate()
     if isinstance(phi, DAnd):
@@ -182,7 +182,7 @@ def _labeled(rho, sigma: Config, body: Body, path_bound, quantifier_range) -> Ve
     if isinstance(body, BBase):
         from .terms import apply_config
 
-        value = eval_bool(rho, apply_config(sigma, body.fml), quantifier_range).value
+        value = eval_bool(rho, apply_config(sigma, body.fml), quantifier_range)
         return Verdict.TRUE if value else Verdict.FALSE
     if isinstance(body, BNot):
         return _labeled(rho, sigma, body.body, path_bound, quantifier_range).negate()

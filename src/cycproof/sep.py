@@ -144,7 +144,7 @@ def sep_app(state: SepState, phi: SepFormula, split_bound: int = DEFAULT_SPLIT_B
 
 def _sat(store: dict, heap: dict, phi: SepFormula, split_bound: int) -> bool:
     if isinstance(phi, SBase):
-        return eval_bool(store, phi.fml).value
+        return eval_bool(store, phi.fml)
     if isinstance(phi, PointsTo):
         addr = evaluate(store, phi.addr)
         return addr in heap and heap[addr] == evaluate(store, phi.value)

@@ -509,15 +509,6 @@ def truncated_div(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
-@dataclass(frozen=True)
-class BoolResult:
-    value: bool
-    bounded: bool = False  # True when a quantifier was range-restricted
-
-    def __bool__(self) -> bool:
-        return self.value
-
-
 def evaluate(rho: Evaluation, e: Expr) -> int:
     """Integer value of an expression; every free variable must be in rho."""
     if isinstance(e, Lit):
@@ -539,34 +530,26 @@ def evaluate(rho: Evaluation, e: Expr) -> int:
     raise TermError(f"evaluate: not an expression: {e!r}")
 
 
-def eval_bool(rho: Evaluation, phi: BaseFormula, quantifier_range=(-50, 50)) -> BoolResult:
+def eval_bool(rho: Evaluation, phi: BaseFormula, quantifier_range=(-50, 50)) -> bool:
     """Truth value of a closed-under-rho formula.
 
-    ``forall`` ranges over ``quantifier_range`` only; any result that passed
-    through a quantifier is flagged ``bounded``.
+    ``forall`` ranges over ``quantifier_range`` only.
     """
     if isinstance(phi, Le):
-        return BoolResult(evaluate(rho, phi.left) <= evaluate(rho, phi.right))
+        return evaluate(rho, phi.left) <= evaluate(rho, phi.right)
     if isinstance(phi, NotF):
-        r = eval_bool(rho, phi.body, quantifier_range)
-        return BoolResult(not r.value, r.bounded)
+        return not eval_bool(rho, phi.body, quantifier_range)
     if isinstance(phi, AndF):
-        a = eval_bool(rho, phi.left, quantifier_range)
-        if not a.value:
-            return BoolResult(False, a.bounded)
-        b = eval_bool(rho, phi.right, quantifier_range)
-        return BoolResult(b.value, a.bounded or b.bounded)
+        return (eval_bool(rho, phi.left, quantifier_range)
+                and eval_bool(rho, phi.right, quantifier_range))
     if isinstance(phi, Forall):
         lo, hi = quantifier_range
         inner = dict(rho)
-        bounded_seen = False
         for v in range(lo, hi + 1):
             inner[phi.var] = v
-            r = eval_bool(inner, phi.body, quantifier_range)
-            bounded_seen = bounded_seen or r.bounded
-            if not r.value:
-                return BoolResult(False, True)
-        return BoolResult(True, True)
+            if not eval_bool(inner, phi.body, quantifier_range):
+                return False
+        return True
     raise TermError(f"eval_bool: not a base formula: {phi!r}")
 
 

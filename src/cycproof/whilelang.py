@@ -11,7 +11,9 @@ Three layers live here:
     with ``CaseSplitNeeded`` so the caller can cut on it, because an unknown
     guard must never silently shrink the successor set.
   * ``derive_termination_structural``: the termination prover driven by
-    loop annotations (invariant plus a decreasing factor).
+    loop annotations (invariant plus a decreasing factor), which the
+    proof graph holds.  It returns the end configuration and the
+    obligations it discharged, and builds no proof tree of its own.
 
 Cyclic termination proofs have no engine of their own:
 ``derive_termination_cyclic`` replays a ``.dlp`` script of steps,
@@ -114,7 +116,7 @@ def _guard_value(sigma: Config, phi: BaseFormula) -> bool:
         raise TermError(
             f"guard {parser.fml_src(phi)} is not closed by the configuration"
         )
-    return eval_bool({}, closed).value
+    return eval_bool({}, closed)
 
 
 def step(s: State) -> State:
@@ -263,9 +265,8 @@ def require_accepted(ob: Obligation, message: str) -> Obligation:
 class LoopAnnotations:
     """Invariant/factor pairs per loop, keyed by the loop's canonical form."""
 
-    def __init__(self, default=None):
+    def __init__(self):
         self._by_key: dict = {}
-        self.default = default  # (invariant, factor) applied to any loop
 
     def annotate(self, loop: While, invariant: BaseFormula, factor: Expr) -> None:
         self._by_key[program_key(loop)] = (invariant, factor)
@@ -274,8 +275,6 @@ class LoopAnnotations:
         key = program_key(loop)
         if key in self._by_key:
             return self._by_key[key]
-        if self.default is not None:
-            return self.default
         raise MissingAnnotation(
             f"no invariant/factor for loop {parser.prog_src(loop)}"
         )
@@ -286,49 +285,40 @@ def derive_termination_structural(
     state: State,
     delta,
     oracle,
-    invariant: BaseFormula | None = None,
-    factor: Expr | None = None,
-    annotations: LoopAnnotations | None = None,
+    annotations: LoopAnnotations,
     path_bound: int = 10_000,
 ) -> TerminationJudgment:
     """Syntax-directed termination derivation with annotated loops.
 
-    Every while statement needs an invariant and a factor, either through
-    ``annotations`` or the single ``invariant``/``factor`` pair.  Side
-    obligations are discharged by the oracle; the result configuration is
-    computed only when the starting state is closed.
+    Every while statement needs an invariant and a factor in
+    ``annotations``.  Side obligations are discharged by the oracle; the
+    result configuration is computed only when the starting state is
+    closed.  The judgment's ``justification`` is empty: its obligations
+    are its evidence.
     """
-    if annotations is None:
-        default = (invariant, factor) if invariant is not None and factor is not None else None
-        annotations = LoopAnnotations(default)
     gamma = tuple(gamma)
     delta = tuple(delta)
     obligations: list = []
-    result, justification = _terminate(
-        gamma, state, delta, oracle, annotations, obligations, path_bound
-    )
+    result = _terminate(gamma, state, delta, oracle, annotations, obligations, path_bound)
     if result is not None:
         result = fold(result)
-    return TerminationJudgment(gamma, state, delta, result, justification, obligations)
+    return TerminationJudgment(gamma, state, delta, result, (), obligations)
 
 
 def _terminate(gamma, state, delta, oracle, annotations, obligations, path_bound):
     p = state.program
     sigma = state.config
-    if isinstance(p, Epsilon):
-        return sigma, ("↓ε",)
-    if isinstance(p, Skip):
-        return sigma, ("↓skip",)
+    if isinstance(p, (Epsilon, Skip)):
+        return sigma
     if isinstance(p, Assign):
-        return sigma.set(p.target, apply_config(sigma, p.expr)), ("↓x:=e",)
+        return sigma.set(p.target, apply_config(sigma, p.expr))
     if isinstance(p, Seq):
-        mid, j1 = _terminate(gamma, State(p.first, sigma), delta, oracle,
-                             annotations, obligations, path_bound)
+        mid = _terminate(gamma, State(p.first, sigma), delta, oracle,
+                         annotations, obligations, path_bound)
         if mid is None:
             raise ObligationFailed("sequencing requires an intermediate configuration")
-        end, j2 = _terminate(gamma, State(p.second, mid), delta, oracle,
-                             annotations, obligations, path_bound)
-        return end, ("↓;", j1, j2)
+        return _terminate(gamma, State(p.second, mid), delta, oracle,
+                          annotations, obligations, path_bound)
     if isinstance(p, If):
         applied = apply_config(sigma, p.guard)
         try:
@@ -337,9 +327,8 @@ def _terminate(gamma, state, delta, oracle, annotations, obligations, path_bound
             raise ObligationFailed(f"conditional guard undecided: {exc}") from exc
         obligations.append(ob)
         branch = p.then if value else p.orelse
-        end, j = _terminate(gamma, State(branch, sigma), delta, oracle,
-                            annotations, obligations, path_bound)
-        return end, ("↓ite-1" if value else "↓ite-2", j)
+        return _terminate(gamma, State(branch, sigma), delta, oracle,
+                          annotations, obligations, path_bound)
     if isinstance(p, While):
         return _terminate_while(gamma, state, delta, oracle, annotations,
                                 obligations, path_bound)
@@ -368,8 +357,6 @@ def _terminate_while(gamma, state, delta, oracle, annotations, obligations, path
     loop: While = state.program
     sigma = state.config
     invariant, factor = annotations.lookup(loop)
-    if invariant is None or factor is None:
-        raise MissingAnnotation(f"loop {parser.prog_src(loop)} lacks invariant or factor")
     applied_guard = apply_config(sigma, loop.guard)
     try:
         value, guard_ob = _decide_guard(gamma, applied_guard, delta, oracle)
@@ -377,7 +364,7 @@ def _terminate_while(gamma, state, delta, oracle, annotations, obligations, path
         raise ObligationFailed(f"loop entry guard undecided: {exc}") from exc
     obligations.append(guard_ob)
     if not value:
-        return sigma, ("↓wh2",)
+        return sigma
 
     # Entry obligation: factor positive, invariant holds, guard true.
     entry = AndF(gt(factor, Lit(0)), AndF(invariant, loop.guard))
@@ -388,8 +375,8 @@ def _terminate_while(gamma, state, delta, oracle, annotations, obligations, path
     # state on the invariant with the guard true strictly shrinks the factor.
     sigma_g, bound = _generic_config(loop, invariant, factor)
     body_obs: list = []
-    end, body_just = _terminate((), State(loop.body, sigma_g), (), oracle,
-                                annotations, body_obs, path_bound)
+    end = _terminate((), State(loop.body, sigma_g), (), oracle,
+                     annotations, body_obs, path_bound)
     obligations.extend(body_obs)
     if end is None:
         raise ObligationFailed("loop body termination yielded no configuration")
@@ -416,7 +403,7 @@ def _terminate_while(gamma, state, delta, oracle, annotations, obligations, path
         if not done:
             raise ObligationFailed("closed loop exceeded the path bound despite obligations")
         result = states[-1].config
-    return result, ("↓wh1", body_just)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from cycproof.oracle import BoundedOracle
-from cycproof.parser import parse_config, parse_prog
+from cycproof.parser import parse_config, parse_expr, parse_fml, parse_prog
+from cycproof.record import walk
 from cycproof.terms import (
     AndF,
     BinOp,
@@ -16,6 +17,7 @@ from cycproof.terms import (
     Lit,
     NotF,
     Var,
+    While,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -92,3 +94,12 @@ def wp_cyclic_script() -> str:
 def termination_script(prog: str, config: str, factor: str, *lines: str) -> str:
     """A script proving ``config : prog ⇓ factor`` from no assumptions."""
     return "\n".join((f"goal . => {config} : {prog} ⇓ {factor}",) + lines)
+
+
+def annotate_loops(annotations, term, invariant: str, factor: str):
+    """``annotations`` with the invariant and factor given to every while
+    loop in ``term``; returns ``annotations``."""
+    for node in walk(term):
+        if isinstance(node, While):
+            annotations.annotate(node, parse_fml(invariant), parse_expr(factor))
+    return annotations

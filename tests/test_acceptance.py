@@ -17,6 +17,7 @@ from conftest import (
     NU1_SRC,
     SIGMA1_SRC,
     WP_SRC,
+    annotate_loops,
     random_expr,
     random_fml,
     termination_script,
@@ -50,6 +51,7 @@ from cycproof.sep import Allocator, PointsTo, SAnd, SepState, Star, sep_app, sep
 from cycproof.terms import DivisionByZero, Lit, Var, evaluate, substitute
 from cycproof.whilelang import (
     CaseSplitNeeded,
+    LoopAnnotations,
     NoProgressOnCycle,
     State,
     derive_termination_cyclic,
@@ -296,8 +298,7 @@ def test_criterion_9_termination_provers(oracle, wp):
         State(wp, parse_config("{n -> 5, s -> 0}")),
         [],
         oracle,
-        invariant=parse_fml("n >= 0"),
-        factor=parse_expr("n"),
+        annotate_loops(LoopAnnotations(), wp, "n >= 0", "n"),
     )
     assert structural.result == parse_config("{n -> 0, s -> 15}")
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, annotate_loops
 from cycproof import script as script_mod
 from cycproof.cyclic import OpenGoals, check_cyclic
 from cycproof.kernel import new_proof
@@ -66,17 +66,28 @@ def test_forged_diamond_cycle_is_rejected(oracle):
     assert revalidate(replayer.graph, cert)
 
 
+@pytest.mark.parametrize("fixture, witness", [
+    ("table4.dlp", (3, 18, [3, 5, 6, 11, 12, 14, 16, 17, 18, 3], 1, 0, (6, 0))),
+    ("sum_terminates.dlp", (2, 18, [2, 4, 6, 8, 9, 11, 14, 16, 17, 18, 2], 1, 0, (8, 0))),
+])
+def test_witnesses_read_the_closure_segments(fixture, witness, oracle):
+    # pinned from when each witness composed its cycle on its own
+    replayer, report = script_mod.replay((FIXTURES / fixture).read_text(), oracle)
+    assert report.succeeded, report.message
+    cert = replayer.certificate
+    assert [(w.companion, w.bud, w.cycle_nodes, w.laps, w.occurrence, w.progress_at)
+            for w in cert.witnesses] == [witness]
+    assert revalidate(replayer.graph, cert)
+
+
 def test_diamond_with_certificate_closes_and_accepts(oracle):
     # the same kind of loop claim, discharged by concrete unrolling with a
     # termination judgment on every step
-    from cycproof.parser import parse_expr, parse_fml
-    from cycproof.whilelang import LoopAnnotations
-
     goal = parse_sequent(". => {n -> 1} : <while n > 0 do n := n - 1 end> (n == 0)")
     g = new_proof(goal, oracle=oracle)
-    ann = LoopAnnotations((parse_fml("n >= 0"), parse_expr("n")))
-    (n2,) = g.apply_rule(1, "diamond", progress=True, annotations=ann)
-    (n3,) = g.apply_rule(n2, "diamond", progress=True, annotations=ann)
+    annotate_loops(g.annotations, goal, "n >= 0", "n")
+    (n2,) = g.apply_rule(1, "diamond", progress=True)
+    (n3,) = g.apply_rule(n2, "diamond", progress=True)
     (n4,) = g.apply_rule(n3, "box_eps")  # the diamond of the terminal program
     (n5,) = g.apply_rule(n4, "int")
     g.apply_rule(n5, "ter")

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import NU1_SRC, PHI1_SRC, SIGMA3_SRC, WP_SRC
+from conftest import NU1_SRC, PHI1_SRC, SIGMA3_SRC, WP_SRC, annotate_loops
 from cycproof.formulas import BBox, DBase, DLabeled, Sequent, formulas_equal
 from cycproof.kernel import (
+    KernelError,
     NotAncestor,
     OccurrenceAmbiguous,
     ProofGraph,
@@ -161,10 +162,8 @@ def test_backlink_rejects_mismatch_and_non_ancestor(oracle):
 def test_diamond_progress_attaches_termination(oracle):
     goal = parse_sequent(". => {n -> 2} : <while n > 0 do n := n - 1 end> (n == 0)")
     g = new_proof(goal, oracle=oracle)
-    from cycproof.whilelang import LoopAnnotations
-
-    ann = LoopAnnotations((parse_fml("n >= 0"), parse_expr("n")))
-    (child,) = g.apply_rule(1, "diamond", progress=True, annotations=ann)
+    annotate_loops(g.annotations, goal, "n >= 0", "n")
+    (child,) = g.apply_rule(1, "diamond", progress=True)
     inst = g.node(1).rule_instance
     assert inst.args["progress"] is True
     (pairs,) = inst.trace_pairs
@@ -236,6 +235,33 @@ def test_pre_registered_lifts_refuse_arguments_they_do_not_take(oracle):
     with pytest.raises(KernelError, match="rule sigma_seq: got an unexpected keyword"):
         g.apply_rule(1, "sigma_seq", side="right")
     assert len(g.apply_rule(1, "sigma_seq", occ=0)) == 1
+
+
+def test_loop_annotations_are_read_from_the_graph_only(oracle):
+    from cycproof.kernel import KernelError
+    from cycproof.whilelang import LoopAnnotations
+
+    goal = parse_sequent(". => {n -> 2} : <while n > 0 do n := n - 1 end> (n == 0)")
+    g = ProofGraph(goal, oracle=oracle)
+    with pytest.raises(KernelError, match="rule diamond: got an unexpected keyword"):
+        g.apply_rule(1, "diamond", progress=True, annotations=LoopAnnotations())
+    judgment = parse_sequent(". => {n -> 2} : while n > 0 do n := n - 1 end ⇓ 2")
+    with pytest.raises(KernelError, match="rule ter_base: got an unexpected keyword"):
+        ProofGraph(judgment, oracle=oracle).apply_rule(1, "ter_base", annotations=LoopAnnotations())
+    assert len(g.nodes) == 1
+
+
+def test_validate_refuses_a_backlink_that_forgets_a_division(oracle):
+    # 0 <= 0 and x / y - x / y <= 0 share a key; a back-link between them
+    # is refused by link_bud, and validate refuses one put in by hand
+    g = ProofGraph(parse_sequent("0 <= 0 => 1 <= 2"), oracle=oracle)
+    _, left = g.apply_rule(1, "cut", fml=parse_dlp("x / y - x / y <= 0"))
+    (bud,) = g.apply_rule(left, "wk_l", occs=[0])
+    with pytest.raises(SequentMismatch, match="on the left side: x / y may divide by zero"):
+        g.link_bud(bud, 1)
+    g.backlinks[bud] = 1
+    with pytest.raises(SequentMismatch, match="on the left side: x / y may divide by zero"):
+        g.validate()
 
 
 def test_dump_golden():

@@ -52,7 +52,7 @@ def test_invalid_comes_with_witness(oracle):
     out2 = oracle.valid_sequent([], [parse_fml("x > 0")])
     assert isinstance(out2, Invalid)
     rho = out2.witness_map()
-    assert not eval_bool(rho, parse_fml("x > 0")).value
+    assert not eval_bool(rho, parse_fml("x > 0"))
 
 
 def test_bounded_mode_never_claims_validity(oracle):
@@ -74,9 +74,9 @@ def test_bounded_agrees_with_truth_table():
             for y in range(-3, 4):
                 rho = {"x": x, "y": y}
                 try:
-                    if eval_bool(rho, gamma[0], (-3, 3)).value and not eval_bool(
+                    if eval_bool(rho, gamma[0], (-3, 3)) and not eval_bool(
                         rho, delta[0], (-3, 3)
-                    ).value:
+                    ):
                         brute = False
                         witness = rho
                         break
@@ -430,8 +430,8 @@ def _scalar_bounded(oracle, gamma, delta):
     try:
         for values in product(range(oracle.lo, oracle.hi + 1), repeat=len(names)):
             rho = dict(zip(names, values))
-            if all(eval_bool(rho, g, rng).value for g in gamma) and not any(
-                eval_bool(rho, d, rng).value for d in delta
+            if all(eval_bool(rho, g, rng) for g in gamma) and not any(
+                eval_bool(rho, d, rng) for d in delta
             ):
                 return Invalid(tuple(sorted(rho.items())))
     except DivisionByZero as exc:

@@ -30,7 +30,7 @@ def test_table4_replay_report(table4_text):
 def test_replay_is_deterministic(table4_text):
     ra, a = _replay(table4_text)
     rb, b = _replay(table4_text)
-    assert a.dump == b.dump and a.dump
+    assert ra.graph.dump() == rb.graph.dump()
     # trace-pair flags reproduce too, not only sequents and rule names
     from cycproof.cyclic import TraceGraph
 
@@ -172,9 +172,9 @@ def test_search_closes_terminal_diamonds(oracle):
     goal = parse_sequent(". => {x -> 0} : <x := x + 1> x == 1")
     result = search(goal, oracle, depth=3)
     assert result.verdict == "ProvedBounded", result.message
-    _, report = _replay(result.script)
+    replayer, report = _replay(result.script)
     assert report.verdict == result.verdict
-    assert report.dump == result.graph.dump()
+    assert replayer.graph.dump() == result.graph.dump()
 
 
 @pytest.mark.parametrize("program", ["x := cons(1)", "dispose(x)"])
@@ -511,18 +511,19 @@ def test_emitted_script_for_the_deepest_negated_relation_replays(tmp_path, capsy
 ], ids=["premise", "split", "factor"])
 def test_a_variable_named_like_a_script_word_is_a_variable(word, text):
     # the parser reads each term to its end, so the name changes nothing
-    _, named = _replay(text.replace("VAR", word) + "\nqed")
-    _, renamed = _replay(text.replace("VAR", "zz9") + "\nqed")
+    named_run, named = _replay(text.replace("VAR", word) + "\nqed")
+    renamed_run, renamed = _replay(text.replace("VAR", "zz9") + "\nqed")
     assert named.succeeded, named.message
-    assert (named.verdict, named.dump) == (renamed.verdict, renamed.dump.replace("zz9", word))
+    assert named.verdict == renamed.verdict
+    assert named_run.graph.dump() == renamed_run.graph.dump().replace("zz9", word)
 
 
 def test_ax_with_one_occurrence_searches_only_the_other_side():
     goal = "goal x <= 0, y <= 0 => y <= 0\n"
     _, report = _replay(goal + "apply ax at 1 with left 0\nqed")
     assert report.verdict == "Stuck" and "no matching formula pair" in report.message
-    _, report = _replay(goal + "apply ax at 1 with left 1\nqed")
-    assert report.verdict == "Proved" and "(rule ax left 1 right 0)" in report.dump
+    replayer, report = _replay(goal + "apply ax at 1 with left 1\nqed")
+    assert report.verdict == "Proved" and "(rule ax left 1 right 0)" in replayer.graph.dump()
 
 
 # each ended Proved while ax compared canonical keys alone: a key forgets a
@@ -546,6 +547,93 @@ def test_ax_refuses_a_formula_that_may_divide_by_zero(goal, oracle):
     literal = goal.replace("/ y", "/ 2").replace("/ w", "/ -3")
     _, report = _replay(f"goal {literal}\napply ax\nqed")
     assert report.verdict == "Proved", report.message
+
+
+# each ended Proved or ProvedBounded while sub and back-links compared
+# canonical keys alone: x / y - x / y keys as 0, so 0 <= 0 stood for a
+# formula that divides by zero
+_FORGETS_A_DIVISION = {
+    "sub": ("goal 0 <= 0 => x / y <= x / y\nsub at 1 {} premise 0 <= 0 => 0 <= 0\n"
+            "apply ax at 2\nqed",
+            "SideConditionFailed: sub: substituted premise differs at right[0]: "
+            "x / y may divide by zero (script line 2)"),
+    "backlink": ("goal 0 <= 0 => {n -> n} : [while 0 <= 0 do skip end] (1 <= 0)\n"
+                 "apply box at 1\ncut at 2 x / y - x / y <= 0\napply wk_r at 3 with 1\n"
+                 "backlink at 5 to 1\napply wk_l at 4 with 0\nbacklink at 6 to 1\nqed",
+                 "SequentMismatch: bud 6 differs from companion 1 on the left side: "
+                 "x / y may divide by zero (script line 7)"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FORGETS_A_DIVISION))
+def test_sub_and_backlinks_refuse_a_division_the_key_forgets(command):
+    text, note = _FORGETS_A_DIVISION[command]
+    _, report = _replay(text)
+    assert (report.verdict, report.message) == ("Stuck", note)
+
+
+def test_sub_keeps_a_division_both_sides_hold():
+    replayer, report = _replay("goal 1 <= x / y => 1 <= x / y\n"
+                               "sub at 1 {} premise 1 <= x / y + 0 => 1 <= x / y")
+    assert report.message == "script ended without qed"
+    assert replayer.graph.node(1).rule_instance.rule == "sub"
+
+
+def test_check_dumps_the_graph_only_when_asked(tmp_path, monkeypatch, capsys):
+    import hashlib
+
+    from cycproof.kernel import ProofGraph
+
+    calls = []
+    dump = ProofGraph.dump
+    monkeypatch.setattr(ProofGraph, "dump", lambda graph: calls.append(graph) or dump(graph))
+    monkeypatch.chdir(tmp_path)
+    for script, status in (("table4.dlp", 0), ("diamond_forged.dlp", 1)):
+        assert cli.main(["check", str(FIXTURES / script)]) == status
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    assert cli.main(["check", str(FIXTURES / "table4.dlp"), "--dump", "proof.sexp"]) == 0
+    assert len(calls) == 1
+    # the bytes the dump had while every replay built it
+    written = (tmp_path / "proof.sexp").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == (
+        "81007f0348e8dc4c8870c247df27ded51971fd3f09596860de66a340ab8b6450")
+
+
+# each ledger is the one the parent gave, when the replayer passed its
+# annotations to the rule in place of the graph holding them
+_ANNOTATED = {
+    "ter_base": (
+        "goal . => {n -> 3} : while n > 0 do n := n - 1 end ⇓ 3\n"
+        "annotate while 1 invariant n >= 0 factor n\napply ter_base at 1\nqed",
+        [". => !(3 <= 0) : bounded-valid at node 1",
+         ". => !(3 <= 0) && ((0 <= 3) && !(3 <= 0)) : bounded-valid at node 1",
+         "(n' <= bound') && (bound' <= n'), 0 <= n', !(n' <= 0) => "
+         "!(bound' <= n' - 1) && (0 <= n' - 1) : bounded-valid at node 1",
+         "n' <= 0, 0 <= n' => !(!(n' <= 0)) : bounded-valid at node 1"]),
+    "diamond": (
+        "goal . => {n -> 2} : <while n > 0 do n := n - 1 end> (n == 0)\n"
+        "annotate while 1 invariant n >= 0 factor n\n"
+        + "".join(f"apply diamond at {i} with progress\n" for i in (1, 2, 3))
+        + "apply box_eps at 4\napply int at 5\napply ter at 6\nqed",
+        [". => !(2 <= 0) : bounded-valid at node 1",
+         ". => !(2 - 1 <= 0) : bounded-valid at node 1",
+         ". => !(2 - 1 <= 0) && ((0 <= 2 - 1) && !(2 - 1 <= 0)) : bounded-valid at node 1",
+         "(n' <= bound') && (bound' <= n'), 0 <= n', !(n' <= 0) => "
+         "!(bound' <= n' - 1) && (0 <= n' - 1) : bounded-valid at node 1",
+         "n' <= 0, 0 <= n' => !(!(n' <= 0)) : bounded-valid at node 1",
+         ". => !(2 - 1 <= 0) : bounded-valid at node 2",
+         ". => !(!(2 - 1 - 1 <= 0)) : bounded-valid at node 2",
+         ". => !(!(2 - 1 - 1 <= 0)) : bounded-valid at node 3",
+         ". => (2 - 1 - 1 <= 0) && (0 <= 2 - 1 - 1) : bounded-valid at node 6"]),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_ANNOTATED))
+def test_annotate_lines_keep_their_ledgers(rule):
+    text, ledger = _ANNOTATED[rule]
+    _, report = _replay(text)
+    assert report.verdict == "ProvedBounded", report.message
+    assert [ob.describe() for ob in report.obligations] == [f"[bounded] {ob}" for ob in ledger]
 
 
 def test_termination_fixture_dump_reads_back(tmp_path, capsys):

@@ -67,7 +67,7 @@ def _reference_valid(oracle, gamma, delta):
         for key, (phi, free) in found.items():
             if free:
                 kept.append((side, key, phi, free))
-            elif eval_bool({}, phi, oracle.quantifier_range).value == side:
+            elif eval_bool({}, phi, oracle.quantifier_range) == side:
                 return BoundedValid()
     span = range(oracle.lo, oracle.hi + 1)
     qspan = range(oracle.quantifier_range[0], oracle.quantifier_range[1] + 1)

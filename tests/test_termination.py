@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import SIGMA1_SRC, WP_SRC, termination_script, wp_cyclic_script
+from conftest import SIGMA1_SRC, WP_SRC, annotate_loops, termination_script, wp_cyclic_script
 from cycproof.formulas import DTer
 from cycproof.kernel import KernelError
 from cycproof.parser import ParseError, parse_config, parse_expr, parse_fml, parse_prog
@@ -21,19 +21,20 @@ from cycproof.whilelang import (
 
 def test_assignment_base_case(oracle):
     j = derive_termination_structural(
-        [], State(parse_prog("x := 5"), parse_config("{x -> 0}")), [], oracle
+        [], State(parse_prog("x := 5"), parse_config("{x -> 0}")), [], oracle,
+        LoopAnnotations(),
     )
     assert j.result == parse_config("{x -> 5}")
 
 
 def test_countdown_loop(oracle):
+    prog = parse_prog("while n > 0 do n := n - 1 end")
     j = derive_termination_structural(
         [],
-        State(parse_prog("while n > 0 do n := n - 1 end"), parse_config("{n -> 3}")),
+        State(prog, parse_config("{n -> 3}")),
         [],
         oracle,
-        invariant=parse_fml("n >= 0"),
-        factor=parse_expr("n"),
+        annotate_loops(LoopAnnotations(), prog, "n >= 0", "n"),
     )
     assert j.result == parse_config("{n -> 0}")
     assert len(j.obligations) >= 3
@@ -45,21 +46,20 @@ def test_wp_loop_structural(oracle, wp):
         State(wp, parse_config("{n -> 5, s -> 0}")),
         [],
         oracle,
-        invariant=parse_fml("n >= 0"),
-        factor=parse_expr("n"),
+        annotate_loops(LoopAnnotations(), wp, "n >= 0", "n"),
     )
     assert j.result == parse_config("{n -> 0, s -> 15}")
 
 
 def test_skip_loop_decrease_fails(oracle):
+    prog = parse_prog("while 1 <= 1 do skip end")
     with pytest.raises(ObligationFailed) as err:
         derive_termination_structural(
             [],
-            State(parse_prog("while 1 <= 1 do skip end"), parse_config("{n -> 0}")),
+            State(prog, parse_config("{n -> 0}")),
             [],
             oracle,
-            invariant=parse_fml("0 <= 0"),
-            factor=parse_expr("1"),
+            annotate_loops(LoopAnnotations(), prog, "0 <= 0", "1"),
         )
     assert "decrease" in str(err.value)
 
@@ -67,7 +67,7 @@ def test_skip_loop_decrease_fails(oracle):
 def test_missing_annotation(oracle, wp):
     with pytest.raises(MissingAnnotation):
         derive_termination_structural(
-            [], State(wp, parse_config("{n -> 2, s -> 0}")), [], oracle
+            [], State(wp, parse_config("{n -> 2, s -> 0}")), [], oracle, LoopAnnotations()
         )
 
 
@@ -77,7 +77,7 @@ def test_annotations_by_loop(oracle):
     ann = LoopAnnotations()
     ann.annotate(loop, parse_fml("x >= 0"), parse_expr("x"))
     j = derive_termination_structural(
-        [], State(prog, parse_config("{x -> 9}")), [], oracle, annotations=ann
+        [], State(prog, parse_config("{x -> 9}")), [], oracle, ann
     )
     assert j.result == parse_config("{x -> 0}")
 
@@ -92,11 +92,8 @@ def test_structural_acceptance_implies_real_termination(oracle):
     ]
     for prog_src, cfg_src, inv, fac in cases:
         state = State(parse_prog(prog_src), parse_config(cfg_src))
-        j = derive_termination_structural(
-            [], state, [], oracle,
-            invariant=parse_fml(inv) if inv else None,
-            factor=parse_expr(fac) if fac else None,
-        )
+        ann = annotate_loops(LoopAnnotations(), state.program, inv, fac) if inv else LoopAnnotations()
+        j = derive_termination_structural([], state, [], oracle, ann)
         states, done = run(state, 10_000)
         assert done
         assert j.result == states[-1].config

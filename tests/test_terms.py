@@ -102,8 +102,8 @@ def test_renamed_quantifier_preserves_meaning():
     for x_val in range(-4, 5):
         rho = {"x": x_val}
         assert (
-            eval_bool(rho, out, (-5, 5)).value
-            == eval_bool({"y": x_val}, original, (-5, 5)).value
+            eval_bool(rho, out, (-5, 5))
+            == eval_bool({"y": x_val}, original, (-5, 5))
         )
 
 
@@ -114,7 +114,7 @@ def test_apply_config_examples():
     out = apply_config(parse_config("{n -> v, s -> 0}"), parse_fml("s == ((v + 1) * v) / 2"))
     assert out == parse_fml("0 == ((v + 1) * v) / 2")
     for v in range(0, 11):
-        assert eval_bool({"v": v}, out).value == (0 == ((v + 1) * v) // 2)
+        assert eval_bool({"v": v}, out) == (0 == ((v + 1) * v) // 2)
 
 
 def test_apply_stack_config_topmost_wins():
@@ -134,16 +134,18 @@ def test_flavor_mismatch_raises():
 
 
 def test_evaluate_and_eval_bool():
-    assert eval_bool({}, parse_fml("5 > 0")).value
-    assert eval_bool({}, parse_fml("0 <= 0")).value
+    assert eval_bool({}, parse_fml("5 > 0"))
+    assert eval_bool({}, parse_fml("0 <= 0"))
     assert evaluate({"v": 3}, parse_expr("((v + 1) * v) / 2")) == 6
 
 
-def test_quantifier_result_is_flagged_bounded():
-    r = eval_bool({}, parse_fml("forall x . x * x >= 0"), (-10, 10))
-    assert r.value and r.bounded
-    plain = eval_bool({"x": 2}, parse_fml("x >= 0"))
-    assert plain.value and not plain.bounded
+def test_quantifier_ranges_over_the_given_range_only():
+    # eval_bool answers a plain bool; a verdict's boundedness comes from the
+    # oracle's BoundedValid, not from evaluation
+    assert eval_bool({}, parse_fml("forall x . x * x >= 0"), (-10, 10)) is True
+    assert eval_bool({}, parse_fml("forall x . x <= 10"), (-10, 10)) is True
+    assert eval_bool({}, parse_fml("forall x . x <= 10"), (-10, 11)) is False
+    assert eval_bool({"x": 2}, parse_fml("x >= 0")) is True
 
 
 def test_truncated_division():

@@ -112,7 +112,7 @@ def test_transition_soundness_under_context(oracle, wp):
         rho = {"v": rng.randint(-10, 10), "m": rng.randint(-10, 10)}
         from cycproof.terms import eval_bool
 
-        if not all(eval_bool(rho, g).value for g in gamma):
+        if not all(eval_bool(rho, g) for g in gamma):
             continue
         checked += 1
         concrete = close_state(rho, wp, sigma3)
